@@ -24,6 +24,6 @@ from .areal import (AdjacencyGraph, BymModel, adjacency_from_polygons,
                     fit_bym, icar_precision)
 from .functionals import (area_averages, make_grid, pointwise_exceedance,
                           sample_points_in_polygon, simultaneous_excursions)
-from .simulate import SimConfig, lattice_field, simulate_field, simulate_survey
+from .simulate import SimConfig, lattice_field, simulate_survey
 
 __version__ = "0.1.0"

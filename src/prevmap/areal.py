@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .inference import (GaussianObs, LatentComponent, LatentModel,
-                        fit_latent_model)
+                        _linear_mixture, fit_latent_model)
 
 __all__ = [
     "AdjacencyGraph",
@@ -192,7 +192,7 @@ def _eta_operator(lm, k):
     return sp.csr_matrix((vals, (rows, cols)), shape=(k, d))
 
 
-def fit_bym(model, thetas=None, num_quantile_samples=0, threads=None):
+def fit_bym(model, thetas=None, threads=None):
     """Fit the convolution smoothing model and summarize eta_k and p_k.
 
     The area-level eta_k = beta0* + S_k + eps_k is a linear combination of
@@ -203,31 +203,8 @@ def fit_bym(model, thetas=None, num_quantile_samples=0, threads=None):
     lm = _build_latent_model(model)
     k = model.graph.n_areas
     fit = fit_latent_model(lm, thetas=thetas, threads=threads)
-    op = _eta_operator(lm, k)
-
+    mus, sds, mean, sd, q = _linear_mixture(fit, _eta_operator(lm, k))
     weights = fit.weights
-    mus = []
-    sds = []
-    for p in fit.points:
-        approx = p.approx
-        mu = op @ approx.mean
-        cols = approx.factor.solve(np.asarray(op.todense()).T)
-        var = np.einsum("kd,dk->k", op.toarray(), cols)
-        if approx.constraint is not None:
-            wm = approx._w @ approx._m
-            ow = op @ approx._w
-            owm = op @ wm
-            var -= np.sum(owm * ow, axis=1)
-        mus.append(mu)
-        sds.append(np.sqrt(np.maximum(var, 1e-300)))
-    mus = np.vstack(mus)
-    sds = np.vstack(sds)
-    mean = weights @ mus
-    second = weights @ (sds ** 2 + mus ** 2)
-    sd = np.sqrt(np.maximum(second - mean ** 2, 0.0))
-
-    from .inference import _mixture_quantiles
-    q = _mixture_quantiles(mus, sds, weights, (0.025, 0.5, 0.975))
 
     # E[expit(eta)] per area by Gauss-Hermite over each mixture component
     nodes, gh_w = np.polynomial.hermite_e.hermegauss(40)

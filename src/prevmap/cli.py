@@ -240,10 +240,11 @@ def cmd_excursions(cfg):
     boundary = _boundary(cfg)
     samples, spec = _load_state(cfg)
     grid = functionals.make_grid(boundary, cfg.grid_spacing)
-    eta, out = functionals._surface_matrix(samples, spec, grid.points)
-    prev = 1.0 / (1.0 + np.exp(-eta))
+    surface = functionals._surface_matrix(samples, spec, grid.points)
+    prev = 1.0 / (1.0 + np.exp(-surface[0]))
     exc = functionals.simultaneous_excursions(
-        samples, spec, grid.points, u=cfg.u, alpha_level=cfg.alpha_level)
+        samples, spec, grid.points, u=cfg.u, alpha_level=cfg.alpha_level,
+        eta=surface)
     functionals.write_grid_csv(
         cfg.out("excursion_grid.csv"), grid.points,
         mean=prev.mean(axis=1), sd=prev.std(axis=1, ddof=1),

@@ -225,15 +225,15 @@ def simultaneous_excursions(samples, model, grid_points, u, alpha_level=0.05,
     by grid index); the above-set grows along this ranking while the joint
     empirical probability of all members exceeding u stays >= 1 - alpha,
     and symmetrically for the below-set on the reversed ranking.
+    ``eta`` may pass in the (points x samples matrix, out-of-mesh mask)
+    pair that ``_surface_matrix`` returns at ``grid_points``.
     """
     if not 0.0 < alpha_level <= 0.5:
         raise ValueError("alpha_level must lie in (0, 0.5]")
     if eta is None:
-        eta, out = _surface_matrix(samples, model, grid_points)
-        eta = eta.T  # samples x points
-    else:
-        eta = np.asarray(eta)
-        out = np.zeros(eta.shape[1], dtype=bool)
+        eta = _surface_matrix(samples, model, grid_points)
+    eta, out = eta
+    eta = eta.T  # samples x points
     thresh = np.log(u / (1.0 - u))
     above_ind = eta > thresh
     below_ind = eta < thresh

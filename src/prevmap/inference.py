@@ -45,7 +45,8 @@ __all__ = [
     "write_theta_grid_csv",
 ]
 
-_DENSE_CUTOFF = 2500  # latent size below which marginal variances go dense
+_DENSE_CUTOFF = 2500  # rows per chunk of dense variance solves
+_GRID_STEP = 0.75     # theta-grid spacing in raw log-precision units
 
 
 # ---------------------------------------------------------------------------
@@ -265,36 +266,33 @@ class GaussianApprox:
     constraint: np.ndarray = None
     _w: np.ndarray = None       # Q^{-1} A^T
     _m: np.ndarray = None       # (A Q^{-1} A^T)^{-1}
-    _marg_var: dict = field(default_factory=dict)
 
     def correct_samples(self, s):
         """Apply the kriging correction to zero-mean draws s (d, k)."""
-        if self.constraint is None:
-            return s
-        return s - self._w @ (self._m @ (self.constraint @ s))
-
-    def marginal_variance(self, indices):
-        """Posterior variances of selected latent coordinates."""
-        key = (int(indices[0]), int(indices[-1]), len(indices))
-        if key in self._marg_var:
-            return self._marg_var[key]
-        d = self.factor.n
-        out = np.empty(len(indices))
-        chunk = max(1, min(len(indices), _DENSE_CUTOFF))
-        for s in range(0, len(indices), chunk):
-            ix = np.asarray(indices[s:s + chunk], dtype=int)
-            cols = self.factor.solve_columns(ix)
-            out[s:s + chunk] = cols[ix, np.arange(len(ix))]
-            if self.constraint is not None:
-                wm = self._w @ self._m
-                out[s:s + chunk] -= np.sum(
-                    wm[ix] * self._w[ix], axis=1)
-        self._marg_var[key] = out
-        return out
+        return _krige(s, self.constraint, self._w, self._m)
 
 
-def _loglik_terms(obs, eta):
-    return obs.loglik(eta), obs.grad(eta), obs.neg_hess(eta)
+def _krige(x, a_con, w_mat, m_mat):
+    """Condition x (d,) or (d, k) on A x = 0: x - W M A x."""
+    if a_con is None:
+        return x
+    return x - w_mat @ (m_mat @ (a_con @ x))
+
+
+def _curvature(model, q_prior, eta):
+    """Posterior precision at the linear predictor eta, symmetrized, with
+    its factor and the kriging matrices W = Q^{-1} A^T and M = (A W)^{-1}
+    (both None without constraints)."""
+    b = model.design
+    h = model.obs.neg_hess(eta)
+    q_post = (q_prior + (b.T.multiply(h) @ b)).tocsc()
+    q_post = ((q_post + q_post.T) * 0.5).tocsc()
+    factor = SparseCholesky(q_post)
+    w_mat = m_mat = None
+    if model.constraint is not None:
+        w_mat = factor.solve(model.constraint.T)
+        m_mat = np.linalg.inv(model.constraint @ w_mat)
+    return q_post, factor, w_mat, m_mat
 
 
 def gaussian_approx(model, theta, max_iter=100, tol=1e-8, max_halvings=30):
@@ -318,21 +316,12 @@ def gaussian_approx(model, theta, max_iter=100, tol=1e-8, max_halvings=30):
 
     f_u = objective(u)
     trace = [f_u]
-    factor = None
-    q_post = None
     n_iter = 0
     converged = False
-    w_mat = m_mat = None
     for it in range(max_iter):
         eta = b @ u
         g = model.obs.grad(eta)
-        h = model.obs.neg_hess(eta)
-        q_post = (q_prior + (b.T.multiply(h) @ b)).tocsc()
-        q_post = ((q_post + q_post.T) * 0.5).tocsc()
-        factor = SparseCholesky(q_post)
-        if a_con is not None:
-            w_mat = factor.solve(a_con.T)
-            m_mat = np.linalg.inv(a_con @ w_mat)
+        q_post, factor, w_mat, m_mat = _curvature(model, q_prior, eta)
         grad = np.asarray(b.T @ g).ravel() - q_prior @ u
         if a_con is not None:
             # projected gradient: remove the constrained directions
@@ -347,9 +336,7 @@ def gaussian_approx(model, theta, max_iter=100, tol=1e-8, max_halvings=30):
         step = 1.0
         improved = False
         for _ in range(max_halvings):
-            u_try = u + step * delta
-            if a_con is not None:
-                u_try = u_try - w_mat @ (m_mat @ (a_con @ u_try))
+            u_try = _krige(u + step * delta, a_con, w_mat, m_mat)
             f_try = objective(u_try)
             if f_try >= f_u - 1e-12 * (1 + abs(f_u)):
                 improved = True
@@ -366,14 +353,7 @@ def gaussian_approx(model, theta, max_iter=100, tol=1e-8, max_halvings=30):
         if rel_change < tol:
             converged = True
             # refresh curvature at the accepted mode
-            eta = b @ u
-            h = model.obs.neg_hess(eta)
-            q_post = (q_prior + (b.T.multiply(h) @ b)).tocsc()
-            q_post = ((q_post + q_post.T) * 0.5).tocsc()
-            factor = SparseCholesky(q_post)
-            if a_con is not None:
-                w_mat = factor.solve(a_con.T)
-                m_mat = np.linalg.inv(a_con @ w_mat)
+            q_post, factor, w_mat, m_mat = _curvature(model, q_prior, b @ u)
             break
     if not converged:
         raise ConvergenceError(
@@ -391,7 +371,6 @@ def gaussian_approx(model, theta, max_iter=100, tol=1e-8, max_halvings=30):
               + 0.5 * prior_factor.logdet
               - 0.5 * float(u @ (q_prior @ u))
               - 0.5 * factor.logdet)
-    mean = mu_hat
     if a_con is not None:
         s_prior = a_con @ prior_factor.solve(a_con.T)
         s_post = a_con @ w_mat
@@ -401,8 +380,8 @@ def gaussian_approx(model, theta, max_iter=100, tol=1e-8, max_halvings=30):
                    - 0.5 * np.linalg.slogdet(s_post)[1]
                    - 0.5 * float(a_mu @ np.linalg.solve(s_post, a_mu))
                    + 0.5 * float(diff @ (q_post @ diff)))
-        mean = mu_hat - w_mat @ (m_mat @ a_mu)
 
+    mean = _krige(mu_hat, a_con, w_mat, m_mat)
     return GaussianApprox(theta=theta, mean=mean, precision=q_post,
                           factor=factor, log_evidence=log_ev, n_iter=n_iter,
                           constraint=a_con, _w=w_mat, _m=m_mat)
@@ -420,9 +399,10 @@ class HyperPoint:
     approx: GaussianApprox
 
 
-def _ccd_offsets(dim, step):
+def _ccd_offsets(dim):
     """Central composite layout: center, axial at +-step and +-2 step,
     and the 2^dim factorial corners at +-step."""
+    step = _GRID_STEP
     pts = [np.zeros(dim)]
     for j in range(dim):
         for s in (-2 * step, -step, step, 2 * step):
@@ -436,39 +416,49 @@ def _ccd_offsets(dim, step):
     return np.unique(np.round(np.vstack(pts), 12), axis=0)
 
 
-def _grid_offsets(dim, step):
-    from itertools import product
-    axis = np.array([-2 * step, -step, 0.0, step, 2 * step])
-    return np.array(list(product(axis, repeat=dim)))
+def _log_post(model, theta):
+    """Laplace log pi~(theta | y) up to a constant, with its approximation."""
+    approx = gaussian_approx(model, theta)
+    return approx.log_evidence + model.log_theta_prior(theta), approx
 
 
-def hyper_grid(model, center=None, strategy="ccd", step=0.75, optimize=True,
-               threads=None, nm_maxfev=None):
+def _weighted_points(model, thetas, threads=None):
+    """Evaluate the Laplace log-posterior at each theta and normalize the
+    weights over the given points."""
+    thetas = [np.asarray(t, dtype=float) for t in thetas]
+    if threads is None:
+        threads = int(os.environ.get("PREVMAP_THREADS", "1"))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda t: _log_post(model, t), thetas))
+    else:
+        results = [_log_post(model, t) for t in thetas]
+    lps = np.array([r[0] for r in results])
+    w = np.exp(lps - lps.max())
+    w /= w.sum()
+    return [HyperPoint(t, float(lp), float(wi), r[1])
+            for t, lp, wi, r in zip(thetas, lps, w, results)]
+
+
+def hyper_grid(model, center=None, optimize=True, threads=None):
     """Evaluate the hyperparameter posterior on a mode-centered grid.
 
     Locates the theta mode with Nelder--Mead on the Laplace evidence plus
     prior (falling back to ``center``/``theta_init`` with a warning on
     optimizer failure), then evaluates log pi~(theta | y) on a central
-    composite (default) or full tensor grid and normalizes the weights.
+    composite grid and normalizes the weights.
     """
     dim = model.n_theta
     if center is None:
         center = model.theta_init.copy()
     center = np.asarray(center, dtype=float)
-
-    def log_post(theta):
-        approx = gaussian_approx(model, theta)
-        return approx.log_evidence + model.log_theta_prior(theta), approx
-
     if dim == 0:
-        lp, approx = log_post(np.empty(0))
-        return [HyperPoint(np.empty(0), lp, 1.0, approx)]
+        return _weighted_points(model, [center], threads)
 
     if optimize:
-        res = minimize(lambda t: -log_post(t)[0], center,
+        res = minimize(lambda t: -_log_post(model, t)[0], center,
                        method="Nelder-Mead",
-                       options=dict(xatol=0.02, fatol=0.02,
-                                    maxfev=nm_maxfev or 80 * dim))
+                       options=dict(xatol=0.02, fatol=0.02, maxfev=80 * dim))
         if res.success or np.all(np.isfinite(res.x)):
             if not res.success:
                 warnings.warn("theta mode search did not fully converge; "
@@ -477,24 +467,8 @@ def hyper_grid(model, center=None, strategy="ccd", step=0.75, optimize=True,
         else:
             warnings.warn("theta mode search failed; using supplied center",
                           stacklevel=2)
-
-    offsets = (_ccd_offsets(dim, step) if strategy == "ccd"
-               else _grid_offsets(dim, step))
-    thetas = center[None, :] + offsets
-
-    if threads is None:
-        threads = int(os.environ.get("PREVMAP_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(log_post, thetas))
-    else:
-        results = [log_post(t) for t in thetas]
-
-    lps = np.array([r[0] for r in results])
-    w = np.exp(lps - lps.max())
-    w /= w.sum()
-    return [HyperPoint(thetas[i], float(lps[i]), float(w[i]), results[i][1])
-            for i in range(len(thetas))]
+    return _weighted_points(model, center[None, :] + _ccd_offsets(dim),
+                            threads)
 
 
 # ---------------------------------------------------------------------------
@@ -527,29 +501,16 @@ class FitResult:
             if self.points[0].theta.size else np.empty((len(self.points), 0))
 
 
-def fit_latent_model(model, thetas=None, strategy="ccd", step=0.75,
-                     optimize=True, threads=None):
+def fit_latent_model(model, thetas=None, threads=None):
     """Fit the model: hyperparameter grid with attached Gaussian approximations.
 
     ``thetas`` may give explicit grid points (list of vectors) to skip the
     mode search, e.g. a single point for a fixed-theta fit.
     """
     if thetas is not None:
-        pts = []
-        lps = []
-        for t in thetas:
-            t = np.asarray(t, dtype=float)
-            approx = gaussian_approx(model, t)
-            lps.append(approx.log_evidence + model.log_theta_prior(t))
-            pts.append(approx)
-        lps = np.array(lps)
-        w = np.exp(lps - lps.max())
-        w /= w.sum()
-        points = [HyperPoint(np.asarray(t, dtype=float), float(lp), float(wi), a)
-                  for t, lp, wi, a in zip(thetas, lps, w, pts)]
+        points = _weighted_points(model, thetas, threads)
     else:
-        points = hyper_grid(model, strategy=strategy, step=step,
-                            optimize=optimize, threads=threads)
+        points = hyper_grid(model, threads=threads)
     return FitResult(model=model, points=points)
 
 
@@ -578,6 +539,38 @@ def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
     return out
 
 
+def _combination_variance(approx, op):
+    """Constraint-corrected variances of the rows of ``op @ u`` under one
+    Gaussian approximation, by dense solves in chunks of rows."""
+    out = np.empty(op.shape[0])
+    for s in range(0, op.shape[0], _DENSE_CUTOFF):
+        dense = op[s:s + _DENSE_CUTOFF].toarray()
+        out[s:s + _DENSE_CUTOFF] = np.einsum(
+            "kd,dk->k", dense, approx.factor.solve(dense.T))
+    if approx.constraint is not None:
+        out -= np.sum((op @ (approx._w @ approx._m)) * (op @ approx._w),
+                      axis=1)
+    return out
+
+
+def _linear_mixture(fit, op):
+    """Mixture marginals of the linear combinations ``op @ u`` (op sparse
+    CSR, one row per combination).
+
+    Returns the per-theta means and sds, shape (points, rows), and the
+    mixture mean, sd and (0.025, 0.5, 0.975) quantiles per row.
+    """
+    weights = fit.weights
+    mus = np.vstack([op @ p.approx.mean for p in fit.points])
+    sds = np.vstack([np.sqrt(np.maximum(_combination_variance(p.approx, op),
+                                        1e-300)) for p in fit.points])
+    mean = weights @ mus
+    second = weights @ (sds ** 2 + mus ** 2)
+    sd = np.sqrt(np.maximum(second - mean ** 2, 0.0))
+    q = _mixture_quantiles(mus, sds, weights, (0.025, 0.5, 0.975))
+    return mus, sds, mean, sd, q
+
+
 def marginals(fit, coords=None):
     """Mixture-of-Gaussians marginal mean, sd and quantiles per coordinate."""
     model = fit.model
@@ -587,15 +580,9 @@ def marginals(fit, coords=None):
     key = coords.tobytes()
     if key in fit._marginals:
         return fit._marginals[key]
-    weights = fit.weights
-    mus = np.vstack([p.approx.mean[coords] for p in fit.points])
-    sds = np.sqrt(np.vstack([p.approx.marginal_variance(coords)
-                             for p in fit.points]))
-    mean = weights @ mus
-    second = weights @ (sds ** 2 + mus ** 2)
-    sd = np.sqrt(np.maximum(second - mean ** 2, 0.0))
-    q = _mixture_quantiles(mus, sds, weights, (0.025, 0.5, 0.975))
-    names = [fit.model.coord_names()[i] for i in coords]
+    op = sp.identity(model.latent_dim, format="csr")[coords]
+    _, _, mean, sd, q = _linear_mixture(fit, op)
+    names = [model.coord_names()[i] for i in coords]
     res = MarginalSummaries(names=names, mean=mean, sd=sd,
                             q025=q[0], q50=q[1], q975=q[2])
     fit._marginals[key] = res

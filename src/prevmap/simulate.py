@@ -1,11 +1,10 @@
 """Synthetic two-stage prevalence surveys over a Matern field.
 
 The generator is deliberately independent of the mesh approximation under
-test: point sets up to 5,000 locations are simulated exactly by dense
-Cholesky of the Matern covariance, and the truth surface on the reporting
-lattice comes from circulant embedding (exact stationary simulation on a
-regular grid), with cluster values read off the same surface so that truth
-and data share one realization.
+test: the truth surface on the reporting lattice comes from circulant
+embedding (exact stationary simulation on a regular grid), with cluster
+values read off the same surface so that truth and data share one
+realization.
 """
 
 import csv
@@ -25,7 +24,6 @@ __all__ = [
     "SimConfig",
     "SimOutput",
     "TruthLattice",
-    "simulate_field",
     "lattice_field",
     "simulate_survey",
     "read_locations_csv",
@@ -87,47 +85,6 @@ class SimOutput:
     truth: TruthLattice
     area_truth: dict           # area id -> true T_k
     config: SimConfig
-
-
-def simulate_field(locations, params, seed=None, rng=None, mesh=None):
-    """Exact Matern field values at arbitrary locations.
-
-    Up to 5,000 locations use dense Cholesky of the covariance matrix;
-    larger sets require a mesh and go through the sparse SPDE route.
-    Coincident locations get a 1e-8 diagonal jitter with a warning.
-    """
-    pts = np.atleast_2d(np.asarray(locations, dtype=float))
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    n = len(pts)
-    if n > 5000:
-        if mesh is None:
-            raise ValueError("more than 5000 locations: pass a mesh for the "
-                             "sparse route")
-        return _mesh_field(pts, params, rng, mesh)
-    d = np.hypot(pts[:, 0][:, None] - pts[:, 0][None, :],
-                 pts[:, 1][:, None] - pts[:, 1][None, :])
-    cov = matern_cov(d, params)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        warnings.warn("covariance not positive definite (duplicate "
-                      "locations?); adding 1e-8 jitter", stacklevel=2)
-        chol = np.linalg.cholesky(cov + 1e-8 * np.eye(n))
-    return chol @ rng.standard_normal(n)
-
-
-def _mesh_field(pts, params, rng, mesh):
-    from .geometry import fem_matrices, project
-    from .spde import SpdeTheta, assemble_precision, tau_from_sigma
-    from .sparsela import SparseCholesky
-
-    c, g = fem_matrices(mesh)
-    tau = tau_from_sigma(params.sigma2, params.kappa, params.nu)
-    q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(params.kappa)),
-                           check=False)
-    w = SparseCholesky(q).sample(rng.standard_normal(mesh.num_vertices))
-    return project(mesh, pts).matrix @ w
 
 
 def lattice_field(xs, ys, params, rng, pad_ranges=4.0, max_grow=3):

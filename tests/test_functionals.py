@@ -141,9 +141,10 @@ def test_pointwise_exceedance_gaussian_analytic(surface):
 def _direct_excursion(eta, u, alpha):
     """eta: (n_samples, n_points) synthetic posterior; no mesh involved."""
     spec = None
-    return simultaneous_excursions(None, spec,
-                                   np.zeros((eta.shape[1], 2)), u,
-                                   alpha_level=alpha, eta=eta)
+    n_points = eta.shape[1]
+    return simultaneous_excursions(None, spec, np.zeros((n_points, 2)), u,
+                                   alpha_level=alpha,
+                                   eta=(eta.T, np.zeros(n_points, bool)))
 
 
 def test_excursions_perfectly_correlated_equal_pointwise():
@@ -233,6 +234,18 @@ def test_excursion_tie_break_deterministic():
     r1 = _direct_excursion(eta, 0.3, 0.1)
     r2 = _direct_excursion(eta, 0.3, 0.1)
     assert np.array_equal(r1.labels, r2.labels)
+
+
+def test_excursion_passed_surface_keeps_out_of_mesh_mask():
+    # point 0 is far above u in every sample but lies outside the mesh: it
+    # gets no probability and joins neither joint set
+    eta = np.full((200, 3), 5.0)
+    eta[:, 2] = -5.0
+    out = np.array([True, False, False])
+    res = simultaneous_excursions(None, None, np.zeros((3, 2)), 0.5,
+                                  alpha_level=0.05, eta=(eta.T, out))
+    assert np.isnan(res.exceed_prob[0])
+    assert list(res.labels) == ["indeterminate", "above", "below"]
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,17 @@ def test_marginals_single_component_gaussian_quantiles():
     assert np.abs(marg.q50 - mu).max() < 1e-6
 
 
+def test_marginals_distinct_coordinate_sets_same_ends_and_length():
+    # [0, 5, 9] and [0, 7, 9] share first, last and length; each call must
+    # return the variances of its own coordinates
+    model, q_post, *_ = _gaussian_problem()
+    fit = fit_latent_model(model, thetas=[np.empty(0)])
+    var = np.diag(np.linalg.inv(q_post))
+    for coords in ([0, 5, 9], [0, 7, 9]):
+        marg = marginals(fit, coords=coords)
+        assert np.abs(marg.sd ** 2 - var[coords]).max() < 1e-10
+
+
 def test_mixture_median_and_mean():
     from prevmap.inference import _mixture_quantiles
 
