@@ -141,14 +141,17 @@ def cmd_fit(cfg):
         s_med = np.median(s_grid, axis=1)
         functionals.write_grid_csv(cfg.out("field_median_lattice.csv"),
                                    grid.points, mean=s_med)
+        # downstream commands read only the field and beta0: save those
+        # columns, the field first
         b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
+        n_field = w.shape[1]
         np.savez_compressed(
             cfg.out("fit_state.npz"),
-            samples=samples.samples,
+            samples=np.column_stack([w, samples.samples[:, b0]]),
             theta_index=samples.theta_index,
-            field_start=model.slices["field"].start,
-            field_stop=model.slices["field"].stop,
-            beta0_index=b0,
+            field_start=0,
+            field_stop=n_field,
+            beta0_index=n_field,
             mesh_vertices=mesh.vertices,
             mesh_triangles=mesh.triangles,
             mesh_interior=mesh.interior_flag,

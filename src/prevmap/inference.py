@@ -218,6 +218,9 @@ class LatentModel:
             names = comp.theta_names or tuple(
                 f"{comp.name}.theta{j}" for j in range(comp.n_theta))
             self.theta_names.extend(names)
+        # fill-reducing orderings of Q_prior and Q_post ("prior", "post"):
+        # their sparsity patterns do not change with theta or eta
+        self._orders = {}
 
     def coord_names(self):
         names = []
@@ -279,6 +282,18 @@ def _krige(x, a_con, w_mat, m_mat):
     return x - w_mat @ (m_mat @ (a_con @ x))
 
 
+def _factor(model, key, q):
+    """Factor q with the model's ordering for ``key`` ("prior" or "post"),
+    computed by the first factorization of that matrix.  Threads that
+    factor the first matrices at once may each compute it; the ordering
+    depends only on the pattern, so they agree."""
+    order = model._orders.get(key)
+    factor = SparseCholesky(q, order=order)
+    if order is None:
+        model._orders[key] = factor.order
+    return factor
+
+
 def _curvature(model, q_prior, eta):
     """Posterior precision at the linear predictor eta, symmetrized, with
     its factor and the kriging matrices W = Q^{-1} A^T and M = (A W)^{-1}
@@ -287,7 +302,7 @@ def _curvature(model, q_prior, eta):
     h = model.obs.neg_hess(eta)
     q_post = (q_prior + (b.T.multiply(h) @ b)).tocsc()
     q_post = ((q_post + q_post.T) * 0.5).tocsc()
-    factor = SparseCholesky(q_post)
+    factor = _factor(model, "post", q_post)
     w_mat = m_mat = None
     if model.constraint is not None:
         w_mat = factor.solve(model.constraint.T)
@@ -295,20 +310,29 @@ def _curvature(model, q_prior, eta):
     return q_post, factor, w_mat, m_mat
 
 
-def gaussian_approx(model, theta, max_iter=100, tol=1e-8, max_halvings=30):
+def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
+                    max_halvings=30):
     """Newton--Raphson Gaussian approximation of pi(u | y, theta).
 
     Returns the (constrained) mode, the sparse posterior precision at the
     mode and the Laplace log-evidence log pi(y | theta).  With a Gaussian
     observation stage the first Newton step is exact.
+
+    Newton starts from ``u0`` (default zero).  ``u0`` must satisfy the
+    model's constraints, A u0 = 0, as the ``mean`` of an earlier
+    approximation of the same model does; starting from the mean at a
+    nearby theta saves iterations and changes the result only within the
+    Newton tolerance.
     """
     theta = np.asarray(theta, dtype=float)
     q_prior = model.prior_precision(theta)
-    prior_factor = SparseCholesky(q_prior)
+    prior_factor = _factor(model, "prior", q_prior)
     b = model.design
     a_con = model.constraint
     d = model.latent_dim
-    u = np.zeros(d)
+    u = np.zeros(d) if u0 is None else np.array(u0, dtype=float)
+    if u.shape != (d,):
+        raise ValueError(f"u0 must have shape ({d},), got {u.shape}")
 
     def objective(u_):
         eta = b @ u_
@@ -416,23 +440,26 @@ def _ccd_offsets(dim):
     return np.unique(np.round(np.vstack(pts), 12), axis=0)
 
 
-def _log_post(model, theta):
-    """Laplace log pi~(theta | y) up to a constant, with its approximation."""
-    approx = gaussian_approx(model, theta)
+def _log_post(model, theta, u0=None):
+    """Laplace log pi~(theta | y) up to a constant, with its approximation
+    (Newton started from ``u0``)."""
+    approx = gaussian_approx(model, theta, u0=u0)
     return approx.log_evidence + model.log_theta_prior(theta), approx
 
 
-def _weighted_points(model, thetas, threads=None):
-    """Evaluate the Laplace log-posterior at each theta and normalize the
-    weights over the given points."""
+def _weighted_points(model, thetas, threads=None, u0=None):
+    """Evaluate the Laplace log-posterior at each theta, every Newton solve
+    started from the same ``u0``, and normalize the weights over the given
+    points."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     if threads is None:
         threads = int(os.environ.get("PREVMAP_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _log_post(model, t), thetas))
+            results = list(pool.map(lambda t: _log_post(model, t, u0),
+                                    thetas))
     else:
-        results = [_log_post(model, t) for t in thetas]
+        results = [_log_post(model, t, u0) for t in thetas]
     lps = np.array([r[0] for r in results])
     w = np.exp(lps - lps.max())
     w /= w.sum()
@@ -447,6 +474,10 @@ def hyper_grid(model, center=None, optimize=True, threads=None):
     prior (falling back to ``center``/``theta_init`` with a warning on
     optimizer failure), then evaluates log pi~(theta | y) on a central
     composite grid and normalizes the weights.
+
+    Each Newton solve of the sequential search starts from the mode of the
+    evaluation before it; every grid point starts from the mode at the best
+    theta of the search, so the grid does not depend on ``threads``.
     """
     dim = model.n_theta
     if center is None:
@@ -455,9 +486,19 @@ def hyper_grid(model, center=None, optimize=True, threads=None):
     if dim == 0:
         return _weighted_points(model, [center], threads)
 
+    best = (-np.inf, None)  # log posterior and mode of the best evaluation
     if optimize:
-        res = minimize(lambda t: -_log_post(model, t)[0], center,
-                       method="Nelder-Mead",
+        start = None  # mode of the previous evaluation
+
+        def neg_log_post(t):
+            nonlocal start, best
+            lp, approx = _log_post(model, t, start)
+            start = approx.mean
+            if lp > best[0]:
+                best = (lp, approx.mean)
+            return -lp
+
+        res = minimize(neg_log_post, center, method="Nelder-Mead",
                        options=dict(xatol=0.02, fatol=0.02, maxfev=80 * dim))
         if res.success or np.all(np.isfinite(res.x)):
             if not res.success:
@@ -468,7 +509,7 @@ def hyper_grid(model, center=None, optimize=True, threads=None):
             warnings.warn("theta mode search failed; using supplied center",
                           stacklevel=2)
     return _weighted_points(model, center[None, :] + _ccd_offsets(dim),
-                            threads)
+                            threads, u0=best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +623,8 @@ def marginals(fit, coords=None):
         return fit._marginals[key]
     op = sp.identity(model.latent_dim, format="csr")[coords]
     _, _, mean, sd, q = _linear_mixture(fit, op)
-    names = [model.coord_names()[i] for i in coords]
+    all_names = model.coord_names()
+    names = [all_names[i] for i in coords]
     res = MarginalSummaries(names=names, mean=mean, sd=sd,
                             q025=q[0], q50=q[1], q975=q[2])
     fit._marginals[key] = res

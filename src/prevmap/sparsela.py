@@ -6,6 +6,12 @@ input, produces U = D L^T with no row pivoting, which makes the LU
 factorization an LDL^T / Cholesky factorization in disguise.  The wrapper
 exposes the pieces needed elsewhere: solves, log-determinant, and the
 half-solve used to draw Gaussian vectors with precision Q.
+
+The ordering depends only on the sparsity pattern, so it is computed once
+per pattern and reused: a factorization exposes the permutation it used as
+an :class:`Ordering`, and a later matrix with the same pattern is factored
+as ``q[perm][:, perm]`` in natural order, which skips the minimum-degree
+pass and gives the same fill.
 """
 
 import numpy as np
@@ -33,22 +39,75 @@ def check_symmetric(mat, rtol=1e-12):
     return d.max() <= rtol * scale
 
 
+class Ordering:
+    """Symmetric permutation ``perm`` of an n x n matrix: ``q[perm][:, perm]``.
+
+    :meth:`permute` builds the permuted matrix by gathering ``q.data``
+    through an index computed the first time a sparsity pattern is seen, so
+    each later matrix with that pattern costs one gather.
+    """
+
+    def __init__(self, perm):
+        perm = np.asarray(perm, dtype=np.intp)
+        n = len(perm)
+        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError("ordering must be a permutation of 0..n-1")
+        self.perm = perm
+        self.inverse = np.empty(n, dtype=np.intp)
+        self.inverse[perm] = np.arange(n)
+        self._pattern = None  # (indptr, indices, gather, new indices, new indptr)
+
+    def permute(self, q):
+        """``q[perm][:, perm]`` of a CSC matrix, in CSC form."""
+        n = len(self.perm)
+        if q.shape != (n, n):
+            raise ValueError(f"ordering of size {n} does not fit a "
+                             f"{q.shape} matrix")
+        if not q.has_canonical_format:
+            q = q.copy()
+            q.sum_duplicates()
+        pat = self._pattern
+        if pat is None or not (np.array_equal(pat[0], q.indptr)
+                               and np.array_equal(pat[1], q.indices)):
+            cols = np.repeat(np.arange(n), np.diff(q.indptr))
+            rows, cols = self.inverse[q.indices], self.inverse[cols]
+            gather = np.lexsort((rows, cols))
+            indptr = np.zeros(n + 1, dtype=q.indptr.dtype)
+            np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+            pat = (q.indptr.copy(), q.indices.copy(), gather,
+                   rows[gather].astype(q.indices.dtype), indptr)
+            self._pattern = pat
+        return sp.csc_matrix((q.data[pat[2]], pat[3], pat[4]), shape=(n, n))
+
+
 class SparseCholesky:
     """Cholesky-type factorization of a sparse SPD matrix.
+
+    Without ``order`` SuperLU computes a minimum-degree ordering; with one
+    (an :class:`Ordering` or a permutation array, e.g. the ``order`` of an
+    earlier factorization of the same pattern) it factors
+    ``q[order][:, order]`` in natural order.  Either way ``order`` holds
+    the ordering used, and solves and samples are in the order of ``q``.
 
     Raises :class:`NotPositiveDefiniteError` (with a smallest-eigenvalue
     estimate when obtainable) if the input is not positive definite.
     """
 
-    def __init__(self, q):
+    def __init__(self, q, order=None):
         q = sp.csc_matrix(q)
         if q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
         self.n = q.shape[0]
+        if order is None:
+            a, spec = q, "MMD_AT_PLUS_A"
+        else:
+            if not isinstance(order, Ordering):
+                order = Ordering(order)
+            a, spec = order.permute(q), "NATURAL"
         try:
             self._lu = spla.splu(
-                q,
-                permc_spec="MMD_AT_PLUS_A",
+                a,
+                permc_spec=spec,
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
@@ -69,7 +128,15 @@ class SparseCholesky:
                 min_eigenvalue=_smallest_eig_estimate(q),
             )
         self._diag = d
-        self._perm = self._lu.perm_c
+        # the ordering applied before SuperLU (None when SuperLU ordered q
+        # itself), and the map from the rows of L to those of q for sample()
+        self._outer = order
+        if order is None:
+            self.order = Ordering(np.argsort(self._lu.perm_c))
+            self._perm = self._lu.perm_c
+        else:
+            self.order = order
+            self._perm = self._lu.perm_c[order.inverse]
         self._lt = None
 
     @property
@@ -78,7 +145,11 @@ class SparseCholesky:
 
     def solve(self, b):
         """Solve Q x = b; b may be a vector or a (n, k) matrix."""
-        return self._lu.solve(np.ascontiguousarray(b, dtype=float))
+        b = np.asarray(b, dtype=float)
+        if self._outer is None:
+            return self._lu.solve(np.ascontiguousarray(b))
+        x = self._lu.solve(np.ascontiguousarray(b[self._outer.perm]))
+        return x[self._outer.inverse]
 
     def sample(self, z):
         """Map standard normal draws z (n,) or (n, k) to N(0, Q^{-1}) draws.

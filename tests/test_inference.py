@@ -7,9 +7,10 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from prevmap.errors import ConvergenceError
-from prevmap.inference import (BinomialObs, GaussianObs, LatentComponent,
-                               LatentModel, fit_latent_model, gaussian_approx,
-                               hyper_grid, marginals, sample_joint,
+from prevmap.inference import (BinomialObs, FitResult, GaussianObs,
+                               LatentComponent, LatentModel, fit_latent_model,
+                               gaussian_approx, hyper_grid, marginals,
+                               sample_joint,
                                write_fit_summary_csv, write_theta_grid_csv)
 
 
@@ -267,3 +268,123 @@ def test_fit_exports(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == model.latent_dim
     assert float(rows[0]["mean"]) == pytest.approx(marg.mean[0])
+
+
+def test_marginals_names_of_unsorted_coordinate_subset():
+    model, *_ = _gaussian_problem()
+    fit = fit_latent_model(model, thetas=[np.empty(0)])
+    coords = [17, 3, 24, 0]
+    names = model.coord_names()
+    assert marginals(fit, coords=coords).names == [names[i] for i in coords]
+
+
+# ---------------------------------------------------------------------------
+# warm starts and reused orderings
+# ---------------------------------------------------------------------------
+
+def _rw1_precision(m):
+    """Random-walk structure plus a small ridge: tridiagonal, SPD."""
+    main = np.r_[1.0, np.full(m - 2, 2.0), 1.0] + 1e-3
+    return sp.diags([main, -np.ones(m - 1), -np.ones(m - 1)], [0, 1, -1],
+                    format="csc")
+
+
+def _binomial_problem(seed=2, n=80, m=30):
+    """Binomial counts over a smooth latent curve: eta = intercept + B u,
+    u ~ RW1 with log-precision theta[0] and an iid term with theta[1]."""
+    rng = np.random.default_rng(seed)
+    site = rng.integers(0, m, n)
+    b = sp.csr_matrix((np.ones(n), (np.arange(n), site)), shape=(n, m))
+    truth = np.sin(np.linspace(0, 3, m))[site] - 1.0
+    trials = rng.integers(5, 15, n).astype(float)
+    y = rng.binomial(trials.astype(int), expit(truth)).astype(float)
+    q_rw = _rw1_precision(m)
+    comps = [
+        LatentComponent("rw", b, lambda th: np.exp(th[0]) * q_rw, n_theta=1),
+        LatentComponent("iid", sp.identity(n, format="csr"),
+                        lambda th: np.exp(th[0]) * sp.identity(n, format="csc"),
+                        n_theta=1),
+    ]
+    return LatentModel(BinomialObs(y, trials), comps,
+                       fixed_design=np.ones((n, 1)), theta_init=[1.0, 3.0])
+
+
+def _binomial_bym_problem(seed=4, k_side=5):
+    """Binomial counts per area of a k_side x k_side grid: intercept + ICAR
+    (sum to zero) + iid area effects."""
+    rng = np.random.default_rng(seed)
+    k = k_side * k_side
+    edges = [(i, i + 1) for i in range(k) if (i + 1) % k_side] + \
+        [(i, i + k_side) for i in range(k - k_side)]
+    from prevmap.areal import AdjacencyGraph, icar_precision
+    q_icar = icar_precision(AdjacencyGraph(k, edges)) \
+        + 1e-8 * sp.identity(k, format="csc")
+    trials = rng.integers(20, 40, k).astype(float)
+    y = rng.binomial(trials.astype(int),
+                     expit(rng.normal(-1.0, 0.5, k))).astype(float)
+    eye = sp.identity(k, format="csr")
+    comps = [
+        LatentComponent("icar", eye, lambda th: np.exp(th[0]) * q_icar,
+                        n_theta=1, constraint=np.ones((1, k))),
+        LatentComponent("iid", eye,
+                        lambda th: np.exp(th[0]) * sp.identity(k, format="csc"),
+                        n_theta=1),
+    ]
+    return LatentModel(BinomialObs(y, trials), comps,
+                       fixed_design=np.ones((k, 1)), theta_init=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("problem", [_binomial_problem, _binomial_bym_problem])
+def test_warm_start_matches_cold(problem):
+    model = problem()
+    near = model.theta_init + np.array([0.3, -0.2])
+    start = gaussian_approx(model, model.theta_init).mean
+    cold = gaussian_approx(model, near)
+    warm = gaussian_approx(model, near, u0=start)
+    scale = np.abs(cold.mean).max()
+    assert np.abs(warm.mean - cold.mean).max() <= 1e-6 * scale
+    assert warm.log_evidence == pytest.approx(cold.log_evidence, rel=1e-6)
+    assert warm.n_iter < cold.n_iter
+    if model.constraint is not None:
+        assert np.abs(model.constraint @ warm.mean).max() < 1e-9 * scale
+
+
+def test_hyper_grid_threads_give_identical_bytes(tmp_path):
+    paths = []
+    for threads in (1, 2):
+        fit = FitResult(model=_binomial_problem(),
+                        points=hyper_grid(_binomial_problem(),
+                                          threads=threads))
+        paths.append(tmp_path / f"grid{threads}.csv")
+        write_theta_grid_csv(paths[-1], fit)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
+                                              coarse_fem10):
+    # The patterns of Q_prior and Q_post do not change with theta or eta, so
+    # a whole fit runs the minimum-degree ordering at most twice.
+    import scipy.sparse.linalg as spla
+    from prevmap import sparsela
+    from prevmap.geometry import project
+    from prevmap.inference import make_spde_model
+
+    calls = {"ordered": 0, "natural": 0}
+    splu = spla.splu
+
+    def counting_splu(a, permc_spec=None, **kwargs):
+        calls["natural" if permc_spec == "NATURAL" else "ordered"] += 1
+        return splu(a, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(sparsela.spla, "splu", counting_splu)
+    rng = np.random.default_rng(8)
+    locs = rng.uniform(0, 10, (120, 2))
+    trials = np.full(120, 10.0)
+    y = rng.binomial(10, expit(-1.0 + 0.5 * np.sin(locs[:, 0]))).astype(float)
+    model = make_spde_model(BinomialObs(y, trials),
+                            project(coarse_mesh10, locs), *coarse_fem10,
+                            mesh=coarse_mesh10, nugget=False)
+    fit = fit_latent_model(model)
+    assert len(fit.points) > 1
+    assert calls["ordered"] <= 2
+    assert calls["natural"] > len(fit.points)

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from prevmap.errors import NotPositiveDefiniteError
-from prevmap.sparsela import SparseCholesky, check_symmetric, export_matrix_market
+from prevmap.sparsela import (Ordering, SparseCholesky, check_symmetric,
+                              export_matrix_market)
 
 
 def _random_spd(n, seed=0, density=0.05):
@@ -51,6 +52,56 @@ def test_not_spd_raises():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NotPositiveDefiniteError):
         SparseCholesky(sp.csc_matrix(a))
+
+
+def _same_pattern_pair(n, seed):
+    """Two SPD matrices with one sparsity pattern: q and D q D."""
+    q1 = _random_spd(n, seed=seed)
+    d = sp.diags(np.random.default_rng(seed + 1).uniform(0.5, 2.0, n))
+    q2 = (d @ q1 @ d).tocsc()
+    assert np.array_equal(q1.indptr, q2.indptr)
+    assert np.array_equal(q1.indices, q2.indices)
+    return q1, q2
+
+
+def test_reused_ordering_matches_dense_oracle():
+    q1, q2 = _same_pattern_pair(70, seed=11)
+    perm = np.random.default_rng(3).permutation(70)
+    dense = q2.toarray()
+    cov = np.linalg.inv(dense)
+    b = np.random.default_rng(12).standard_normal((70, 4))
+    # the ordering of a factorization of q1, and an arbitrary permutation
+    for order in (SparseCholesky(q1).order, perm):
+        f = SparseCholesky(q2, order=order)
+        assert np.abs(f.solve(b) - np.linalg.solve(dense, b)).max() < 1e-10
+        assert np.abs(f.solve(b[:, 0]) - np.linalg.solve(dense, b[:, 0])).max() \
+            < 1e-10
+        assert f.logdet == pytest.approx(np.linalg.slogdet(dense)[1], abs=1e-9)
+        cols = [9, 2, 40]
+        assert np.abs(f.solve_columns(cols) - cov[:, cols]).max() < 1e-10
+        # sample() is a linear map M with M M^T = Q^{-1}
+        m = f.sample(np.eye(70))
+        assert np.abs(m @ m.T - cov).max() < 1e-10
+    assert np.array_equal(SparseCholesky(q2, order=perm).order.perm, perm)
+    # same fill as a fresh minimum-degree factorization of q2
+    reused = SparseCholesky(q2, order=SparseCholesky(q1).order)
+    assert reused._lu.L.nnz == SparseCholesky(q2)._lu.L.nnz
+
+
+def test_reused_ordering_indefinite_raises():
+    q1, _ = _same_pattern_pair(50, seed=13)
+    shift = np.linalg.eigvalsh(q1.toarray()).min() + 1.0
+    bad = (q1 - shift * sp.identity(50)).tocsc()
+    assert np.array_equal(bad.indices, q1.indices)
+    with pytest.raises(NotPositiveDefiniteError):
+        SparseCholesky(bad, order=SparseCholesky(q1).order)
+
+
+def test_ordering_rejects_non_permutation():
+    with pytest.raises(ValueError):
+        Ordering([0, 0, 2])
+    with pytest.raises(ValueError):
+        SparseCholesky(_random_spd(5), order=np.arange(4))
 
 
 def test_check_symmetric():
