@@ -134,15 +134,15 @@ def cmd_fit(cfg):
         marg = marginals(fit, coords=fixed_ix)
         write_fit_summary_csv(cfg.out("fit_summary.csv"), marg)
 
-        spacing = cfg.grid_spacing
-        grid = functionals.make_grid(boundary, spacing)
-        w = samples.samples[:, model.slices["field"]]
-        s_grid = (project(mesh, grid.points).matrix @ w.T)
-        s_med = np.median(s_grid, axis=1)
-        functionals.write_grid_csv(cfg.out("field_median_lattice.csv"),
-                                   grid.points, mean=s_med)
+        grid = functionals.make_grid(boundary, cfg.grid_spacing)
+        field = functionals.SurfaceSpec(mesh=mesh,
+                                        field_slice=model.slices["field"])
+        functionals.write_grid_csv(
+            cfg.out("field_median_lattice.csv"), grid.points,
+            mean=functionals.pointwise_median(samples, field, grid.points))
         # downstream commands read only the field and beta0: save those
         # columns, the field first
+        w = samples.samples[:, model.slices["field"]]
         b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
         n_field = w.shape[1]
         np.savez_compressed(
@@ -243,15 +243,11 @@ def cmd_excursions(cfg):
     boundary = _boundary(cfg)
     samples, spec = _load_state(cfg)
     grid = functionals.make_grid(boundary, cfg.grid_spacing)
-    surface = functionals._surface_matrix(samples, spec, grid.points)
-    prev = 1.0 / (1.0 + np.exp(-surface[0]))
     exc = functionals.simultaneous_excursions(
-        samples, spec, grid.points, u=cfg.u, alpha_level=cfg.alpha_level,
-        eta=surface)
+        samples, spec, grid.points, u=cfg.u, alpha_level=cfg.alpha_level)
     functionals.write_grid_csv(
-        cfg.out("excursion_grid.csv"), grid.points,
-        mean=prev.mean(axis=1), sd=prev.std(axis=1, ddof=1),
-        exceed_prob=exc.exceed_prob, labels=exc.labels)
+        cfg.out("excursion_grid.csv"), grid.points, mean=exc.mean,
+        sd=exc.sd, exceed_prob=exc.exceed_prob, labels=exc.labels)
     n_above = int((exc.labels == "above").sum())
     n_below = int((exc.labels == "below").sum())
     n_ind = int((exc.labels == "indeterminate").sum())

@@ -3,10 +3,16 @@
 Area averages integrate the prevalence surface expit(beta0 + S(x)) by
 Monte Carlo over uniform points in each polygon; the household nugget is
 deliberately excluded from the surface.  Excursion regions are built
-greedily on the sample matrix: grid points join the joint set in order of
+greedily on the samples: grid points join the joint set in order of
 pointwise probability for as long as the empirical probability that all
 members exceed (fall below) the threshold stays at the target level, which
 splits the map into above / below / indeterminate regions.
+
+The surface is never held whole as a points x samples float matrix: it is
+evaluated in row blocks of at most ``_BLOCK_CELLS`` values, and every
+reduction over it is per point or per area, so the results do not depend
+on the block size.  The excursion pass keeps only the points x samples
+bool indicators of exceeding and falling below the threshold.
 """
 
 import csv
@@ -25,6 +31,7 @@ __all__ = [
     "sample_points_in_polygon",
     "area_averages",
     "pointwise_exceedance",
+    "pointwise_median",
     "simultaneous_excursions",
     "make_grid",
     "write_area_csv",
@@ -32,6 +39,9 @@ __all__ = [
 ]
 
 _LABELS = ("below", "indeterminate", "above")
+
+# Most float64 values one block of the surface holds (2 MB).
+_BLOCK_CELLS = 2 ** 18
 
 
 def sample_points_in_polygon(polygon, n, rng, max_tries=1000):
@@ -119,19 +129,47 @@ def _spec_of(model):
                        beta0_index=b0)
 
 
-def _surface_matrix(samples, model, points):
-    """Sampled prevalence-scale linear predictor at arbitrary points.
+def _row_blocks(n, width, unit=1):
+    """Slices over ``n`` rows of ``width`` values, in whole groups of
+    ``unit`` rows: at most ``_BLOCK_CELLS`` values a block, but never less
+    than one group."""
+    step = unit * max(1, _BLOCK_CELLS // max(unit * width, 1))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
-    Rows are points, columns are joint samples; the linear predictor uses
-    the intercept and the projected field only (no nugget, no covariates).
+
+def _surface_blocks(samples, model, points, unit=1):
+    """Sampled linear predictor at ``points``, evaluated in row blocks.
+
+    Returns the out-of-mesh mask and an iterator of ``(rows, eta)`` pairs:
+    ``eta`` is a new C-contiguous block, points in rows and joint samples in
+    columns, that the caller may overwrite.  The linear predictor uses the
+    intercept and the projected field only (no nugget, no covariates); the
+    points are projected once.
     """
     spec = _spec_of(model)
     proj = project(spec.mesh, points)
-    w = samples.samples[:, spec.field_slice]
-    eta = proj.matrix @ w.T
+    w_t = np.ascontiguousarray(samples.samples[:, spec.field_slice].T)
+    b0 = None
     if spec.beta0_index is not None:
-        eta = eta + samples.samples[:, spec.beta0_index][None, :]
-    return eta, proj.out_of_mesh
+        b0 = samples.samples[:, spec.beta0_index]
+
+    def blocks():
+        for rows in _row_blocks(len(proj.out_of_mesh), w_t.shape[1], unit):
+            eta = proj.matrix[rows] @ w_t
+            if b0 is not None:
+                eta += b0
+            yield rows, eta
+
+    return proj.out_of_mesh, blocks()
+
+
+def _expit(eta):
+    """1 / (1 + exp(-eta)), computed in place."""
+    np.negative(eta, out=eta)
+    np.exp(eta, out=eta)
+    eta += 1.0
+    return np.divide(1.0, eta, out=eta)
 
 
 def area_averages(samples, model, areas, points_per_area=100, seed=0):
@@ -145,19 +183,20 @@ def area_averages(samples, model, areas, points_per_area=100, seed=0):
         pts.append(sample_points_in_polygon(poly, points_per_area, rng))
         ids.append(poly.id)
     pts = np.vstack(pts)
-    eta, out = _surface_matrix(samples, model, pts)
-    prev = 1.0 / (1.0 + np.exp(-eta))
     k = len(areas)
+    out, blocks = _surface_blocks(samples, model, pts, unit=points_per_area)
+    out = out.reshape(k, points_per_area)
     t = np.empty((k, samples.num_samples))
     flagged = []
-    for i in range(k):
-        sl = slice(i * points_per_area, (i + 1) * points_per_area)
-        good = ~out[sl]
-        if not good.any():
-            flagged.append(ids[i])
-            t[i] = np.nan
-            continue
-        t[i] = prev[sl][good].mean(axis=0)
+    for rows, eta in blocks:
+        prev = _expit(eta).reshape(-1, points_per_area, eta.shape[1])
+        for i, area_prev in enumerate(prev, rows.start // points_per_area):
+            good = ~out[i]
+            if not good.any():
+                flagged.append(ids[i])
+                t[i] = np.nan
+                continue
+            t[i] = area_prev[good].mean(axis=0)
     mean = np.full(k, np.nan)
     sd = np.full(k, np.nan)
     q = np.full((3, k), np.nan)
@@ -176,11 +215,25 @@ def pointwise_exceedance(samples, model, grid_points, u):
     """Per grid point: fraction of joint samples with prevalence above u."""
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie in (0, 1)")
-    eta, out = _surface_matrix(samples, model, grid_points)
+    out, blocks = _surface_blocks(samples, model, grid_points)
     thresh = np.log(u / (1.0 - u))
-    probs = (eta > thresh).mean(axis=1)
+    probs = np.empty(len(out))
+    for rows, eta in blocks:
+        probs[rows] = (eta > thresh).mean(axis=1)
     probs[out] = np.nan
     return probs
+
+
+def pointwise_median(samples, model, points):
+    """Per point: posterior median of the sampled linear predictor, NaN
+    outside the mesh.  A ``SurfaceSpec`` without ``beta0_index`` gives the
+    median of the field alone."""
+    out, blocks = _surface_blocks(samples, model, points)
+    med = np.empty(len(out))
+    for rows, eta in blocks:
+        med[rows] = np.median(eta, axis=1)
+    med[out] = np.nan
+    return med
 
 
 @dataclass
@@ -192,6 +245,8 @@ class ExcursionResult:
     alpha_level: float
     joint_above_prob: float
     joint_below_prob: float
+    mean: np.ndarray            # pointwise posterior mean of the prevalence
+    sd: np.ndarray              # and its sd (ddof=1); NaN outside the mesh
 
     def above(self):
         return self.labels == "above"
@@ -205,16 +260,28 @@ class ExcursionResult:
 
 def _greedy_joint_set(indicator, order, level):
     """Largest prefix of ``order`` whose all-points-hold probability stays
-    at or above ``level``; returns (member indices, achieved probability)."""
-    if len(order) == 0:
-        return np.empty(0, dtype=int), 1.0
-    running = np.logical_and.accumulate(indicator[:, order], axis=1)
-    joint = running.mean(axis=0)
-    ok = joint >= level
-    if not ok[0]:
-        return np.empty(0, dtype=int), 1.0
-    stop = len(ok) if ok.all() else int(np.argmin(ok))
-    return order[:stop], float(joint[stop - 1])
+    at or above ``level``; returns (member indices, achieved probability).
+
+    ``indicator`` holds points in rows and samples in columns.  The prefix
+    grows a row block at a time and stops in the first block where the
+    joint probability, which never rises along the prefix, falls below
+    ``level``.
+    """
+    held = np.ones(indicator.shape[1], dtype=bool)
+    stop, achieved = 0, 1.0
+    for rows in _row_blocks(len(order), indicator.shape[1]):
+        running = np.logical_and.accumulate(indicator[order[rows]], axis=0)
+        running &= held
+        joint = running.mean(axis=1)
+        ok = joint >= level
+        n_ok = len(ok) if ok.all() else int(np.argmin(ok))
+        if n_ok:
+            stop = rows.start + n_ok
+            achieved = float(joint[n_ok - 1])
+        if n_ok < len(ok):
+            break
+        held = running[-1]
+    return order[:stop], achieved
 
 
 def simultaneous_excursions(samples, model, grid_points, u, alpha_level=0.05,
@@ -224,21 +291,39 @@ def simultaneous_excursions(samples, model, grid_points, u, alpha_level=0.05,
     Grid points are ranked by pointwise exceedance probability (ties broken
     by grid index); the above-set grows along this ranking while the joint
     empirical probability of all members exceeding u stays >= 1 - alpha,
-    and symmetrically for the below-set on the reversed ranking.
-    ``eta`` may pass in the (points x samples matrix, out-of-mesh mask)
-    pair that ``_surface_matrix`` returns at ``grid_points``.
+    and symmetrically for the below-set on the reversed ranking.  The
+    result also carries the pointwise posterior mean and sd (ddof=1) of
+    the prevalence, from the same pass over the surface.
+
+    ``eta`` is a synthetic input in place of ``samples`` and ``model``: a
+    (points x samples linear-predictor matrix, out-of-mesh mask) pair.  It
+    is read in the same row blocks and is not modified.
     """
     if not 0.0 < alpha_level <= 0.5:
         raise ValueError("alpha_level must lie in (0, 0.5]")
     if eta is None:
-        eta = _surface_matrix(samples, model, grid_points)
-    eta, out = eta
-    eta = eta.T  # samples x points
+        width = samples.num_samples
+        out, blocks = _surface_blocks(samples, model, grid_points)
+    else:
+        eta, out = eta
+        width = eta.shape[1]
+        blocks = ((rows, np.array(eta[rows], dtype=float, order="C"))
+                  for rows in _row_blocks(len(eta), width))
     thresh = np.log(u / (1.0 - u))
-    above_ind = eta > thresh
-    below_ind = eta < thresh
-    probs = above_ind.mean(axis=0)
-    probs[out] = np.nan
+    n = len(out)
+    above_ind = np.empty((n, width), dtype=bool)
+    below_ind = np.empty((n, width), dtype=bool)
+    mean = np.empty(n)
+    sd = np.empty(n)
+    for rows, block in blocks:
+        np.greater(block, thresh, out=above_ind[rows])
+        np.less(block, thresh, out=below_ind[rows])
+        prev = _expit(block)
+        mean[rows] = prev.mean(axis=1)
+        sd[rows] = prev.std(axis=1, ddof=1)
+    probs = above_ind.mean(axis=1)
+    for v in (probs, mean, sd):
+        v[out] = np.nan
 
     level = 1.0 - alpha_level
     valid = np.where(~out)[0]
@@ -253,7 +338,7 @@ def simultaneous_excursions(samples, model, grid_points, u, alpha_level=0.05,
     return ExcursionResult(
         grid_points=np.asarray(grid_points), exceed_prob=probs,
         labels=labels.astype(str), u=u, alpha_level=alpha_level,
-        joint_above_prob=p_above, joint_below_prob=p_below)
+        joint_above_prob=p_above, joint_below_prob=p_below, mean=mean, sd=sd)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ _GRAY = {"below": 80, "above": 200, "indeterminate": 0, "outside": 255}
 
 
 def write_pgm(path, gray):
-    """Binary P5 PGM from a (ny, nx) uint8 array; row 0 rendered at top."""
+    """Binary P5 PGM from a (ny, nx) uint8 array; row 0 (the smallest y of
+    a grid) is the bottom row of the image."""
     g = np.asarray(gray, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{g.shape[1]} {g.shape[0]}\n255\n".encode())

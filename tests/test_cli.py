@@ -5,6 +5,7 @@ import os
 import pytest
 
 from prevmap import cli
+from prevmap.errors import ConvergenceError, NotPositiveDefiniteError
 from prevmap.geometry import Polygon, write_polygons_csv
 
 from conftest import grid_areas
@@ -108,3 +109,18 @@ def test_cli_areas_before_fit_exits_3(tmp_path):
     ini = _write_config(str(tmp_path))
     assert cli.main(["areas", "-c", ini]) == 3
     assert not os.path.exists(tmp_path / "out" / "fit_state.npz")
+
+
+def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
+    ini = _write_config(str(tmp_path))
+    assert cli.main(["simulate", "-c", ini]) == 0
+    for error in (ConvergenceError("Newton did not converge"),
+                  NotPositiveDefiniteError("Q_post is not positive definite")):
+        def fail(*args, error=error, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "fit_latent_model", fail)
+        capsys.readouterr()
+        assert cli.main(["fit", "-c", ini]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and str(error) in err

@@ -1,13 +1,16 @@
 """Area averages, exceedance probabilities, excursion regions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 from scipy.stats import norm
 
+from prevmap import functionals
 from prevmap.functionals import (EvalGrid, SurfaceSpec, area_averages,
                                  make_grid, pointwise_exceedance,
-                                 sample_points_in_polygon,
+                                 pointwise_median, sample_points_in_polygon,
                                  simultaneous_excursions, write_area_csv,
                                  write_grid_csv)
 from prevmap.geometry import Polygon, fem_matrices, project
@@ -246,6 +249,138 @@ def test_excursion_passed_surface_keeps_out_of_mesh_mask():
                                   alpha_level=0.05, eta=(eta.T, out))
     assert np.isnan(res.exceed_prob[0])
     assert list(res.labels) == ["indeterminate", "above", "below"]
+
+
+# ---------------------------------------------------------------------------
+# row-block evaluation of the surface
+# ---------------------------------------------------------------------------
+
+def _gradient_samples(mesh, n_samp, seed):
+    """Field rising from -3 at x = 0 to 3 at x = 10, plus a shared and a
+    nodal perturbation per sample: points near x = 0 fall below u = 0.5 and
+    points near x = 10 exceed it, jointly."""
+    rng = np.random.default_rng(seed)
+    trend = 0.6 * mesh.vertices[:, 0] - 3.0
+    fields = (trend + 0.3 * rng.standard_normal((n_samp, 1))
+              + 0.2 * rng.standard_normal((n_samp, mesh.num_vertices)))
+    return _samples_from_fields(mesh, fields, 0.0)
+
+
+def test_area_averages_do_not_depend_on_block_size(surface, monkeypatch):
+    from conftest import grid_areas
+    mesh, spec = surface
+    samples = _gradient_samples(mesh, 30, 29)
+    areas = grid_areas(0, 0, 10, 10, 5, 1)
+    run = lambda: area_averages(samples, spec, areas, points_per_area=10,
+                                seed=4)
+    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 10 ** 9)
+    whole = run()
+    # two areas a block, the last block one area; then one area a block,
+    # though an area holds more cells than the cap
+    for cells in (2 * 10 * 30, 7):
+        monkeypatch.setattr(functionals, "_BLOCK_CELLS", cells)
+        blocked = run()
+        for name in ("mean", "sd", "q025", "q50", "q975"):
+            assert np.array_equal(getattr(blocked, name),
+                                  getattr(whole, name)), name
+        assert blocked.flagged == whole.flagged
+
+
+def test_pointwise_maps_do_not_depend_on_block_size(surface, monkeypatch):
+    mesh, spec = surface
+    samples = _gradient_samples(mesh, 30, 31)
+    pts = np.column_stack([np.linspace(0.2, 9.8, 23), np.full(23, 4.0)])
+    field = SurfaceSpec(mesh=mesh, field_slice=spec.field_slice)
+    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 10 ** 9)
+    probs = pointwise_exceedance(samples, spec, pts, 0.5)
+    med = pointwise_median(samples, field, pts)
+    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 4 * 30)  # 4,4,...,3
+    assert np.array_equal(pointwise_exceedance(samples, spec, pts, 0.5),
+                          probs)
+    assert np.array_equal(pointwise_median(samples, field, pts), med)
+    assert np.isfinite(probs).all() and np.isfinite(med).all()
+
+
+@pytest.mark.parametrize("synthetic", [False, True])
+def test_excursions_do_not_depend_on_block_size(surface, monkeypatch,
+                                               synthetic):
+    mesh, spec = surface
+    n_samp = 40
+    samples = _gradient_samples(mesh, n_samp, 37)
+    pts = np.column_stack([np.linspace(0.2, 9.8, 49), np.full(49, 6.0)])
+    pts[3] = (30.0, 30.0)  # outside the mesh
+    kwargs = {}
+    if synthetic:
+        eta = (project(mesh, pts).matrix
+               @ samples.samples[:, spec.field_slice].T)
+        kwargs["eta"] = (eta, project(mesh, pts).out_of_mesh)
+        eta_before = eta.copy()
+    run = lambda: simultaneous_excursions(samples, spec, pts, 0.5,
+                                          alpha_level=0.1, **kwargs)
+    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 10 ** 9)
+    whole = run()
+    # both joint sets span several 5-row blocks; 49 rows leave a ragged
+    # last block
+    assert whole.above().sum() > 5 and whole.below().sum() > 5
+    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 5 * n_samp)
+    blocked = run()
+    for name in ("exceed_prob", "labels", "joint_above_prob",
+                 "joint_below_prob", "mean", "sd"):
+        a, b = getattr(blocked, name), getattr(whole, name)
+        assert np.array_equal(a, b, equal_nan=name != "labels"), name
+    if synthetic:
+        assert np.array_equal(eta, eta_before)  # input not modified
+
+
+def test_excursion_mean_and_sd_are_of_the_prevalence(surface):
+    mesh, spec = surface
+    samples = _gradient_samples(mesh, 50, 41)
+    pts = np.array([[1.0, 1.0], [5.0, 5.0], [9.0, 2.0]])
+    res = simultaneous_excursions(samples, spec, pts, 0.5)
+    eta = (project(mesh, pts).matrix
+           @ samples.samples[:, spec.field_slice].T)
+    prev = expit(eta)
+    assert np.allclose(res.mean, prev.mean(axis=1), rtol=1e-13)
+    assert np.allclose(res.sd, prev.std(axis=1, ddof=1), rtol=1e-12)
+
+
+def test_out_of_mesh_points_get_nan_statistics(unit_square):
+    # a small mesh over the unit square; the last point lies far outside
+    mesh = build_mesh(unit_square, interior_max_edge=0.3,
+                      extension_factor=1.2, exterior_max_edge=0.5)
+    samples = _samples_from_fields(
+        mesh, np.random.default_rng(43).standard_normal(
+            (20, mesh.num_vertices)), -1.0)
+    spec = SurfaceSpec(mesh=mesh, field_slice=slice(0, mesh.num_vertices),
+                       beta0_index=mesh.num_vertices)
+    pts = np.array([[0.5, 0.5], [0.2, 0.7], [50.0, 50.0]])
+    res = simultaneous_excursions(samples, spec, pts, 0.3)
+    for values in (res.exceed_prob, res.mean, res.sd,
+                   pointwise_exceedance(samples, spec, pts, 0.3),
+                   pointwise_median(samples, spec, pts)):
+        assert np.isnan(values[2])
+        assert np.isfinite(values[:2]).all()
+    assert res.labels[2] == "indeterminate"
+
+
+def test_excursion_pass_holds_no_dense_surface(coarse_mesh10):
+    # one float64 surface of 20,000 points x 500 samples is 80 MB; the
+    # excursion pass keeps two bool indicators (20 MB) and row blocks
+    mesh = coarse_mesh10
+    samples = _gradient_samples(mesh, 500, 47)
+    spec = SurfaceSpec(mesh=mesh, field_slice=slice(0, mesh.num_vertices),
+                       beta0_index=mesh.num_vertices)
+    pts = np.random.default_rng(47).uniform(0.0, 10.0, (20000, 2))
+    dense = pts.shape[0] * samples.num_samples * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = simultaneous_excursions(samples, spec, pts, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.above().any() and res.below().any()
+    assert peak < dense / 2, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
