@@ -24,7 +24,6 @@ __all__ = [
     "fit_bym",
     "adjacency_from_csv",
     "adjacency_from_polygons",
-    "write_adjacency_csv",
 ]
 
 _ICAR_JITTER = 1e-8
@@ -253,12 +252,3 @@ def adjacency_from_polygons(polygons, tol=1e-9):
             if len(keys[i] & keys[j]) >= 2:
                 edges.append((i, j))
     return AdjacencyGraph(n_areas=len(polygons), edges=edges)
-
-
-def write_adjacency_csv(path, graph, area_ids=None):
-    ids = area_ids if area_ids is not None else list(range(graph.n_areas))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["area_i", "area_j"])
-        for i, j in graph.edges:
-            w.writerow([ids[i], ids[j]])

@@ -145,7 +145,7 @@ def cmd_fit(cfg):
         w = samples.samples[:, model.slices["field"]]
         b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
         n_field = w.shape[1]
-        np.savez_compressed(
+        np.savez(
             cfg.out("fit_state.npz"),
             samples=np.column_stack([w, samples.samples[:, b0]]),
             theta_index=samples.theta_index,

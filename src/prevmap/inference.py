@@ -10,6 +10,17 @@ step-halving), a small grid over the hyperparameters theta weighted by the
 Laplace evidence, and joint sampling from the resulting mixture of sparse
 Gaussians.  Linear equality constraints (sum-to-zero terms) are enforced by
 conditioning by kriging.
+
+The sparsity of Q_prior and of Q_post = Q_prior + B^T diag(h) B does not
+change with theta or with the Newton iterate, so each :class:`LatentModel`
+caches what depends only on it: the fill-reducing ordering of every matrix
+it factors, and one symbolic pattern of Q_post with the maps that fill it
+(the positions of each prior block, and a sparse map from the curvature h
+to the data of B^T diag(h) B).  A Newton step then assembles Q_post as one
+data vector and refactors it numerically.  log|Q_prior| is a sum over the
+prior's diagonal blocks: closed form for diagonal blocks, the block's own
+``logdet`` where its precision has one (the SPDE field's), and a
+factorization otherwise.
 """
 
 import csv
@@ -23,8 +34,8 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln, ndtr
 
-from .errors import ConvergenceError
-from .sparsela import SparseCholesky
+from .errors import ConvergenceError, NotPositiveDefiniteError
+from .sparsela import SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
     "GaussianObs",
@@ -96,11 +107,12 @@ class BinomialObs:
             np.asarray(self.n_trials, dtype=float), self.y.shape).copy()
         if np.any(self.y < 0) or np.any(self.y > self.n_trials):
             raise ValueError("need 0 <= y <= n_trials")
+        # log binomial coefficients, the same for every eta
+        self._log_choose = gammaln(self.n_trials + 1) - gammaln(self.y + 1) \
+            - gammaln(self.n_trials - self.y + 1)
 
     def loglik(self, eta):
-        const = gammaln(self.n_trials + 1) - gammaln(self.y + 1) \
-            - gammaln(self.n_trials - self.y + 1)
-        return float(np.sum(const + self.y * eta
+        return float(np.sum(self._log_choose + self.y * eta
                             - self.n_trials * np.logaddexp(0.0, eta)))
 
     def grad(self, eta):
@@ -130,7 +142,10 @@ class LatentComponent:
     ``design`` maps the component's coefficients to observations and
     ``precision`` builds the prior precision from the component's block of
     theta (a plain sparse matrix is accepted for theta-free components).
-    ``constraint`` rows, if given, are enforced as exact zero sums.
+    The precision must be symmetric; a callable ``precision`` that also has
+    a ``logdet(theta_block)`` method gives its log-determinant without a
+    factorization.  ``constraint`` rows, if given, are enforced as exact
+    zero sums.
     """
 
     name: str
@@ -146,8 +161,13 @@ class LatentComponent:
 
     def prior_precision(self, theta_block):
         if callable(self.precision):
-            return sp.csc_matrix(self.precision(theta_block))
-        return sp.csc_matrix(self.precision)
+            q = sp.csc_matrix(self.precision(theta_block))
+        else:
+            q = sp.csc_matrix(self.precision)
+        if not q.has_canonical_format:
+            q = q.copy()
+            q.sum_duplicates()
+        return q
 
 
 class LatentModel:
@@ -218,9 +238,11 @@ class LatentModel:
             names = comp.theta_names or tuple(
                 f"{comp.name}.theta{j}" for j in range(comp.n_theta))
             self.theta_names.extend(names)
-        # fill-reducing orderings of Q_prior and Q_post ("prior", "post"):
-        # their sparsity patterns do not change with theta or eta
+        # fill-reducing orderings of Q_post ("post") and of the prior blocks
+        # that are factored (("prior", name)), and the pattern of Q_post
+        # (a _Pattern): their sparsity does not change with theta or eta
         self._orders = {}
+        self._pattern = None
 
     def coord_names(self):
         names = []
@@ -238,13 +260,18 @@ class LatentModel:
             k += comp.n_theta
         return out
 
-    def prior_precision(self, theta):
+    def prior_blocks(self, theta):
+        """The diagonal blocks of Q_prior: one per component, then the
+        fixed effects' (if any), each a CSC matrix in canonical format."""
         blocks = self.theta_blocks(theta)
         mats = [c.prior_precision(blocks[c.name]) for c in self.components]
         p = 0 if self.fixed_design is None else self.fixed_design.shape[1]
         if p:
             mats.append(sp.identity(p, format="csc") * self.fixed_prec)
-        return sp.block_diag(mats, format="csc")
+        return mats
+
+    def prior_precision(self, theta):
+        return sp.block_diag(self.prior_blocks(theta), format="csc")
 
     def log_theta_prior(self, theta):
         z = (np.asarray(theta) - self.theta_init) / self.theta_prior_sd
@@ -283,10 +310,11 @@ def _krige(x, a_con, w_mat, m_mat):
 
 
 def _factor(model, key, q):
-    """Factor q with the model's ordering for ``key`` ("prior" or "post"),
-    computed by the first factorization of that matrix.  Threads that
-    factor the first matrices at once may each compute it; the ordering
-    depends only on the pattern, so they agree."""
+    """Factor q with the model's ordering for ``key`` ("post", or
+    ("prior", name) for a prior block), computed by the first factorization
+    of that matrix.  Threads that factor the first matrices at once may
+    each compute it; the ordering depends only on the pattern, so they
+    agree."""
     order = model._orders.get(key)
     factor = SparseCholesky(q, order=order)
     if order is None:
@@ -294,14 +322,121 @@ def _factor(model, key, q):
     return factor
 
 
-def _curvature(model, q_prior, eta):
-    """Posterior precision at the linear predictor eta, symmetrized, with
-    its factor and the kriging matrices W = Q^{-1} A^T and M = (A W)^{-1}
-    (both None without constraints)."""
-    b = model.design
+class _Pattern:
+    """The sparsity pattern of Q_post = Q_prior + B^T diag(h) B and the maps
+    that lay data on it, for one sparsity of the prior blocks.
+
+    The pattern holds every entry of each prior block and of its transpose,
+    and every (a, b) with B_ka B_kb != 0 for some observation k.
+    ``curvature`` is the sparse map S with data(B^T diag(h) B) = S @ h: its
+    row for entry (a, b) holds B_ka B_kb in column k.  The rows of (a, b)
+    and (b, a) are equal, so S @ h is exactly symmetric.  Prior block i
+    sits at ``pos[i]`` in the data and its transpose at ``pos_t[i]``;
+    ``diagonal[i]`` says whether that block is a full diagonal.
+    """
+
+    def __init__(self, model, blocks):
+        d = model.latent_dim
+        b = sp.csr_matrix(model.design)
+        if not b.has_canonical_format:
+            b = b.copy()
+            b.sum_duplicates()
+        # pairs (e, f) of stored entries of B in the same row k
+        per_row = np.diff(b.indptr)
+        obs = np.repeat(np.arange(b.shape[0]), per_row)
+        reps = per_row[obs]
+        first = np.repeat(np.arange(b.nnz), reps)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps,
+                                                   reps)
+        second = b.indptr[obs[first]] + offset
+        vals = b.data[first] * b.data[second]
+        keep = vals != 0
+        first, second, vals = first[keep], second[keep], vals[keep]
+
+        starts = np.cumsum([0] + [q.shape[0] for q in blocks])
+        entries = [(r + s0, c + s0) for (r, c), s0
+                   in zip(map(coo_indices, blocks), starts)]
+        self.indptr, self.indices, pos = union_pattern(
+            d, entries + [(c, r) for r, c in entries]
+            + [(b.indices[first], b.indices[second])])
+        self.pos, self.pos_t = pos[:len(blocks)], pos[len(blocks):-1]
+        self.curvature = sp.csr_matrix((vals, (pos[-1], obs[first])),
+                                       shape=(len(self.indices), b.shape[0]))
+        self.shape = (d, d)
+        self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
+        self.diagonal = [q.nnz == q.shape[0]
+                         and np.array_equal(q.indices, np.arange(q.nnz))
+                         and np.array_equal(q.indptr, np.arange(q.nnz + 1))
+                         for q in blocks]
+
+    def fits(self, blocks):
+        return len(blocks) == len(self.blocks) and all(
+            np.array_equal(ptr, q.indptr) and np.array_equal(ind, q.indices)
+            for (ptr, ind), q in zip(self.blocks, blocks))
+
+    def prior_data(self, blocks):
+        """Q_prior's data on the pattern, the mean of each block and its
+        transpose (equal to the block when the block is symmetric)."""
+        data = np.zeros(len(self.indices))
+        for q, pos, pos_t in zip(blocks, self.pos, self.pos_t):
+            half = 0.5 * q.data
+            data[pos] += half
+            data[pos_t] += half
+        return data
+
+    def matrix(self, data):
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+def _pattern(model, blocks):
+    """The model's Q_post pattern, rebuilt when the prior blocks' sparsity
+    differs from the one it was built for.  Shared between threads like
+    ``_orders``: a thread keeps the pattern it was given."""
+    pat = model._pattern
+    if pat is None or not pat.fits(blocks):
+        pat = _Pattern(model, blocks)
+        model._pattern = pat
+    return pat
+
+
+def _prior_logdet(model, theta, blocks, pat):
+    """log|Q_prior| as a sum over its diagonal blocks, and
+    S_prior = A Q_prior^{-1} A^T (None without constraints).
+
+    A diagonal block contributes the sum of its log entries, a block whose
+    precision has a ``logdet`` method contributes that, and any other
+    block, or one that carries constraint rows, is factored; its factor
+    gives its share of S_prior."""
+    theta_blocks = model.theta_blocks(theta)
+    names = [c.name for c in model.components] + ["fixed"]
+    logdet, s_prior = 0.0, None
+    for i, q in enumerate(blocks):
+        comp = model.components[i] if i < len(model.components) else None
+        constrained = comp is not None and comp.constraint is not None
+        if pat.diagonal[i] and not constrained:
+            if not np.all(q.data > 0) or not np.all(np.isfinite(q.data)):
+                raise NotPositiveDefiniteError(
+                    f"prior block {names[i]} has a non-positive diagonal")
+            logdet += float(np.log(q.data).sum())
+        elif hasattr(comp.precision, "logdet") and not constrained:
+            logdet += float(comp.precision.logdet(theta_blocks[comp.name]))
+        else:
+            factor = _factor(model, ("prior", names[i]), q)
+            logdet += factor.logdet
+            if constrained:
+                a = model.constraint[:, model.slices[comp.name]]
+                s = a @ factor.solve(a.T)
+                s_prior = s if s_prior is None else s_prior + s
+    return logdet, s_prior
+
+
+def _curvature(model, pat, prior_data, eta):
+    """Posterior precision at the linear predictor eta, assembled on the
+    model's pattern, with its factor and the kriging matrices
+    W = Q^{-1} A^T and M = (A W)^{-1} (both None without constraints)."""
     h = model.obs.neg_hess(eta)
-    q_post = (q_prior + (b.T.multiply(h) @ b)).tocsc()
-    q_post = ((q_post + q_post.T) * 0.5).tocsc()
+    q_post = pat.matrix(prior_data + pat.curvature @ h)
     factor = _factor(model, "post", q_post)
     w_mat = m_mat = None
     if model.constraint is not None:
@@ -325,8 +460,11 @@ def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
     Newton tolerance.
     """
     theta = np.asarray(theta, dtype=float)
-    q_prior = model.prior_precision(theta)
-    prior_factor = _factor(model, "prior", q_prior)
+    blocks = model.prior_blocks(theta)
+    pat = _pattern(model, blocks)
+    prior_data = pat.prior_data(blocks)
+    q_prior = pat.matrix(prior_data)
+    prior_logdet, s_prior = _prior_logdet(model, theta, blocks, pat)
     b = model.design
     a_con = model.constraint
     d = model.latent_dim
@@ -345,7 +483,7 @@ def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
     for it in range(max_iter):
         eta = b @ u
         g = model.obs.grad(eta)
-        q_post, factor, w_mat, m_mat = _curvature(model, q_prior, eta)
+        q_post, factor, w_mat, m_mat = _curvature(model, pat, prior_data, eta)
         grad = np.asarray(b.T @ g).ravel() - q_prior @ u
         if a_con is not None:
             # projected gradient: remove the constrained directions
@@ -377,7 +515,8 @@ def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
         if rel_change < tol:
             converged = True
             # refresh curvature at the accepted mode
-            q_post, factor, w_mat, m_mat = _curvature(model, q_prior, b @ u)
+            q_post, factor, w_mat, m_mat = _curvature(model, pat, prior_data,
+                                                      b @ u)
             break
     if not converged:
         raise ConvergenceError(
@@ -392,11 +531,10 @@ def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
 
     loglik_mode = model.obs.loglik(eta)
     log_ev = (loglik_mode
-              + 0.5 * prior_factor.logdet
+              + 0.5 * prior_logdet
               - 0.5 * float(u @ (q_prior @ u))
               - 0.5 * factor.logdet)
     if a_con is not None:
-        s_prior = a_con @ prior_factor.solve(a_con.T)
         s_post = a_con @ w_mat
         a_mu = a_con @ mu_hat
         diff = u - mu_hat
@@ -683,15 +821,14 @@ def make_spde_model(obs, projector, c_mat, g_mat, mesh=None, nugget=True,
     locations, w the field weights with SPDE precision Q(log tau, log kappa)
     and eps an optional iid nugget whose log-precision is a hyperparameter.
     """
-    from .spde import assemble_precision, SpdeTheta
+    from .spde import SpdePrecision
 
     a = projector.matrix if hasattr(projector, "matrix") else sp.csr_matrix(projector)
     n = a.shape[0]
     comps = [LatentComponent(
         name="field",
         design=a,
-        precision=lambda th: assemble_precision(
-            c_mat, g_mat, SpdeTheta(th[0], th[1]), check=False),
+        precision=SpdePrecision(c_mat, g_mat),
         n_theta=2,
         theta_names=("log_tau", "log_kappa"),
     )]

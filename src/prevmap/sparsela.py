@@ -11,7 +11,12 @@ The ordering depends only on the sparsity pattern, so it is computed once
 per pattern and reused: a factorization exposes the permutation it used as
 an :class:`Ordering`, and a later matrix with the same pattern is factored
 as ``q[perm][:, perm]`` in natural order, which skips the minimum-degree
-pass and gives the same fill.
+pass and gives the same fill.  The latent model engine keeps one ordering
+per matrix it factors (Q_post, and each prior block it cannot take the
+log-determinant of in closed form) and the SPDE precision keeps one for
+its K; together with :func:`union_pattern`, which lays out a sum of sparse
+matrices as data on one fixed pattern, a new theta or Newton step costs
+only a numerical refactorization.
 """
 
 import numpy as np
@@ -32,11 +37,28 @@ def _smallest_eig_estimate(q):
         return None
 
 
-def check_symmetric(mat, rtol=1e-12):
-    """True when ``mat`` is symmetric within relative tolerance."""
-    d = abs(mat - mat.T)
-    scale = abs(mat).max() or 1.0
-    return d.max() <= rtol * scale
+def union_pattern(n, parts):
+    """CSC sparsity pattern of an n x n matrix holding the entries of every
+    part, each part a pair of arrays (rows, cols).
+
+    Returns ``(indptr, indices, pos)``: the pattern, with sorted row indices
+    and each (row, col) once, and for each part the positions of its
+    entries in the pattern's data array.  A matrix whose entries are among
+    them is then laid out on the pattern by scattering its values to its
+    positions, so sums of such matrices need no sparse algebra.
+    """
+    key = np.concatenate([np.asarray(c, dtype=np.int64) * n
+                          + np.asarray(r, dtype=np.int64) for r, c in parts])
+    uniq, pos = np.unique(key, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+    ends = np.cumsum([len(r) for r, _ in parts])[:-1]
+    return indptr, (uniq % n).astype(np.int32), np.split(pos.ravel(), ends)
+
+
+def coo_indices(q):
+    """Row and column indices of the stored entries of a CSC matrix."""
+    return q.indices, np.repeat(np.arange(q.shape[1]), np.diff(q.indptr))
 
 
 class Ordering:
@@ -104,11 +126,16 @@ class SparseCholesky:
             if not isinstance(order, Ordering):
                 order = Ordering(order)
             a, spec = order.permute(q), "NATURAL"
+        # relax=1, panel_size=5 instead of SuperLU's defaults: the numeric
+        # factorization measured 10-30% faster on every matrix tried, from
+        # an ICAR block of d = 100 to an SPDE Q_post of d = 11,858
         try:
             self._lu = spla.splu(
                 a,
                 permc_spec=spec,
                 diag_pivot_thresh=0.0,
+                relax=1,
+                panel_size=5,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
@@ -162,16 +189,3 @@ class SparseCholesky:
         rhs = z / np.sqrt(self._diag).reshape(-1, *([1] * (z.ndim - 1)))
         w = spla.spsolve_triangular(self._lt, rhs, lower=False)
         return w[self._perm]
-
-    def solve_columns(self, indices):
-        """Columns of Q^{-1} for the given indices, shape (n, len(indices))."""
-        e = np.zeros((self.n, len(indices)))
-        e[np.asarray(indices, dtype=int), np.arange(len(indices))] = 1.0
-        return self.solve(e)
-
-
-def export_matrix_market(path, mat, comment=""):
-    """Write a sparse matrix in Matrix Market coordinate text format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(mat), comment=comment)

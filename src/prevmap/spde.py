@@ -6,6 +6,12 @@ triangulation yields a Gaussian vector of basis weights with sparse
 precision Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G).  With the
 lumped (diagonal) mass matrix C this stays sparse and the implied field
 approximates the Matern covariance away from the mesh boundary.
+
+Only tau and kappa change between evaluations, so :class:`SpdePrecision`
+lays C, G and G C^{-1} G out once on one fixed pattern and computes a new Q
+as a data vector.  With lumped C, Q = tau^2 K C^{-1} K for K = kappa^2 C + G,
+so log|Q| comes from a factorization of K, a matrix with the sparsity of G,
+in an ordering kept from its first factorization.
 """
 
 from dataclasses import dataclass
@@ -15,7 +21,7 @@ import scipy.sparse as sp
 from scipy.special import gamma as _gamma, kv as _kv
 
 from .errors import NotPositiveDefiniteError
-from .sparsela import SparseCholesky, export_matrix_market
+from .sparsela import SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
     "MaternParams",
@@ -24,8 +30,8 @@ __all__ = [
     "tau_from_sigma",
     "sigma_from_tau",
     "practical_range",
+    "SpdePrecision",
     "assemble_precision",
-    "export_precision",
 ]
 
 
@@ -112,24 +118,77 @@ def practical_range(kappa, nu=1.0):
     return float(np.sqrt(8.0 * nu) / kappa)
 
 
+def _on_pattern(n, mats):
+    """Lay the n x n CSC matrices ``mats`` out on the union of their
+    patterns: returns (indptr, indices, one data vector per matrix)."""
+    indptr, indices, pos = union_pattern(n, [coo_indices(m) for m in mats])
+    return indptr, indices, [
+        np.bincount(p, weights=m.data, minlength=len(indices))
+        for p, m in zip(pos, mats)]
+
+
+class SpdePrecision:
+    """Q(log tau, log kappa) for alpha = 2 (nu = 1) on fixed C and G.
+
+    Calling it with ``(log tau, log kappa)`` returns the CSC matrix
+    Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G), whose data is that
+    same sum of three vectors on one pattern.  G and G C^{-1} G are
+    symmetrized once, so every Q is exactly symmetric.  :meth:`logdet`
+    gives log|Q| from K = kappa^2 C + G.  C must be the lumped (diagonal)
+    mass matrix and G the stiffness matrix of the same mesh.
+    """
+
+    def __init__(self, c, g):
+        c = sp.csc_matrix(c)
+        cd = np.asarray(c.diagonal())
+        if np.any(cd <= 0):
+            raise ValueError("mass matrix diagonal must be positive")
+        if c.nnz != len(cd):
+            raise ValueError("mass matrix must be diagonal (lumped)")
+        n = len(cd)
+        g = sp.csc_matrix(g)
+        g = ((g + g.T) * 0.5).tocsc()
+        gcg = g @ sp.diags(1.0 / cd) @ g
+        gcg = ((gcg + gcg.T) * 0.5).tocsc()
+        c = sp.diags(cd, format="csc")
+        self.n = n
+        self._q_indptr, self._q_indices, (self._c, self._g, self._gcg) = \
+            _on_pattern(n, (c, g, gcg))
+        self._k_indptr, self._k_indices, (self._kc, self._kg) = \
+            _on_pattern(n, (c, g))
+        self._log_c = float(np.log(cd).sum())
+        self._k_order = None  # ordering of K, from its first factorization
+
+    def __call__(self, theta):
+        th = SpdeTheta(theta[0], theta[1])
+        tau, kappa = th.tau, th.kappa
+        data = tau ** 2 * (kappa ** 4 * self._c + 2.0 * kappa ** 2 * self._g
+                           + self._gcg)
+        return sp.csc_matrix((data, self._q_indices, self._q_indptr),
+                             shape=(self.n, self.n))
+
+    def logdet(self, theta):
+        """log|Q| = 2 n log tau + 2 log|K| - sum_i log C_ii."""
+        th = SpdeTheta(theta[0], theta[1])
+        k = sp.csc_matrix((th.kappa ** 2 * self._kc + self._kg,
+                           self._k_indices, self._k_indptr),
+                          shape=(self.n, self.n))
+        factor = SparseCholesky(k, order=self._k_order)
+        # the ordering depends only on the pattern: threads that factor the
+        # first K at once may each compute it, and they agree
+        self._k_order = factor.order
+        return 2.0 * self.n * th.log_tau + 2.0 * factor.logdet - self._log_c
+
+
 def assemble_precision(c, g, theta, check=True):
     """Sparse GMRF precision of the basis weights for alpha = 2 (nu = 1).
 
     Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G) with C the lumped mass
-    matrix and G the stiffness matrix of the same mesh.  ``check=True``
-    verifies positive definiteness by factorization.
+    matrix and G the stiffness matrix of the same mesh, built by
+    :class:`SpdePrecision`.  ``check=True`` verifies positive definiteness
+    by factorization.
     """
-    cd = np.asarray(sp.csc_matrix(c).diagonal())
-    if np.any(cd <= 0):
-        raise ValueError("mass matrix diagonal must be positive")
-    if sp.csc_matrix(c).nnz != len(cd):
-        raise ValueError("mass matrix must be diagonal (lumped)")
-    tau = theta.tau
-    kappa = theta.kappa
-    g = sp.csc_matrix(g)
-    gcg = g @ sp.diags(1.0 / cd) @ g
-    q = tau ** 2 * (kappa ** 4 * sp.diags(cd) + 2.0 * kappa ** 2 * g + gcg)
-    q = ((q + q.T) * 0.5).tocsc()
+    q = SpdePrecision(c, g)((theta.log_tau, theta.log_kappa))
     if check:
         try:
             SparseCholesky(q)
@@ -139,8 +198,3 @@ def assemble_precision(c, g, theta, check=True):
                 f"(smallest eigenvalue estimate: {exc.min_eigenvalue})",
                 min_eigenvalue=exc.min_eigenvalue) from exc
     return q
-
-
-def export_precision(path, q, comment="spde precision"):
-    """Debug export of Q in matrix-market text format."""
-    export_matrix_market(path, q, comment=comment)

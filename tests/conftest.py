@@ -27,6 +27,14 @@ def coarse_fem10(coarse_mesh10):
     return fem_matrices(coarse_mesh10)
 
 
+def solve_columns(factor, indices):
+    """Columns of Q^{-1} for the given indices from a factorization of Q,
+    shape (n, len(indices)): a dense oracle for covariances."""
+    e = np.zeros((factor.n, len(indices)))
+    e[np.asarray(indices, dtype=int), np.arange(len(indices))] = 1.0
+    return factor.solve(e)
+
+
 def grid_areas(x0, y0, x1, y1, nx, ny, prefix="A"):
     """Rectangular partition of a box into nx * ny polygon cells."""
     xs = np.linspace(x0, x1, nx + 1)

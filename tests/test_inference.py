@@ -349,15 +349,29 @@ def test_warm_start_matches_cold(problem):
         assert np.abs(model.constraint @ warm.mean).max() < 1e-9 * scale
 
 
+def _theta_grid_bytes(tmp_path, make_model, threads):
+    # a fresh model per run: its orderings and pattern (and an SPDE
+    # field's K ordering) are first computed while the threads evaluate
+    model = make_model()
+    fit = FitResult(model=model, points=hyper_grid(model, threads=threads))
+    path = tmp_path / f"grid{threads}.csv"
+    write_theta_grid_csv(path, fit)
+    return path.read_bytes()
+
+
 def test_hyper_grid_threads_give_identical_bytes(tmp_path):
-    paths = []
-    for threads in (1, 2):
-        fit = FitResult(model=_binomial_problem(),
-                        points=hyper_grid(_binomial_problem(),
-                                          threads=threads))
-        paths.append(tmp_path / f"grid{threads}.csv")
-        write_theta_grid_csv(paths[-1], fit)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert _theta_grid_bytes(tmp_path, _binomial_problem, 1) \
+        == _theta_grid_bytes(tmp_path, _binomial_problem, 2)
+
+
+def test_spde_hyper_grid_threads_give_identical_bytes(tmp_path,
+                                                      coarse_mesh10,
+                                                      coarse_fem10):
+    def make_model():
+        return _spde_problem(coarse_mesh10, coarse_fem10, nugget=True)
+
+    assert _theta_grid_bytes(tmp_path, make_model, 1) \
+        == _theta_grid_bytes(tmp_path, make_model, 2)
 
 
 def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
@@ -388,3 +402,144 @@ def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
     assert len(fit.points) > 1
     assert calls["ordered"] <= 2
     assert calls["natural"] > len(fit.points)
+
+
+# ---------------------------------------------------------------------------
+# fixed-pattern Q_post and the blockwise prior log-determinant
+# ---------------------------------------------------------------------------
+
+def _spde_problem(mesh, fem, nugget, seed=8, n=120):
+    from prevmap.geometry import project
+    from prevmap.inference import make_spde_model
+    rng = np.random.default_rng(seed)
+    locs = rng.uniform(0, 10, (n, 2))
+    y = rng.binomial(10, expit(-1.0 + 0.5 * np.sin(locs[:, 0]))).astype(float)
+    theta_init = [0.0, 0.0] + ([np.log(100.0)] if nugget else [])
+    return make_spde_model(BinomialObs(y, np.full(n, 10.0)),
+                           project(mesh, locs), *fem, mesh=mesh,
+                           nugget=nugget, theta_init=theta_init)
+
+
+def _bym_problem(seed=6, side=6):
+    """The BYM latent model of a side x side grid of areas, one unobserved:
+    ICAR with its sum-to-zero constraint, iid and an intercept."""
+    from prevmap.areal import AdjacencyGraph, BymModel, _build_latent_model
+    k = side * side
+    edges = [(i, i + 1) for i in range(k) if (i + 1) % side] + \
+        [(i, i + side) for i in range(k - side)]
+    rng = np.random.default_rng(seed)
+    y = rng.normal(-1.0, 0.6, k)
+    y[3] = np.nan
+    return _build_latent_model(BymModel(y=y, v_hat=rng.uniform(0.05, 0.3, k),
+                                        graph=AdjacencyGraph(k, edges)))
+
+
+def _models(mesh, fem):
+    return {"spde_nugget": _spde_problem(mesh, fem, nugget=True),
+            "spde": _spde_problem(mesh, fem, nugget=False),
+            "bym": _bym_problem(),
+            "rw1_iid": _binomial_problem()}
+
+
+def _reference_q_post(model, theta, eta):
+    """Q_prior + B^T diag(h) B assembled by sparse algebra and symmetrized."""
+    b = model.design
+    q = (model.prior_precision(theta)
+         + b.T.multiply(model.obs.neg_hess(eta)) @ b).tocsc()
+    return ((q + q.T) * 0.5).toarray()
+
+
+@pytest.mark.parametrize("name", ["spde_nugget", "spde", "bym", "rw1_iid"])
+def test_fixed_pattern_q_post_matches_sparse_assembly(name, coarse_mesh10,
+                                                      coarse_fem10):
+    from prevmap.inference import _curvature, _pattern
+    model = _models(coarse_mesh10, coarse_fem10)[name]
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        theta = model.theta_init + rng.normal(0.0, 0.5, model.n_theta)
+        eta = rng.normal(-1.0, 1.0, model.obs.n)
+        blocks = model.prior_blocks(theta)
+        pat = _pattern(model, blocks)
+        q_post = _curvature(model, pat, pat.prior_data(blocks), eta)[0]
+        ref = _reference_q_post(model, theta, eta)
+        dense = q_post.toarray()
+        assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(dense, dense.T)
+        # Q_prior on the same pattern
+        assert np.array_equal(pat.matrix(pat.prior_data(blocks)).toarray(),
+                              model.prior_precision(theta).toarray())
+    # one pattern for every theta and eta
+    assert model._pattern is pat
+
+
+@pytest.mark.parametrize("name", ["spde_nugget", "spde", "bym", "rw1_iid"])
+def test_blockwise_prior_logdet_matches_full_factor(name, coarse_mesh10,
+                                                    coarse_fem10):
+    from prevmap.inference import _pattern, _prior_logdet
+    from prevmap.sparsela import SparseCholesky
+    model = _models(coarse_mesh10, coarse_fem10)[name]
+    rng = np.random.default_rng(33)
+    for _ in range(5):
+        theta = model.theta_init + rng.normal(0.0, 0.7, model.n_theta)
+        blocks = model.prior_blocks(theta)
+        logdet, s_prior = _prior_logdet(model, theta, blocks,
+                                        _pattern(model, blocks))
+        q_prior = model.prior_precision(theta)
+        full = SparseCholesky(q_prior)
+        # BYM's ICAR block carries a 1e-8 ridge and has condition number
+        # ~7e8: against its exact (40-digit) determinant, factorizations in
+        # any ordering, and dense LU, are off by up to ~5e-11 relative
+        rel = 1e-10 if name == "bym" else 1e-12
+        assert logdet == pytest.approx(full.logdet, rel=rel)
+        a = model.constraint
+        if a is None:
+            assert s_prior is None
+        else:
+            # the sum-to-zero direction is the ICAR block's near-null
+            # space: both are within ~1e-8 of the exact k / (tau 1e-8)
+            ref = a @ full.solve(a.T)
+            assert np.abs(s_prior - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
+def _switching_problem(seed=3, n=30, m=12):
+    """Gaussian observations of u, whose prior is diagonal for theta < 0 and
+    a random-walk (tridiagonal) precision otherwise."""
+    rng = np.random.default_rng(seed)
+    b = sp.csr_matrix(rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.3))
+    v = 0.5 + rng.random(n)
+    y = rng.standard_normal(n)
+    q_rw = _rw1_precision(m)
+
+    def precision(th):
+        if th[0] < 0:
+            return np.exp(th[0]) * sp.identity(m, format="csc")
+        return np.exp(th[0]) * q_rw
+
+    comp = LatentComponent("u", b, precision, n_theta=1)
+    return LatentModel(GaussianObs(y, v), [comp], fixed_design=np.ones((n, 1)))
+
+
+def test_pattern_rebuilt_when_prior_sparsity_changes():
+    model = _switching_problem()
+    b = model.design.toarray()
+    v = model.obs.variance
+    n = len(v)
+    patterns = []
+    for th in (-0.5, 0.7, -1.2, 0.2):
+        theta = np.array([th])
+        ga = gaussian_approx(model, theta)
+        patterns.append(model._pattern)
+        q_prior = model.prior_precision(theta).toarray()
+        ref = q_prior + (b.T / v) @ b
+        assert np.abs(ga.precision.toarray() - ref).max() \
+            <= 1e-14 * np.abs(ref).max()
+        # Gaussian stage: the Laplace evidence is the exact marginal
+        # likelihood of y ~ N(0, B Q_prior^{-1} B^T + V)
+        cov_y = b @ np.linalg.solve(q_prior, b.T) + np.diag(v)
+        ev = -0.5 * (n * np.log(2 * np.pi) + np.linalg.slogdet(cov_y)[1]
+                     + model.obs.y @ np.linalg.solve(cov_y, model.obs.y))
+        assert ga.log_evidence == pytest.approx(ev, rel=1e-10)
+    # the diagonal and the tridiagonal prior each got their own pattern
+    assert patterns[0] is not patterns[1]
+    assert patterns[1] is not patterns[2]
+    assert patterns[2] is not patterns[3]

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from prevmap.errors import NotPositiveDefiniteError
-from prevmap.sparsela import (Ordering, SparseCholesky, check_symmetric,
-                              export_matrix_market)
+from prevmap.sparsela import Ordering, SparseCholesky
+
+from conftest import solve_columns
 
 
 def _random_spd(n, seed=0, density=0.05):
@@ -78,7 +79,7 @@ def test_reused_ordering_matches_dense_oracle():
             < 1e-10
         assert f.logdet == pytest.approx(np.linalg.slogdet(dense)[1], abs=1e-9)
         cols = [9, 2, 40]
-        assert np.abs(f.solve_columns(cols) - cov[:, cols]).max() < 1e-10
+        assert np.abs(solve_columns(f, cols) - cov[:, cols]).max() < 1e-10
         # sample() is a linear map M with M M^T = Q^{-1}
         m = f.sample(np.eye(70))
         assert np.abs(m @ m.T - cov).max() < 1e-10
@@ -104,18 +105,41 @@ def test_ordering_rejects_non_permutation():
         SparseCholesky(_random_spd(5), order=np.arange(4))
 
 
-def test_check_symmetric():
-    q = _random_spd(30, seed=7)
-    assert check_symmetric(q)
-    q2 = q.tolil()
-    q2[0, 1] += 1.0
-    assert not check_symmetric(q2.tocsc())
+def _lattice_spd(side, seed):
+    """Precision of a side x side lattice: a ridge plus a graph Laplacian
+    with random positive edge weights."""
+    rng = np.random.default_rng(seed)
+    n = side * side
+    idx = np.arange(n).reshape(side, side)
+    i = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    j = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    w = sp.coo_matrix((rng.uniform(0.5, 2.0, len(i)), (i, j)), shape=(n, n))
+    w = (w + w.T).tocsc()
+    lap = sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w
+    return (lap + sp.diags(rng.uniform(0.05, 0.2, n))).tocsc()
 
 
-def test_matrix_market_export(tmp_path):
-    from scipy.io import mmread
-    q = _random_spd(25, seed=8)
-    path = tmp_path / "q.mtx"
-    export_matrix_market(path, q)
-    back = mmread(str(path))
-    assert np.allclose(back.toarray(), q.toarray())
+@pytest.mark.parametrize("side", [10, 32, 63])
+def test_factor_matches_dense_oracle_at_size(side):
+    # d = 100, 1,024 and 3,969: solve, logdet and the sample map M against a
+    # dense LU, fresh and with a reused ordering
+    import scipy.linalg as sla
+    q = _lattice_spd(side, seed=side)
+    n = q.shape[0]
+    lu = sla.lu_factor(q.toarray())
+    logdet = np.log(np.abs(np.diag(lu[0]))).sum()
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((n, 3))
+    cols = rng.choice(n, size=min(n, 40), replace=False)
+    e = np.zeros((n, len(cols)))
+    e[cols, np.arange(len(cols))] = 1.0
+    first = SparseCholesky(q)
+    for f in (first, SparseCholesky(q, order=first.order)):
+        x = f.solve(b)
+        assert np.abs(x - sla.lu_solve(lu, b)).max() \
+            <= 1e-10 * np.abs(x).max()
+        assert f.logdet == pytest.approx(logdet, rel=1e-12)
+        # sample() is a linear map M with M M^T = Q^{-1}, so M^T Q M = I;
+        # checked on a subset of the columns of M
+        m = f.sample(e)
+        assert np.abs(m.T @ (q @ m) - np.eye(len(cols))).max() < 1e-10

@@ -7,9 +7,11 @@ import scipy.sparse as sp
 from prevmap.geometry import fem_matrices
 from prevmap.meshing import build_mesh
 from prevmap.sparsela import SparseCholesky
-from prevmap.spde import (MaternParams, SpdeTheta, assemble_precision,
-                          export_precision, matern_cov, practical_range,
+from prevmap.spde import (MaternParams, SpdePrecision, SpdeTheta,
+                          assemble_precision, matern_cov, practical_range,
                           sigma_from_tau, tau_from_sigma)
+
+from conftest import solve_columns
 
 
 def test_matern_at_zero_is_variance():
@@ -71,6 +73,29 @@ def test_assemble_precision_spd_and_pattern(coarse_fem10):
     assert abs(q - q.T).max() < 1e-12
 
 
+def test_spde_precision_matches_formula_and_k_logdet(coarse_fem10):
+    c, g = coarse_fem10
+    cd = c.diagonal()
+    c_d, g_d = np.diag(cd), g.toarray()
+    prec = SpdePrecision(c, g)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        log_tau, log_kappa = rng.normal(0.0, 1.0, 2)
+        tau, kappa = np.exp(log_tau), np.exp(log_kappa)
+        q = prec((log_tau, log_kappa))
+        ref = tau ** 2 * (kappa ** 4 * c_d + 2 * kappa ** 2 * g_d
+                          + g_d @ np.diag(1 / cd) @ g_d)
+        dense = q.toarray()
+        assert np.abs(dense - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(dense, dense.T)
+        # log|Q| from K = kappa^2 C + G, against a factorization of Q
+        assert prec.logdet((log_tau, log_kappa)) == pytest.approx(
+            SparseCholesky(q).logdet, rel=1e-12)
+    # assemble_precision is the same matrix
+    th = SpdeTheta(log_tau, log_kappa)
+    assert np.array_equal(assemble_precision(c, g, th).toarray(), dense)
+
+
 def test_assemble_rejects_non_diagonal_mass(coarse_fem10):
     _, g = coarse_fem10
     with pytest.raises(ValueError):
@@ -88,7 +113,7 @@ def test_large_kappa_kills_correlation(coarse_fem10):
                                check=False)
         f = SparseCholesky(q)
         i, j = 200, 260  # two interior vertices at a fixed distance
-        cols = f.solve_columns([i, j])
+        cols = solve_columns(f, [i, j])
         cors.append(abs(cols[j, 0]) / np.sqrt(cols[i, 0] * cols[j, 1]))
     assert cors[1] < cors[0] * 0.2
 
@@ -112,7 +137,7 @@ def _fem_correlations(mesh, c, g, params, max_dist=5.0, min_dist=0.0):
     d_all = np.linalg.norm(mesh.vertices[cand] - mesh.vertices[anchor], axis=1)
     sel = cand[(d_all >= min_dist) & (d_all <= max_dist)]
     sel = sel[:: max(1, len(sel) // 150)]
-    cols = f.solve_columns(np.concatenate([[anchor], sel]))
+    cols = solve_columns(f, np.concatenate([[anchor], sel]))
     var_a = cols[anchor, 0]
     var_s = cols[sel, 1:][np.arange(len(sel)), np.arange(len(sel))]
     corr = cols[sel, 0] / np.sqrt(var_a * var_s)
@@ -150,15 +175,6 @@ def test_spde_interior_variance_stationarity(spde_oracle_mesh):
         (np.abs(mesh.vertices[:, 0] - 5) < 4)
         & (np.abs(mesh.vertices[:, 1] - 5) < 4))[0]
     sel = rng.choice(interior, size=60, replace=False)
-    cols = f.solve_columns(sel)
+    cols = solve_columns(f, sel)
     v = cols[sel, np.arange(len(sel))]
     assert v.std() / v.mean() < 0.10
-
-
-def test_precision_export(tmp_path, coarse_fem10):
-    from scipy.io import mmread
-    c, g = coarse_fem10
-    q = assemble_precision(c, g, SpdeTheta(0.0, 0.0), check=False)
-    path = tmp_path / "q.mtx"
-    export_precision(path, q)
-    assert np.abs(mmread(str(path)).toarray() - q.toarray()).max() < 1e-12
