@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  All outputs are flat files under [paths] output_dir; identical
 config + seed + thread count give byte-identical CSV and pixel-identical
 PGM outputs.
+
+Each command runs as its own process, so import time is part of its run
+time.  Module level therefore imports only the standard library, numpy,
+``config`` and ``errors``; each command imports the layers it runs when it
+is called.
 """
 
 import argparse
@@ -13,24 +18,18 @@ import sys
 
 import numpy as np
 
-from . import areal, functionals, render, simulate, survey
 from .config import load_config
 from .errors import (ConfigError, ConvergenceError, DataError,
                      InvalidGeometryError, NoDataError,
                      NotPositiveDefiniteError, PrevmapError, RefinementError)
-from .geometry import (fem_matrices, project, read_polygons_csv,
-                       read_polygons_geojson)
-from .inference import (BinomialObs, fit_latent_model, make_spde_model,
-                        marginals, sample_joint, write_fit_summary_csv,
-                        write_theta_grid_csv)
-from .meshing import build_mesh
-from .spde import tau_from_sigma
 
 __all__ = ["main", "cmd_simulate", "cmd_fit", "cmd_areas", "cmd_excursions",
            "cmd_report"]
 
 
 def _read_polygons(path):
+    from .geometry import read_polygons_csv, read_polygons_geojson
+
     if not os.path.exists(path):
         raise DataError(f"polygon file not found: {path}")
     if path.endswith(".csv"):
@@ -53,6 +52,8 @@ def _areas(cfg):
 
 
 def _sim_config(cfg):
+    from . import simulate
+
     sizes = tuple(range(1, 13))
     probs = tuple([1.0 / 12] * 12)
     if cfg.household_sizes:
@@ -70,6 +71,8 @@ def _sim_config(cfg):
 
 
 def cmd_simulate(cfg):
+    from . import simulate, survey
+
     boundary = _boundary(cfg)
     areas = _areas(cfg)
     locs = None
@@ -94,14 +97,18 @@ def cmd_simulate(cfg):
 
 
 def _load_frame(cfg):
+    from .survey import read_frame_csv
+
     path = cfg.data or cfg.out("frame.csv")
     if not os.path.exists(path):
         raise DataError(f"survey frame not found: {path} (run simulate or "
                         f"set paths.data)")
-    return survey.read_frame_csv(path)
+    return read_frame_csv(path)
 
 
 def _spde_theta_init(cfg):
+    from .spde import tau_from_sigma
+
     kappa0 = np.sqrt(8.0) / cfg.range_init
     tau0 = tau_from_sigma(cfg.sigma2_init, kappa0, 1.0)
     init = [float(np.log(tau0)), float(np.log(kappa0))]
@@ -110,98 +117,106 @@ def _spde_theta_init(cfg):
     return init
 
 
+def _fit_spde(cfg, boundary, frame):
+    """SPDE fit: theta grid, fixed-effect summary, median field and the
+    saved samples the post-fit commands read.  Returns the files written."""
+    from . import functionals
+    from .geometry import fem_matrices, project
+    from .inference import (BinomialObs, fit_latent_model, make_spde_model,
+                            marginals, sample_joint, write_fit_summary_csv,
+                            write_theta_grid_csv)
+    from .meshing import build_mesh
+
+    mesh = build_mesh(boundary, cfg.interior_max_edge,
+                      cfg.extension_factor, cfg.exterior_max_edge)
+    c_mat, g_mat = fem_matrices(mesh)
+    locs = np.column_stack([frame.x, frame.y])
+    proj = project(mesh, locs)
+    obs = BinomialObs(frame.positives, frame.n_members)
+    model = make_spde_model(obs, proj, c_mat, g_mat, mesh=mesh,
+                            nugget=cfg.nugget,
+                            theta_init=_spde_theta_init(cfg))
+    fit = fit_latent_model(model, threads=cfg.threads)
+    samples = sample_joint(fit, cfg.samples, seed=cfg.seed)
+
+    write_theta_grid_csv(cfg.out("theta_grid.csv"), fit)
+    fixed_ix = np.arange(model.slices["fixed"].start, model.latent_dim)
+    marg = marginals(fit, coords=fixed_ix)
+    write_fit_summary_csv(cfg.out("fit_summary.csv"), marg)
+
+    grid = functionals.make_grid(boundary, cfg.grid_spacing)
+    field = functionals.SurfaceSpec(mesh=mesh,
+                                    field_slice=model.slices["field"])
+    functionals.write_grid_csv(
+        cfg.out("field_median_lattice.csv"), grid.points,
+        mean=functionals.pointwise_median(samples, field, grid.points))
+    # downstream commands read only the field and beta0: save those
+    # columns, the field first
+    w = samples.samples[:, model.slices["field"]]
+    b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
+    n_field = w.shape[1]
+    np.savez(
+        cfg.out("fit_state.npz"),
+        samples=np.column_stack([w, samples.samples[:, b0]]),
+        theta_index=samples.theta_index,
+        field_start=0,
+        field_stop=n_field,
+        beta0_index=n_field,
+        mesh_vertices=mesh.vertices,
+        mesh_triangles=mesh.triangles,
+        mesh_interior=mesh.interior_flag,
+    )
+    return ["theta_grid.csv", "fit_summary.csv", "field_median_lattice.csv",
+            "fit_state.npz"]
+
+
+def _fit_bym(cfg, frame):
+    """BYM smoothing of the direct estimates.  Returns the files written."""
+    from . import areal, survey
+    from ._csv import _write_csv
+    from .inference import write_theta_grid_csv
+
+    areas = _areas(cfg)
+    if areas is None:
+        raise DataError("paths.areas is required for the BYM path")
+    ests = survey.direct_estimates(frame, fix_policy=cfg.fix_policy)
+    order = {str(p.id): i for i, p in enumerate(areas)}
+    y = np.full(len(areas), np.nan)
+    v = np.full(len(areas), np.nan)
+    for e in ests:
+        key = str(e.area_id)
+        if key in order:
+            y[order[key]] = e.y_logit
+            v[order[key]] = e.v_logit
+    survey.write_direct_estimates_csv(cfg.out("direct_estimates.csv"), ests)
+    if cfg.adjacency:
+        graph = areal.adjacency_from_csv(cfg.adjacency,
+                                         [p.id for p in areas])
+    else:
+        graph = areal.adjacency_from_polygons(areas)
+    bym = areal.fit_bym(areal.BymModel(y=y, v_hat=v, graph=graph),
+                        threads=cfg.threads)
+    _write_csv(cfg.out("bym_summary.csv"),
+               ["area_id", "eta_mean", "eta_sd", "eta_q025", "eta_q50",
+                "eta_q975", "p_mean", "p_q025", "p_q50", "p_q975",
+                "singleton"],
+               [[p.id for p in areas], bym.eta_mean, bym.eta_sd,
+                bym.eta_q025, bym.eta_q50, bym.eta_q975, bym.p_mean,
+                bym.p_q025, bym.p_q50, bym.p_q975,
+                [int(i in bym.singleton_areas) for i in range(len(areas))]])
+    write_theta_grid_csv(cfg.out("bym_theta_grid.csv"), bym.fit)
+    return ["direct_estimates.csv", "bym_summary.csv", "bym_theta_grid.csv"]
+
+
 def cmd_fit(cfg):
     boundary = _boundary(cfg)
     frame = _load_frame(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
-
     if cfg.fit_spde:
-        mesh = build_mesh(boundary, cfg.interior_max_edge,
-                          cfg.extension_factor, cfg.exterior_max_edge)
-        c_mat, g_mat = fem_matrices(mesh)
-        locs = np.column_stack([frame.x, frame.y])
-        proj = project(mesh, locs)
-        obs = BinomialObs(frame.positives, frame.n_members)
-        model = make_spde_model(obs, proj, c_mat, g_mat, mesh=mesh,
-                                nugget=cfg.nugget,
-                                theta_init=_spde_theta_init(cfg))
-        fit = fit_latent_model(model, threads=cfg.threads)
-        samples = sample_joint(fit, cfg.samples, seed=cfg.seed)
-
-        write_theta_grid_csv(cfg.out("theta_grid.csv"), fit)
-        fixed_ix = np.arange(model.slices["fixed"].start, model.latent_dim)
-        marg = marginals(fit, coords=fixed_ix)
-        write_fit_summary_csv(cfg.out("fit_summary.csv"), marg)
-
-        grid = functionals.make_grid(boundary, cfg.grid_spacing)
-        field = functionals.SurfaceSpec(mesh=mesh,
-                                        field_slice=model.slices["field"])
-        functionals.write_grid_csv(
-            cfg.out("field_median_lattice.csv"), grid.points,
-            mean=functionals.pointwise_median(samples, field, grid.points))
-        # downstream commands read only the field and beta0: save those
-        # columns, the field first
-        w = samples.samples[:, model.slices["field"]]
-        b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
-        n_field = w.shape[1]
-        np.savez(
-            cfg.out("fit_state.npz"),
-            samples=np.column_stack([w, samples.samples[:, b0]]),
-            theta_index=samples.theta_index,
-            field_start=0,
-            field_stop=n_field,
-            beta0_index=n_field,
-            mesh_vertices=mesh.vertices,
-            mesh_triangles=mesh.triangles,
-            mesh_interior=mesh.interior_flag,
-        )
-        wrote += ["theta_grid.csv", "fit_summary.csv",
-                  "field_median_lattice.csv", "fit_state.npz"]
-
+        wrote += _fit_spde(cfg, boundary, frame)
     if cfg.fit_bym:
-        areas = _areas(cfg)
-        if areas is None:
-            raise DataError("paths.areas is required for the BYM path")
-        ests = survey.direct_estimates(frame, fix_policy=cfg.fix_policy)
-        order = {str(p.id): i for i, p in enumerate(areas)}
-        y = np.full(len(areas), np.nan)
-        v = np.full(len(areas), np.nan)
-        for e in ests:
-            key = str(e.area_id)
-            if key in order:
-                y[order[key]] = e.y_logit
-                v[order[key]] = e.v_logit
-        survey.write_direct_estimates_csv(cfg.out("direct_estimates.csv"),
-                                          ests)
-        if cfg.adjacency:
-            graph = areal.adjacency_from_csv(cfg.adjacency,
-                                             [p.id for p in areas])
-        else:
-            graph = areal.adjacency_from_polygons(areas)
-        bym = areal.fit_bym(areal.BymModel(y=y, v_hat=v, graph=graph),
-                            threads=cfg.threads)
-        with open(cfg.out("bym_summary.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["area_id", "eta_mean", "eta_sd", "eta_q025",
-                        "eta_q50", "eta_q975", "p_mean", "p_q025", "p_q50",
-                        "p_q975", "singleton"])
-            for i, poly in enumerate(areas):
-                w.writerow([poly.id,
-                            repr(float(bym.eta_mean[i])),
-                            repr(float(bym.eta_sd[i])),
-                            repr(float(bym.eta_q025[i])),
-                            repr(float(bym.eta_q50[i])),
-                            repr(float(bym.eta_q975[i])),
-                            repr(float(bym.p_mean[i])),
-                            repr(float(bym.p_q025[i])),
-                            repr(float(bym.p_q50[i])),
-                            repr(float(bym.p_q975[i])),
-                            int(i in bym.singleton_areas)])
-        write_theta_grid_csv(cfg.out("bym_theta_grid.csv"), bym.fit)
-        wrote += ["direct_estimates.csv", "bym_summary.csv",
-                  "bym_theta_grid.csv"]
-
+        wrote += _fit_bym(cfg, frame)
     cfg.echo(cfg.out("config_resolved.ini"))
     print(f"fit: wrote {', '.join(wrote)} -> {cfg.output_dir}")
     return 0
@@ -211,12 +226,12 @@ def _load_state(cfg):
     path = cfg.out("fit_state.npz")
     if not os.path.exists(path):
         raise DataError(f"fit state not found: {path} (run fit first)")
+    from .functionals import JointSamples, SurfaceSpec
     from .geometry import TriMesh
-    from .inference import JointSamples
 
     z = np.load(path)
     mesh = TriMesh(z["mesh_vertices"], z["mesh_triangles"], z["mesh_interior"])
-    spec = functionals.SurfaceSpec(
+    spec = SurfaceSpec(
         mesh=mesh,
         field_slice=slice(int(z["field_start"]), int(z["field_stop"])),
         beta0_index=int(z["beta0_index"]))
@@ -226,6 +241,8 @@ def _load_state(cfg):
 
 
 def cmd_areas(cfg):
+    from . import functionals
+
     areas = _areas(cfg)
     if areas is None:
         raise DataError("paths.areas is required for area averages")
@@ -240,6 +257,8 @@ def cmd_areas(cfg):
 
 
 def cmd_excursions(cfg):
+    from . import functionals
+
     boundary = _boundary(cfg)
     samples, spec = _load_state(cfg)
     grid = functionals.make_grid(boundary, cfg.grid_spacing)
@@ -272,6 +291,9 @@ def _read_grid_csv(path):
 
 
 def cmd_report(cfg):
+    from . import render
+    from .functionals import make_grid
+
     boundary = _boundary(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
@@ -279,7 +301,7 @@ def cmd_report(cfg):
     med_path = cfg.out("field_median_lattice.csv")
     if os.path.exists(med_path):
         cols = _read_grid_csv(med_path)
-        grid = functionals.make_grid(boundary, cfg.grid_spacing)
+        grid = make_grid(boundary, cfg.grid_spacing)
         if grid.points.shape[0] != len(cols["mean"]):
             raise DataError("field_median_lattice.csv does not match the "
                             "configured grid spacing")
@@ -321,7 +343,7 @@ def cmd_report(cfg):
     exc_path = cfg.out("excursion_grid.csv")
     if os.path.exists(exc_path):
         cols = _read_grid_csv(exc_path)
-        grid = functionals.make_grid(boundary, cfg.grid_spacing)
+        grid = make_grid(boundary, cfg.grid_spacing)
         if grid.points.shape[0] != len(cols["label"]):
             raise DataError("excursion_grid.csv does not match the "
                             "configured grid spacing")

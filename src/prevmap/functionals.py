@@ -15,15 +15,15 @@ on the block size.  The excursion pass keeps only the points x samples
 bool indicators of exceeding and falling below the threshold.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
 
+from ._csv import _write_csv
 from .geometry import project
 
 __all__ = [
+    "JointSamples",
     "AreaAverageResult",
     "ExcursionResult",
     "EvalGrid",
@@ -72,6 +72,8 @@ def sample_points_in_polygon(polygon, n, rng, max_tries=1000):
 
 
 def _triangle_sampler(polygon, n, rng):
+    from scipy.spatial import Delaunay
+
     ring = polygon.rings[0]
     tri = Delaunay(ring)
     cent = ring[tri.simplices].mean(axis=1)
@@ -91,6 +93,19 @@ def _triangle_sampler(polygon, n, rng):
     v[flip] = 1 - v[flip]
     return a[pick] + u[:, None] * (b[pick] - a[pick]) \
         + v[:, None] * (c[pick] - a[pick])
+
+
+@dataclass
+class JointSamples:
+    """Joint posterior draws: rows are samples over the full latent vector."""
+
+    samples: np.ndarray
+    theta_index: np.ndarray
+    coord_names: list
+
+    @property
+    def num_samples(self):
+        return self.samples.shape[0]
 
 
 @dataclass
@@ -383,33 +398,17 @@ def make_grid(polygon, spacing):
 # ---------------------------------------------------------------------------
 
 def write_area_csv(path, result):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["area_id", "mean", "sd", "q025", "q50", "q975",
-                    "points_per_area", "flagged"])
-        for i, aid in enumerate(result.area_ids):
-            w.writerow([aid, repr(float(result.mean[i])),
-                        repr(float(result.sd[i])),
-                        repr(float(result.q025[i])),
-                        repr(float(result.q50[i])),
-                        repr(float(result.q975[i])),
-                        result.points_per_area,
-                        int(aid in result.flagged)])
+    k = len(result.area_ids)
+    _write_csv(path, ["area_id", "mean", "sd", "q025", "q50", "q975",
+                      "points_per_area", "flagged"],
+               [result.area_ids, result.mean, result.sd, result.q025,
+                result.q50, result.q975, [result.points_per_area] * k,
+                [int(aid in result.flagged) for aid in result.area_ids]])
 
 
 def write_grid_csv(path, points, mean=None, sd=None, exceed_prob=None,
                    labels=None):
-    n = len(points)
-    cols = {"mean": mean, "sd": sd, "exceed_prob": exceed_prob,
-            "label": labels}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["x", "y"] + [k for k, v in cols.items() if v is not None]
-        w.writerow(header)
-        for i in range(n):
-            row = [repr(float(points[i, 0])), repr(float(points[i, 1]))]
-            for k, v in cols.items():
-                if v is None:
-                    continue
-                row.append(v[i] if k == "label" else repr(float(v[i])))
-            w.writerow(row)
+    cols = {"x": points[:, 0], "y": points[:, 1], "mean": mean, "sd": sd,
+            "exceed_prob": exceed_prob, "label": labels}
+    cols = {k: v for k, v in cols.items() if v is not None}
+    _write_csv(path, list(cols), list(cols.values()))

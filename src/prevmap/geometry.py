@@ -9,9 +9,8 @@ import csv
 import json
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
+from ._csv import _write_csv
 from .errors import InvalidGeometryError
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "read_polygons_geojson",
     "read_polygons_csv",
     "write_polygons_csv",
-    "write_mesh_csv",
-    "read_mesh_csv",
 ]
 
 
@@ -246,6 +243,9 @@ class TriMesh:
 
     def validate(self, duplicate_tol=1e-9):
         """Raise InvalidGeometryError on any violated mesh invariant."""
+        import scipy.sparse as sp
+        from scipy.spatial import cKDTree
+
         if np.any(self.signed_areas() <= 0):
             raise InvalidGeometryError("mesh contains non-positive-area triangle")
         _, counts = self.edges()
@@ -276,6 +276,8 @@ def fem_matrices(mesh):
     which equals the integral of the hat function phi_i.  G_ij integrates
     grad(phi_i) . grad(phi_j) over the mesh.
     """
+    import scipy.sparse as sp
+
     v = mesh.vertices
     t = mesh.triangles
     m = mesh.num_vertices
@@ -316,6 +318,8 @@ class Projector:
     """
 
     def __init__(self, matrix, out_of_mesh):
+        import scipy.sparse as sp
+
         self.matrix = sp.csr_matrix(matrix)
         self.out_of_mesh = np.asarray(out_of_mesh, dtype=bool)
 
@@ -329,6 +333,8 @@ class Projector:
 
 def project(mesh, points, tol=1e-10):
     """Barycentric projection of each point onto its containing triangle."""
+    import scipy.sparse as sp
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ValueError("query points must be finite")
@@ -476,37 +482,9 @@ def read_polygons_csv(path):
 
 
 def write_polygons_csv(path, polygons):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "ring_index", "vertex_index", "x", "y"])
-        for poly in polygons:
-            for ri, ring in enumerate(poly.rings):
-                for vi, (x, y) in enumerate(ring):
-                    w.writerow([poly.id, ri, vi, repr(float(x)), repr(float(y))])
-
-
-def write_mesh_csv(mesh, vertices_path, triangles_path):
-    with open(vertices_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "x", "y", "interior"])
-        for i, (x, y) in enumerate(mesh.vertices):
-            w.writerow([i, repr(float(x)), repr(float(y)),
-                        int(mesh.interior_flag[i])])
-    with open(triangles_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "v0", "v1", "v2"])
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            w.writerow([i, a, b, c])
-
-
-def read_mesh_csv(vertices_path, triangles_path):
-    verts, flags = [], []
-    with open(vertices_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            verts.append((float(row["x"]), float(row["y"])))
-            flags.append(bool(int(row["interior"])))
-    tris = []
-    with open(triangles_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            tris.append((int(row["v0"]), int(row["v1"]), int(row["v2"])))
-    return TriMesh(np.array(verts), np.array(tris), np.array(flags))
+    rows = [(poly.id, ri, vi, x, y)
+            for poly in polygons
+            for ri, ring in enumerate(poly.rings)
+            for vi, (x, y) in enumerate(ring.tolist())]
+    _write_csv(path, ["id", "ring_index", "vertex_index", "x", "y"],
+               [[row[k] for row in rows] for k in range(5)])

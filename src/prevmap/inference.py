@@ -23,7 +23,6 @@ prior's diagonal blocks: closed form for diagonal blocks, the block's own
 factorization otherwise.
 """
 
-import csv
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +33,9 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln, ndtr
 
+from ._csv import _write_csv
 from .errors import ConvergenceError, NotPositiveDefiniteError
+from .functionals import JointSamples
 from .sparsela import SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
@@ -769,19 +770,6 @@ def marginals(fit, coords=None):
     return res
 
 
-@dataclass
-class JointSamples:
-    """Joint posterior draws: rows are samples over the full latent vector."""
-
-    samples: np.ndarray
-    theta_index: np.ndarray
-    coord_names: list
-
-    @property
-    def num_samples(self):
-        return self.samples.shape[0]
-
-
 def sample_joint(fit, num_samples, seed):
     """Sample theta from the grid weights, then the latent field given theta.
 
@@ -865,23 +853,13 @@ def make_spde_model(obs, projector, c_mat, g_mat, mesh=None, nugget=True,
 # ---------------------------------------------------------------------------
 
 def write_fit_summary_csv(path, summaries):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coordinate", "mean", "sd", "q025", "q50", "q975"])
-        for i, name in enumerate(summaries.names):
-            w.writerow([name,
-                        repr(float(summaries.mean[i])),
-                        repr(float(summaries.sd[i])),
-                        repr(float(summaries.q025[i])),
-                        repr(float(summaries.q50[i])),
-                        repr(float(summaries.q975[i]))])
+    _write_csv(path, ["coordinate", "mean", "sd", "q025", "q50", "q975"],
+               [summaries.names, summaries.mean, summaries.sd, summaries.q025,
+                summaries.q50, summaries.q975])
 
 
 def write_theta_grid_csv(path, fit):
-    names = fit.model.theta_names
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(names) + ["log_post", "weight"])
-        for p in fit.points:
-            w.writerow([repr(float(v)) for v in p.theta]
-                       + [repr(float(p.log_post)), repr(float(p.weight))])
+    theta = np.array([p.theta for p in fit.points], dtype=float)
+    _write_csv(path, list(fit.model.theta_names) + ["log_post", "weight"],
+               list(theta.T) + [[p.log_post for p in fit.points],
+                                [p.weight for p in fit.points]])

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.special import expit
 
+from ._csv import _write_csv
 from .errors import InvalidGeometryError
 from .functionals import sample_points_in_polygon
 from .spde import MaternParams, matern_cov, sigma_from_tau
@@ -236,20 +237,13 @@ def read_household_size_csv(path):
 
 
 def write_truth_lattice_csv(path, truth):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "field", "prevalence", "inside"])
-        for j, yv in enumerate(truth.y):
-            for i, xv in enumerate(truth.x):
-                w.writerow([repr(float(xv)), repr(float(yv)),
-                            repr(float(truth.field[j, i])),
-                            repr(float(truth.prevalence[j, i])),
-                            int(truth.inside[j, i])])
+    ny, nx = len(truth.y), len(truth.x)
+    _write_csv(path, ["x", "y", "field", "prevalence", "inside"],
+               [np.tile(truth.x, ny), np.repeat(truth.y, nx),
+                truth.field.ravel(), truth.prevalence.ravel(),
+                truth.inside.ravel()])
 
 
 def write_truth_areas_csv(path, area_truth):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["area_id", "t_true"])
-        for aid in area_truth:
-            w.writerow([aid, repr(float(area_truth[aid]))])
+    _write_csv(path, ["area_id", "t_true"],
+               [list(area_truth), [float(t) for t in area_truth.values()]])

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import _write_csv
 from .errors import NoDataError
 
 __all__ = [
@@ -271,15 +272,10 @@ _FRAME_COLS = ["cluster_id", "area_id", "x", "y", "household_id", "N", "Y",
 
 
 def write_frame_csv(path, frame):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_FRAME_COLS)
-        for i in range(frame.num_households):
-            w.writerow([frame.cluster_id[i], frame.area_id[i],
-                        repr(float(frame.x[i])), repr(float(frame.y[i])),
-                        frame.household_id[i],
-                        int(frame.n_members[i]), int(frame.positives[i]),
-                        repr(float(frame.weight[i]))])
+    _write_csv(path, _FRAME_COLS,
+               [frame.cluster_id, frame.area_id, frame.x, frame.y,
+                frame.household_id, frame.n_members.astype(np.int64),
+                frame.positives.astype(np.int64), frame.weight])
 
 
 def read_frame_csv(path, design=None):
@@ -319,11 +315,12 @@ def read_frame_csv(path, design=None):
 
 
 def write_direct_estimates_csv(path, estimates):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["area_id", "p_hat", "v_star", "y_logit", "v_logit",
-                    "n_clusters", "flags"])
-        for e in estimates:
-            w.writerow([e.area_id, repr(float(e.p_hat)), repr(float(e.v_star)),
-                        repr(float(e.y_logit)), repr(float(e.v_logit)),
-                        e.n_clusters, ";".join(e.flags)])
+    _write_csv(path, ["area_id", "p_hat", "v_star", "y_logit", "v_logit",
+                      "n_clusters", "flags"],
+               [[e.area_id for e in estimates],
+                [float(e.p_hat) for e in estimates],
+                [float(e.v_star) for e in estimates],
+                [float(e.y_logit) for e in estimates],
+                [float(e.v_logit) for e in estimates],
+                [e.n_clusters for e in estimates],
+                [";".join(e.flags) for e in estimates]])

@@ -1,10 +1,12 @@
 """End-to-end smoke test of the five CLI commands on a tiny configuration."""
 
+import csv
+import json
 import os
 
 import pytest
 
-from prevmap import cli
+from prevmap import cli, inference
 from prevmap.errors import ConvergenceError, NotPositiveDefiniteError
 from prevmap.geometry import Polygon, write_polygons_csv
 
@@ -119,8 +121,107 @@ def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
         def fail(*args, error=error, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "fit_latent_model", fail)
+        # cmd_fit imports fit_latent_model when it runs, so the patch goes
+        # on its owner module
+        monkeypatch.setattr(inference, "fit_latent_model", fail)
         capsys.readouterr()
         assert cli.main(["fit", "-c", ini]) == 4
         err = capsys.readouterr().err
         assert "numerical failure" in err and str(error) in err
+
+
+# ---------------------------------------------------------------------------
+# input branches the default pipeline does not take
+# ---------------------------------------------------------------------------
+
+def _out(ini, name):
+    return os.path.join(os.path.dirname(ini), "out", name)
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
+    return path
+
+
+def test_cli_cluster_locations_and_household_sizes(tmp_path):
+    locs = [(x + 0.5, y + 0.5) for x in range(0, 10, 2)
+            for y in range(0, 10, 2)]
+    loc_csv = _write_rows(str(tmp_path / "locs.csv"), ["x", "y"], locs)
+    size_csv = _write_rows(str(tmp_path / "sizes.csv"),
+                           ["size", "probability"],
+                           [(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)])
+    ini = _write_config(str(tmp_path), extra={"paths": {
+        "cluster_locations": loc_csv, "household_sizes": size_csv}})
+    assert cli.main(["simulate", "-c", ini]) == 0
+    with open(_out(ini, "frame.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(float(r["x"]), float(r["y"])) for r in rows} == set(locs)
+    assert {int(r["N"]) for r in rows} <= {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("key", ["cluster_locations", "household_sizes"])
+def test_cli_missing_simulation_input_exits_3(tmp_path, capsys, key):
+    ini = _write_config(str(tmp_path), extra={"paths": {
+        key: str(tmp_path / "missing.csv")}})
+    assert cli.main(["simulate", "-c", ini]) == 3
+    assert "missing.csv" in capsys.readouterr().err
+
+
+def test_cli_geojson_boundary_matches_csv(tmp_path):
+    by_csv = _write_config(str(tmp_path / "csv"))
+    geojson = str(tmp_path / "boundary.geojson")
+    with open(geojson, "w") as fh:
+        json.dump({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"id": "boundary"},
+            "geometry": {"type": "Polygon", "coordinates": [
+                [[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]]]}}]}, fh)
+    by_json = _write_config(str(tmp_path / "json"),
+                            extra={"paths": {"boundary": geojson}})
+    for ini in (by_csv, by_json):
+        assert cli.main(["simulate", "-c", ini]) == 0
+    for name in ("frame.csv", "truth_lattice.csv", "truth_areas.csv"):
+        assert _read(_out(by_json, name)) == _read(_out(by_csv, name))
+
+
+def test_cli_bym_only_with_adjacency_csv_then_report(tmp_path):
+    adjacency = _write_rows(str(tmp_path / "adjacency.csv"),
+                            ["area_i", "area_j"],
+                            [("A0", "A1"), ("A0", "A2"), ("A1", "A3"),
+                             ("A2", "A3")])
+    bym_only = {"model": {"fit_spde": "false"}}
+    from_csv = _write_config(str(tmp_path / "csv"), extra=dict(
+        bym_only, paths={"adjacency": adjacency}))
+    from_polygons = _write_config(str(tmp_path / "polygons"), extra=bym_only)
+    for ini in (from_csv, from_polygons):
+        assert cli.main(["simulate", "-c", ini]) == 0
+        assert cli.main(["fit", "-c", ini]) == 0
+    out = set(os.listdir(os.path.dirname(_out(from_csv, "x"))))
+    assert {"direct_estimates.csv", "bym_summary.csv",
+            "bym_theta_grid.csv"} <= out
+    assert not out & {"theta_grid.csv", "fit_state.npz"}
+    # the CSV lists the same edges as the shared polygon sides
+    assert (_read(_out(from_csv, "bym_summary.csv"))
+            == _read(_out(from_polygons, "bym_summary.csv")))
+
+    assert cli.main(["report", "-c", from_csv]) == 0
+    out = set(os.listdir(os.path.dirname(_out(from_csv, "x"))))
+    assert {"bym_areas.svg", "true_areas.svg"} <= out
+    assert "median_field.svg" not in out
+
+
+def test_cli_spde_only_fit(tmp_path):
+    ini = _write_config(str(tmp_path), extra={"model": {"fit_bym": "false"}})
+    assert cli.main(["simulate", "-c", ini]) == 0
+    assert cli.main(["fit", "-c", ini]) == 0
+    out = set(os.listdir(os.path.dirname(_out(ini, "x"))))
+    assert set(EXPECTED["fit"][:4]) <= out
+    assert not out & {"direct_estimates.csv", "bym_summary.csv",
+                      "bym_theta_grid.csv"}

@@ -5,8 +5,7 @@ import pytest
 
 from prevmap.errors import InvalidGeometryError
 from prevmap.geometry import (Polygon, fem_matrices, point_in_area, project,
-                              read_mesh_csv, read_polygons_csv,
-                              read_polygons_geojson, write_mesh_csv,
+                              read_polygons_csv, read_polygons_geojson,
                               write_polygons_csv, TriMesh)
 from prevmap.meshing import build_mesh
 
@@ -254,12 +253,3 @@ def test_polygon_csv_roundtrip(tmp_path):
     assert len(back) == 1
     assert back[0].id == "ring"
     assert back[0].area() == pytest.approx(p.area())
-
-
-def test_mesh_csv_roundtrip(tmp_path, coarse_mesh10):
-    vp, tp = tmp_path / "verts.csv", tmp_path / "tris.csv"
-    write_mesh_csv(coarse_mesh10, vp, tp)
-    back = read_mesh_csv(vp, tp)
-    assert np.allclose(back.vertices, coarse_mesh10.vertices)
-    assert np.array_equal(back.triangles, coarse_mesh10.triangles)
-    assert np.array_equal(back.interior_flag, coarse_mesh10.interior_flag)
