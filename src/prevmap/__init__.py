@@ -19,7 +19,7 @@ _EXPORTS = {
                "InvalidGeometryError", "NoDataError",
                "NotPositiveDefiniteError", "PrevmapError", "RefinementError"),
     "geometry": ("Polygon", "Projector", "TriMesh", "fem_matrices",
-                 "point_in_area", "project"),
+                 "project"),
     "meshing": ("build_mesh",),
     "spde": ("MaternParams", "SpdeTheta", "assemble_precision", "matern_cov",
              "practical_range", "sigma_from_tau", "tau_from_sigma"),
@@ -33,8 +33,7 @@ _EXPORTS = {
     "areal": ("AdjacencyGraph", "BymModel", "adjacency_from_polygons",
               "fit_bym", "icar_precision"),
     "functionals": ("JointSamples", "area_averages", "make_grid",
-                    "pointwise_exceedance", "sample_points_in_polygon",
-                    "simultaneous_excursions"),
+                    "sample_points_in_polygon", "simultaneous_excursions"),
     "simulate": ("SimConfig", "lattice_field", "simulate_survey"),
 }
 

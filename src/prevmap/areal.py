@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .errors import DataError, reading
 from .inference import (GaussianObs, LatentComponent, LatentModel,
                         _linear_mixture, fit_latent_model)
 
@@ -27,6 +28,8 @@ __all__ = [
 ]
 
 _ICAR_JITTER = 1e-8
+# adjacency_from_polygons matches boundary vertices on this lattice
+_VERTEX_TOL = 1e-9
 
 
 @dataclass
@@ -161,7 +164,7 @@ def _build_latent_model(model):
         fixed_names=["beta0_star"],
         theta_init=np.asarray(model.theta_init, dtype=float)[
             (0 if len(icar_cols) else 1):],
-        meta={"icar_cols": icar_cols, "obs_ix": obs_ix,
+        meta={"icar_cols": icar_cols,
               "singletons": sorted(int(s) for s in singletons)},
     )
     return lm
@@ -191,7 +194,7 @@ def _eta_operator(lm, k):
     return sp.csr_matrix((vals, (rows, cols)), shape=(k, d))
 
 
-def fit_bym(model, thetas=None, threads=None):
+def fit_bym(model, thetas=None, threads=1):
     """Fit the convolution smoothing model and summarize eta_k and p_k.
 
     The area-level eta_k = beta0* + S_k + eps_k is a linear combination of
@@ -230,21 +233,25 @@ def fit_bym(model, thetas=None, threads=None):
 def adjacency_from_csv(path, area_ids):
     """Edge-list CSV (area_i, area_j) over string area identifiers."""
     index = {str(a): i for i, a in enumerate(area_ids)}
-    edges = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            edges.append((index[str(row["area_i"])], index[str(row["area_j"])]))
-    return AdjacencyGraph(n_areas=len(area_ids), edges=edges)
+    with reading(path):
+        with open(path, newline="") as fh:
+            pairs = [(str(row["area_i"]), str(row["area_j"]))
+                     for row in csv.DictReader(fh)]
+        unknown = sorted({a for pair in pairs for a in pair} - set(index))
+        if unknown:
+            raise DataError(f"{path}: unknown area ids {unknown}")
+        return AdjacencyGraph(n_areas=len(area_ids),
+                              edges=[(index[a], index[b]) for a, b in pairs])
 
 
-def adjacency_from_polygons(polygons, tol=1e-9):
+def adjacency_from_polygons(polygons):
     """Two polygons are adjacent when they share >= 2 boundary vertices."""
     keys = []
     for poly in polygons:
         s = set()
         for ring in poly.rings:
             for x, y in ring:
-                s.add((round(x / tol), round(y / tol)))
+                s.add((round(x / _VERTEX_TOL), round(y / _VERTEX_TOL)))
         keys.append(s)
     edges = []
     for i in range(len(polygons)):

@@ -21,7 +21,8 @@ import numpy as np
 from .config import load_config
 from .errors import (ConfigError, ConvergenceError, DataError,
                      InvalidGeometryError, NoDataError,
-                     NotPositiveDefiniteError, PrevmapError, RefinementError)
+                     NotPositiveDefiniteError, PrevmapError, RefinementError,
+                     reading)
 
 __all__ = ["main", "cmd_simulate", "cmd_fit", "cmd_areas", "cmd_excursions",
            "cmd_report"]
@@ -133,8 +134,7 @@ def _fit_spde(cfg, boundary, frame):
     locs = np.column_stack([frame.x, frame.y])
     proj = project(mesh, locs)
     obs = BinomialObs(frame.positives, frame.n_members)
-    model = make_spde_model(obs, proj, c_mat, g_mat, mesh=mesh,
-                            nugget=cfg.nugget,
+    model = make_spde_model(obs, proj, c_mat, g_mat, nugget=cfg.nugget,
                             theta_init=_spde_theta_init(cfg))
     fit = fit_latent_model(model, threads=cfg.threads)
     samples = sample_joint(fit, cfg.samples, seed=cfg.seed)
@@ -275,19 +275,28 @@ def cmd_excursions(cfg):
     return 0
 
 
-def _read_grid_csv(path):
-    if not os.path.exists(path):
-        raise DataError(f"missing input: {path}")
-    cols = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    for key in rows[0]:
-        if key == "label":
-            cols[key] = np.array([r[key] for r in rows])
-        else:
-            cols[key] = np.array([float(r[key]) for r in rows])
-    return cols
+def _read_column(path, column, key=None):
+    """One column of a CSV output: floats, or strings for ``label``.  With
+    ``key``, a dict from the ``key`` column to float values instead."""
+    with reading(path):
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if key is not None:
+            return {r[key]: float(r[column]) for r in rows}
+        if column == "label":
+            return np.array([r[column] for r in rows])
+        return np.array([float(r[column]) for r in rows])
+
+
+# area maps: input CSV, its value column, output SVG, title
+_CHOROPLETHS = (
+    ("area_averages.csv", "mean", "area_averages.svg",
+     "area-average prevalence (SPDE)"),
+    ("bym_summary.csv", "p_mean", "bym_areas.svg",
+     "area-average prevalence (BYM)"),
+    ("truth_areas.csv", "t_true", "true_areas.svg",
+     "true area-average prevalence"),
+)
 
 
 def cmd_report(cfg):
@@ -298,61 +307,42 @@ def cmd_report(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
 
-    med_path = cfg.out("field_median_lattice.csv")
-    if os.path.exists(med_path):
-        cols = _read_grid_csv(med_path)
+    # grid maps: the posterior median field and the excursion labels
+    grid_inputs = {}
+    for name, column in (("field_median_lattice.csv", "mean"),
+                         ("excursion_grid.csv", "label")):
+        if os.path.exists(cfg.out(name)):
+            grid_inputs[name] = _read_column(cfg.out(name), column)
+    if grid_inputs:
         grid = make_grid(boundary, cfg.grid_spacing)
-        if grid.points.shape[0] != len(cols["mean"]):
-            raise DataError("field_median_lattice.csv does not match the "
-                            "configured grid spacing")
-        render.svg_heatmap(cfg.out("median_field.svg"), grid, cols["mean"],
+    for name, values in grid_inputs.items():
+        if grid.points.shape[0] != len(values):
+            raise DataError(f"{name} does not match the configured grid "
+                            f"spacing")
+
+    med = grid_inputs.get("field_median_lattice.csv")
+    if med is not None:
+        render.svg_heatmap(cfg.out("median_field.svg"), grid, med,
                            title="posterior median field")
         render.write_pgm(cfg.out("median_field.pgm"),
-                         render.field_to_gray(grid.full(cols["mean"])))
+                         render.field_to_gray(grid.full(med)))
         wrote += ["median_field.svg", "median_field.pgm"]
 
-    area_path = cfg.out("area_averages.csv")
     areas = _areas(cfg)
-    if os.path.exists(area_path) and areas:
-        with open(area_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        vals = {r["area_id"]: float(r["mean"]) for r in rows}
-        v = np.array([vals.get(str(p.id), np.nan) for p in areas])
-        render.svg_choropleth(cfg.out("area_averages.svg"), areas, v,
-                              title="area-average prevalence (SPDE)")
-        wrote.append("area_averages.svg")
-    bym_path = cfg.out("bym_summary.csv")
-    if os.path.exists(bym_path) and areas:
-        with open(bym_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        vals = {r["area_id"]: float(r["p_mean"]) for r in rows}
-        v = np.array([vals.get(str(p.id), np.nan) for p in areas])
-        render.svg_choropleth(cfg.out("bym_areas.svg"), areas, v,
-                              title="area-average prevalence (BYM)")
-        wrote.append("bym_areas.svg")
-    truth_path = cfg.out("truth_areas.csv")
-    if os.path.exists(truth_path) and areas:
-        with open(truth_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        vals = {r["area_id"]: float(r["t_true"]) for r in rows}
-        v = np.array([vals.get(str(p.id), np.nan) for p in areas])
-        render.svg_choropleth(cfg.out("true_areas.svg"), areas, v,
-                              title="true area-average prevalence")
-        wrote.append("true_areas.svg")
+    for name, column, svg, title in _CHOROPLETHS:
+        if os.path.exists(cfg.out(name)) and areas:
+            vals = _read_column(cfg.out(name), column, key="area_id")
+            v = np.array([vals.get(str(p.id), np.nan) for p in areas])
+            render.svg_choropleth(cfg.out(svg), areas, v, title=title)
+            wrote.append(svg)
 
-    exc_path = cfg.out("excursion_grid.csv")
-    if os.path.exists(exc_path):
-        cols = _read_grid_csv(exc_path)
-        grid = make_grid(boundary, cfg.grid_spacing)
-        if grid.points.shape[0] != len(cols["label"]):
-            raise DataError("excursion_grid.csv does not match the "
-                            "configured grid spacing")
-        render.svg_excursions(cfg.out("excursions.svg"), grid, cols["label"],
+    labels = grid_inputs.get("excursion_grid.csv")
+    if labels is not None:
+        render.svg_excursions(cfg.out("excursions.svg"), grid, labels,
                               title=f"excursions at u={cfg.u}")
-        full = np.full(grid.shape, None, dtype=object)
-        full[grid.mask] = cols["label"]
         render.write_pgm(cfg.out("excursions.pgm"),
-                         render.excursion_to_gray(full))
+                         render.excursion_to_gray(grid.full(labels,
+                                                            fill=None)))
         wrote += ["excursions.svg", "excursions.pgm"]
 
     if not wrote:

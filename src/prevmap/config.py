@@ -182,18 +182,18 @@ def load_config(path, require_files=()):
 
     interior = _get_float(parser, "model", "interior_max_edge", lo=0,
                           strict_lo=True)
-    ext_raw = parser.get("model", "exterior_max_edge").strip()
-    exterior = float(ext_raw) if ext_raw else 5.0 * interior
-    if exterior < interior:
-        raise ConfigError("model.exterior_max_edge",
-                          "must be >= interior_max_edge")
-    spacing_raw = parser.get("functionals", "grid_spacing").strip()
-    spacing = float(spacing_raw) if spacing_raw else interior / 2.0
-    if spacing <= 0:
-        raise ConfigError("functionals.grid_spacing", "must be > 0")
-    threads_raw = parser.get("run", "threads").strip()
-    threads = int(threads_raw) if threads_raw else \
-        int(os.environ.get("PREVMAP_THREADS", "1"))
+    # a blank derived value resolves from other settings; PREVMAP_THREADS
+    # is read here and nowhere else
+    for section, key, value in (
+            ("model", "exterior_max_edge", repr(5.0 * interior)),
+            ("functionals", "grid_spacing", repr(interior / 2.0)),
+            ("run", "threads", os.environ.get("PREVMAP_THREADS") or "1")):
+        if not parser.get(section, key).strip():
+            parser.set(section, key, value)
+    exterior = _get_float(parser, "model", "exterior_max_edge", lo=interior)
+    spacing = _get_float(parser, "functionals", "grid_spacing", lo=0,
+                         strict_lo=True)
+    threads = _get_int(parser, "run", "threads", lo=1)
 
     m_min = _get_int(parser, "sim", "m_min", lo=1)
     m_max = _get_int(parser, "sim", "m_max", lo=1)
@@ -252,6 +252,7 @@ def load_config(path, require_files=()):
     # record resolved derived values so the echo round-trips exactly
     cfg.raw["model"]["exterior_max_edge"] = repr(exterior)
     cfg.raw["functionals"]["grid_spacing"] = repr(spacing)
+    cfg.raw["run"]["threads"] = str(threads)
     for key in require_files:
         p = getattr(cfg, key)
         if not p:

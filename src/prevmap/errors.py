@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class PrevmapError(Exception):
     """Base class for all package-specific errors."""
@@ -43,3 +45,15 @@ class ConfigError(PrevmapError):
 
 class DataError(PrevmapError):
     """Missing or malformed input data file."""
+
+
+@contextmanager
+def reading(path):
+    """Turn a missing field (KeyError) or a malformed value (TypeError,
+    ValueError) met while reading ``path`` into a DataError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc

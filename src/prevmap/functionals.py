@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csv import _write_csv
-from .geometry import project
+from .geometry import _signed_areas, project
 
 __all__ = [
     "JointSamples",
@@ -30,7 +30,6 @@ __all__ = [
     "SurfaceSpec",
     "sample_points_in_polygon",
     "area_averages",
-    "pointwise_exceedance",
     "pointwise_median",
     "simultaneous_excursions",
     "make_grid",
@@ -38,13 +37,13 @@ __all__ = [
     "write_grid_csv",
 ]
 
-_LABELS = ("below", "indeterminate", "above")
-
 # Most float64 values one block of the surface holds (2 MB).
 _BLOCK_CELLS = 2 ** 18
+# Rejection-sampling batches before sample_points_in_polygon gives up.
+_MAX_TRIES = 1000
 
 
-def sample_points_in_polygon(polygon, n, rng, max_tries=1000):
+def sample_points_in_polygon(polygon, n, rng):
     """Uniform points in a polygon by bounding-box rejection.
 
     Polygons thinner than 1e-6 of their bounding box fall back to a
@@ -57,7 +56,7 @@ def sample_points_in_polygon(polygon, n, rng, max_tries=1000):
         return _triangle_sampler(polygon, n, rng)
     out = np.empty((n, 2))
     got = 0
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         need = n - got
         batch = max(int(need / max(ratio, 1e-3)) + 8, need)
         cand = np.column_stack([rng.uniform(x0, x1, batch),
@@ -82,8 +81,7 @@ def _triangle_sampler(polygon, n, rng):
     a = ring[simplices[:, 0]]
     b = ring[simplices[:, 1]]
     c = ring[simplices[:, 2]]
-    areas = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                         - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    areas = np.abs(_signed_areas(ring, simplices))
     p = areas / areas.sum()
     pick = rng.choice(len(simplices), size=n, p=p)
     u = rng.random(n)
@@ -130,20 +128,6 @@ class SurfaceSpec:
     beta0_index: int = None
 
 
-def _spec_of(model):
-    if isinstance(model, SurfaceSpec):
-        return model
-    mesh = model.meta.get("mesh")
-    if mesh is None:
-        raise ValueError("model.meta['mesh'] is required to evaluate the "
-                         "field at new locations")
-    b0 = None
-    if "beta0" in model.fixed_names:
-        b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
-    return SurfaceSpec(mesh=mesh, field_slice=model.slices["field"],
-                       beta0_index=b0)
-
-
 def _row_blocks(n, width, unit=1):
     """Slices over ``n`` rows of ``width`` values, in whole groups of
     ``unit`` rows: at most ``_BLOCK_CELLS`` values a block, but never less
@@ -153,7 +137,7 @@ def _row_blocks(n, width, unit=1):
         yield slice(start, min(start + step, n))
 
 
-def _surface_blocks(samples, model, points, unit=1):
+def _surface_blocks(samples, spec, points, unit=1):
     """Sampled linear predictor at ``points``, evaluated in row blocks.
 
     Returns the out-of-mesh mask and an iterator of ``(rows, eta)`` pairs:
@@ -162,7 +146,6 @@ def _surface_blocks(samples, model, points, unit=1):
     intercept and the projected field only (no nugget, no covariates); the
     points are projected once.
     """
-    spec = _spec_of(model)
     proj = project(spec.mesh, points)
     w_t = np.ascontiguousarray(samples.samples[:, spec.field_slice].T)
     b0 = None
@@ -187,7 +170,7 @@ def _expit(eta):
     return np.divide(1.0, eta, out=eta)
 
 
-def area_averages(samples, model, areas, points_per_area=100, seed=0):
+def area_averages(samples, spec, areas, points_per_area=100, seed=0):
     """Monte Carlo posterior of the area-average prevalences T_k."""
     if points_per_area < 1:
         raise ValueError("points_per_area must be >= 1")
@@ -199,7 +182,7 @@ def area_averages(samples, model, areas, points_per_area=100, seed=0):
         ids.append(poly.id)
     pts = np.vstack(pts)
     k = len(areas)
-    out, blocks = _surface_blocks(samples, model, pts, unit=points_per_area)
+    out, blocks = _surface_blocks(samples, spec, pts, unit=points_per_area)
     out = out.reshape(k, points_per_area)
     t = np.empty((k, samples.num_samples))
     flagged = []
@@ -226,24 +209,11 @@ def area_averages(samples, model, areas, points_per_area=100, seed=0):
         points_per_area=points_per_area, flagged=flagged)
 
 
-def pointwise_exceedance(samples, model, grid_points, u):
-    """Per grid point: fraction of joint samples with prevalence above u."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in (0, 1)")
-    out, blocks = _surface_blocks(samples, model, grid_points)
-    thresh = np.log(u / (1.0 - u))
-    probs = np.empty(len(out))
-    for rows, eta in blocks:
-        probs[rows] = (eta > thresh).mean(axis=1)
-    probs[out] = np.nan
-    return probs
-
-
-def pointwise_median(samples, model, points):
+def pointwise_median(samples, spec, points):
     """Per point: posterior median of the sampled linear predictor, NaN
     outside the mesh.  A ``SurfaceSpec`` without ``beta0_index`` gives the
     median of the field alone."""
-    out, blocks = _surface_blocks(samples, model, points)
+    out, blocks = _surface_blocks(samples, spec, points)
     med = np.empty(len(out))
     for rows, eta in blocks:
         med[rows] = np.median(eta, axis=1)
@@ -299,7 +269,7 @@ def _greedy_joint_set(indicator, order, level):
     return order[:stop], achieved
 
 
-def simultaneous_excursions(samples, model, grid_points, u, alpha_level=0.05,
+def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05,
                             eta=None):
     """Three-region excursion map at threshold u and confidence 1 - alpha.
 
@@ -310,7 +280,7 @@ def simultaneous_excursions(samples, model, grid_points, u, alpha_level=0.05,
     result also carries the pointwise posterior mean and sd (ddof=1) of
     the prevalence, from the same pass over the surface.
 
-    ``eta`` is a synthetic input in place of ``samples`` and ``model``: a
+    ``eta`` is a synthetic input in place of ``samples`` and ``spec``: a
     (points x samples linear-predictor matrix, out-of-mesh mask) pair.  It
     is read in the same row blocks and is not modified.
     """
@@ -318,7 +288,7 @@ def simultaneous_excursions(samples, model, grid_points, u, alpha_level=0.05,
         raise ValueError("alpha_level must lie in (0, 0.5]")
     if eta is None:
         width = samples.num_samples
-        out, blocks = _surface_blocks(samples, model, grid_points)
+        out, blocks = _surface_blocks(samples, spec, grid_points)
     else:
         eta, out = eta
         width = eta.shape[1]
@@ -374,8 +344,10 @@ class EvalGrid:
         return self.mask.shape
 
     def full(self, values, fill=np.nan):
-        """Scatter per-point values back onto the (ny, nx) lattice."""
-        out = np.full(self.mask.shape, fill, dtype=float)
+        """Scatter per-point values back onto the (ny, nx) lattice: floats,
+        or any objects with ``fill=None``."""
+        out = np.full(self.mask.shape, fill,
+                      dtype=object if fill is None else float)
         out[self.mask] = values
         return out
 

@@ -11,19 +11,26 @@ import json
 import numpy as np
 
 from ._csv import _write_csv
-from .errors import InvalidGeometryError
+from .errors import InvalidGeometryError, reading
 
 __all__ = [
     "Polygon",
     "TriMesh",
     "Projector",
-    "point_in_area",
     "fem_matrices",
     "project",
     "read_polygons_geojson",
     "read_polygons_csv",
     "write_polygons_csv",
 ]
+
+# Points within this distance of a ring edge, scaled by the bounding-box
+# size, count as inside the polygon.
+_BOUNDARY_TOL = 1e-12
+# Mesh vertices closer than this are duplicates.
+_DUPLICATE_TOL = 1e-9
+# Barycentric weights down to -_PROJECT_TOL count as inside a triangle.
+_PROJECT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +54,17 @@ def _segments_intersect(p1, p2, q1, q2):
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
+def _ring_dist2(ring, px, py):
+    """Squared distances from the points (px, py), each a column of shape
+    (n, 1), to the edges of ``ring``: shape (n, number of edges)."""
+    xa, ya = ring[:, 0], ring[:, 1]
+    dx, dy = np.roll(xa, -1) - xa, np.roll(ya, -1) - ya
+    L2 = dx * dx + dy * dy
+    t = ((px - xa) * dx + (py - ya) * dy) / np.where(L2 > 0, L2, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    return (px - (xa + t * dx)) ** 2 + (py - (ya + t * dy)) ** 2
+
+
 class Polygon:
     """Simple polygon with optional holes.
 
@@ -56,7 +74,7 @@ class Polygon:
     :class:`InvalidGeometryError`.
     """
 
-    def __init__(self, rings, id="0", check_intersections=True):
+    def __init__(self, rings, id="0"):
         self.id = str(id)
         norm = []
         for i, ring in enumerate(rings):
@@ -79,8 +97,7 @@ class Polygon:
         self.rings = norm
         if self.area() <= 0:
             raise InvalidGeometryError("polygon has non-positive area")
-        if check_intersections:
-            self._check_self_intersections()
+        self._check_self_intersections()
 
     def _check_self_intersections(self):
         segs = []
@@ -115,17 +132,17 @@ class Polygon:
         return (outer[:, 0].min(), outer[:, 1].min(),
                 outer[:, 0].max(), outer[:, 1].max())
 
-    def contains(self, points, boundary_tol=1e-12):
+    def contains(self, points):
         """Even-odd containment for an array of points, holes respected.
 
-        Points on a ring edge (within ``boundary_tol`` of it, scaled by the
+        Points on a ring edge (within ``_BOUNDARY_TOL`` of it, scaled by the
         bounding-box size) count as inside.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         inside = np.zeros(len(pts), dtype=bool)
         on_edge = np.zeros(len(pts), dtype=bool)
         x0, y0, x1, y1 = self.bbox()
-        tol = boundary_tol * max(x1 - x0, y1 - y0, 1.0)
+        tol = _BOUNDARY_TOL * max(x1 - x0, y1 - y0, 1.0)
         for ring in self.rings:
             xa, ya = ring[:, 0], ring[:, 1]
             xb, yb = np.roll(xa, -1), np.roll(ya, -1)
@@ -136,13 +153,7 @@ class Polygon:
                 xint = xa + (py - ya) * (xb - xa) / (yb - ya)
             crossing = cond & (px < xint)
             inside ^= (np.sum(crossing, axis=1) % 2).astype(bool)
-            # boundary test: distance point-to-segment below tol
-            dx, dy = xb - xa, yb - ya
-            L2 = dx * dx + dy * dy
-            t = ((px - xa) * dx + (py - ya) * dy) / np.where(L2 > 0, L2, 1.0)
-            t = np.clip(t, 0.0, 1.0)
-            d2 = (px - (xa + t * dx)) ** 2 + (py - (ya + t * dy)) ** 2
-            on_edge |= (d2 <= tol * tol).any(axis=1)
+            on_edge |= (_ring_dist2(ring, px, py) <= tol * tol).any(axis=1)
         result = inside | on_edge
         if np.ndim(points) == 1:
             return bool(result[0])
@@ -153,30 +164,41 @@ class Polygon:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.full(len(pts), np.inf)
         for ring in self.rings:
-            xa, ya = ring[:, 0], ring[:, 1]
-            xb, yb = np.roll(xa, -1), np.roll(ya, -1)
-            dx, dy = xb - xa, yb - ya
-            L2 = np.where(dx * dx + dy * dy > 0, dx * dx + dy * dy, 1.0)
             # chunk over points to bound memory on large queries
             for s in range(0, len(pts), 4096):
-                px = pts[s:s + 4096, 0][:, None]
-                py = pts[s:s + 4096, 1][:, None]
-                t = np.clip(((px - xa) * dx + (py - ya) * dy) / L2, 0.0, 1.0)
-                d2 = (px - (xa + t * dx)) ** 2 + (py - (ya + t * dy)) ** 2
+                d2 = _ring_dist2(ring, pts[s:s + 4096, 0][:, None],
+                                 pts[s:s + 4096, 1][:, None])
                 best[s:s + 4096] = np.minimum(best[s:s + 4096], d2.min(axis=1))
         d = np.sqrt(best)
         d[self.contains(pts)] = 0.0
         return d if np.ndim(points) > 1 else float(d[0])
 
 
-def point_in_area(point, polygon):
-    """Even-odd containment of a single point; boundary counts inside."""
-    return bool(polygon.contains(np.asarray(point, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # triangular mesh
 # ---------------------------------------------------------------------------
+
+def _signed_areas(points, triangles):
+    """Signed area of each triangle of ``points`` (rows of ``triangles``
+    index them): positive for counter-clockwise vertex order."""
+    a, b, c = (points[triangles[:, k]] for k in range(3))
+    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
+def _min_angles(points, triangles):
+    """Smallest interior angle of each triangle, in radians."""
+    a, b, c = (points[triangles[:, k]] for k in range(3))
+
+    def ang(u, w):
+        cosv = np.sum(u * w, axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1))
+        return np.arccos(np.clip(cosv, -1.0, 1.0))
+
+    A = ang(b - a, c - a)
+    B = ang(a - b, c - b)
+    return np.minimum(np.minimum(A, B), np.pi - A - B)
+
 
 class TriMesh:
     """Conforming planar triangulation with piecewise-linear basis functions.
@@ -195,12 +217,7 @@ class TriMesh:
         self._orient()
 
     def _orient(self):
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        cross = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                 - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-        flip = cross < 0
+        flip = self.signed_areas() < 0
         if flip.any():
             self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
 
@@ -209,29 +226,14 @@ class TriMesh:
         return len(self.vertices)
 
     def signed_areas(self):
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        return _signed_areas(self.vertices, self.triangles)
 
     def area(self):
         return float(np.abs(self.signed_areas()).sum())
 
     def min_angle_deg(self):
-        v = self.vertices
-        t = self.triangles
-        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-
-        def ang(u, w):
-            cosv = np.sum(u * w, axis=1) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1))
-            return np.arccos(np.clip(cosv, -1.0, 1.0))
-
-        A = ang(b - a, c - a)
-        B = ang(a - b, c - b)
-        C = np.pi - A - B
-        return float(np.degrees(np.minimum(np.minimum(A, B), C).min()))
+        return float(np.degrees(
+            _min_angles(self.vertices, self.triangles).min()))
 
     def edges(self):
         """Unique undirected edges and the number of adjacent triangles each."""
@@ -241,7 +243,7 @@ class TriMesh:
         uniq, counts = np.unique(e, axis=0, return_counts=True)
         return uniq, counts
 
-    def validate(self, duplicate_tol=1e-9):
+    def validate(self):
         """Raise InvalidGeometryError on any violated mesh invariant."""
         import scipy.sparse as sp
         from scipy.spatial import cKDTree
@@ -252,7 +254,7 @@ class TriMesh:
         if counts.max() > 2:
             raise InvalidGeometryError("edge shared by more than 2 triangles")
         tree = cKDTree(self.vertices)
-        if tree.query_pairs(duplicate_tol):
+        if tree.query_pairs(_DUPLICATE_TOL):
             raise InvalidGeometryError("duplicate vertices within tolerance")
         uniq, _ = self.edges()
         adj = sp.coo_matrix(
@@ -281,9 +283,7 @@ def fem_matrices(mesh):
     v = mesh.vertices
     t = mesh.triangles
     m = mesh.num_vertices
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    area = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    area = np.abs(mesh.signed_areas())
     cd = np.zeros(m)
     for i in range(3):
         np.add.at(cd, t[:, i], area / 3.0)
@@ -323,21 +323,15 @@ class Projector:
         self.matrix = sp.csr_matrix(matrix)
         self.out_of_mesh = np.asarray(out_of_mesh, dtype=bool)
 
-    @property
-    def shape(self):
-        return self.matrix.shape
 
-    def __matmul__(self, other):
-        return self.matrix @ other
-
-
-def project(mesh, points, tol=1e-10):
+def project(mesh, points):
     """Barycentric projection of each point onto its containing triangle."""
     import scipy.sparse as sp
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ValueError("query points must be finite")
+    tol = _PROJECT_TOL
     v = mesh.vertices
     t = mesh.triangles
     a = v[t[:, 0]]
@@ -436,36 +430,39 @@ def read_polygons_geojson(path):
     map-unit coordinates.  Each MultiPolygon part becomes its own Polygon
     with a ``#part`` suffix on the id.
     """
-    with open(path) as fh:
-        obj = json.load(fh)
-    feats = []
-    if obj.get("type") == "FeatureCollection":
-        feats = obj["features"]
-    elif obj.get("type") == "Feature":
-        feats = [obj]
-    else:
-        feats = [{"type": "Feature", "geometry": obj, "properties": {}}]
-    out = []
-    for i, feat in enumerate(feats):
-        geom = feat.get("geometry") or {}
-        pid = str((feat.get("properties") or {}).get("id", i))
-        gtype = geom.get("type")
-        if gtype == "Polygon":
-            out.append(_polygon_from_geojson_coords(geom["coordinates"], pid))
-        elif gtype == "MultiPolygon":
-            parts = geom["coordinates"]
-            for j, part in enumerate(parts):
-                suffix = f"#{j}" if len(parts) > 1 else ""
-                out.append(_polygon_from_geojson_coords(part, pid + suffix))
+    with reading(path):
+        with open(path) as fh:
+            obj = json.load(fh)
+        if obj.get("type") == "FeatureCollection":
+            feats = obj["features"]
+        elif obj.get("type") == "Feature":
+            feats = [obj]
         else:
-            raise InvalidGeometryError(f"unsupported geometry type: {gtype}")
+            feats = [{"type": "Feature", "geometry": obj, "properties": {}}]
+        out = []
+        for i, feat in enumerate(feats):
+            geom = feat.get("geometry") or {}
+            pid = str((feat.get("properties") or {}).get("id", i))
+            gtype = geom.get("type")
+            if gtype == "Polygon":
+                out.append(_polygon_from_geojson_coords(geom["coordinates"],
+                                                        pid))
+            elif gtype == "MultiPolygon":
+                parts = geom["coordinates"]
+                for j, part in enumerate(parts):
+                    suffix = f"#{j}" if len(parts) > 1 else ""
+                    out.append(_polygon_from_geojson_coords(part,
+                                                            pid + suffix))
+            else:
+                raise InvalidGeometryError(
+                    f"unsupported geometry type: {gtype}")
     return out
 
 
 def read_polygons_csv(path):
     """Read polygons from CSV rows (id, ring_index, vertex_index, x, y)."""
     data = {}
-    with open(path, newline="") as fh:
+    with reading(path), open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             key = row["id"]
             ring = int(row["ring_index"])

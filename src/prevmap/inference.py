@@ -23,10 +23,9 @@ prior's diagonal blocks: closed form for diagonal blocks, the block's own
 factorization otherwise.
 """
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +58,8 @@ __all__ = [
 
 _DENSE_CUTOFF = 2500  # rows per chunk of dense variance solves
 _GRID_STEP = 0.75     # theta-grid spacing in raw log-precision units
+_MAX_ITER = 100       # Newton iterations before ConvergenceError
+_MAX_HALVINGS = 30    # step halvings of one Newton line search
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +447,7 @@ def _curvature(model, pat, prior_data, eta):
     return q_post, factor, w_mat, m_mat
 
 
-def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
-                    max_halvings=30):
+def gaussian_approx(model, theta, u0=None, tol=1e-8):
     """Newton--Raphson Gaussian approximation of pi(u | y, theta).
 
     Returns the (constrained) mode, the sparse posterior precision at the
@@ -481,7 +481,7 @@ def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
     trace = [f_u]
     n_iter = 0
     converged = False
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         eta = b @ u
         g = model.obs.grad(eta)
         q_post, factor, w_mat, m_mat = _curvature(model, pat, prior_data, eta)
@@ -498,7 +498,7 @@ def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
         delta = factor.solve(grad)
         step = 1.0
         improved = False
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             u_try = _krige(u + step * delta, a_con, w_mat, m_mat)
             f_try = objective(u_try)
             if f_try >= f_u - 1e-12 * (1 + abs(f_u)):
@@ -521,7 +521,7 @@ def gaussian_approx(model, theta, u0=None, max_iter=100, tol=1e-8,
             break
     if not converged:
         raise ConvergenceError(
-            f"Gaussian approximation did not converge in {max_iter} "
+            f"Gaussian approximation did not converge in {_MAX_ITER} "
             f"iterations", trace=trace)
 
     # unconstrained mean of the final quadratic model
@@ -586,13 +586,11 @@ def _log_post(model, theta, u0=None):
     return approx.log_evidence + model.log_theta_prior(theta), approx
 
 
-def _weighted_points(model, thetas, threads=None, u0=None):
+def _weighted_points(model, thetas, threads=1, u0=None):
     """Evaluate the Laplace log-posterior at each theta, every Newton solve
     started from the same ``u0``, and normalize the weights over the given
     points."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
-    if threads is None:
-        threads = int(os.environ.get("PREVMAP_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda t: _log_post(model, t, u0),
@@ -606,7 +604,7 @@ def _weighted_points(model, thetas, threads=None, u0=None):
             for t, lp, wi, r in zip(thetas, lps, w, results)]
 
 
-def hyper_grid(model, center=None, optimize=True, threads=None):
+def hyper_grid(model, center=None, optimize=True, threads=1):
     """Evaluate the hyperparameter posterior on a mode-centered grid.
 
     Locates the theta mode with Nelder--Mead on the Laplace evidence plus
@@ -669,19 +667,13 @@ class MarginalSummaries:
 class FitResult:
     model: LatentModel
     points: list
-    meta: dict = field(default_factory=dict)
-    _marginals: dict = field(default_factory=dict)
 
     @property
     def weights(self):
         return np.array([p.weight for p in self.points])
 
-    def thetas(self):
-        return np.vstack([p.theta for p in self.points]) \
-            if self.points[0].theta.size else np.empty((len(self.points), 0))
 
-
-def fit_latent_model(model, thetas=None, threads=None):
+def fit_latent_model(model, thetas=None, threads=1):
     """Fit the model: hyperparameter grid with attached Gaussian approximations.
 
     ``thetas`` may give explicit grid points (list of vectors) to skip the
@@ -757,17 +749,11 @@ def marginals(fit, coords=None):
     if coords is None:
         coords = np.arange(model.latent_dim)
     coords = np.asarray(coords, dtype=int)
-    key = coords.tobytes()
-    if key in fit._marginals:
-        return fit._marginals[key]
     op = sp.identity(model.latent_dim, format="csr")[coords]
     _, _, mean, sd, q = _linear_mixture(fit, op)
     all_names = model.coord_names()
-    names = [all_names[i] for i in coords]
-    res = MarginalSummaries(names=names, mean=mean, sd=sd,
-                            q025=q[0], q50=q[1], q975=q[2])
-    fit._marginals[key] = res
-    return res
+    return MarginalSummaries(names=[all_names[i] for i in coords], mean=mean,
+                             sd=sd, q025=q[0], q50=q[1], q975=q[2])
 
 
 def sample_joint(fit, num_samples, seed):
@@ -800,18 +786,18 @@ def sample_joint(fit, num_samples, seed):
 # convenience builder for the geostatistical model
 # ---------------------------------------------------------------------------
 
-def make_spde_model(obs, projector, c_mat, g_mat, mesh=None, nugget=True,
-                    covariates=None, intercept=True, theta_init=None,
-                    fixed_prec=1e-3, theta_prior_sd=1.5):
+def make_spde_model(obs, projector, c_mat, g_mat, nugget=True,
+                    theta_init=None):
     """Binomial/Gaussian observations driven by an SPDE field.
 
-    eta = beta0 + Z beta + (A w) + eps with A the mesh projector at the data
+    eta = beta0 + (A w) + eps with A the mesh projector at the data
     locations, w the field weights with SPDE precision Q(log tau, log kappa)
     and eps an optional iid nugget whose log-precision is a hyperparameter.
+    beta0 and theta take the priors of :class:`LatentModel`'s defaults.
     """
     from .spde import SpdePrecision
 
-    a = projector.matrix if hasattr(projector, "matrix") else sp.csr_matrix(projector)
+    a = projector.matrix
     n = a.shape[0]
     comps = [LatentComponent(
         name="field",
@@ -828,24 +814,10 @@ def make_spde_model(obs, projector, c_mat, g_mat, mesh=None, nugget=True,
             n_theta=1,
             theta_names=("log_nugget_prec",),
         ))
-    cols = []
-    names = []
-    if intercept:
-        cols.append(np.ones((n, 1)))
-        names.append("beta0")
-    if covariates is not None:
-        z = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if z.shape[0] != n:
-            z = z.T
-        cols.append(z)
-        names.extend(f"beta{j + 1}" for j in range(z.shape[1]))
-    fixed = np.hstack(cols) if cols else None
     if theta_init is None:
         theta_init = [0.0, 0.0] + ([np.log(100.0)] if nugget else [])
-    meta = {"mesh": mesh, "nugget": nugget}
-    return LatentModel(obs, comps, fixed_design=fixed, fixed_names=names,
-                       fixed_prec=fixed_prec, theta_init=theta_init,
-                       theta_prior_sd=theta_prior_sd, meta=meta)
+    return LatentModel(obs, comps, fixed_design=np.ones((n, 1)),
+                       fixed_names=["beta0"], theta_init=theta_init)
 
 
 # ---------------------------------------------------------------------------

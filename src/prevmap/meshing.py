@@ -20,12 +20,15 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import InvalidGeometryError, RefinementError
-from .geometry import TriMesh
+from .geometry import TriMesh, _min_angles, _signed_areas
 
 __all__ = ["build_mesh"]
 
 _SIZE_FACTOR = 0.5      # enforce circumradius <= _SIZE_FACTOR * h
 _SEED_SPACING = 0.85    # lattice spacing as a fraction of local h
+_MIN_ANGLE_DEG = 20.0   # quality criterion, Ruppert-safe up to ~20.7
+_GRADE = 0.9            # size-field growth per unit distance from the polygon
+_MAX_PASSES = 200       # refinement passes before RefinementError
 
 
 def _hex_lattice(x0, x1, y0, y1, s):
@@ -47,28 +50,19 @@ def _hex_lattice(x0, x1, y0, y1, s):
 
 
 def _triangle_metrics(pts, tris):
+    """Circumcenter, circumradius and smallest angle of each triangle."""
     a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
     ab, ac = b - a, c - a
-    cross = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
     la = np.linalg.norm(c - b, axis=1)
     lb = np.linalg.norm(ac, axis=1)
     lc = np.linalg.norm(ab, axis=1)
-    d = 2.0 * cross
+    d = 4.0 * _signed_areas(pts, tris)
     ux = np.sum(ac ** 2, axis=1) * ab[:, 1] - np.sum(ab ** 2, axis=1) * ac[:, 1]
     uy = np.sum(ab ** 2, axis=1) * ac[:, 0] - np.sum(ac ** 2, axis=1) * ab[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         cc = a + np.column_stack([-ux, -uy]) / d[:, None]
         r = la * lb * lc / np.abs(d)
-
-    def ang(u, v):
-        cosv = np.sum(u * v, axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        return np.arccos(np.clip(cosv, -1.0, 1.0))
-
-    A = ang(b - a, c - a)
-    B = ang(a - b, c - b)
-    minang = np.minimum(np.minimum(A, B), np.pi - A - B)
-    return cc, r, minang
+    return cc, r, _min_angles(pts, tris)
 
 
 class _RectBoundary:
@@ -118,6 +112,19 @@ class _RectBoundary:
             return pts[:, 1], pts[:, 0] - x0
         return pts[:, 1], x1 - pts[:, 0]
 
+    def _segment(self, k, u):
+        """Index of the segment of wall k under wall coordinate(s) u."""
+        return np.clip(np.searchsorted(self.pos[k], u) - 1,
+                       0, len(self.pos[k]) - 2)
+
+    def _diametral(self, k, u, dist):
+        """Segment of wall k under each point at wall coordinate u and
+        distance dist from the wall, and whether the point lies inside that
+        segment's diametral circle."""
+        pos = self.pos[k]
+        j = self._segment(k, u)
+        return j, (u - pos[j]) * (u - pos[j + 1]) + dist * dist < -1e-14
+
     def encroached_by(self, pts):
         """Segments whose diametral circle contains one of ``pts``."""
         out = set()
@@ -128,9 +135,7 @@ class _RectBoundary:
             near = (dist > 1e-14) & (dist < half)
             if not near.any():
                 continue
-            uu, dd = u[near], dist[near]
-            j = np.clip(np.searchsorted(pos, uu) - 1, 0, len(pos) - 2)
-            enc = (uu - pos[j]) * (uu - pos[j + 1]) + dd * dd < -1e-14
+            j, enc = self._diametral(k, u[near], dist[near])
             for jj in np.unique(j[enc]):
                 out.add((k, int(jj)))
         return out
@@ -138,20 +143,14 @@ class _RectBoundary:
     def encroaches_any(self, pts):
         res = np.zeros(len(pts), dtype=bool)
         for k in range(4):
-            u, dist = self._uv(k, pts)
-            pos = self.pos[k]
-            j = np.clip(np.searchsorted(pos, u) - 1, 0, len(pos) - 2)
-            res |= (u - pos[j]) * (u - pos[j + 1]) + dist * dist < -1e-14
+            res |= self._diametral(k, *self._uv(k, pts))[1]
         return res
 
     def segment_under(self, p):
         x0, x1, y0, y1 = self.box
         dists = [p[1] - y0, y1 - p[1], p[0] - x0, x1 - p[0]]
         k = int(np.argmin(dists))
-        u = p[0] if k < 2 else p[1]
-        j = int(np.clip(np.searchsorted(self.pos[k], u) - 1,
-                        0, len(self.pos[k]) - 2))
-        return k, j
+        return k, int(self._segment(k, p[0] if k < 2 else p[1]))
 
     def split(self, keys):
         for k, jj in sorted(keys, key=lambda s: (s[0], -s[1])):
@@ -160,8 +159,7 @@ class _RectBoundary:
 
 
 def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
-               exterior_max_edge=None, min_angle_deg=20.0, grade=0.9,
-               max_passes=200):
+               exterior_max_edge=None):
     """Build the two-zone mesh for a study polygon.
 
     Parameters
@@ -175,13 +173,10 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
         polygon's bounding box on every side.
     exterior_max_edge : float, optional
         Size cap in the extension zone; defaults to 5x the interior edge.
-    min_angle_deg : float
-        Minimum-angle quality criterion (Ruppert-safe up to ~20.7).
-    grade : float
-        Growth rate of the size field with distance from the polygon.
 
     Raises :class:`RefinementError` with diagnostics if the quality targets
-    are not met within ``max_passes`` refinement passes.
+    (``_MIN_ANGLE_DEG``, the size field) are not met within ``_MAX_PASSES``
+    refinement passes.
     """
     if interior_max_edge <= 0:
         raise InvalidGeometryError("interior_max_edge must be positive")
@@ -205,7 +200,7 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
 
     def hfun(p):
         p = np.atleast_2d(np.asarray(p, dtype=float))
-        return np.minimum(h_ext, h_int + grade * boundary.distance(p))
+        return np.minimum(h_ext, h_int + _GRADE * boundary.distance(p))
 
     walls = _RectBoundary(box, hfun)
 
@@ -228,9 +223,9 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
     free = np.vstack([a for a in (fine, coarse) if len(a)]) \
         if (len(fine) or len(coarse)) else np.empty((0, 2))
 
-    minrad = np.deg2rad(min_angle_deg)
+    minrad = np.deg2rad(_MIN_ANGLE_DEG)
     last_stats = None
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         if len(free):
             enc = walls.encroached_by(free)
             if enc:
@@ -294,5 +289,5 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
     n, nbad, worst = last_stats if last_stats else (0, -1, float("nan"))
     raise RefinementError(
         f"refinement did not converge: {nbad} bad triangles remain after "
-        f"{max_passes} passes (n={n}, worst angle={worst:.2f} deg, "
+        f"{_MAX_PASSES} passes (n={n}, worst angle={worst:.2f} deg, "
         f"h_int={h_int}, h_ext={h_ext})")

@@ -20,6 +20,9 @@ __all__ = [
 # gray levels for the three-region excursion map
 _GRAY = {"below": 80, "above": 200, "indeterminate": 0, "outside": 255}
 
+# SVG canvas size in pixels
+_WIDTH, _HEIGHT = 640, 560
+
 
 def write_pgm(path, gray):
     """Binary P5 PGM from a (ny, nx) uint8 array; row 0 (the smallest y of
@@ -30,15 +33,20 @@ def write_pgm(path, gray):
         fh.write(g[::-1].tobytes())
 
 
-def field_to_gray(values, vmin=None, vmax=None):
+def _finite_range(v):
+    """Colour-scale bounds: the min and max of the finite values of ``v``,
+    (0, 1) when there are none, and their span (1 when they are equal)."""
+    finite = np.isfinite(v)
+    vmin = float(v[finite].min()) if finite.any() else 0.0
+    vmax = float(v[finite].max()) if finite.any() else 1.0
+    return vmin, vmax, (vmax - vmin) or 1.0
+
+
+def field_to_gray(values):
     """Scale a (ny, nx) field to 0..250 gray; NaN renders as white (255)."""
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
-    if vmin is None:
-        vmin = float(v[finite].min()) if finite.any() else 0.0
-    if vmax is None:
-        vmax = float(v[finite].max()) if finite.any() else 1.0
-    span = (vmax - vmin) or 1.0
+    vmin, _, span = _finite_range(v)
     g = np.full(v.shape, 255, dtype=np.uint8)
     g[finite] = np.clip((v[finite] - vmin) / span * 250.0, 0, 250).astype(np.uint8)
     return g
@@ -68,11 +76,11 @@ def _hex(rgb):
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def _svg_open(width, height, title):
+def _svg_open(title):
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(f'<text x="10" y="18" font-size="14" '
@@ -80,47 +88,52 @@ def _svg_open(width, height, title):
     return parts
 
 
-def _frame_transform(bbox, width, height, pad=30):
+def _frame_transform(bbox, pad=30):
     x0, y0, x1, y1 = bbox
-    sx = (width - 2 * pad) / (x1 - x0)
-    sy = (height - 2 * pad) / (y1 - y0)
+    sx = (_WIDTH - 2 * pad) / (x1 - x0)
+    sy = (_HEIGHT - 2 * pad) / (y1 - y0)
     s = min(sx, sy)
 
     def tf(x, y):
-        return (pad + (x - x0) * s, height - pad - (y - y0) * s)
+        return (pad + (x - x0) * s, _HEIGHT - pad - (y - y0) * s)
 
     return tf
 
 
-def svg_heatmap(path, grid, values, title="", width=640, height=560,
-                vmin=None, vmax=None):
-    """Colored-cell map of per-grid-point values on an EvalGrid."""
-    full = grid.full(values)
-    finite = np.isfinite(full)
-    if vmin is None:
-        vmin = float(full[finite].min()) if finite.any() else 0.0
-    if vmax is None:
-        vmax = float(full[finite].max()) if finite.any() else 1.0
-    span = (vmax - vmin) or 1.0
+def _svg_write(path, parts, legend):
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts + [legend, "</svg>"]))
+
+
+def _svg_cells(path, grid, fills, title, legend):
+    """Cell map on an EvalGrid: one rect per cell whose entry in the
+    (ny, nx) object array ``fills`` is a colour (None draws no cell)."""
     bbox = (grid.x[0], grid.y[0], grid.x[-1], grid.y[-1])
-    tf = _frame_transform(bbox, width, height)
+    tf = _frame_transform(bbox)
     dx = grid.x[1] - grid.x[0] if len(grid.x) > 1 else 1.0
     dy = grid.y[1] - grid.y[0] if len(grid.y) > 1 else 1.0
-    parts = _svg_open(width, height, title)
     cw = abs(tf(dx, 0)[0] - tf(0, 0)[0]) + 0.5
     ch = abs(tf(0, dy)[1] - tf(0, 0)[1]) + 0.5
+    parts = _svg_open(title)
     for j, yv in enumerate(grid.y):
         for i, xv in enumerate(grid.x):
-            if not finite[j, i]:
+            fill = fills[j, i]
+            if fill is None:
                 continue
-            c = _hex(_colormap((full[j, i] - vmin) / span))
             px, py = tf(xv - dx / 2, yv + dy / 2)
             parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw:.2f}" '
-                         f'height="{ch:.2f}" fill="{c}"/>')
-    parts.append(_legend_gradient(vmin, vmax, width))
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+                         f'height="{ch:.2f}" fill="{fill}"/>')
+    _svg_write(path, parts, legend)
+
+
+def svg_heatmap(path, grid, values, title=""):
+    """Colored-cell map of per-grid-point values on an EvalGrid."""
+    full = grid.full(values)
+    vmin, vmax, span = _finite_range(full)
+    fills = np.full(grid.shape, None, dtype=object)
+    for j, i in zip(*np.nonzero(np.isfinite(full))):
+        fills[j, i] = _hex(_colormap((full[j, i] - vmin) / span))
+    _svg_cells(path, grid, fills, title, _legend_gradient(vmin, vmax))
 
 
 def _polygon_path(poly, tf):
@@ -131,35 +144,27 @@ def _polygon_path(poly, tf):
     return " ".join(d)
 
 
-def svg_choropleth(path, polygons, values, title="", width=640, height=560,
-                   vmin=None, vmax=None):
-    """Per-area fill map; the color scale bounds default to data min/max."""
+def svg_choropleth(path, polygons, values, title=""):
+    """Per-area fill map; the color scale spans the finite values."""
     vals = np.asarray(values, dtype=float)
-    if vmin is None:
-        vmin = float(np.nanmin(vals))
-    if vmax is None:
-        vmax = float(np.nanmax(vals))
-    span = (vmax - vmin) or 1.0
+    vmin, vmax, span = _finite_range(vals)
     xs0 = min(p.bbox()[0] for p in polygons)
     ys0 = min(p.bbox()[1] for p in polygons)
     xs1 = max(p.bbox()[2] for p in polygons)
     ys1 = max(p.bbox()[3] for p in polygons)
-    tf = _frame_transform((xs0, ys0, xs1, ys1), width, height)
-    parts = _svg_open(width, height, title)
+    tf = _frame_transform((xs0, ys0, xs1, ys1))
+    parts = _svg_open(title)
     for poly, v in zip(polygons, vals):
         fill = "#dddddd" if not np.isfinite(v) \
             else _hex(_colormap((v - vmin) / span))
         parts.append(f'<path d="{_polygon_path(poly, tf)}" fill="{fill}" '
                      f'stroke="black" stroke-width="0.5" fill-rule="evenodd"/>')
-    parts.append(_legend_gradient(vmin, vmax, width))
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    _svg_write(path, parts, _legend_gradient(vmin, vmax))
 
 
-def _legend_gradient(vmin, vmax, width, n=24):
+def _legend_gradient(vmin, vmax, n=24):
     items = [f'<g font-size="11" font-family="sans-serif">']
-    x = width - 160
+    x = _WIDTH - 160
     for i in range(n):
         c = _hex(_colormap(i / (n - 1)))
         items.append(f'<rect x="{x + i * 5}" y="8" width="5" height="10" '
@@ -174,34 +179,16 @@ _EXC_COLORS = {"below": "#0000ff", "above": "#ff0000",
                "indeterminate": "#000000"}
 
 
-def svg_excursions(path, grid, labels, title="", width=640, height=560):
+def svg_excursions(path, grid, labels, title=""):
     """Three-color excursion map with a three-class legend."""
-    full = np.full(grid.shape, None, dtype=object)
-    full[grid.mask] = labels
-    bbox = (grid.x[0], grid.y[0], grid.x[-1], grid.y[-1])
-    tf = _frame_transform(bbox, width, height)
-    dx = grid.x[1] - grid.x[0] if len(grid.x) > 1 else 1.0
-    dy = grid.y[1] - grid.y[0] if len(grid.y) > 1 else 1.0
-    cw = abs(tf(dx, 0)[0] - tf(0, 0)[0]) + 0.5
-    ch = abs(tf(0, dy)[1] - tf(0, 0)[1]) + 0.5
-    parts = _svg_open(width, height, title)
-    for j, yv in enumerate(grid.y):
-        for i, xv in enumerate(grid.x):
-            lab = full[j, i]
-            if lab is None:
-                continue
-            px, py = tf(xv - dx / 2, yv + dy / 2)
-            parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw:.2f}" '
-                         f'height="{ch:.2f}" fill="{_EXC_COLORS[str(lab)]}"/>')
+    fills = grid.full([_EXC_COLORS[str(lab)] for lab in labels], fill=None)
     # legend: exactly the three classes
-    lx = width - 150
-    parts.append('<g font-size="12" font-family="sans-serif" id="legend">')
+    lx = _WIDTH - 150
+    legend = ['<g font-size="12" font-family="sans-serif" id="legend">']
     for li, name in enumerate(("above", "below", "indeterminate")):
         ly = 10 + 18 * li
-        parts.append(f'<rect x="{lx}" y="{ly}" width="12" height="12" '
-                     f'fill="{_EXC_COLORS[name]}" class="legend-item"/>')
-        parts.append(f'<text x="{lx + 18}" y="{ly + 10}">{name}</text>')
-    parts.append("</g>")
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+        legend.append(f'<rect x="{lx}" y="{ly}" width="12" height="12" '
+                      f'fill="{_EXC_COLORS[name]}" class="legend-item"/>')
+        legend.append(f'<text x="{lx + 18}" y="{ly + 10}">{name}</text>')
+    legend.append("</g>")
+    _svg_cells(path, grid, fills, title, "\n".join(legend))

@@ -16,9 +16,9 @@ from scipy.fft import next_fast_len
 from scipy.special import expit
 
 from ._csv import _write_csv
-from .errors import InvalidGeometryError
+from .errors import InvalidGeometryError, reading
 from .functionals import sample_points_in_polygon
-from .spde import MaternParams, matern_cov, sigma_from_tau
+from .spde import MaternParams, matern_cov, practical_range, sigma_from_tau
 from .survey import SurveyFrame, design_weights
 
 __all__ = [
@@ -32,6 +32,11 @@ __all__ = [
     "write_truth_lattice_csv",
     "write_truth_areas_csv",
 ]
+
+# lattice_field pads the circulant torus by this many practical ranges and,
+# on an indefinite embedding, doubles the padding up to _MAX_GROW times.
+_PAD_RANGES = 4.0
+_MAX_GROW = 3
 
 
 @dataclass
@@ -82,26 +87,25 @@ class TruthLattice:
 @dataclass
 class SimOutput:
     frame: SurveyFrame
-    cluster_field: np.ndarray
     truth: TruthLattice
     area_truth: dict           # area id -> true T_k
     config: SimConfig
 
 
-def lattice_field(xs, ys, params, rng, pad_ranges=4.0, max_grow=3):
+def lattice_field(xs, ys, params, rng):
     """Stationary Matern field on a regular lattice by circulant embedding.
 
     Returns an array of shape (len(ys), len(xs)).  The torus is padded by
-    ``pad_ranges`` practical ranges; on an indefinite embedding the padding
-    doubles up to ``max_grow`` times before small negative eigenvalues are
+    ``_PAD_RANGES`` practical ranges; on an indefinite embedding the padding
+    doubles up to ``_MAX_GROW`` times before small negative eigenvalues are
     clipped with a warning.
     """
     hx = float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
     hy = float(ys[1] - ys[0]) if len(ys) > 1 else 1.0
     nx, ny = len(xs), len(ys)
-    rng_len = np.sqrt(8.0 * params.nu) / params.kappa
-    pad = pad_ranges
-    for attempt in range(max_grow + 1):
+    rng_len = practical_range(params.kappa, params.nu)
+    pad = _PAD_RANGES
+    for attempt in range(_MAX_GROW + 1):
         mx = next_fast_len(nx + int(np.ceil(pad * rng_len / hx)), real=True)
         my = next_fast_len(ny + int(np.ceil(pad * rng_len / hy)), real=True)
         dx = np.minimum(np.arange(mx), mx - np.arange(mx)) * hx
@@ -211,8 +215,8 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
             in_area = poly.contains(grid_pts).reshape(res, res)
             if in_area.any():
                 area_truth[poly.id] = float(prevalence[in_area].mean())
-    return SimOutput(frame=frame, cluster_field=s_cluster, truth=truth,
-                     area_truth=area_truth, config=config)
+    return SimOutput(frame=frame, truth=truth, area_truth=area_truth,
+                     config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +225,7 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
 
 def read_locations_csv(path):
     pts = []
-    with open(path, newline="") as fh:
+    with reading(path), open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             pts.append((float(row["x"]), float(row["y"])))
     return np.asarray(pts)
@@ -229,7 +233,7 @@ def read_locations_csv(path):
 
 def read_household_size_csv(path):
     sizes, probs = [], []
-    with open(path, newline="") as fh:
+    with reading(path), open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             sizes.append(int(row["size"]))
             probs.append(float(row["probability"]))

@@ -47,11 +47,6 @@ class MaternParams:
         if self.sigma2 <= 0 or self.kappa <= 0 or self.nu <= 0:
             raise ValueError("MaternParams must all be positive")
 
-    @property
-    def alpha(self):
-        # SPDE exponent in two dimensions
-        return self.nu + 1.0
-
 
 @dataclass(frozen=True)
 class SpdeTheta:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csv import _write_csv
-from .errors import NoDataError
+from .errors import DataError, NoDataError, reading
 
 __all__ = [
     "SurveyFrame",
@@ -76,13 +76,6 @@ class SurveyFrame:
 
     def area_mask(self, area_id):
         return self.area_id == area_id
-
-    def cluster_locations(self):
-        """Unique clusters with their coordinates, in first-appearance order."""
-        _, first = np.unique(self.cluster_id, return_index=True)
-        first = np.sort(first)
-        return (self.cluster_id[first],
-                np.column_stack([self.x[first], self.y[first]]))
 
 
 @dataclass
@@ -280,38 +273,40 @@ def write_frame_csv(path, frame):
 
 def read_frame_csv(path, design=None):
     """Read a frame CSV; the weight column may be omitted when ``design``
-    supplies (num_psu_sampled, total_psu, households_per_ea)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        has_w = "weight" in (reader.fieldnames or [])
-        for row in reader:
-            rows.append(row)
-    if not rows:
-        raise NoDataError(f"{path}: empty frame")
-    cl = np.array([r["cluster_id"] for r in rows])
-    if not has_w or any(not r.get("weight") for r in rows):
-        if design is None:
-            raise ValueError("frame has no weights and no design was given")
-        num_psu, total_psu, hh_per_ea = design
-        m_by_cluster = {}
-        for r in rows:
-            m_by_cluster[r["cluster_id"]] = m_by_cluster.get(r["cluster_id"], 0) + 1
-        weights = np.array([
-            design_weights(num_psu, total_psu, m_by_cluster[r["cluster_id"]],
-                           hh_per_ea) for r in rows])
-    else:
-        weights = np.array([float(r["weight"]) for r in rows])
-    return SurveyFrame(
-        cluster_id=cl,
-        area_id=np.array([r["area_id"] for r in rows]),
-        x=np.array([float(r["x"]) for r in rows]),
-        y=np.array([float(r["y"]) for r in rows]),
-        household_id=np.array([r["household_id"] for r in rows]),
-        n_members=np.array([float(r["N"]) for r in rows]),
-        positives=np.array([float(r["Y"]) for r in rows]),
-        weight=weights,
-    )
+    supplies (num_psu_sampled, total_psu, households_per_ea).  A malformed
+    file raises :class:`DataError` naming it."""
+    with reading(path):
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            has_w = "weight" in (reader.fieldnames or [])
+            rows = list(reader)
+        if not rows:
+            raise NoDataError(f"{path}: empty frame")
+        if not has_w or any(not r.get("weight") for r in rows):
+            if design is None:
+                raise DataError(f"{path}: frame has no weights and no "
+                                f"design was given")
+            num_psu, total_psu, hh_per_ea = design
+            m_by_cluster = {}
+            for r in rows:
+                m_by_cluster[r["cluster_id"]] = \
+                    m_by_cluster.get(r["cluster_id"], 0) + 1
+            weights = np.array([
+                design_weights(num_psu, total_psu,
+                               m_by_cluster[r["cluster_id"]], hh_per_ea)
+                for r in rows])
+        else:
+            weights = np.array([float(r["weight"]) for r in rows])
+        return SurveyFrame(
+            cluster_id=np.array([r["cluster_id"] for r in rows]),
+            area_id=np.array([r["area_id"] for r in rows]),
+            x=np.array([float(r["x"]) for r in rows]),
+            y=np.array([float(r["y"]) for r in rows]),
+            household_id=np.array([r["household_id"] for r in rows]),
+            n_members=np.array([float(r["N"]) for r in rows]),
+            positives=np.array([float(r["Y"]) for r in rows]),
+            weight=weights,
+        )
 
 
 def write_direct_estimates_csv(path, estimates):

@@ -225,3 +225,67 @@ def test_cli_spde_only_fit(tmp_path):
     assert set(EXPECTED["fit"][:4]) <= out
     assert not out & {"direct_estimates.csv", "bym_summary.csv",
                       "bym_theta_grid.csv"}
+
+
+# ---------------------------------------------------------------------------
+# bad inputs: exit 2 naming the config key, exit 3 naming the file
+# ---------------------------------------------------------------------------
+
+_FRAME_COLS = ["cluster_id", "area_id", "x", "y", "household_id", "N", "Y",
+               "weight"]
+
+
+def _frame_case(directory, drop=None, y_above_n=False, adjacency=None):
+    """A hand-written frame (two clusters of two households in each of the
+    2 x 2 areas) without column ``drop``, with one Y > N if asked, and an
+    adjacency CSV of the given edges if any.  Returns the config overrides,
+    the exit code and the file the error message must name."""
+    rows = [[2 * a + c, f"A{a}", x + c, y, h, 4, 1 + c, 10.0]
+            for a, (x, y) in enumerate([(2, 2), (7, 2), (2, 7), (7, 7)])
+            for c in range(2) for h in range(2)]
+    if y_above_n:
+        rows[0][6] = 9
+    keep = [i for i, name in enumerate(_FRAME_COLS) if name != drop]
+    frame = _write_rows(os.path.join(directory, "frame_in.csv"),
+                        [_FRAME_COLS[i] for i in keep],
+                        [[row[i] for i in keep] for row in rows])
+    if adjacency is None:
+        return {"paths": {"data": frame}}, 3, frame
+    adj = _write_rows(os.path.join(directory, "adjacency.csv"),
+                      ["area_i", "area_j"], adjacency)
+    return ({"paths": {"data": frame, "adjacency": adj},
+             "model": {"fit_spde": "false"}}, 3, adj)
+
+
+def _polygons_without_ring_index(directory):
+    path = _write_rows(os.path.join(directory, "boundary_in.csv"),
+                       ["id", "vertex_index", "x", "y"],
+                       [("b", 0, 0, 0), ("b", 1, 10, 0), ("b", 2, 10, 10),
+                        ("b", 3, 0, 10)])
+    return {"paths": {"boundary": path}}, 3, path
+
+
+BAD_INPUTS = {
+    "exterior_max_edge_text": lambda d: (
+        {"model": {"exterior_max_edge": "abc"}}, 2, "model.exterior_max_edge"),
+    "grid_spacing_text": lambda d: (
+        {"functionals": {"grid_spacing": "abc"}}, 2, "functionals.grid_spacing"),
+    "grid_spacing_nan": lambda d: (
+        {"functionals": {"grid_spacing": "nan"}}, 2, "functionals.grid_spacing"),
+    "threads_text": lambda d: ({"run": {"threads": "abc"}}, 2, "run.threads"),
+    "frame_y_above_n": lambda d: _frame_case(d, y_above_n=True),
+    "frame_without_weight": lambda d: _frame_case(d, drop="weight"),
+    "frame_without_y": lambda d: _frame_case(d, drop="Y"),
+    "polygons_without_ring_index": _polygons_without_ring_index,
+    "adjacency_unknown_area": lambda d: _frame_case(
+        d, adjacency=[("A0", "A1"), ("A0", "A9")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exit_code_names_the_culprit(tmp_path, capsys, case):
+    extra, code, culprit = BAD_INPUTS[case](str(tmp_path))
+    ini = _write_config(str(tmp_path), extra=extra)
+    capsys.readouterr()
+    assert cli.main(["fit", "-c", ini]) == code
+    assert culprit in capsys.readouterr().err

@@ -23,3 +23,18 @@ def test_echoed_config_reparses_to_same_values(tmp_path):
     assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
     assert cfg.exterior_max_edge == 5.0 * 0.45
     assert cfg.grid_spacing == 0.45 / 2.0
+
+
+def test_echo_records_threads_from_the_environment(tmp_path, monkeypatch):
+    # run.threads left blank resolves from PREVMAP_THREADS; the echo holds
+    # the resolved count, so it re-parses the same without the variable
+    ini = tmp_path / "config.ini"
+    ini.write_text(f"[paths]\noutput_dir = {tmp_path / 'out'}\n")
+    monkeypatch.setenv("PREVMAP_THREADS", "3")
+    cfg = load_config(str(ini))
+    assert cfg.threads == 3
+    echo = tmp_path / "config_resolved.ini"
+    cfg.echo(str(echo))
+    monkeypatch.delenv("PREVMAP_THREADS")
+    assert load_config(str(ini)).threads == 1
+    assert dataclasses.asdict(load_config(str(echo))) == dataclasses.asdict(cfg)

@@ -9,8 +9,8 @@ from scipy.stats import norm
 
 from prevmap import functionals
 from prevmap.functionals import (EvalGrid, SurfaceSpec, area_averages,
-                                 make_grid, pointwise_exceedance,
-                                 pointwise_median, sample_points_in_polygon,
+                                 make_grid, pointwise_median,
+                                 sample_points_in_polygon,
                                  simultaneous_excursions, write_area_csv,
                                  write_grid_csv)
 from prevmap.geometry import Polygon, fem_matrices, project
@@ -25,6 +25,11 @@ def surface(square10):
     spec = SurfaceSpec(mesh=mesh, field_slice=slice(0, mesh.num_vertices),
                        beta0_index=mesh.num_vertices)
     return mesh, spec
+
+
+def _exceed_prob(samples, spec, points, u):
+    """Per point: the share of samples with prevalence above u."""
+    return simultaneous_excursions(samples, spec, points, u).exceed_prob
 
 
 def _samples_from_fields(mesh, fields, beta0):
@@ -114,8 +119,8 @@ def test_pointwise_exceedance_threshold_limits(surface):
     fields = rng.standard_normal((200, mesh.num_vertices)) * 0.4
     samples = _samples_from_fields(mesh, fields, -2.5)
     grid = np.array([[2.0, 2.0], [5.0, 5.0], [8.0, 8.0]])
-    p_low = pointwise_exceedance(samples, spec, grid, 1e-9)
-    p_high = pointwise_exceedance(samples, spec, grid, 1 - 1e-9)
+    p_low = _exceed_prob(samples, spec, grid, 1e-9)
+    p_high = _exceed_prob(samples, spec, grid, 1 - 1e-9)
     assert np.allclose(p_low, 1.0)
     assert np.allclose(p_high, 0.0)
 
@@ -131,7 +136,7 @@ def test_pointwise_exceedance_gaussian_analytic(surface):
     beta0 = -2.0
     samples = _samples_from_fields(mesh, fields, beta0)
     u = 0.2
-    probs = pointwise_exceedance(samples, spec, np.array([[5.0, 5.0]]), u)
+    probs = _exceed_prob(samples, spec, np.array([[5.0, 5.0]]), u)
     target = norm.sf((logit(u) - beta0 - mu_field) / sd_field)
     se = np.sqrt(target * (1 - target) / n_samp)
     assert abs(probs[0] - target) < 4 * se
@@ -292,10 +297,10 @@ def test_pointwise_maps_do_not_depend_on_block_size(surface, monkeypatch):
     pts = np.column_stack([np.linspace(0.2, 9.8, 23), np.full(23, 4.0)])
     field = SurfaceSpec(mesh=mesh, field_slice=spec.field_slice)
     monkeypatch.setattr(functionals, "_BLOCK_CELLS", 10 ** 9)
-    probs = pointwise_exceedance(samples, spec, pts, 0.5)
+    probs = _exceed_prob(samples, spec, pts, 0.5)
     med = pointwise_median(samples, field, pts)
     monkeypatch.setattr(functionals, "_BLOCK_CELLS", 4 * 30)  # 4,4,...,3
-    assert np.array_equal(pointwise_exceedance(samples, spec, pts, 0.5),
+    assert np.array_equal(_exceed_prob(samples, spec, pts, 0.5),
                           probs)
     assert np.array_equal(pointwise_median(samples, field, pts), med)
     assert np.isfinite(probs).all() and np.isfinite(med).all()
@@ -356,7 +361,6 @@ def test_out_of_mesh_points_get_nan_statistics(unit_square):
     pts = np.array([[0.5, 0.5], [0.2, 0.7], [50.0, 50.0]])
     res = simultaneous_excursions(samples, spec, pts, 0.3)
     for values in (res.exceed_prob, res.mean, res.sd,
-                   pointwise_exceedance(samples, spec, pts, 0.3),
                    pointwise_median(samples, spec, pts)):
         assert np.isnan(values[2])
         assert np.isfinite(values[:2]).all()

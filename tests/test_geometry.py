@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prevmap.errors import InvalidGeometryError
-from prevmap.geometry import (Polygon, fem_matrices, point_in_area, project,
+from prevmap.geometry import (Polygon, fem_matrices, project,
                               read_polygons_csv, read_polygons_geojson,
                               write_polygons_csv, TriMesh)
 from prevmap.meshing import build_mesh
@@ -38,16 +38,20 @@ def test_polygon_area_with_hole():
 
 
 def test_point_in_area_basics(unit_square):
-    assert point_in_area((0.5, 0.5), unit_square)
-    assert point_in_area((0.0, 0.5), unit_square)  # boundary counts inside
-    assert not point_in_area((1.5, 0.5), unit_square)
+    # a single point gives a bool; the boundary counts inside
+    assert unit_square.contains((0.5, 0.5)) is True
+    assert unit_square.contains((0.0, 0.5)) is True
+    assert unit_square.contains((1.5, 0.5)) is False
+    assert unit_square.contains([[0.5, 0.5], [0.0, 0.5], [1.5, 0.5]]).tolist() \
+        == [True, True, False]
 
 
 def test_point_in_hole_is_outside():
     p = Polygon([[(0, 0), (4, 0), (4, 4), (0, 4)],
                  [(1, 1), (3, 1), (3, 3), (1, 3)]])
-    assert not point_in_area((2, 2), p)
-    assert point_in_area((0.5, 0.5), p)
+    assert not p.contains((2, 2))
+    assert p.contains((0.5, 0.5))
+    assert p.contains((1.0, 2.0))  # on the hole's edge
 
 
 def test_containment_monte_carlo_area_oracle():

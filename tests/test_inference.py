@@ -397,7 +397,7 @@ def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
     y = rng.binomial(10, expit(-1.0 + 0.5 * np.sin(locs[:, 0]))).astype(float)
     model = make_spde_model(BinomialObs(y, trials),
                             project(coarse_mesh10, locs), *coarse_fem10,
-                            mesh=coarse_mesh10, nugget=False)
+                            nugget=False)
     fit = fit_latent_model(model)
     assert len(fit.points) > 1
     assert calls["ordered"] <= 2
@@ -416,8 +416,8 @@ def _spde_problem(mesh, fem, nugget, seed=8, n=120):
     y = rng.binomial(10, expit(-1.0 + 0.5 * np.sin(locs[:, 0]))).astype(float)
     theta_init = [0.0, 0.0] + ([np.log(100.0)] if nugget else [])
     return make_spde_model(BinomialObs(y, np.full(n, 10.0)),
-                           project(mesh, locs), *fem, mesh=mesh,
-                           nugget=nugget, theta_init=theta_init)
+                           project(mesh, locs), *fem, nugget=nugget,
+                           theta_init=theta_init)
 
 
 def _bym_problem(seed=6, side=6):
