@@ -117,14 +117,14 @@ class BymFit:
 
 
 def _build_latent_model(model):
+    """The latent model, the areas in its ICAR block (in block order) and
+    the singleton areas, which have no ICAR term."""
     k = model.graph.n_areas
     obs_ix = np.where(model.observed)[0]
     n = len(obs_ix)
     labels = model.graph.component_labels()
-    comp_sizes = np.bincount(labels)
-    singletons = np.where(comp_sizes[labels] == 1)[0]
-    icar_cols = np.array([i for i in range(k) if i not in set(singletons)],
-                         dtype=int)
+    singleton = np.bincount(labels)[labels] == 1
+    icar_cols = np.flatnonzero(~singleton)
 
     q_struct = icar_precision(model.graph)
     comps = []
@@ -164,34 +164,21 @@ def _build_latent_model(model):
         fixed_names=["beta0_star"],
         theta_init=np.asarray(model.theta_init, dtype=float)[
             (0 if len(icar_cols) else 1):],
-        meta={"icar_cols": icar_cols,
-              "singletons": sorted(int(s) for s in singletons)},
     )
-    return lm
+    return lm, icar_cols, np.flatnonzero(singleton).tolist()
 
 
-def _eta_operator(lm, k):
-    """Sparse map from the latent vector to the K area-level eta values."""
-    icar_cols = lm.meta["icar_cols"]
-    d = lm.latent_dim
-    rows, cols, vals = [], [], []
-    if "icar" in lm.slices:
-        s = lm.slices["icar"].start
-        for pos, area in enumerate(icar_cols):
-            rows.append(area)
-            cols.append(s + pos)
-            vals.append(1.0)
-    s = lm.slices["iid"].start
-    for area in range(k):
-        rows.append(area)
-        cols.append(s + area)
-        vals.append(1.0)
-    s = lm.slices["fixed"].start
-    for area in range(k):
-        rows.append(area)
-        cols.append(s)
-        vals.append(1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(k, d))
+def _eta_operator(lm, icar_cols, k):
+    """Sparse map from the latent vector to the K area-level eta values:
+    eta_k = S_k + eps_k + beta0*, entries in that order within each row."""
+    areas = np.arange(k)
+    icar = lm.slices["icar"].start if len(icar_cols) else 0
+    rows = np.concatenate([icar_cols, areas, areas])
+    cols = np.concatenate([icar + np.arange(len(icar_cols)),
+                           lm.slices["iid"].start + areas,
+                           np.full(k, lm.slices["fixed"].start)])
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                         shape=(k, lm.latent_dim))
 
 
 def fit_bym(model, thetas=None, threads=1):
@@ -202,10 +189,11 @@ def fit_bym(model, thetas=None, threads=1):
     Gaussian approximations directly; p_k quantiles follow by the monotone
     expit transform and the p_k mean by Gauss--Hermite integration.
     """
-    lm = _build_latent_model(model)
+    lm, icar_cols, singletons = _build_latent_model(model)
     k = model.graph.n_areas
     fit = fit_latent_model(lm, thetas=thetas, threads=threads)
-    mus, sds, mean, sd, q = _linear_mixture(fit, _eta_operator(lm, k))
+    mus, sds, mean, sd, q = _linear_mixture(
+        fit, _eta_operator(lm, icar_cols, k))
     weights = fit.weights
 
     # E[expit(eta)] per area by Gauss-Hermite over each mixture component
@@ -222,7 +210,7 @@ def fit_bym(model, thetas=None, threads=1):
         eta_q025=q[0], eta_q50=q[1], eta_q975=q[2],
         p_mean=p_mean,
         p_q025=expit(q[0]), p_q50=expit(q[1]), p_q975=expit(q[2]),
-        singleton_areas=lm.meta["singletons"],
+        singleton_areas=singletons,
     )
 
 

@@ -179,7 +179,7 @@ def _fit_bym(cfg, frame):
     areas = _areas(cfg)
     if areas is None:
         raise DataError("paths.areas is required for the BYM path")
-    ests = survey.direct_estimates(frame, fix_policy=cfg.fix_policy)
+    ests = survey.direct_estimates(frame)
     order = {str(p.id): i for i, p in enumerate(areas)}
     y = np.full(len(areas), np.nan)
     v = np.full(len(areas), np.nan)

@@ -1,14 +1,20 @@
 """Pipeline configuration: INI-style key-value sections, strictly validated.
 
-Every numeric range and referenced file is checked before any computation;
-violations raise :class:`ConfigError` naming the offending ``section.key``.
-The resolved configuration (defaults filled in) can be echoed back to disk
-and re-parses to an equivalent configuration.
+Each setting is declared once, as a row of ``_SETTINGS``: its section, key,
+default, type and bounds.  The defaults, the fields of
+:class:`PipelineConfig` (the key, or ``sim_<key>`` for the ``[sim]``
+section) and the parsing loop all come from that table.  Every numeric
+range and referenced file is checked before any computation; violations
+raise :class:`ConfigError` naming the offending ``section.key``.  The
+resolved configuration (defaults filled in) can be echoed back to disk and
+re-parses to an equivalent configuration.
 """
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,142 +22,114 @@ from .errors import ConfigError
 
 __all__ = ["PipelineConfig", "load_config"]
 
-_DEFAULTS = {
-    "paths": {
-        "output_dir": "out",
-        "boundary": "",
-        "areas": "",
-        "data": "",
-        "cluster_locations": "",
-        "household_sizes": "",
-        "adjacency": "",
-    },
-    "run": {
-        "seed": "0",
-        "samples": "1000",
-        "threads": "",
-    },
-    "model": {
-        "interior_max_edge": "0.6",
-        "extension_factor": "1.5",
-        "exterior_max_edge": "",
-        "nugget": "true",
-        "sigma2_init": "0.1",
-        "range_init": "2.0",
-        "nugget_var_init": "0.01",
-        "fit_spde": "true",
-        "fit_bym": "true",
-    },
-    "survey": {
-        "total_psu": "46034",
-        "households_per_ea": "100",
-        "fix_policy": "shrink",
-    },
-    "sim": {
-        "beta0": repr(float(np.log(0.07 / 0.93))),
-        "tau": repr(float(np.exp(-0.5))),
-        "kappa": repr(float(np.exp(0.5))),
-        "nugget_var": "0.01",
-        "n_clusters": "400",
-        "m_min": "4",
-        "m_max": "11",
-        "truth_resolution": "200",
-    },
-    "functionals": {
-        "u": "0.07",
-        "alpha_level": "0.05",
-        "points_per_area": "100",
-        "grid_spacing": "",
-    },
+
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    default: str
+    type: type = str
+    lo: float = None      # lower bound, exclusive when ``strict``
+    strict: bool = False
+    hi: float = None
+
+    @property
+    def attr(self):
+        return f"sim_{self.key}" if self.section == "sim" else self.key
+
+
+_S = _Setting
+# in echo order: sections, and keys within a section, as listed
+_SETTINGS = (
+    _S("paths", "output_dir", "out"),
+    _S("paths", "boundary", ""),
+    _S("paths", "areas", ""),
+    _S("paths", "data", ""),
+    _S("paths", "cluster_locations", ""),
+    _S("paths", "household_sizes", ""),
+    _S("paths", "adjacency", ""),
+    _S("run", "seed", "0", int, lo=0),
+    _S("run", "samples", "1000", int, lo=1),
+    _S("run", "threads", "", int, lo=1),
+    _S("model", "interior_max_edge", "0.6", float, lo=0, strict=True),
+    _S("model", "extension_factor", "1.5", float, lo=1),
+    _S("model", "exterior_max_edge", "", float),
+    _S("model", "nugget", "true", bool),
+    _S("model", "sigma2_init", "0.1", float, lo=0, strict=True),
+    _S("model", "range_init", "2.0", float, lo=0, strict=True),
+    _S("model", "nugget_var_init", "0.01", float, lo=0, strict=True),
+    _S("model", "fit_spde", "true", bool),
+    _S("model", "fit_bym", "true", bool),
+    _S("survey", "total_psu", "46034", int, lo=1),
+    _S("survey", "households_per_ea", "100", int, lo=1),
+    _S("sim", "beta0", repr(float(np.log(0.07 / 0.93))), float),
+    _S("sim", "tau", repr(float(np.exp(-0.5))), float, lo=0, strict=True),
+    _S("sim", "kappa", repr(float(np.exp(0.5))), float, lo=0, strict=True),
+    _S("sim", "nugget_var", "0.01", float, lo=0),
+    _S("sim", "n_clusters", "400", int, lo=1),
+    _S("sim", "m_min", "4", int, lo=1),
+    _S("sim", "m_max", "11", int, lo=1),
+    _S("sim", "truth_resolution", "200", int, lo=2),
+    _S("functionals", "u", "0.07", float, lo=0, strict=True),
+    _S("functionals", "alpha_level", "0.05", float, lo=0, strict=True,
+       hi=0.5),
+    _S("functionals", "points_per_area", "100", int, lo=1),
+    _S("functionals", "grid_spacing", "", float, lo=0, strict=True),
+)
+
+# a blank derived value resolves from the values parsed before it;
+# PREVMAP_THREADS is read here and nowhere else
+_DERIVED = {
+    "threads": lambda v: os.environ.get("PREVMAP_THREADS") or "1",
+    "exterior_max_edge": lambda v: repr(5.0 * v["interior_max_edge"]),
+    "grid_spacing": lambda v: repr(v["interior_max_edge"] / 2.0),
 }
 
 
-def _get_float(parser, section, key, lo=None, hi=None, strict_lo=False):
-    raw = parser.get(section, key)
+def _parse(setting, raw):
+    name = f"{setting.section}.{setting.key}"
+    if setting.type is str:
+        return raw
+    if setting.type is bool:
+        raw = raw.strip().lower()
+        if raw in ("true", "1", "yes", "on"):
+            return True
+        if raw in ("false", "0", "no", "off"):
+            return False
+        raise ConfigError(name, f"not a boolean: {raw!r}")
     try:
-        val = float(raw)
+        val = setting.type(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}", f"not a number: {raw!r}")
-    if not np.isfinite(val):
-        raise ConfigError(f"{section}.{key}", "must be finite")
-    if lo is not None and (val < lo or (strict_lo and val <= lo)):
-        raise ConfigError(f"{section}.{key}",
-                          f"must be {'>' if strict_lo else '>='} {lo}")
-    if hi is not None and val > hi:
-        raise ConfigError(f"{section}.{key}", f"must be <= {hi}")
+        what = "an integer" if setting.type is int else "a number"
+        raise ConfigError(name, f"not {what}: {raw!r}")
+    if setting.type is float and not math.isfinite(val):
+        raise ConfigError(name, "must be finite")
+    lo, strict = setting.lo, setting.strict
+    if lo is not None and (val < lo or (strict and val <= lo)):
+        raise ConfigError(name, f"must be {'>' if strict else '>='} {lo}")
+    if setting.hi is not None and val > setting.hi:
+        raise ConfigError(name, f"must be <= {setting.hi}")
     return val
 
 
-def _get_int(parser, section, key, lo=None):
-    raw = parser.get(section, key)
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"not an integer: {raw!r}")
-    if lo is not None and val < lo:
-        raise ConfigError(f"{section}.{key}", f"must be >= {lo}")
-    return val
+def _echo(self, path):
+    """Write the resolved configuration; re-parses to the same values."""
+    parser = configparser.ConfigParser()
+    for section, keys in self.raw.items():
+        parser[section] = dict(keys)
+    with open(path, "w") as fh:
+        parser.write(fh)
 
 
-def _get_bool(parser, section, key):
-    raw = parser.get(section, key).strip().lower()
-    if raw in ("true", "1", "yes", "on"):
-        return True
-    if raw in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{section}.{key}", f"not a boolean: {raw!r}")
+def _out(self, name):
+    return os.path.join(self.output_dir, name)
 
 
-@dataclass
-class PipelineConfig:
-    """Typed view of the pipeline configuration."""
-
-    output_dir: str
-    boundary: str
-    areas: str
-    data: str
-    cluster_locations: str
-    household_sizes: str
-    adjacency: str
-    seed: int
-    samples: int
-    threads: int
-    interior_max_edge: float
-    extension_factor: float
-    exterior_max_edge: float
-    nugget: bool
-    sigma2_init: float
-    range_init: float
-    nugget_var_init: float
-    fit_spde: bool
-    fit_bym: bool
-    total_psu: int
-    households_per_ea: int
-    fix_policy: str
-    sim_beta0: float
-    sim_tau: float
-    sim_kappa: float
-    sim_nugget_var: float
-    sim_n_clusters: int
-    sim_m_min: int
-    sim_m_max: int
-    sim_truth_resolution: int
-    u: float
-    alpha_level: float
-    points_per_area: int
-    grid_spacing: float
-    raw: dict = field(default_factory=dict, repr=False)
-
-    def echo(self, path):
-        """Write the resolved configuration; re-parses to the same values."""
-        parser = configparser.ConfigParser()
-        for section, keys in self.raw.items():
-            parser[section] = dict(keys)
-        with open(path, "w") as fh:
-            parser.write(fh)
-
-    def out(self, name):
-        return os.path.join(self.output_dir, name)
+PipelineConfig = make_dataclass(
+    "PipelineConfig",
+    [(s.attr, s.type) for s in _SETTINGS]
+    + [("raw", dict, field(default_factory=dict, repr=False))],
+    namespace={"__doc__": "Typed view of the pipeline configuration.",
+               "__module__": __name__, "echo": _echo, "out": _out})
 
 
 def load_config(path, require_files=()):
@@ -167,92 +145,40 @@ def load_config(path, require_files=()):
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError("config", f"parse error: {exc}")
+    known = {(s.section, s.key) for s in _SETTINGS}
     for section in parser.sections():
-        if section not in _DEFAULTS:
+        if section not in {s.section for s in _SETTINGS}:
             raise ConfigError(section, "unknown section")
         for key in parser[section]:
-            if key not in _DEFAULTS[section]:
+            if (section, key) not in known:
                 raise ConfigError(f"{section}.{key}", "unknown key")
-    for section, keys in _DEFAULTS.items():
-        if not parser.has_section(section):
-            parser.add_section(section)
-        for key, default in keys.items():
-            if not parser.has_option(section, key):
-                parser.set(section, key, default)
+    for s in _SETTINGS:
+        if not parser.has_section(s.section):
+            parser.add_section(s.section)
+        if not parser.has_option(s.section, s.key):
+            parser.set(s.section, s.key, s.default)
 
-    interior = _get_float(parser, "model", "interior_max_edge", lo=0,
-                          strict_lo=True)
-    # a blank derived value resolves from other settings; PREVMAP_THREADS
-    # is read here and nowhere else
-    for section, key, value in (
-            ("model", "exterior_max_edge", repr(5.0 * interior)),
-            ("functionals", "grid_spacing", repr(interior / 2.0)),
-            ("run", "threads", os.environ.get("PREVMAP_THREADS") or "1")):
-        if not parser.get(section, key).strip():
-            parser.set(section, key, value)
-    exterior = _get_float(parser, "model", "exterior_max_edge", lo=interior)
-    spacing = _get_float(parser, "functionals", "grid_spacing", lo=0,
-                         strict_lo=True)
-    threads = _get_int(parser, "run", "threads", lo=1)
+    values = {}
+    for s in _SETTINGS:
+        raw = parser.get(s.section, s.key)
+        if s.attr in _DERIVED and not raw.strip():
+            raw = _DERIVED[s.attr](values)
+        values[s.attr] = _parse(s, raw)
+        if s.attr in _DERIVED:
+            # record the resolved value so the echo round-trips exactly
+            parser.set(s.section, s.key, repr(values[s.attr]))
 
-    m_min = _get_int(parser, "sim", "m_min", lo=1)
-    m_max = _get_int(parser, "sim", "m_max", lo=1)
-    hh_per_ea = _get_int(parser, "survey", "households_per_ea", lo=1)
-    if not (m_min <= m_max <= hh_per_ea):
+    interior = values["interior_max_edge"]
+    if values["exterior_max_edge"] < interior:
+        raise ConfigError("model.exterior_max_edge", f"must be >= {interior}")
+    if not (values["sim_m_min"] <= values["sim_m_max"]
+            <= values["households_per_ea"]):
         raise ConfigError("sim.m_max",
                           "need m_min <= m_max <= survey.households_per_ea")
-    fix_policy = parser.get("survey", "fix_policy").strip().lower()
-    if fix_policy not in ("shrink", "none"):
-        raise ConfigError("survey.fix_policy", f"unknown policy {fix_policy!r}")
-
-    cfg = PipelineConfig(
-        output_dir=parser.get("paths", "output_dir"),
-        boundary=parser.get("paths", "boundary"),
-        areas=parser.get("paths", "areas"),
-        data=parser.get("paths", "data"),
-        cluster_locations=parser.get("paths", "cluster_locations"),
-        household_sizes=parser.get("paths", "household_sizes"),
-        adjacency=parser.get("paths", "adjacency"),
-        seed=_get_int(parser, "run", "seed", lo=0),
-        samples=_get_int(parser, "run", "samples", lo=1),
-        threads=threads,
-        interior_max_edge=interior,
-        extension_factor=_get_float(parser, "model", "extension_factor", lo=1),
-        exterior_max_edge=exterior,
-        nugget=_get_bool(parser, "model", "nugget"),
-        sigma2_init=_get_float(parser, "model", "sigma2_init", lo=0,
-                               strict_lo=True),
-        range_init=_get_float(parser, "model", "range_init", lo=0,
-                              strict_lo=True),
-        nugget_var_init=_get_float(parser, "model", "nugget_var_init", lo=0,
-                                   strict_lo=True),
-        fit_spde=_get_bool(parser, "model", "fit_spde"),
-        fit_bym=_get_bool(parser, "model", "fit_bym"),
-        total_psu=_get_int(parser, "survey", "total_psu", lo=1),
-        households_per_ea=hh_per_ea,
-        fix_policy=fix_policy,
-        sim_beta0=_get_float(parser, "sim", "beta0"),
-        sim_tau=_get_float(parser, "sim", "tau", lo=0, strict_lo=True),
-        sim_kappa=_get_float(parser, "sim", "kappa", lo=0, strict_lo=True),
-        sim_nugget_var=_get_float(parser, "sim", "nugget_var", lo=0),
-        sim_n_clusters=_get_int(parser, "sim", "n_clusters", lo=1),
-        sim_m_min=m_min,
-        sim_m_max=m_max,
-        sim_truth_resolution=_get_int(parser, "sim", "truth_resolution", lo=2),
-        u=_get_float(parser, "functionals", "u", lo=0, strict_lo=True),
-        alpha_level=_get_float(parser, "functionals", "alpha_level", lo=0,
-                               strict_lo=True, hi=0.5),
-        points_per_area=_get_int(parser, "functionals", "points_per_area",
-                                 lo=1),
-        grid_spacing=spacing,
-        raw={s: dict(parser[s]) for s in parser.sections()},
-    )
-    if cfg.u >= 1.0:
+    if values["u"] >= 1.0:
         raise ConfigError("functionals.u", "must lie in (0, 1)")
-    # record resolved derived values so the echo round-trips exactly
-    cfg.raw["model"]["exterior_max_edge"] = repr(exterior)
-    cfg.raw["functionals"]["grid_spacing"] = repr(spacing)
-    cfg.raw["run"]["threads"] = str(threads)
+    cfg = PipelineConfig(**values,
+                         raw={s: dict(parser[s]) for s in parser.sections()})
     for key in require_files:
         p = getattr(cfg, key)
         if not p:

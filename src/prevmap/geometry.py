@@ -136,13 +136,18 @@ class Polygon:
         """Even-odd containment for an array of points, holes respected.
 
         Points on a ring edge (within ``_BOUNDARY_TOL`` of it, scaled by the
-        bounding-box size) count as inside.
+        bounding-box size) count as inside.  Only points in the bounding box
+        grown by that tolerance are tested: any other point crosses each
+        ring an even number of times and is beyond tolerance of every edge.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.zeros(len(pts), dtype=bool)
-        on_edge = np.zeros(len(pts), dtype=bool)
+        all_pts = np.atleast_2d(np.asarray(points, dtype=float))
         x0, y0, x1, y1 = self.bbox()
         tol = _BOUNDARY_TOL * max(x1 - x0, y1 - y0, 1.0)
+        near = ((all_pts[:, 0] >= x0 - tol) & (all_pts[:, 0] <= x1 + tol)
+                & (all_pts[:, 1] >= y0 - tol) & (all_pts[:, 1] <= y1 + tol))
+        pts = all_pts[near]
+        inside = np.zeros(len(pts), dtype=bool)
+        on_edge = np.zeros(len(pts), dtype=bool)
         for ring in self.rings:
             xa, ya = ring[:, 0], ring[:, 1]
             xb, yb = np.roll(xa, -1), np.roll(ya, -1)
@@ -154,7 +159,8 @@ class Polygon:
             crossing = cond & (px < xint)
             inside ^= (np.sum(crossing, axis=1) % 2).astype(bool)
             on_edge |= (_ring_dist2(ring, px, py) <= tol * tol).any(axis=1)
-        result = inside | on_edge
+        result = np.zeros(len(all_pts), dtype=bool)
+        result[near] = inside | on_edge
         if np.ndim(points) == 1:
             return bool(result[0])
         return result

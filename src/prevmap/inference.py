@@ -183,8 +183,7 @@ class LatentModel:
     """
 
     def __init__(self, obs, components, fixed_design=None, fixed_names=None,
-                 fixed_prec=1e-3, theta_init=None, theta_prior_sd=1.5,
-                 meta=None):
+                 fixed_prec=1e-3, theta_init=None, theta_prior_sd=1.5):
         self.obs = obs
         self.components = list(components)
         n = obs.n
@@ -218,7 +217,6 @@ class LatentModel:
             raise ValueError("theta_init length mismatch")
         self.theta_prior_sd = np.broadcast_to(
             np.asarray(theta_prior_sd, dtype=float), (self.n_theta,)).copy()
-        self.meta = dict(meta or {})
 
         blocks = [sp.csr_matrix(c.design) for c in self.components]
         if p:

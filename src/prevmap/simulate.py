@@ -41,21 +41,21 @@ _MAX_GROW = 3
 
 @dataclass
 class SimConfig:
-    """Parameters of the synthetic survey; defaults follow the simulation
-    study this package reproduces."""
+    """Parameters of the synthetic survey; the study's defaults are the
+    ``[sim]`` and ``[survey]`` settings of :mod:`prevmap.config`."""
 
-    beta0: float = float(np.log(0.07 / 0.93))
-    tau: float = float(np.exp(-0.5))
-    kappa: float = float(np.exp(0.5))
-    nugget_var: float = 0.01
-    n_clusters: int = 400
-    total_psu: int = 46034
-    households_per_ea: int = 100
-    m_range: tuple = (4, 11)
-    household_sizes: tuple = tuple(range(1, 13))
-    household_size_probs: tuple = tuple([1.0 / 12] * 12)
-    truth_resolution: int = 200
-    seed: int = 0
+    beta0: float
+    tau: float
+    kappa: float
+    nugget_var: float
+    n_clusters: int
+    total_psu: int
+    households_per_ea: int
+    m_range: tuple
+    household_sizes: tuple
+    household_size_probs: tuple
+    truth_resolution: int
+    seed: int
 
     def __post_init__(self):
         if self.nugget_var < 0 or self.tau <= 0 or self.kappa <= 0:

@@ -4,16 +4,18 @@ A frame holds one row per sampled household.  Design weights are the
 reciprocal two-stage selection probabilities; prevalence is estimated per
 area by the Hajek ratio with a with-replacement first-stage linearization
 variance, then moved to the logit scale by the delta method.  Zero/one
-prevalences get a pluggable boundary fix.
+prevalences, and variances too small for the logit, get the
+:class:`ShrinkFix` boundary fix.  :func:`direct_estimates` groups the
+households by area once and estimates each area from its sub-frame.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._csv import _write_csv
-from .errors import DataError, NoDataError, reading
+from .errors import NoDataError, reading
 
 __all__ = [
     "SurveyFrame",
@@ -71,11 +73,10 @@ class SurveyFrame:
     def num_households(self):
         return len(self.cluster_id)
 
-    def areas(self):
-        return np.unique(self.area_id)
-
-    def area_mask(self, area_id):
-        return self.area_id == area_id
+    def take(self, rows):
+        """The sub-frame of ``rows`` (indices or a mask), in that order."""
+        return SurveyFrame(*(getattr(self, f.name)[rows]
+                             for f in fields(self)))
 
 
 @dataclass
@@ -107,38 +108,37 @@ def design_weights(num_psu_sampled, total_psu, m_i, households_per_ea):
     return w if np.ndim(m_i) else float(w)
 
 
-def hajek(frame, area_id):
-    """Weighted prevalence p_hat = sum(w Y) / sum(w N) over an area."""
-    mask = frame.area_mask(area_id)
-    if not mask.any() or frame.n_members[mask].sum() == 0:
-        raise NoDataError(f"area {area_id}: no sampled households with members")
-    w = frame.weight[mask]
-    num = float(np.sum(w * frame.positives[mask]))
-    den = float(np.sum(w * frame.n_members[mask]))
+def hajek(frame):
+    """Weighted prevalence p_hat = sum(w Y) / sum(w N) over a frame: one
+    area's sub-frame (:meth:`SurveyFrame.take`) or the whole survey."""
+    if frame.n_members.sum() == 0:
+        areas = ", ".join(str(a) for a in np.unique(frame.area_id))
+        raise NoDataError(f"area {areas}: no sampled households with members")
+    num = float(np.sum(frame.weight * frame.positives))
+    den = float(np.sum(frame.weight * frame.n_members))
     return num / den
 
 
-def design_variance(frame, area_id, p_hat):
-    """With-replacement first-stage linearization variance of the Hajek ratio.
+def design_variance(frame, p_hat):
+    """With-replacement first-stage linearization variance of the Hajek
+    ratio over a frame, usually one area's sub-frame.
 
     Cluster-level weighted residual totals z_i = sum_j w_ij (Y_ij - p N_ij)
     give v = [n_c/(n_c-1)] sum_i (z_i - zbar)^2 / (sum w N)^2.  Areas with a
     single cluster return NaN; the pooling rule lives in
     :func:`direct_estimates`.
     """
-    mask = frame.area_mask(area_id)
-    if not mask.any():
-        raise NoDataError(f"area {area_id}: empty")
-    cl = frame.cluster_id[mask]
-    w = frame.weight[mask]
-    resid = w * (frame.positives[mask] - p_hat * frame.n_members[mask])
-    clusters, inv = np.unique(cl, return_inverse=True)
+    if not frame.num_households:
+        raise NoDataError("empty frame")
+    w = frame.weight
+    resid = w * (frame.positives - p_hat * frame.n_members)
+    clusters, inv = np.unique(frame.cluster_id, return_inverse=True)
     n_c = len(clusters)
     if n_c < 2:
         return float("nan")
     z = np.zeros(n_c)
     np.add.at(z, inv, resid)
-    den = float(np.sum(w * frame.n_members[mask])) ** 2
+    den = float(np.sum(w * frame.n_members)) ** 2
     zbar = z.mean()
     return float(n_c / (n_c - 1) * np.sum((z - zbar) ** 2) / den)
 
@@ -196,44 +196,43 @@ def _kish_neff(w, n):
     return sw ** 2 / sw2 if sw2 > 0 else 1.0
 
 
-def direct_estimates(frame, fix_policy="shrink"):
+def direct_estimates(frame):
     """Per-area Hajek estimates on the probability and logit scales.
 
     Single-cluster areas inherit the median logit variance of the
     multi-cluster areas and are flagged ``single_cluster``; boundary
-    prevalences are repaired by the fix policy and flagged ``boundary_fix``.
+    prevalences are repaired by :class:`ShrinkFix` toward the survey-wide
+    estimate and flagged ``boundary_fix``.  Areas come out sorted by id.
     """
-    areas = frame.areas()
-    p_nat = hajek_all(frame)
+    # a stable sort lists each area's households in frame order, so every
+    # per-area sum runs over the same sequence as a mask of the frame would
+    order = np.argsort(frame.area_id, kind="stable")
+    areas, starts = np.unique(frame.area_id[order], return_index=True)
+    p_nat = hajek(frame)
     out = []
     raw = []
-    for a in areas:
-        mask = frame.area_mask(a)
-        p = hajek(frame, a)
-        v = design_variance(frame, a, p)
-        n_c = len(np.unique(frame.cluster_id[mask]))
-        raw.append((a, p, v, n_c, mask))
+    for a, rows in zip(areas, np.split(order, starts[1:])):
+        sub = frame.take(rows)
+        p = hajek(sub)
+        v = design_variance(sub, p)
+        raw.append((a, p, v, len(np.unique(sub.cluster_id)), sub))
     # logit-scale variances for multi-cluster, interior-p areas set the pool
     pool = []
-    for a, p, v, n_c, mask in raw:
+    for a, p, v, n_c, sub in raw:
         if n_c >= 2 and 0 < p < 1 and np.isfinite(v) and v > 0:
             pool.append(v / (p * (1 - p)) ** 2)
     pooled_v_logit = float(np.median(pool)) if pool else 1.0
-    for a, p, v, n_c, mask in raw:
+    for a, p, v, n_c, sub in raw:
         flags = []
-        w = frame.weight[mask]
-        n = frame.n_members[mask]
+        w = sub.weight
+        n = sub.n_members
         sum_wn = float(np.sum(w * n))
-        policy = None
-        if fix_policy == "shrink":
-            policy = ShrinkFix(p_ref=p_nat, mean_weight=float(np.mean(w)),
-                               n_eff=_kish_neff(w, n))
-        elif fix_policy not in (None, "none"):
-            policy = fix_policy
+        policy = ShrinkFix(p_ref=p_nat, mean_weight=float(np.mean(w)),
+                           n_eff=_kish_neff(w, n))
         if n_c < 2 or not np.isfinite(v):
             flags.append("single_cluster")
             p_fix = p
-            if policy is not None and (p <= 0 or p >= 1):
+            if p <= 0 or p >= 1:
                 p_fix, _, _ = policy(p, 0.0, sum_wn)
                 flags.append("boundary_fix")
             y = float(np.log(p_fix / (1 - p_fix)))
@@ -248,12 +247,6 @@ def direct_estimates(frame, fix_policy="shrink"):
             v = v_logit * (p * (1 - p)) ** 2
         out.append(DirectEstimate(a, p, v, y, v_logit, n_c, flags))
     return out
-
-
-def hajek_all(frame):
-    """Weighted prevalence pooled over the whole frame."""
-    return float(np.sum(frame.weight * frame.positives)
-                 / np.sum(frame.weight * frame.n_members))
 
 
 # ---------------------------------------------------------------------------
@@ -271,32 +264,14 @@ def write_frame_csv(path, frame):
                 frame.positives.astype(np.int64), frame.weight])
 
 
-def read_frame_csv(path, design=None):
-    """Read a frame CSV; the weight column may be omitted when ``design``
-    supplies (num_psu_sampled, total_psu, households_per_ea).  A malformed
-    file raises :class:`DataError` naming it."""
+def read_frame_csv(path):
+    """Read a frame CSV.  A malformed file, or one without a weight in
+    every row, raises :class:`DataError` naming it."""
     with reading(path):
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            has_w = "weight" in (reader.fieldnames or [])
-            rows = list(reader)
+            rows = list(csv.DictReader(fh))
         if not rows:
             raise NoDataError(f"{path}: empty frame")
-        if not has_w or any(not r.get("weight") for r in rows):
-            if design is None:
-                raise DataError(f"{path}: frame has no weights and no "
-                                f"design was given")
-            num_psu, total_psu, hh_per_ea = design
-            m_by_cluster = {}
-            for r in rows:
-                m_by_cluster[r["cluster_id"]] = \
-                    m_by_cluster.get(r["cluster_id"], 0) + 1
-            weights = np.array([
-                design_weights(num_psu, total_psu,
-                               m_by_cluster[r["cluster_id"]], hh_per_ea)
-                for r in rows])
-        else:
-            weights = np.array([float(r["weight"]) for r in rows])
         return SurveyFrame(
             cluster_id=np.array([r["cluster_id"] for r in rows]),
             area_id=np.array([r["area_id"] for r in rows]),
@@ -305,7 +280,7 @@ def read_frame_csv(path, design=None):
             household_id=np.array([r["household_id"] for r in rows]),
             n_members=np.array([float(r["N"]) for r in rows]),
             positives=np.array([float(r["Y"]) for r in rows]),
-            weight=weights,
+            weight=np.array([float(r["weight"]) for r in rows]),
         )
 
 

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from prevmap import cli, inference
+from prevmap.config import _SETTINGS
 from prevmap.errors import ConvergenceError, NotPositiveDefiniteError
 from prevmap.geometry import Polygon, write_polygons_csv
 
@@ -103,8 +104,23 @@ def test_cli_rerun_is_byte_identical(first_run, tmp_path):
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path):
-    ini = _write_config(str(tmp_path), extra={"model": {"no_such_key": "1"}})
+    # fix_policy is no key: every area gets the shrink boundary fix
+    for extra in ({"model": {"no_such_key": "1"}},
+                  {"survey": {"fix_policy": "shrink"}}):
+        ini = _write_config(str(tmp_path), extra=extra)
+        assert cli.main(["fit", "-c", ini]) == 2
+
+
+@pytest.mark.parametrize(
+    "setting", [s for s in _SETTINGS if s.type in (int, float)],
+    ids=lambda s: f"{s.section}.{s.key}")
+def test_cli_numeric_setting_text_exits_2(tmp_path, capsys, setting):
+    name = f"{setting.section}.{setting.key}"
+    ini = _write_config(str(tmp_path),
+                        extra={setting.section: {setting.key: "abc"}})
+    capsys.readouterr()
     assert cli.main(["fit", "-c", ini]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_cli_areas_before_fit_exits_3(tmp_path):

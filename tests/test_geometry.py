@@ -44,6 +44,11 @@ def test_point_in_area_basics(unit_square):
     assert unit_square.contains((1.5, 0.5)) is False
     assert unit_square.contains([[0.5, 0.5], [0.0, 0.5], [1.5, 0.5]]).tolist() \
         == [True, True, False]
+    # just outside the bounding box: within the edge tolerance (1e-12 on a
+    # unit square) counts inside, beyond it outside
+    assert unit_square.contains([[1.0 + 5e-13, 0.5], [0.5, -5e-13],
+                                 [1.0 + 1e-11, 0.5], [0.5, -1e-11]]).tolist() \
+        == [True, True, False, False]
 
 
 def test_point_in_hole_is_outside():

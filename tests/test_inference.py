@@ -431,7 +431,7 @@ def _bym_problem(seed=6, side=6):
     y = rng.normal(-1.0, 0.6, k)
     y[3] = np.nan
     return _build_latent_model(BymModel(y=y, v_hat=rng.uniform(0.05, 0.3, k),
-                                        graph=AdjacencyGraph(k, edges)))
+                                        graph=AdjacencyGraph(k, edges)))[0]
 
 
 def _models(mesh, fem):

@@ -59,23 +59,23 @@ def test_design_weights_validation():
 def test_hajek_equal_weights_is_pooled_proportion():
     fr = _frame([0, 0, 1, 1], ["a"] * 4, [5, 3, 4, 8], [1, 0, 2, 3],
                 [7.0] * 4)
-    assert hajek(fr, "a") == pytest.approx(6 / 20)
+    assert hajek(fr) == pytest.approx(6 / 20)
 
 
 def test_hajek_hand_case():
     fr = _frame([0, 1], ["a", "a"], [2, 2], [1, 0], [1.0, 3.0])
-    assert hajek(fr, "a") == pytest.approx(1 / 8)
+    assert hajek(fr) == pytest.approx(1 / 8)
 
 
 def test_hajek_boundary_one():
     fr = _frame([0, 1], ["a", "a"], [3, 4], [3, 4], [2.0, 5.0])
-    assert hajek(fr, "a") == pytest.approx(1.0)
+    assert hajek(fr) == pytest.approx(1.0)
 
 
 def test_hajek_empty_area_raises():
     fr = _frame([0], ["a"], [2], [1], [1.0])
     with pytest.raises(NoDataError):
-        hajek(fr, "b")
+        hajek(fr.take(fr.area_id == "b"))
 
 
 def test_hajek_weight_scale_invariance():
@@ -85,10 +85,10 @@ def test_hajek_weight_scale_invariance():
     w = rng.uniform(0.5, 5, 30)
     fr1 = _frame(np.repeat(np.arange(10), 3), ["a"] * 30, n, y, w)
     fr2 = _frame(np.repeat(np.arange(10), 3), ["a"] * 30, n, y, w * 17.3)
-    p1, p2 = hajek(fr1, "a"), hajek(fr2, "a")
+    p1, p2 = hajek(fr1), hajek(fr2)
     assert p1 == pytest.approx(p2, rel=1e-12)
-    v1 = design_variance(fr1, "a", p1)
-    v2 = design_variance(fr2, "a", p2)
+    v1 = design_variance(fr1, p1)
+    v2 = design_variance(fr2, p2)
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -98,26 +98,26 @@ def test_hajek_weight_scale_invariance():
 
 def test_design_variance_identical_clusters_zero():
     fr = _frame([0, 1, 2], ["a"] * 3, [4, 4, 4], [1, 1, 1], [2.0] * 3)
-    p = hajek(fr, "a")
-    assert design_variance(fr, "a", p) == pytest.approx(0.0, abs=1e-15)
+    p = hajek(fr)
+    assert design_variance(fr, p) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_design_variance_two_cluster_hand_computation():
     fr = _frame([0, 0, 1], ["a"] * 3, [2, 3, 4], [1, 2, 1], [1.0, 2.0, 3.0])
-    p = hajek(fr, "a")
+    p = hajek(fr)
     # hand linearization
     z0 = 1.0 * (1 - p * 2) + 2.0 * (2 - p * 3)
     z1 = 3.0 * (1 - p * 4)
     den = (1 * 2 + 2 * 3 + 3 * 4) ** 2
     zbar = (z0 + z1) / 2
     expected = 2 / 1 * ((z0 - zbar) ** 2 + (z1 - zbar) ** 2) / den
-    assert design_variance(fr, "a", p) == pytest.approx(expected, abs=1e-12)
+    assert design_variance(fr, p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_design_variance_single_cluster_flagged_nan():
     fr = _frame([0, 0], ["a"] * 2, [2, 3], [1, 1], [1.0, 1.0])
-    p = hajek(fr, "a")
-    assert np.isnan(design_variance(fr, "a", p))
+    p = hajek(fr)
+    assert np.isnan(design_variance(fr, p))
 
 
 def _simulate_two_stage(rng, n_clusters=400, p_area=0.15, icc_sd=0.3):
@@ -135,8 +135,8 @@ def _simulate_two_stage(rng, n_clusters=400, p_area=0.15, icc_sd=0.3):
 def test_design_variance_against_cluster_bootstrap():
     rng = np.random.default_rng(42)
     fr = _simulate_two_stage(rng)
-    p = hajek(fr, "a")
-    v = design_variance(fr, "a", p)
+    p = hajek(fr)
+    v = design_variance(fr, p)
     # cluster bootstrap with 2000 replicates
     clusters, inv = np.unique(fr.cluster_id, return_inverse=True)
     n_c = len(clusters)
@@ -198,6 +198,23 @@ def test_direct_estimates_single_cluster_pooling():
     assert "single_cluster" in ests["c"].flags
     multi = [ests["a"].v_logit, ests["b"].v_logit]
     assert ests["c"].v_logit == pytest.approx(np.median(multi))
+
+
+def test_direct_estimates_interleaved_areas_match_sub_frames():
+    # the areas' households are interleaved, not contiguous rows
+    rng = np.random.default_rng(3)
+    cluster = np.tile(np.arange(9), 4)
+    area = np.array(["c", "a", "b"])[cluster % 3]
+    n = rng.integers(2, 8, len(cluster))
+    fr = _frame(cluster, area, n, rng.binomial(n, 0.4),
+                rng.uniform(1, 9, len(cluster)))
+    ests = direct_estimates(fr)
+    assert [e.area_id for e in ests] == ["a", "b", "c"]
+    for e in ests:
+        sub = fr.take(np.flatnonzero(fr.area_id == e.area_id))
+        assert e.flags == [] and e.n_clusters == 3
+        assert e.p_hat == hajek(sub)
+        assert e.v_star == design_variance(sub, hajek(sub))
 
 
 def test_direct_estimates_boundary_area_fixed():
@@ -287,21 +304,6 @@ def test_frame_csv_roundtrip(tmp_path):
     assert np.allclose(back.weight, fr.weight)
     assert np.allclose(back.n_members, fr.n_members)
     assert list(back.area_id) == list(fr.area_id)
-
-
-def test_frame_csv_weights_from_design(tmp_path):
-    fr = _frame(np.repeat([0, 1], 3), ["a"] * 6, [2] * 6, [1] * 6,
-                np.ones(6))
-    path = tmp_path / "frame.csv"
-    write_frame_csv(path, fr)
-    # strip the weight column
-    lines = path.read_text().splitlines()
-    head = lines[0].split(",")[:-1]
-    body = [",".join(l.split(",")[:-1]) for l in lines[1:]]
-    path.write_text("\n".join([",".join(head)] + body) + "\n")
-    back = read_frame_csv(path, design=(2, 100, 10))
-    expected = design_weights(2, 100, 3, 10)
-    assert np.allclose(back.weight, expected)
 
 
 def test_direct_estimates_csv(tmp_path):
