@@ -4,9 +4,12 @@ The classic two-component convolution model: an intrinsic CAR term with
 precision proportional to (degree - adjacency) plus an unstructured iid
 term, fitted with the latent Gaussian engine's Gaussian observation stage
 since the logit-scale direct estimates arrive with fixed, known variances.
+The CAR term is an exact intrinsic GMRF (:class:`IcarPrecision`, no ridge)
+that sums to zero over each connected component.
 """
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,18 +19,19 @@ from scipy.special import expit
 from .errors import DataError, reading
 from .inference import (GaussianObs, LatentComponent, LatentModel,
                         _linear_mixture, fit_latent_model)
+from .sparsela import SparseCholesky
 
 __all__ = [
     "AdjacencyGraph",
     "BymModel",
     "BymFit",
+    "IcarPrecision",
     "icar_precision",
     "fit_bym",
     "adjacency_from_csv",
     "adjacency_from_polygons",
 ]
 
-_ICAR_JITTER = 1e-8
 # adjacency_from_polygons matches boundary vertices on this lattice
 _VERTEX_TOL = 1e-9
 
@@ -49,13 +53,6 @@ class AdjacencyGraph:
             seen.add((min(i, j), max(i, j)))
         self.edges = sorted(seen)
 
-    def neighbors(self):
-        nbr = [[] for _ in range(self.n_areas)]
-        for i, j in self.edges:
-            nbr[i].append(j)
-            nbr[j].append(i)
-        return nbr
-
     def adjacency(self):
         if not self.edges:
             return sp.csr_matrix((self.n_areas, self.n_areas))
@@ -75,6 +72,36 @@ def icar_precision(graph):
     w = graph.adjacency()
     d = sp.diags(np.asarray(w.sum(axis=1)).ravel())
     return (d - w).tocsc()
+
+
+class IcarPrecision:
+    """Intrinsic CAR precision exp(theta) R, R = D - W, over areas in
+    components of two or more (``labels``).  :meth:`logdet` is the
+    generalized log-determinant rank * theta + log|R|*, where by the
+    matrix-tree theorem log|R|* sums, per component, log n_c and log|R_c|
+    with one row and column removed.  A component with no ``observed``
+    area gets 1 1^T / n_c added to its block, since no data reach its
+    constant; the term is zero on its sum-to-zero constraint.
+    """
+
+    def __init__(self, r, labels, observed):
+        _, first, comp, sizes = np.unique(labels, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+        keep = np.setdiff1d(np.arange(len(comp)), first)
+        self.rank = len(keep)
+        self._log_det = float(np.log(sizes).sum()) \
+            + SparseCholesky(r[keep][:, keep]).logdet
+        blind = np.flatnonzero(np.bincount(comp, weights=observed)[comp] == 0)
+        e = sp.csr_matrix((np.ones(len(blind)), (blind, comp[blind])),
+                          shape=(len(comp), len(sizes)))
+        self._r = (r + e @ sp.diags(1.0 / sizes) @ e.T).tocsc()
+
+    def __call__(self, theta):
+        return np.exp(theta[0]) * self._r
+
+    def logdet(self, theta):
+        return self.rank * theta[0] + self._log_det
 
 
 @dataclass
@@ -126,29 +153,23 @@ def _build_latent_model(model):
     singleton = np.bincount(labels)[labels] == 1
     icar_cols = np.flatnonzero(~singleton)
 
-    q_struct = icar_precision(model.graph)
     comps = []
     if len(icar_cols):
-        qs = q_struct[np.ix_(icar_cols, icar_cols)].tocsc()
-        jit = sp.identity(len(icar_cols), format="csc") * _ICAR_JITTER
+        r = icar_precision(model.graph)[np.ix_(icar_cols, icar_cols)]
+        comp = np.unique(labels[icar_cols], return_inverse=True)[1]
         in_icar = np.isin(obs_ix, icar_cols)
         rows = np.where(in_icar)[0]
         cols = np.searchsorted(icar_cols, obs_ix[in_icar])
         design_s = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                                  shape=(n, len(icar_cols)))
-        # one sum-to-zero row per connected component of size >= 2
-        con_rows = []
-        for comp_label in np.unique(labels[icar_cols]):
-            row = np.zeros(len(icar_cols))
-            row[labels[icar_cols] == comp_label] = 1.0
-            con_rows.append(row)
         comps.append(LatentComponent(
             name="icar",
             design=design_s,
-            precision=lambda th, _qs=qs, _j=jit: np.exp(th[0]) * (_qs + _j),
+            precision=IcarPrecision(r, comp, model.observed[icar_cols]),
             n_theta=1,
             theta_names=("log_icar_prec",),
-            constraint=np.vstack(con_rows),
+            # one sum-to-zero row per connected component of size >= 2
+            constraint=(comp == np.arange(comp.max() + 1)[:, None]) * 1.0,
         ))
     comps.append(LatentComponent(
         name="iid",
@@ -234,16 +255,12 @@ def adjacency_from_csv(path, area_ids):
 
 def adjacency_from_polygons(polygons):
     """Two polygons are adjacent when they share >= 2 boundary vertices."""
-    keys = []
-    for poly in polygons:
-        s = set()
-        for ring in poly.rings:
-            for x, y in ring:
-                s.add((round(x / _VERTEX_TOL), round(y / _VERTEX_TOL)))
-        keys.append(s)
-    edges = []
-    for i in range(len(polygons)):
-        for j in range(i + 1, len(polygons)):
-            if len(keys[i] & keys[j]) >= 2:
-                edges.append((i, j))
-    return AdjacencyGraph(n_areas=len(polygons), edges=edges)
+    owners = {}  # vertex key -> the polygons with that boundary vertex
+    for i, poly in enumerate(polygons):
+        for x, y in np.vstack(poly.rings):
+            owners.setdefault((round(x / _VERTEX_TOL),
+                               round(y / _VERTEX_TOL)), set()).add(i)
+    shared = Counter((i, j) for ids in owners.values()
+                     for i in ids for j in ids if i < j)
+    return AdjacencyGraph(n_areas=len(polygons),
+                          edges=[p for p, n in shared.items() if n >= 2])

@@ -237,10 +237,6 @@ class TriMesh:
     def area(self):
         return float(np.abs(self.signed_areas()).sum())
 
-    def min_angle_deg(self):
-        return float(np.degrees(
-            _min_angles(self.vertices, self.triangles).min()))
-
     def edges(self):
         """Unique undirected edges and the number of adjacent triangles each."""
         t = self.triangles

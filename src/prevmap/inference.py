@@ -9,7 +9,8 @@ by a Gaussian approximation at the conditional mode (Newton with
 step-halving), a small grid over the hyperparameters theta weighted by the
 Laplace evidence, and joint sampling from the resulting mixture of sparse
 Gaussians.  Linear equality constraints (sum-to-zero terms) are enforced by
-conditioning by kriging.
+conditioning by kriging; they must remove the null space of an intrinsic
+prior block, whose precision then gives its generalized log-determinant.
 
 The sparsity of Q_prior and of Q_post = Q_prior + B^T diag(h) B does not
 change with theta or with the Newton iterate, so each :class:`LatentModel`
@@ -18,9 +19,9 @@ it factors, and one symbolic pattern of Q_post with the maps that fill it
 (the positions of each prior block, and a sparse map from the curvature h
 to the data of B^T diag(h) B).  A Newton step then assembles Q_post as one
 data vector and refactors it numerically.  log|Q_prior| is a sum over the
-prior's diagonal blocks: closed form for diagonal blocks, the block's own
-``logdet`` where its precision has one (the SPDE field's), and a
-factorization otherwise.
+prior's diagonal blocks: the block's own ``logdet`` where its precision has
+one (the SPDE field's, the ICAR block's generalized one), the closed form
+for other diagonal blocks, and a factorization otherwise.
 """
 
 import warnings
@@ -60,6 +61,8 @@ _DENSE_CUTOFF = 2500  # rows per chunk of dense variance solves
 _GRID_STEP = 0.75     # theta-grid spacing in raw log-precision units
 _MAX_ITER = 100       # Newton iterations before ConvergenceError
 _MAX_HALVINGS = 30    # step halvings of one Newton line search
+_FIXED_PREC = 1e-3    # prior precision of each fixed effect
+_THETA_PRIOR_SD = 1.5  # prior sd of each hyperparameter about theta_init
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +150,8 @@ class LatentComponent:
     The precision must be symmetric; a callable ``precision`` that also has
     a ``logdet(theta_block)`` method gives its log-determinant without a
     factorization.  ``constraint`` rows, if given, are enforced as exact
-    zero sums.
+    zero sums; they need a precision whose ``logdet`` is the generalized
+    one on their complement, as for :class:`prevmap.areal.IcarPrecision`.
     """
 
     name: str
@@ -177,13 +181,13 @@ class LatentModel:
 
     The latent vector is the concatenation of the component coefficient
     blocks followed by the fixed effects (intercept and covariates), which
-    carry an exchangeable Gaussian prior with precision ``fixed_prec``.
+    carry an exchangeable Gaussian prior with precision ``_FIXED_PREC``.
     Hyperparameters get independent Gaussian priors centered at
-    ``theta_init`` with standard deviation ``theta_prior_sd``.
+    ``theta_init`` with standard deviation ``_THETA_PRIOR_SD``.
     """
 
     def __init__(self, obs, components, fixed_design=None, fixed_names=None,
-                 fixed_prec=1e-3, theta_init=None, theta_prior_sd=1.5):
+                 theta_init=None):
         self.obs = obs
         self.components = list(components)
         n = obs.n
@@ -195,7 +199,6 @@ class LatentModel:
             if fixed_design.shape[0] != n:
                 raise ValueError("fixed_design rows != n_obs")
         self.fixed_design = fixed_design
-        self.fixed_prec = float(fixed_prec)
         p = 0 if fixed_design is None else fixed_design.shape[1]
         if fixed_names is None:
             fixed_names = ["beta0"] + [f"beta{j}" for j in range(1, p)]
@@ -215,8 +218,6 @@ class LatentModel:
         self.theta_init = np.asarray(theta_init, dtype=float)
         if len(self.theta_init) != self.n_theta:
             raise ValueError("theta_init length mismatch")
-        self.theta_prior_sd = np.broadcast_to(
-            np.asarray(theta_prior_sd, dtype=float), (self.n_theta,)).copy()
 
         blocks = [sp.csr_matrix(c.design) for c in self.components]
         if p:
@@ -227,6 +228,8 @@ class LatentModel:
         for i, comp in enumerate(self.components):
             if comp.constraint is None:
                 continue
+            if not hasattr(comp.precision, "logdet"):
+                raise ValueError(f"{comp.name}: constraints need a logdet")
             a = np.atleast_2d(np.asarray(comp.constraint, dtype=float))
             full = np.zeros((a.shape[0], self.latent_dim))
             full[:, self.slices[comp.name]] = a
@@ -267,15 +270,15 @@ class LatentModel:
         mats = [c.prior_precision(blocks[c.name]) for c in self.components]
         p = 0 if self.fixed_design is None else self.fixed_design.shape[1]
         if p:
-            mats.append(sp.identity(p, format="csc") * self.fixed_prec)
+            mats.append(sp.identity(p, format="csc") * _FIXED_PREC)
         return mats
 
     def prior_precision(self, theta):
         return sp.block_diag(self.prior_blocks(theta), format="csc")
 
     def log_theta_prior(self, theta):
-        z = (np.asarray(theta) - self.theta_init) / self.theta_prior_sd
-        return float(np.sum(-0.5 * z * z - np.log(self.theta_prior_sd)
+        z = (np.asarray(theta) - self.theta_init) / _THETA_PRIOR_SD
+        return float(np.sum(-0.5 * z * z - np.log(_THETA_PRIOR_SD)
                             - 0.5 * np.log(2 * np.pi)))
 
 
@@ -296,10 +299,6 @@ class GaussianApprox:
     constraint: np.ndarray = None
     _w: np.ndarray = None       # Q^{-1} A^T
     _m: np.ndarray = None       # (A Q^{-1} A^T)^{-1}
-
-    def correct_samples(self, s):
-        """Apply the kriging correction to zero-mean draws s (d, k)."""
-        return _krige(s, self.constraint, self._w, self._m)
 
 
 def _krige(x, a_con, w_mat, m_mat):
@@ -401,34 +400,24 @@ def _pattern(model, blocks):
 
 
 def _prior_logdet(model, theta, blocks, pat):
-    """log|Q_prior| as a sum over its diagonal blocks, and
-    S_prior = A Q_prior^{-1} A^T (None without constraints).
-
-    A diagonal block contributes the sum of its log entries, a block whose
-    precision has a ``logdet`` method contributes that, and any other
-    block, or one that carries constraint rows, is factored; its factor
-    gives its share of S_prior."""
+    """log|Q_prior| as a sum over its diagonal blocks: a block whose
+    precision has a ``logdet`` method contributes that, any other diagonal
+    block the sum of its log entries, and any other block is factored."""
     theta_blocks = model.theta_blocks(theta)
     names = [c.name for c in model.components] + ["fixed"]
-    logdet, s_prior = 0.0, None
+    logdet = 0.0
     for i, q in enumerate(blocks):
         comp = model.components[i] if i < len(model.components) else None
-        constrained = comp is not None and comp.constraint is not None
-        if pat.diagonal[i] and not constrained:
+        if hasattr(getattr(comp, "precision", None), "logdet"):
+            logdet += float(comp.precision.logdet(theta_blocks[comp.name]))
+        elif pat.diagonal[i]:
             if not np.all(q.data > 0) or not np.all(np.isfinite(q.data)):
                 raise NotPositiveDefiniteError(
                     f"prior block {names[i]} has a non-positive diagonal")
             logdet += float(np.log(q.data).sum())
-        elif hasattr(comp.precision, "logdet") and not constrained:
-            logdet += float(comp.precision.logdet(theta_blocks[comp.name]))
         else:
-            factor = _factor(model, ("prior", names[i]), q)
-            logdet += factor.logdet
-            if constrained:
-                a = model.constraint[:, model.slices[comp.name]]
-                s = a @ factor.solve(a.T)
-                s_prior = s if s_prior is None else s_prior + s
-    return logdet, s_prior
+            logdet += _factor(model, ("prior", names[i]), q).logdet
+    return logdet
 
 
 def _curvature(model, pat, prior_data, eta):
@@ -463,7 +452,7 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
     pat = _pattern(model, blocks)
     prior_data = pat.prior_data(blocks)
     q_prior = pat.matrix(prior_data)
-    prior_logdet, s_prior = _prior_logdet(model, theta, blocks, pat)
+    prior_logdet = _prior_logdet(model, theta, blocks, pat)
     b = model.design
     a_con = model.constraint
     d = model.latent_dim
@@ -534,13 +523,9 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
               - 0.5 * float(u @ (q_prior @ u))
               - 0.5 * factor.logdet)
     if a_con is not None:
-        s_post = a_con @ w_mat
-        a_mu = a_con @ mu_hat
-        diff = u - mu_hat
-        log_ev += (0.5 * np.linalg.slogdet(s_prior)[1]
-                   - 0.5 * np.linalg.slogdet(s_post)[1]
-                   - 0.5 * float(a_mu @ np.linalg.solve(s_post, a_mu))
-                   + 0.5 * float(diff @ (q_post @ diff)))
+        # Laplace integral over {A u = 0}, normal to the gradient A^T lambda
+        log_ev += 0.5 * (np.linalg.slogdet(a_con @ a_con.T)[1]
+                         - np.linalg.slogdet(a_con @ w_mat)[1])
 
     mean = _krige(mu_hat, a_con, w_mat, m_mat)
     return GaussianApprox(theta=theta, mean=mean, precision=q_post,
@@ -602,48 +587,39 @@ def _weighted_points(model, thetas, threads=1, u0=None):
             for t, lp, wi, r in zip(thetas, lps, w, results)]
 
 
-def hyper_grid(model, center=None, optimize=True, threads=1):
+def hyper_grid(model, threads=1):
     """Evaluate the hyperparameter posterior on a mode-centered grid.
 
     Locates the theta mode with Nelder--Mead on the Laplace evidence plus
-    prior (falling back to ``center``/``theta_init`` with a warning on
-    optimizer failure), then evaluates log pi~(theta | y) on a central
-    composite grid and normalizes the weights.
+    prior, started from ``theta_init`` (with a warning if it does not fully
+    converge), then evaluates log pi~(theta | y) on a central composite
+    grid and normalizes the weights.
 
     Each Newton solve of the sequential search starts from the mode of the
     evaluation before it; every grid point starts from the mode at the best
     theta of the search, so the grid does not depend on ``threads``.
     """
     dim = model.n_theta
-    if center is None:
-        center = model.theta_init.copy()
-    center = np.asarray(center, dtype=float)
     if dim == 0:
-        return _weighted_points(model, [center], threads)
+        return _weighted_points(model, [model.theta_init], threads)
 
     best = (-np.inf, None)  # log posterior and mode of the best evaluation
-    if optimize:
-        start = None  # mode of the previous evaluation
+    start = None  # mode of the previous evaluation
 
-        def neg_log_post(t):
-            nonlocal start, best
-            lp, approx = _log_post(model, t, start)
-            start = approx.mean
-            if lp > best[0]:
-                best = (lp, approx.mean)
-            return -lp
+    def neg_log_post(t):
+        nonlocal start, best
+        lp, approx = _log_post(model, t, start)
+        start = approx.mean
+        if lp > best[0]:
+            best = (lp, approx.mean)
+        return -lp
 
-        res = minimize(neg_log_post, center, method="Nelder-Mead",
-                       options=dict(xatol=0.02, fatol=0.02, maxfev=80 * dim))
-        if res.success or np.all(np.isfinite(res.x)):
-            if not res.success:
-                warnings.warn("theta mode search did not fully converge; "
-                              "using best point found", stacklevel=2)
-            center = res.x
-        else:
-            warnings.warn("theta mode search failed; using supplied center",
-                          stacklevel=2)
-    return _weighted_points(model, center[None, :] + _ccd_offsets(dim),
+    res = minimize(neg_log_post, model.theta_init, method="Nelder-Mead",
+                   options=dict(xatol=0.02, fatol=0.02, maxfev=80 * dim))
+    if not res.success:
+        warnings.warn("theta mode search did not fully converge; "
+                      "using best point found", stacklevel=2)
+    return _weighted_points(model, res.x[None, :] + _ccd_offsets(dim),
                             threads, u0=best[1])
 
 
@@ -773,8 +749,8 @@ def sample_joint(fit, num_samples, seed):
             continue
         approx = fit.points[j].approx
         z = rng.standard_normal((d, len(sel)))
-        s = approx.factor.sample(z)
-        s = approx.correct_samples(s)
+        s = _krige(approx.factor.sample(z), approx.constraint, approx._w,
+                   approx._m)
         out[sel] = (approx.mean[:, None] + s).T
     return JointSamples(samples=out, theta_index=idx,
                         coord_names=fit.model.coord_names())

@@ -12,11 +12,11 @@ per pattern and reused: a factorization exposes the permutation it used as
 an :class:`Ordering`, and a later matrix with the same pattern is factored
 as ``q[perm][:, perm]`` in natural order, which skips the minimum-degree
 pass and gives the same fill.  The latent model engine keeps one ordering
-per matrix it factors (Q_post, and each prior block it cannot take the
-log-determinant of in closed form) and the SPDE precision keeps one for
-its K; together with :func:`union_pattern`, which lays out a sum of sparse
-matrices as data on one fixed pattern, a new theta or Newton step costs
-only a numerical refactorization.
+per matrix it factors (Q_post, and each prior block with no ``logdet`` and
+no closed form, never a constrained one) and the SPDE precision keeps one
+for its K; together with :func:`union_pattern`, which lays out a sum of
+sparse matrices as data on one fixed pattern, a new theta or Newton step
+costs only a numerical refactorization.
 """
 
 import numpy as np

@@ -64,6 +64,12 @@ class SurveyFrame:
                      "positives", "weight"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
+        for col, v in (("x", self.x), ("y", self.y), ("weight", self.weight)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"column {col}: values must be finite")
+        for col, v in (("N", self.n_members), ("Y", self.positives)):
+            if np.any(v % 1 != 0):
+                raise ValueError(f"column {col}: counts must be whole numbers")
         if np.any(self.positives < 0) or np.any(self.positives > self.n_members):
             raise ValueError("need 0 <= positives <= n_members")
         if np.any(self.weight <= 0):

@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from prevmap.areal import (AdjacencyGraph, BymModel, adjacency_from_csv,
+from prevmap.areal import (AdjacencyGraph, BymModel, IcarPrecision,
+                           _build_latent_model, adjacency_from_csv,
                            adjacency_from_polygons, fit_bym, icar_precision)
 from prevmap.geometry import Polygon
 
@@ -30,6 +31,23 @@ def test_icar_complete_graph():
     q = icar_precision(g).toarray()
     assert np.allclose(np.diag(q), 2)
     assert np.allclose(q - np.diag(np.diag(q)), -1 + np.eye(3))
+
+
+def test_icar_logdet_is_the_generalized_determinant():
+    # a 4-area component with a chord and a blind 3-area path
+    g = AdjacencyGraph(7, [(0, 1), (1, 2), (2, 3), (0, 2), (4, 5), (5, 6)])
+    r = icar_precision(g)
+    observed = np.array([True, False, True, True, False, False, False])
+    prec = IcarPrecision(r, g.component_labels(), observed)
+    eig = np.linalg.eigvalsh(r.toarray())  # two zeros, one per component
+    assert prec.rank == 5
+    for theta in (-1.3, 0.0, 2.2):
+        assert prec.logdet([theta]) == pytest.approx(
+            5 * theta + np.log(eig[2:]).sum(), rel=1e-12)
+    # only the blind component's block gains 1 1^T / n_c
+    extra = prec([0.0]).toarray() - r.toarray()
+    assert np.abs(extra[:4]).max() == 0 and np.abs(extra[:, :4]).max() == 0
+    assert np.allclose(extra[4:, 4:], 1 / 3, rtol=0, atol=1e-15)
 
 
 def test_graph_validation():
@@ -70,15 +88,14 @@ def test_bym_large_variance_shrinks_to_intercept():
     assert spread_out < 0.01 * spread_in
 
 
-def _dense_bym_oracle(y, v, graph, tau_s, tau_e, jitter=1e-8,
-                      fixed_prec=1e-3):
+def _dense_bym_oracle(y, v, graph, tau_s, tau_e, fixed_prec=1e-3):
     """Constrained conjugate posterior of the convolution model, dense."""
     k = len(y)
     q_icar = icar_precision(graph).toarray()
     d = 2 * k + 1
     bd = np.hstack([np.eye(k), np.eye(k), np.ones((k, 1))])
     qp = np.zeros((d, d))
-    qp[:k, :k] = tau_s * (q_icar + jitter * np.eye(k))
+    qp[:k, :k] = tau_s * q_icar
     qp[k:2 * k, k:2 * k] = tau_e * np.eye(k)
     qp[2 * k, 2 * k] = fixed_prec
     q_post = qp + bd.T @ np.diag(1 / v) @ bd
@@ -94,6 +111,58 @@ def _dense_bym_oracle(y, v, graph, tau_s, tau_e, jitter=1e-8,
     eta_mean = bd @ mu_c
     eta_var = np.diag(bd @ sig_c @ bd.T)
     return mu_c, eta_mean, eta_var
+
+
+def _dense_pinv_oracle(y, v, graph, tau_s, tau_e, fixed_prec=1e-3):
+    """The convolution model in covariance form, dense: S ~ N(0, (tau_s
+    R)^+), and the areas with a finite y observe S + eps + beta0*.  Returns
+    every area's eta mean and variance and the log marginal likelihood."""
+    k = len(y)
+    obs = np.isfinite(y)
+    cov = np.zeros((2 * k + 1, 2 * k + 1))
+    cov[:k, :k] = np.linalg.pinv(tau_s * icar_precision(graph).toarray(),
+                                 rcond=1e-10, hermitian=True)
+    cov[k:2 * k, k:2 * k] = np.eye(k) / tau_e
+    cov[2 * k, 2 * k] = 1 / fixed_prec
+    bd = np.hstack([np.eye(k), np.eye(k), np.ones((k, 1))])
+    bo, yo = bd[obs], y[obs]
+    s = bo @ cov @ bo.T + np.diag(v[obs])
+    gain = np.linalg.solve(s, bo @ cov).T
+    post = cov - gain @ bo @ cov
+    log_ml = -0.5 * (len(yo) * np.log(2 * np.pi) + np.linalg.slogdet(s)[1]
+                     + yo @ np.linalg.solve(s, yo))
+    return bd @ (gain @ yo), np.diag(bd @ post @ bd.T), log_ml
+
+
+def test_bym_log_evidence_matches_dense_marginal_likelihood():
+    from prevmap.inference import gaussian_approx
+    rng = np.random.default_rng(9)
+    k = 12
+    graph = AdjacencyGraph(k, [(i, i + 1) for i in range(k - 1)]
+                           + [(0, 5), (3, 9), (6, 11)])
+    y = rng.standard_normal(k)
+    v = 0.1 + rng.random(k)
+    lm = _build_latent_model(BymModel(y=y, v_hat=v, graph=graph))[0]
+    for theta in ([np.log(4.0), np.log(6.0)], [0.3, 2.5], [2.8, -0.4]):
+        log_ev = gaussian_approx(lm, theta).log_evidence
+        log_ml = _dense_pinv_oracle(y, v, graph, *np.exp(theta))[2]
+        assert log_ev == pytest.approx(log_ml, rel=1e-11)
+
+
+def test_bym_unobserved_island_matches_dense_pinv_oracle():
+    # a 2-area island with no direct estimate beside an observed path: no
+    # data reach the island's ICAR level, which only its constraint fixes
+    rng = np.random.default_rng(10)
+    k = 7
+    graph = AdjacencyGraph(k, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+    y = rng.standard_normal(k)
+    y[5:] = np.nan
+    v = 0.2 + rng.random(k)
+    res = fit_bym(BymModel(y=y, v_hat=v, graph=graph),
+                  thetas=_theta_fixed())
+    eta_mean, eta_var, _ = _dense_pinv_oracle(y, v, graph, 4.0, 6.0)
+    assert np.abs(res.eta_mean - eta_mean).max() < 1e-8
+    assert np.abs(res.eta_sd - np.sqrt(eta_var)).max() < 1e-8
 
 
 def test_bym_dense_oracle_path_graph():
@@ -195,11 +264,11 @@ def test_adjacency_from_polygons_grid():
     from conftest import grid_areas
     polys = grid_areas(0, 0, 3, 3, 3, 3)
     g = adjacency_from_polygons(polys)
-    nbr = g.neighbors()
+    w = g.adjacency()
     # corner cell 0 touches right and upper neighbors (rook adjacency has
     # 2 shared vertices; diagonal touch shares only 1)
-    assert set(nbr[0]) == {1, 3}
-    assert set(nbr[4]) == {1, 3, 5, 7}
+    assert set(w[0].indices) == {1, 3}
+    assert set(w[4].indices) == {1, 3, 5, 7}
 
 
 def test_adjacency_csv_roundtrip(tmp_path):

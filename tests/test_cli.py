@@ -251,20 +251,27 @@ _FRAME_COLS = ["cluster_id", "area_id", "x", "y", "household_id", "N", "Y",
                "weight"]
 
 
-def _frame_case(directory, drop=None, y_above_n=False, adjacency=None):
+def _frame_case(directory, drop=None, y_above_n=False, adjacency=None,
+                bad=None):
     """A hand-written frame (two clusters of two households in each of the
-    2 x 2 areas) without column ``drop``, with one Y > N if asked, and an
-    adjacency CSV of the given edges if any.  Returns the config overrides,
-    the exit code and the file the error message must name."""
+    2 x 2 areas) without column ``drop``, with one Y > N if asked, the
+    first row's value of one column replaced if ``bad`` = (column, text),
+    and an adjacency CSV of the given edges if any.  Returns the config
+    overrides, the exit code and the file (and the bad column) the error
+    message must name."""
     rows = [[2 * a + c, f"A{a}", x + c, y, h, 4, 1 + c, 10.0]
             for a, (x, y) in enumerate([(2, 2), (7, 2), (2, 7), (7, 7)])
             for c in range(2) for h in range(2)]
     if y_above_n:
         rows[0][6] = 9
+    if bad is not None:
+        rows[0][_FRAME_COLS.index(bad[0])] = bad[1]
     keep = [i for i, name in enumerate(_FRAME_COLS) if name != drop]
     frame = _write_rows(os.path.join(directory, "frame_in.csv"),
                         [_FRAME_COLS[i] for i in keep],
                         [[row[i] for i in keep] for row in rows])
+    if bad is not None:
+        return {"paths": {"data": frame}}, 3, f"{frame}: column {bad[0]}"
     if adjacency is None:
         return {"paths": {"data": frame}}, 3, frame
     adj = _write_rows(os.path.join(directory, "adjacency.csv"),
@@ -292,6 +299,10 @@ BAD_INPUTS = {
     "frame_y_above_n": lambda d: _frame_case(d, y_above_n=True),
     "frame_without_weight": lambda d: _frame_case(d, drop="weight"),
     "frame_without_y": lambda d: _frame_case(d, drop="Y"),
+    "frame_x_nan": lambda d: _frame_case(d, bad=("x", "nan")),
+    "frame_weight_nan": lambda d: _frame_case(d, bad=("weight", "nan")),
+    "frame_weight_inf": lambda d: _frame_case(d, bad=("weight", "inf")),
+    "frame_y_fractional": lambda d: _frame_case(d, bad=("Y", "0.5")),
     "polygons_without_ring_index": _polygons_without_ring_index,
     "adjacency_unknown_area": lambda d: _frame_case(
         d, adjacency=[("A0", "A1"), ("A0", "A9")]),

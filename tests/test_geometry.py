@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prevmap.errors import InvalidGeometryError
-from prevmap.geometry import (Polygon, fem_matrices, project,
+from prevmap.geometry import (Polygon, _min_angles, fem_matrices, project,
                               read_polygons_csv, read_polygons_geojson,
                               write_polygons_csv, TriMesh)
 from prevmap.meshing import build_mesh
@@ -85,7 +85,8 @@ def test_build_mesh_unit_square_quality(unit_square):
     mesh = build_mesh(unit_square, interior_max_edge=0.1,
                       extension_factor=1.5, exterior_max_edge=0.4)
     mesh.validate()
-    assert mesh.min_angle_deg() >= 20.0
+    min_angle = _min_angles(mesh.vertices, mesh.triangles).min()
+    assert np.degrees(min_angle) >= 20.0
     # all interior triangle edges <= 0.1
     tri = mesh.triangles
     interior_tri = mesh.interior_flag[tri].all(axis=1)

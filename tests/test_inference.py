@@ -8,9 +8,9 @@ from scipy.stats import norm
 
 from prevmap.errors import ConvergenceError
 from prevmap.inference import (BinomialObs, FitResult, GaussianObs,
-                               LatentComponent, LatentModel, fit_latent_model,
-                               gaussian_approx, hyper_grid, marginals,
-                               sample_joint,
+                               LatentComponent, LatentModel, _ccd_offsets,
+                               fit_latent_model, gaussian_approx, hyper_grid,
+                               marginals, sample_joint,
                                write_fit_summary_csv, write_theta_grid_csv)
 
 
@@ -129,7 +129,8 @@ def _dense_log_evidence(theta, y, v, n):
 
 def test_hyper_grid_log_posterior_matches_dense_oracle():
     model, y, v, n = _theta_problem()
-    pts = hyper_grid(model, optimize=False)
+    pts = fit_latent_model(model,
+                           thetas=model.theta_init + _ccd_offsets(1)).points
     assert len(pts) == 5  # 1-D central composite: center and +-1, +-2 steps
     for p in pts:
         expected = _dense_log_evidence(p.theta[0], y, v, n) \
@@ -158,7 +159,8 @@ def test_hyper_grid_symmetric_weights():
     comp = LatentComponent("u", eye_obs, precision, n_theta=1,
                            theta_names=("log_ratio",))
     model = LatentModel(GaussianObs(y, v), [comp], theta_init=[0.0])
-    pts = hyper_grid(model, center=[0.0], optimize=False)
+    pts = fit_latent_model(model,
+                           thetas=model.theta_init + _ccd_offsets(1)).points
     w = {round(float(p.theta[0]), 6): p.weight for p in pts}
     assert w[0.75] == pytest.approx(w[-0.75], abs=1e-6)
     assert w[1.5] == pytest.approx(w[-1.5], abs=1e-6)
@@ -241,7 +243,7 @@ def test_gaussian_stage_full_machinery_dense_oracle():
     y = rng.standard_normal(n)
     comp = LatentComponent("u", b, sp.identity(m, format="csc") * 1.5)
     model = LatentModel(GaussianObs(y, v), [comp],
-                        fixed_design=np.ones((n, 1)), fixed_prec=1e-3)
+                        fixed_design=np.ones((n, 1)))
     fit = fit_latent_model(model, thetas=[np.empty(0)])
     marg = marginals(fit)
     bd = np.hstack([b.toarray(), np.ones((n, 1))])
@@ -316,16 +318,16 @@ def _binomial_bym_problem(seed=4, k_side=5):
     k = k_side * k_side
     edges = [(i, i + 1) for i in range(k) if (i + 1) % k_side] + \
         [(i, i + k_side) for i in range(k - k_side)]
-    from prevmap.areal import AdjacencyGraph, icar_precision
-    q_icar = icar_precision(AdjacencyGraph(k, edges)) \
-        + 1e-8 * sp.identity(k, format="csc")
+    from prevmap.areal import AdjacencyGraph, IcarPrecision, icar_precision
+    q_icar = IcarPrecision(icar_precision(AdjacencyGraph(k, edges)),
+                           np.zeros(k), np.ones(k, dtype=bool))
     trials = rng.integers(20, 40, k).astype(float)
     y = rng.binomial(trials.astype(int),
                      expit(rng.normal(-1.0, 0.5, k))).astype(float)
     eye = sp.identity(k, format="csr")
     comps = [
-        LatentComponent("icar", eye, lambda th: np.exp(th[0]) * q_icar,
-                        n_theta=1, constraint=np.ones((1, k))),
+        LatentComponent("icar", eye, q_icar, n_theta=1,
+                        constraint=np.ones((1, k))),
         LatentComponent("iid", eye,
                         lambda th: np.exp(th[0]) * sp.identity(k, format="csc"),
                         n_theta=1),
@@ -482,23 +484,25 @@ def test_blockwise_prior_logdet_matches_full_factor(name, coarse_mesh10,
     for _ in range(5):
         theta = model.theta_init + rng.normal(0.0, 0.7, model.n_theta)
         blocks = model.prior_blocks(theta)
-        logdet, s_prior = _prior_logdet(model, theta, blocks,
-                                        _pattern(model, blocks))
+        logdet = _prior_logdet(model, theta, blocks, _pattern(model, blocks))
         q_prior = model.prior_precision(theta)
-        full = SparseCholesky(q_prior)
-        # BYM's ICAR block carries a 1e-8 ridge and has condition number
-        # ~7e8: against its exact (40-digit) determinant, factorizations in
-        # any ordering, and dense LU, are off by up to ~5e-11 relative
-        rel = 1e-10 if name == "bym" else 1e-12
-        assert logdet == pytest.approx(full.logdet, rel=rel)
-        a = model.constraint
-        if a is None:
-            assert s_prior is None
+        if model.constraint is None:
+            ref = SparseCholesky(q_prior).logdet
         else:
-            # the sum-to-zero direction is the ICAR block's near-null
-            # space: both are within ~1e-8 of the exact k / (tau 1e-8)
-            ref = a @ full.solve(a.T)
-            assert np.abs(s_prior - ref).max() <= 1e-7 * np.abs(ref).max()
+            # BYM's intrinsic ICAR block: the generalized determinant is the
+            # product of the nonzero eigenvalues, one zero per sum-to-zero row
+            eig = np.linalg.eigvalsh(q_prior.toarray())
+            ref = np.log(eig[model.constraint.shape[0]:]).sum()
+        assert logdet == pytest.approx(ref, rel=1e-12)
+
+
+def test_constraint_needs_a_precision_with_logdet():
+    n = 5
+    comp = LatentComponent("u", sp.identity(n, format="csr"),
+                           sp.identity(n, format="csc"),
+                           constraint=np.ones((1, n)))
+    with pytest.raises(ValueError, match="logdet"):
+        LatentModel(GaussianObs(np.zeros(n), np.ones(n)), [comp])
 
 
 def _switching_problem(seed=3, n=30, m=12):
