@@ -97,14 +97,29 @@ def cmd_simulate(cfg):
     return 0
 
 
-def _load_frame(cfg):
+def _load_frame(cfg, boundary, areas=None):
+    """The survey frame, with every cluster inside ``boundary`` and, when
+    ``areas`` are given, every area_id one of theirs."""
     from .survey import read_frame_csv
 
     path = cfg.data or cfg.out("frame.csv")
     if not os.path.exists(path):
         raise DataError(f"survey frame not found: {path} (run simulate or "
                         f"set paths.data)")
-    return read_frame_csv(path)
+    frame = read_frame_csv(path)
+    # one test per location: households of a cluster share theirs
+    locs = np.unique(np.column_stack([frame.x, frame.y]), axis=0)
+    outside = locs[~boundary.contains(locs)]
+    if len(outside):
+        raise DataError(f"{path}: column x, y: {len(outside)} locations "
+                        f"outside the boundary, e.g. {tuple(outside[0])}")
+    if areas is not None:
+        unknown = sorted({str(a) for a in frame.area_id}
+                         - {str(p.id) for p in areas})
+        if unknown:
+            raise DataError(f"{path}: column area_id: ids not in "
+                            f"{cfg.areas}: {', '.join(unknown[:5])}")
+    return frame
 
 
 def _spde_theta_init(cfg):
@@ -170,15 +185,12 @@ def _fit_spde(cfg, boundary, frame):
             "fit_state.npz"]
 
 
-def _fit_bym(cfg, frame):
+def _fit_bym(cfg, frame, areas):
     """BYM smoothing of the direct estimates.  Returns the files written."""
     from . import areal, survey
     from ._csv import _write_csv
     from .inference import write_theta_grid_csv
 
-    areas = _areas(cfg)
-    if areas is None:
-        raise DataError("paths.areas is required for the BYM path")
     ests = survey.direct_estimates(frame)
     order = {str(p.id): i for i, p in enumerate(areas)}
     y = np.full(len(areas), np.nan)
@@ -210,13 +222,16 @@ def _fit_bym(cfg, frame):
 
 def cmd_fit(cfg):
     boundary = _boundary(cfg)
-    frame = _load_frame(cfg)
+    areas = _areas(cfg) if cfg.fit_bym else None
+    if cfg.fit_bym and areas is None:
+        raise DataError("paths.areas is required for the BYM path")
+    frame = _load_frame(cfg, boundary, areas)
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
     if cfg.fit_spde:
         wrote += _fit_spde(cfg, boundary, frame)
     if cfg.fit_bym:
-        wrote += _fit_bym(cfg, frame)
+        wrote += _fit_bym(cfg, frame, areas)
     cfg.echo(cfg.out("config_resolved.ini"))
     print(f"fit: wrote {', '.join(wrote)} -> {cfg.output_dir}")
     return 0

@@ -12,16 +12,29 @@ Gaussians.  Linear equality constraints (sum-to-zero terms) are enforced by
 conditioning by kriging; they must remove the null space of an intrinsic
 prior block, whose precision then gives its generalized log-determinant.
 
-The sparsity of Q_prior and of Q_post = Q_prior + B^T diag(h) B does not
-change with theta or with the Newton iterate, so each :class:`LatentModel`
-caches what depends only on it: the fill-reducing ordering of every matrix
-it factors, and one symbolic pattern of Q_post with the maps that fill it
-(the positions of each prior block, and a sparse map from the curvature h
-to the data of B^T diag(h) B).  A Newton step then assembles Q_post as one
-data vector and refactors it numerically.  log|Q_prior| is a sum over the
-prior's diagonal blocks: the block's own ``logdet`` where its precision has
-one (the SPDE field's, the ICAR block's generalized one), the closed form
-for other diagonal blocks, and a factorization otherwise.
+Q_post = Q_prior + B^T diag(h) B is never assembled whole.  A latent block
+whose prior block is a full diagonal and whose design has at most one
+nonzero per row and per column, on observation rows no other such block
+uses, is integrated out exactly: its own block of Q_post is then diagonal,
+q = p + b^2 h, so the Schur complement S over the remaining coordinates is
+again Q_prior + B^T diag(h~) B over those coordinates, with a rescaled
+curvature h~ = h p / q on the rows those coordinates observe, and
+log|Q_post| = log|S| + sum log q.  Solves and draws eliminate through q
+with no approximation.  The SPDE model's household nugget and the BYM
+model's iid area effects are such blocks; the field, the ICAR block and
+the fixed effects are not.  With no such block S is Q_post itself.
+
+The sparsity of Q_prior and of S does not change with theta or with the
+Newton iterate, so each :class:`LatentModel` caches what depends only on
+it (a ``_Pattern``): which blocks are integrated out, the fill-reducing
+ordering of every matrix it factors, and one symbolic pattern of S with
+the maps that fill it (the positions of each kept prior block, and a
+sparse map from h~ to the data of B^T diag(h~) B).  A Newton step then
+assembles S as one data vector and refactors it numerically, and reuses
+the factor where h has not changed.  log|Q_prior| is a sum over the
+prior's diagonal blocks: the block's own ``logdet`` where its precision
+has one (the SPDE field's, the ICAR block's generalized one), the closed
+form for other diagonal blocks, and a factorization otherwise.
 """
 
 import warnings
@@ -241,10 +254,9 @@ class LatentModel:
             names = comp.theta_names or tuple(
                 f"{comp.name}.theta{j}" for j in range(comp.n_theta))
             self.theta_names.extend(names)
-        # fill-reducing orderings of Q_post ("post") and of the prior blocks
-        # that are factored (("prior", name)), and the pattern of Q_post
-        # (a _Pattern): their sparsity does not change with theta or eta
-        self._orders = {}
+        # how Q_post is factored (a _Pattern, with its orderings): it
+        # depends only on the sparsity of the prior blocks, which does not
+        # change with eta and rarely with theta
         self._pattern = None
 
     def coord_names(self):
@@ -292,8 +304,7 @@ class GaussianApprox:
 
     theta: np.ndarray
     mean: np.ndarray            # constraint-corrected mean
-    precision: sp.spmatrix
-    factor: SparseCholesky
+    factor: object              # factor of Q_post (solve, logdet, sample)
     log_evidence: float
     n_iter: int
     constraint: np.ndarray = None
@@ -308,38 +319,88 @@ def _krige(x, a_con, w_mat, m_mat):
     return x - w_mat @ (m_mat @ (a_con @ x))
 
 
-def _factor(model, key, q):
-    """Factor q with the model's ordering for ``key`` ("post", or
-    ("prior", name) for a prior block), computed by the first factorization
-    of that matrix.  Threads that factor the first matrices at once may
-    each compute it; the ordering depends only on the pattern, so they
-    agree."""
-    order = model._orders.get(key)
+def _factor(orders, key, q):
+    """Factor q with the ordering ``orders[key]``, computed by the first
+    factorization of that matrix and stored there.  Threads that factor the
+    first matrices at once may each compute it; the ordering depends only
+    on the pattern, so they agree."""
+    order = orders.get(key)
     factor = SparseCholesky(q, order=order)
     if order is None:
-        model._orders[key] = factor.order
+        orders[key] = factor.order
     return factor
 
 
 class _Pattern:
-    """The sparsity pattern of Q_post = Q_prior + B^T diag(h) B and the maps
-    that lay data on it, for one sparsity of the prior blocks.
+    """How Q_post = Q_prior + B^T diag(h) B is factored, for one sparsity of
+    the prior blocks: which latent coordinates are integrated out, and the
+    sparsity pattern of the Schur complement S over the rest with the maps
+    that lay data on it.
 
-    The pattern holds every entry of each prior block and of its transpose,
-    and every (a, b) with B_ka B_kb != 0 for some observation k.
-    ``curvature`` is the sparse map S with data(B^T diag(h) B) = S @ h: its
-    row for entry (a, b) holds B_ka B_kb in column k.  The rows of (a, b)
-    and (b, a) are equal, so S @ h is exactly symmetric.  Prior block i
-    sits at ``pos[i]`` in the data and its transpose at ``pos_t[i]``;
-    ``diagonal[i]`` says whether that block is a full diagonal.
+    A block is eliminated (its coordinates join E) when its prior block is
+    a full diagonal and its design has at most one nonzero per row and per
+    column, on observation rows that no earlier eliminated block uses.
+    Q_post's block over E is then the diagonal q = p + b^2 h (prior
+    diagonal p, design value b of the coordinate's observation, none for
+    an unobserved coordinate), and S = Q_prior,R + B_R^T diag(h~) B_R over
+    the remaining coordinates R, with h~ = h p / q on the rows of
+    eliminated coordinates and h elsewhere.  R may be empty.
+
+    The pattern of S holds every entry of each kept prior block and of its
+    transpose, and every (a, b) with B_ka B_kb != 0 in B_R.  ``curvature``
+    is the sparse map C with data(B_R^T diag(h~) B_R) = C @ h~: its row for
+    entry (a, b) holds B_ka B_kb in column k.  The rows of (a, b) and
+    (b, a) are equal, so C @ h~ is exactly symmetric.  Kept block i sits at
+    ``pos[i]`` in the data and its transpose at ``pos_t[i]``;
+    ``diagonal[i]`` says whether prior block i is a full diagonal.  With E
+    empty, S is Q_post.  ``orders`` holds the fill-reducing orderings of S
+    ("schur") and of the prior blocks that are factored (("prior", name)).
     """
 
     def __init__(self, model, blocks):
-        d = model.latent_dim
         b = sp.csr_matrix(model.design)
         if not b.has_canonical_format:
             b = b.copy()
             b.sum_duplicates()
+        self.diagonal = [q.nnz == q.shape[0]
+                         and np.array_equal(q.indices, np.arange(q.nnz))
+                         and np.array_equal(q.indptr, np.arange(q.nnz + 1))
+                         for q in blocks]
+        starts = np.cumsum([0] + [q.shape[0] for q in blocks])
+        columns = b.tocsc()
+        used = np.zeros(b.shape[0], dtype=bool)
+        elim = []
+        for i, diagonal in enumerate(self.diagonal):
+            part = columns[:, starts[i]:starts[i + 1]]
+            part.eliminate_zeros()
+            rows = part.indices
+            if (diagonal and np.all(np.diff(part.indptr) <= 1)
+                    and len(np.unique(rows)) == len(rows)
+                    and not used[rows].any()):
+                used[rows] = True
+                elim.append(i)
+        self.kept_blocks = [i for i in range(len(blocks)) if i not in elim]
+        self.elim_blocks = elim
+        self.elim = np.concatenate(
+            [np.arange(starts[i], starts[i + 1]) for i in elim]
+            + [np.zeros(0, dtype=int)]).astype(np.intp)
+        self.keep = np.setdiff1d(np.arange(model.latent_dim), self.elim)
+        # the observed eliminated coordinates: observation row, position
+        # in E and design value
+        b_e = columns[:, self.elim].tocoo()
+        nonzero = b_e.data != 0
+        self.e_rows = b_e.row[nonzero]
+        self.e_cols = b_e.col[nonzero]
+        self.e_vals = b_e.data[nonzero]
+        self.design = b[:, self.keep]
+        self._curvature_map(self.design,
+                            [blocks[i] for i in self.kept_blocks])
+        self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
+        self.orders = {}
+
+    def _curvature_map(self, b, blocks):
+        """The pattern of S and the maps onto it, from the kept design b
+        (canonical CSR) and the kept prior blocks."""
         # pairs (e, f) of stored entries of B in the same row k
         per_row = np.diff(b.indptr)
         obs = np.repeat(np.arange(b.shape[0]), per_row)
@@ -352,6 +413,7 @@ class _Pattern:
         keep = vals != 0
         first, second, vals = first[keep], second[keep], vals[keep]
 
+        d = b.shape[1]
         starts = np.cumsum([0] + [q.shape[0] for q in blocks])
         entries = [(r + s0, c + s0) for (r, c), s0
                    in zip(map(coo_indices, blocks), starts)]
@@ -362,41 +424,118 @@ class _Pattern:
         self.curvature = sp.csr_matrix((vals, (pos[-1], obs[first])),
                                        shape=(len(self.indices), b.shape[0]))
         self.shape = (d, d)
-        self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
-        self.diagonal = [q.nnz == q.shape[0]
-                         and np.array_equal(q.indices, np.arange(q.nnz))
-                         and np.array_equal(q.indptr, np.arange(q.nnz + 1))
-                         for q in blocks]
 
     def fits(self, blocks):
         return len(blocks) == len(self.blocks) and all(
             np.array_equal(ptr, q.indptr) and np.array_equal(ind, q.indices)
             for (ptr, ind), q in zip(self.blocks, blocks))
 
-    def prior_data(self, blocks):
-        """Q_prior's data on the pattern, the mean of each block and its
-        transpose (equal to the block when the block is symmetric)."""
+    def prior(self, blocks):
+        """Q_prior as the data of its kept blocks on the pattern, each the
+        mean of the block and its transpose (equal to the block when the
+        block is symmetric), and the diagonal p of its eliminated blocks."""
         data = np.zeros(len(self.indices))
-        for q, pos, pos_t in zip(blocks, self.pos, self.pos_t):
-            half = 0.5 * q.data
+        for i, pos, pos_t in zip(self.kept_blocks, self.pos, self.pos_t):
+            half = 0.5 * blocks[i].data
             data[pos] += half
             data[pos_t] += half
-        return data
+        p = np.concatenate([blocks[i].data for i in self.elim_blocks]
+                           + [np.zeros(0)])
+        return data, p
 
     def matrix(self, data):
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
+    def schur(self, prior, h):
+        """S at the curvature h, with the diagonal q of Q_post's block over
+        E, from the prior as laid out by :meth:`prior`."""
+        data, p = prior
+        rows, cols, b = self.e_rows, self.e_cols, self.e_vals
+        q = p.copy()
+        q[cols] += b * b * h[rows]
+        h_schur = h.copy()
+        h_schur[rows] *= p[cols] / q[cols]
+        return self.matrix(data + self.curvature @ h_schur), q
+
 
 def _pattern(model, blocks):
-    """The model's Q_post pattern, rebuilt when the prior blocks' sparsity
-    differs from the one it was built for.  Shared between threads like
-    ``_orders``: a thread keeps the pattern it was given."""
+    """The model's pattern, rebuilt when the prior blocks' sparsity differs
+    from the one it was built for.  Shared between threads: a thread keeps
+    the pattern it was given."""
     pat = model._pattern
     if pat is None or not pat.fits(blocks):
         pat = _Pattern(model, blocks)
         model._pattern = pat
     return pat
+
+
+class _PosteriorFactor:
+    """Factor of Q_post = Q_prior + B^T diag(h) B on the full latent vector,
+    with the pattern's eliminated coordinates E integrated out exactly:
+    only the Schur complement S over R is factored (``schur``), and
+
+        log|Q_post| = log|S| + sum_j log q_j.
+
+    Q_post's off-diagonal block is Q_ER = B_E^T diag(h) B_R, so a solve
+    eliminates forward, solves S and substitutes back through q, and a
+    draw takes x_R from S and x_E = -(Q_ER x_R) / q + z_E / sqrt(q).
+    """
+
+    def __init__(self, pat, prior, h):
+        s, q = pat.schur(prior, h)
+        if not np.all(q > 0) or not np.all(np.isfinite(q)):
+            raise NotPositiveDefiniteError(
+                "an eliminated diagonal of Q_post is not positive")
+        self.schur = _factor(pat.orders, "schur", s)
+        self.h = h
+        self.logdet = self.schur.logdet + float(np.log(q).sum())
+        self._pat = pat
+        self._q = q
+        self._c = pat.e_vals * h[pat.e_rows]  # nonzeros of B_E^T diag(h)
+
+    def _q_er(self, x_r):
+        """Q_ER x_R for x_R of shape (|R|,) or (|R|, k)."""
+        pat = self._pat
+        t = pat.design @ x_r
+        out = np.zeros((len(self._q),) + t.shape[1:])
+        out[pat.e_cols] = _rows(self._c, t) * t[pat.e_rows]
+        return out
+
+    def _q_re(self, x_e):
+        """Q_RE x_E for x_E of shape (|E|,) or (|E|, k)."""
+        pat = self._pat
+        t = np.zeros((pat.design.shape[0],) + x_e.shape[1:])
+        t[pat.e_rows] = _rows(self._c, x_e) * x_e[pat.e_cols]
+        return pat.design.T @ t
+
+    def solve(self, rhs):
+        """Solve Q_post x = rhs; rhs may be a vector or a (d, k) matrix."""
+        rhs = np.asarray(rhs, dtype=float)
+        pat = self._pat
+        r, e = rhs[pat.keep], rhs[pat.elim]
+        x_r = self.schur.solve(r - self._q_re(e / _rows(self._q, e)))
+        x = np.empty_like(rhs)
+        x[pat.keep] = x_r
+        x[pat.elim] = (e - self._q_er(x_r)) / _rows(self._q, e)
+        return x
+
+    def sample(self, z):
+        """Map standard normal draws z (d,) or (d, k) to N(0, Q_post^{-1})
+        draws."""
+        z = np.asarray(z, dtype=float)
+        pat = self._pat
+        x_r = self.schur.sample(z[pat.keep])
+        q = _rows(self._q, z)
+        x = np.empty_like(z)
+        x[pat.keep] = x_r
+        x[pat.elim] = z[pat.elim] / np.sqrt(q) - self._q_er(x_r) / q
+        return x
+
+
+def _rows(v, x):
+    """The vector v shaped to scale the rows of x, (n,) or (n, k)."""
+    return v.reshape(-1, *([1] * (np.ndim(x) - 1)))
 
 
 def _prior_logdet(model, theta, blocks, pat):
@@ -416,30 +555,33 @@ def _prior_logdet(model, theta, blocks, pat):
                     f"prior block {names[i]} has a non-positive diagonal")
             logdet += float(np.log(q.data).sum())
         else:
-            logdet += _factor(model, ("prior", names[i]), q).logdet
+            logdet += _factor(pat.orders, ("prior", names[i]), q).logdet
     return logdet
 
 
-def _curvature(model, pat, prior_data, eta):
-    """Posterior precision at the linear predictor eta, assembled on the
-    model's pattern, with its factor and the kriging matrices
-    W = Q^{-1} A^T and M = (A W)^{-1} (both None without constraints)."""
+def _curvature(model, pat, prior, eta, last=None):
+    """The factor of the posterior precision at the linear predictor eta
+    and the kriging matrices W = Q^{-1} A^T and M = (A W)^{-1} (both None
+    without constraints).  ``last``, an earlier result of the same prior,
+    is returned as it is when its curvature h equals the one at eta, as it
+    does at every eta for a Gaussian observation stage."""
     h = model.obs.neg_hess(eta)
-    q_post = pat.matrix(prior_data + pat.curvature @ h)
-    factor = _factor(model, "post", q_post)
+    if last is not None and np.array_equal(h, last[0].h):
+        return last
+    factor = _PosteriorFactor(pat, prior, h)
     w_mat = m_mat = None
     if model.constraint is not None:
         w_mat = factor.solve(model.constraint.T)
         m_mat = np.linalg.inv(model.constraint @ w_mat)
-    return q_post, factor, w_mat, m_mat
+    return factor, w_mat, m_mat
 
 
 def gaussian_approx(model, theta, u0=None, tol=1e-8):
     """Newton--Raphson Gaussian approximation of pi(u | y, theta).
 
-    Returns the (constrained) mode, the sparse posterior precision at the
-    mode and the Laplace log-evidence log pi(y | theta).  With a Gaussian
-    observation stage the first Newton step is exact.
+    Returns the (constrained) mode, the factor of the posterior precision
+    at the mode and the Laplace log-evidence log pi(y | theta).  With a
+    Gaussian observation stage the first Newton step is exact.
 
     Newton starts from ``u0`` (default zero).  ``u0`` must satisfy the
     model's constraints, A u0 = 0, as the ``mean`` of an earlier
@@ -450,8 +592,8 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
     theta = np.asarray(theta, dtype=float)
     blocks = model.prior_blocks(theta)
     pat = _pattern(model, blocks)
-    prior_data = pat.prior_data(blocks)
-    q_prior = pat.matrix(prior_data)
+    prior = pat.prior(blocks)
+    q_prior_r = pat.matrix(prior[0])
     prior_logdet = _prior_logdet(model, theta, blocks, pat)
     b = model.design
     a_con = model.constraint
@@ -460,19 +602,27 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
     if u.shape != (d,):
         raise ValueError(f"u0 must have shape ({d},), got {u.shape}")
 
+    def prior_times(u_):
+        out = np.empty(d)
+        out[pat.keep] = q_prior_r @ u_[pat.keep]
+        out[pat.elim] = prior[1] * u_[pat.elim]
+        return out
+
     def objective(u_):
         eta = b @ u_
-        return model.obs.loglik(eta) - 0.5 * float(u_ @ (q_prior @ u_))
+        return model.obs.loglik(eta) - 0.5 * float(u_ @ prior_times(u_))
 
     f_u = objective(u)
     trace = [f_u]
     n_iter = 0
     converged = False
+    cur = None
     for it in range(_MAX_ITER):
         eta = b @ u
         g = model.obs.grad(eta)
-        q_post, factor, w_mat, m_mat = _curvature(model, pat, prior_data, eta)
-        grad = np.asarray(b.T @ g).ravel() - q_prior @ u
+        cur = _curvature(model, pat, prior, eta, cur)
+        factor, w_mat, m_mat = cur
+        grad = np.asarray(b.T @ g).ravel() - prior_times(u)
         if a_con is not None:
             # projected gradient: remove the constrained directions
             grad_proj = grad - a_con.T @ np.linalg.solve(
@@ -503,8 +653,8 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
         if rel_change < tol:
             converged = True
             # refresh curvature at the accepted mode
-            q_post, factor, w_mat, m_mat = _curvature(model, pat, prior_data,
-                                                      b @ u)
+            cur = _curvature(model, pat, prior, b @ u, cur)
+            factor, w_mat, m_mat = cur
             break
     if not converged:
         raise ConvergenceError(
@@ -514,13 +664,13 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
     # unconstrained mean of the final quadratic model
     eta = b @ u
     g = model.obs.grad(eta)
-    grad = np.asarray(b.T @ g).ravel() - q_prior @ u
+    grad = np.asarray(b.T @ g).ravel() - prior_times(u)
     mu_hat = u + factor.solve(grad)
 
     loglik_mode = model.obs.loglik(eta)
     log_ev = (loglik_mode
               + 0.5 * prior_logdet
-              - 0.5 * float(u @ (q_prior @ u))
+              - 0.5 * float(u @ prior_times(u))
               - 0.5 * factor.logdet)
     if a_con is not None:
         # Laplace integral over {A u = 0}, normal to the gradient A^T lambda
@@ -528,8 +678,8 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
                          - np.linalg.slogdet(a_con @ w_mat)[1])
 
     mean = _krige(mu_hat, a_con, w_mat, m_mat)
-    return GaussianApprox(theta=theta, mean=mean, precision=q_post,
-                          factor=factor, log_evidence=log_ev, n_iter=n_iter,
+    return GaussianApprox(theta=theta, mean=mean, factor=factor,
+                          log_evidence=log_ev, n_iter=n_iter,
                           constraint=a_con, _w=w_mat, _m=m_mat)
 
 
@@ -766,8 +916,11 @@ def make_spde_model(obs, projector, c_mat, g_mat, nugget=True,
 
     eta = beta0 + (A w) + eps with A the mesh projector at the data
     locations, w the field weights with SPDE precision Q(log tau, log kappa)
-    and eps an optional iid nugget whose log-precision is a hyperparameter.
-    beta0 and theta take the priors of :class:`LatentModel`'s defaults.
+    and eps an optional iid nugget, one coordinate per observation, whose
+    log-precision is a hyperparameter.  beta0 and theta take the priors of
+    :class:`LatentModel`'s defaults.  The nugget is integrated out of every
+    factorization, so a Newton step factors a matrix over the mesh
+    vertices and beta0 only, however many observations there are.
     """
     from .spde import SpdePrecision
 

@@ -11,10 +11,13 @@ The ordering depends only on the sparsity pattern, so it is computed once
 per pattern and reused: a factorization exposes the permutation it used as
 an :class:`Ordering`, and a later matrix with the same pattern is factored
 as ``q[perm][:, perm]`` in natural order, which skips the minimum-degree
-pass and gives the same fill.  The latent model engine keeps one ordering
-per matrix it factors (Q_post, and each prior block with no ``logdet`` and
-no closed form, never a constrained one) and the SPDE precision keeps one
-for its K; together with :func:`union_pattern`, which lays out a sum of
+pass and gives the same fill.  The latent model engine factors the Schur
+complement of Q_post over the coordinates that are not integrated out in
+closed form (Q_post itself when none is), each prior block with no
+``logdet`` and no closed form (never a constrained one), and the ICAR
+block's minor once for its log pseudo-determinant constant; the SPDE
+precision factors its K = kappa^2 C + G.  Each keeps one ordering per
+matrix; together with :func:`union_pattern`, which lays out a sum of
 sparse matrices as data on one fixed pattern, a new theta or Newton step
 costs only a numerical refactorization.
 """

@@ -303,6 +303,8 @@ BAD_INPUTS = {
     "frame_weight_nan": lambda d: _frame_case(d, bad=("weight", "nan")),
     "frame_weight_inf": lambda d: _frame_case(d, bad=("weight", "inf")),
     "frame_y_fractional": lambda d: _frame_case(d, bad=("Y", "0.5")),
+    "frame_x_outside_boundary": lambda d: _frame_case(d, bad=("x", "50")),
+    "frame_unknown_area_id": lambda d: _frame_case(d, bad=("area_id", "zzz")),
     "polygons_without_ring_index": _polygons_without_ring_index,
     "adjacency_unknown_area": lambda d: _frame_case(
         d, adjacency=[("A0", "A1"), ("A0", "A9")]),

@@ -14,6 +14,18 @@ from prevmap.inference import (BinomialObs, FitResult, GaussianObs,
                                write_fit_summary_csv, write_theta_grid_csv)
 
 
+def _assert_factor_of(factor, q_post, rel=1e-12):
+    """``factor`` solves with and has the log-determinant of the dense
+    Q_post."""
+    rhs = np.random.default_rng(0).standard_normal((len(q_post), 3))
+    ref = np.linalg.solve(q_post, rhs)
+    assert np.abs(factor.solve(rhs) - ref).max() <= rel * np.abs(ref).max()
+    assert np.abs(factor.solve(rhs[:, 0]) - ref[:, 0]).max() \
+        <= rel * np.abs(ref).max()
+    assert factor.logdet == pytest.approx(np.linalg.slogdet(q_post)[1],
+                                          rel=rel)
+
+
 def _gaussian_problem(n=40, m=25, seed=1, q_scale=2.0):
     rng = np.random.default_rng(seed)
     b = sp.csr_matrix(rng.standard_normal((n, m)) * 0.5)
@@ -31,7 +43,24 @@ def test_gaussian_stage_one_newton_step_exact():
     ga = gaussian_approx(model, np.empty(0))
     assert ga.n_iter == 1
     assert np.abs(ga.mean - mu).max() < 1e-10
-    assert np.abs(ga.precision.toarray() - q_post).max() < 1e-10
+    _assert_factor_of(ga.factor, q_post)
+
+
+def test_gaussian_stage_factors_once(monkeypatch):
+    # h does not depend on eta, so the factor of the exact Newton step
+    # serves the convergence check and the mean
+    from prevmap import sparsela
+    calls = []
+    init = sparsela.SparseCholesky.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparsela.SparseCholesky, "__init__", counting_init)
+    model = _gaussian_problem()[0]
+    gaussian_approx(model, np.empty(0))
+    assert len(calls) == 1
 
 
 def test_gaussian_stage_evidence_matches_dense_marginal_likelihood():
@@ -436,11 +465,26 @@ def _bym_problem(seed=6, side=6):
                                         graph=AdjacencyGraph(k, edges)))[0]
 
 
+def _iid_iid_problem(seed=5, n=40):
+    """Binomial counts with two iid terms on the same observations and an
+    intercept: only the first iid term can be integrated out."""
+    rng = np.random.default_rng(seed)
+    trials = rng.integers(5, 15, n).astype(float)
+    y = rng.binomial(trials.astype(int), 0.3).astype(float)
+    comps = [LatentComponent(
+        name, sp.identity(n, format="csr"),
+        lambda th: np.exp(th[0]) * sp.identity(n, format="csc"), n_theta=1)
+        for name in ("iid", "iid2")]
+    return LatentModel(BinomialObs(y, trials), comps,
+                       fixed_design=np.ones((n, 1)), theta_init=[1.0, 2.0])
+
+
 def _models(mesh, fem):
     return {"spde_nugget": _spde_problem(mesh, fem, nugget=True),
             "spde": _spde_problem(mesh, fem, nugget=False),
             "bym": _bym_problem(),
-            "rw1_iid": _binomial_problem()}
+            "rw1_iid": _binomial_problem(),
+            "iid_iid": _iid_iid_problem()}
 
 
 def _reference_q_post(model, theta, eta):
@@ -451,30 +495,58 @@ def _reference_q_post(model, theta, eta):
     return ((q + q.T) * 0.5).toarray()
 
 
-@pytest.mark.parametrize("name", ["spde_nugget", "spde", "bym", "rw1_iid"])
-def test_fixed_pattern_q_post_matches_sparse_assembly(name, coarse_mesh10,
-                                                      coarse_fem10):
+# the components whose coordinates the factorization integrates out
+_ELIMINATED = {"spde_nugget": ["eps"], "spde": [], "bym": ["iid"],
+               "rw1_iid": ["iid"], "iid_iid": ["iid"]}
+
+
+def _coords(model, names):
+    return np.concatenate([np.arange(model.latent_dim)[model.slices[c]]
+                           for c in names] + [np.zeros(0, dtype=int)])
+
+
+@pytest.mark.parametrize("name", sorted(_ELIMINATED))
+def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
+                                               coarse_fem10):
     from prevmap.inference import _curvature, _pattern
     model = _models(coarse_mesh10, coarse_fem10)[name]
+    elim = _coords(model, _ELIMINATED[name])
+    keep = np.setdiff1d(np.arange(model.latent_dim), elim)
     rng = np.random.default_rng(21)
     for _ in range(3):
         theta = model.theta_init + rng.normal(0.0, 0.5, model.n_theta)
         eta = rng.normal(-1.0, 1.0, model.obs.n)
         blocks = model.prior_blocks(theta)
         pat = _pattern(model, blocks)
-        q_post = _curvature(model, pat, pat.prior_data(blocks), eta)[0]
+        assert np.array_equal(pat.elim, elim)
+        assert np.array_equal(pat.keep, keep)
+        prior = pat.prior(blocks)
+        s_mat = pat.schur(prior, model.obs.neg_hess(eta))[0].toarray()
         ref = _reference_q_post(model, theta, eta)
-        dense = q_post.toarray()
-        assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert np.array_equal(dense, dense.T)
-        # Q_prior on the same pattern
-        assert np.array_equal(pat.matrix(pat.prior_data(blocks)).toarray(),
-                              model.prior_precision(theta).toarray())
+        q_re = ref[np.ix_(keep, elim)]
+        schur = ref[np.ix_(keep, keep)] \
+            - q_re @ np.linalg.solve(ref[np.ix_(elim, elim)], q_re.T)
+        assert np.abs(s_mat - schur).max() <= 1e-13 * np.abs(schur).max()
+        assert np.array_equal(s_mat, s_mat.T)
+        if not len(elim):
+            assert np.abs(s_mat - ref).max() <= 1e-14 * np.abs(ref).max()
+        # Q_prior laid out on the same pattern and its eliminated diagonal
+        q_prior = model.prior_precision(theta).toarray()
+        assert np.array_equal(pat.matrix(prior[0]).toarray(),
+                              q_prior[np.ix_(keep, keep)])
+        assert np.array_equal(prior[1], np.diag(q_prior)[elim])
+        # the factor of the full Q_post
+        factor = _curvature(model, pat, prior, eta)[0]
+        _assert_factor_of(factor, ref, rel=1e-10)
+        draws = factor.sample(np.eye(model.latent_dim))
+        cov = np.linalg.inv(ref)
+        assert np.abs(draws @ draws.T - cov).max() \
+            <= 1e-10 * np.abs(cov).max()
     # one pattern for every theta and eta
     assert model._pattern is pat
 
 
-@pytest.mark.parametrize("name", ["spde_nugget", "spde", "bym", "rw1_iid"])
+@pytest.mark.parametrize("name", sorted(_ELIMINATED))
 def test_blockwise_prior_logdet_matches_full_factor(name, coarse_mesh10,
                                                     coarse_fem10):
     from prevmap.inference import _pattern, _prior_logdet
@@ -505,11 +577,20 @@ def test_constraint_needs_a_precision_with_logdet():
         LatentModel(GaussianObs(np.zeros(n), np.ones(n)), [comp])
 
 
-def _switching_problem(seed=3, n=30, m=12):
+def _switching_problem(seed=3, n=30, m=12, one_per_row=False):
     """Gaussian observations of u, whose prior is diagonal for theta < 0 and
-    a random-walk (tridiagonal) precision otherwise."""
+    a random-walk (tridiagonal) precision otherwise.  The design is random
+    with 30% nonzeros, or with ``one_per_row`` a nonzero in m random rows,
+    one per column, so that u is integrated out while its prior is
+    diagonal."""
     rng = np.random.default_rng(seed)
-    b = sp.csr_matrix(rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.3))
+    if one_per_row:
+        b = sp.csr_matrix((rng.standard_normal(m),
+                           (rng.permutation(n)[:m], np.arange(m))),
+                          shape=(n, m))
+    else:
+        b = sp.csr_matrix(rng.standard_normal((n, m))
+                          * (rng.random((n, m)) < 0.3))
     v = 0.5 + rng.random(n)
     y = rng.standard_normal(n)
     q_rw = _rw1_precision(m)
@@ -524,26 +605,29 @@ def _switching_problem(seed=3, n=30, m=12):
 
 
 def test_pattern_rebuilt_when_prior_sparsity_changes():
-    model = _switching_problem()
-    b = model.design.toarray()
-    v = model.obs.variance
-    n = len(v)
-    patterns = []
-    for th in (-0.5, 0.7, -1.2, 0.2):
-        theta = np.array([th])
-        ga = gaussian_approx(model, theta)
-        patterns.append(model._pattern)
-        q_prior = model.prior_precision(theta).toarray()
-        ref = q_prior + (b.T / v) @ b
-        assert np.abs(ga.precision.toarray() - ref).max() \
-            <= 1e-14 * np.abs(ref).max()
-        # Gaussian stage: the Laplace evidence is the exact marginal
-        # likelihood of y ~ N(0, B Q_prior^{-1} B^T + V)
-        cov_y = b @ np.linalg.solve(q_prior, b.T) + np.diag(v)
-        ev = -0.5 * (n * np.log(2 * np.pi) + np.linalg.slogdet(cov_y)[1]
-                     + model.obs.y @ np.linalg.solve(cov_y, model.obs.y))
-        assert ga.log_evidence == pytest.approx(ev, rel=1e-10)
-    # the diagonal and the tridiagonal prior each got their own pattern
-    assert patterns[0] is not patterns[1]
-    assert patterns[1] is not patterns[2]
-    assert patterns[2] is not patterns[3]
+    for one_per_row in (False, True):
+        model = _switching_problem(one_per_row=one_per_row)
+        b = model.design.toarray()
+        v = model.obs.variance
+        n = len(v)
+        patterns = []
+        for th in (-0.5, 0.7, -1.2, 0.2):
+            theta = np.array([th])
+            ga = gaussian_approx(model, theta)
+            patterns.append(model._pattern)
+            # u is integrated out while its prior is diagonal, if its
+            # design allows it
+            elim = np.arange(12) if one_per_row and th < 0 else []
+            assert np.array_equal(model._pattern.elim, elim)
+            q_prior = model.prior_precision(theta).toarray()
+            _assert_factor_of(ga.factor, q_prior + (b.T / v) @ b)
+            # Gaussian stage: the Laplace evidence is the exact marginal
+            # likelihood of y ~ N(0, B Q_prior^{-1} B^T + V)
+            cov_y = b @ np.linalg.solve(q_prior, b.T) + np.diag(v)
+            ev = -0.5 * (n * np.log(2 * np.pi) + np.linalg.slogdet(cov_y)[1]
+                         + model.obs.y @ np.linalg.solve(cov_y, model.obs.y))
+            assert ga.log_evidence == pytest.approx(ev, rel=1e-10)
+        # the diagonal and the tridiagonal prior each got their own pattern
+        assert patterns[0] is not patterns[1]
+        assert patterns[1] is not patterns[2]
+        assert patterns[2] is not patterns[3]
