@@ -393,6 +393,7 @@ class _Pattern:
         self.e_cols = b_e.col[nonzero]
         self.e_vals = b_e.data[nonzero]
         self.design = b[:, self.keep]
+        self.design_e = self.design[self.e_rows]  # B_R's rows that E observes
         self._curvature_map(self.design,
                             [blocks[i] for i in self.kept_blocks])
         self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
@@ -497,17 +498,15 @@ class _PosteriorFactor:
     def _q_er(self, x_r):
         """Q_ER x_R for x_R of shape (|R|,) or (|R|, k)."""
         pat = self._pat
-        t = pat.design @ x_r
+        t = pat.design_e @ x_r
         out = np.zeros((len(self._q),) + t.shape[1:])
-        out[pat.e_cols] = _rows(self._c, t) * t[pat.e_rows]
+        out[pat.e_cols] = _rows(self._c, t) * t
         return out
 
     def _q_re(self, x_e):
         """Q_RE x_E for x_E of shape (|E|,) or (|E|, k)."""
-        pat = self._pat
-        t = np.zeros((pat.design.shape[0],) + x_e.shape[1:])
-        t[pat.e_rows] = _rows(self._c, x_e) * x_e[pat.e_cols]
-        return pat.design.T @ t
+        return self._pat.design_e.T @ (_rows(self._c, x_e)
+                                       * x_e[self._pat.e_cols])
 
     def solve(self, rhs):
         """Solve Q_post x = rhs; rhs may be a vector or a (d, k) matrix."""
