@@ -195,11 +195,9 @@ def _fit_bym(cfg, frame, areas):
     order = {str(p.id): i for i, p in enumerate(areas)}
     y = np.full(len(areas), np.nan)
     v = np.full(len(areas), np.nan)
-    for e in ests:
-        key = str(e.area_id)
-        if key in order:
-            y[order[key]] = e.y_logit
-            v[order[key]] = e.v_logit
+    for e in ests:  # every area_id is one of the areas (_load_frame)
+        y[order[str(e.area_id)]] = e.y_logit
+        v[order[str(e.area_id)]] = e.v_logit
     survey.write_direct_estimates_csv(cfg.out("direct_estimates.csv"), ests)
     if cfg.adjacency:
         graph = areal.adjacency_from_csv(cfg.adjacency,
