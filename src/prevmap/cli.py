@@ -82,8 +82,11 @@ def cmd_simulate(cfg):
             raise DataError(f"cluster location file not found: "
                             f"{cfg.cluster_locations}")
         locs = simulate.read_locations_csv(cfg.cluster_locations)
-    sim = simulate.simulate_survey(_sim_config(cfg), boundary, areas=areas,
-                                   cluster_locations=locs)
+    try:
+        sim = simulate.simulate_survey(_sim_config(cfg), boundary,
+                                       areas=areas, cluster_locations=locs)
+    except DataError as exc:  # the areas do not cover the clusters
+        raise DataError(f"{cfg.areas}: {exc}") from exc
     os.makedirs(cfg.output_dir, exist_ok=True)
     survey.write_frame_csv(cfg.out("frame.csv"), sim.frame)
     simulate.write_truth_lattice_csv(cfg.out("truth_lattice.csv"), sim.truth)

@@ -8,9 +8,15 @@ Fits models of the form
 by a Gaussian approximation at the conditional mode (Newton with
 step-halving), a small grid over the hyperparameters theta weighted by the
 Laplace evidence, and joint sampling from the resulting mixture of sparse
-Gaussians.  Linear equality constraints (sum-to-zero terms) are enforced by
-conditioning by kriging; they must remove the null space of an intrinsic
-prior block, whose precision then gives its generalized log-determinant.
+Gaussians.  The grid is INLA's (Rue, Martino & Chopin 2009): a BFGS search
+for the theta mode on finite-difference gradients, a finite-difference
+Hessian there, a skewness correction per axis of the coordinates it
+standardizes, and a central composite design in those coordinates whose
+integration weights keep a Gaussian posterior's covariance
+(:func:`hyper_grid`).  Linear equality constraints (sum-to-zero terms) are
+enforced by conditioning by kriging; they must remove the null space of an
+intrinsic prior block, whose precision then gives its generalized
+log-determinant.
 
 Q_post = Q_prior + B^T diag(h) B is never assembled whole.  A latent block
 whose prior block is a full diagonal and whose design has at most one
@@ -40,6 +46,7 @@ form for other diagonal blocks, and a factorization otherwise.
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,11 +78,14 @@ __all__ = [
 ]
 
 _DENSE_CUTOFF = 2500  # rows per chunk of dense variance solves
-_GRID_STEP = 0.75     # theta-grid spacing in raw log-precision units
 _MAX_ITER = 100       # Newton iterations before ConvergenceError
 _MAX_HALVINGS = 30    # step halvings of one Newton line search
 _FIXED_PREC = 1e-3    # prior precision of each fixed effect
 _THETA_PRIOR_SD = 1.5  # prior sd of each hyperparameter about theta_init
+_FD_STEP = 1e-3       # forward-difference step of the mode search's gradient
+_MODE_GTOL = 2e-2     # largest gradient entry at which the mode search stops
+_HESS_STEP = 0.05     # finite-difference step of the Hessian at the mode
+_CCD_F0 = 1.1         # radius factor f0 of the central composite design
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +330,15 @@ def _krige(x, a_con, w_mat, m_mat):
 
 
 def _factor(orders, key, q):
-    """Factor q with the ordering ``orders[key]``, computed by the first
-    factorization of that matrix and stored there.  Threads that factor the
-    first matrices at once may each compute it; the ordering depends only
-    on the pattern, so they agree."""
+    """Factor q with the ordering ``orders[key]``, computed from the first
+    matrix of that key and stored there.  Every matrix, the first too, is
+    factored through the stored ordering, so one pattern gets one
+    arithmetic.  Threads that meet the first matrices at once may each
+    compute the ordering; it depends only on the pattern, so they agree."""
     order = orders.get(key)
-    factor = SparseCholesky(q, order=order)
     if order is None:
-        orders[key] = factor.order
-    return factor
+        order = orders.setdefault(key, SparseCholesky(q).order)
+    return SparseCholesky(q, order=order)
 
 
 class _Pattern:
@@ -575,12 +585,20 @@ def _curvature(model, pat, prior, eta, last=None):
     return factor, w_mat, m_mat
 
 
-def gaussian_approx(model, theta, u0=None, tol=1e-8):
+def gaussian_approx(model, theta, u0=None, tol=1e-9):
     """Newton--Raphson Gaussian approximation of pi(u | y, theta).
 
     Returns the (constrained) mode, the factor of the posterior precision
     at the mode and the Laplace log-evidence log pi(y | theta).  With a
     Gaussian observation stage the first Newton step is exact.
+
+    Newton stops when every entry of the (projected) gradient of the log
+    conditional density is below ``tol`` in absolute value, or when a step
+    changes u by less than ``tol`` relative to its size.  The gradient
+    test does not scale with the density, so where Newton started moves
+    the log-evidence by about 0.1 tol at most on the test models, far
+    below what the finite differences in theta of :func:`hyper_grid`
+    resolve.
 
     Newton starts from ``u0`` (default zero).  ``u0`` must satisfy the
     model's constraints, A u0 = 0, as the ``mean`` of an earlier
@@ -628,7 +646,7 @@ def gaussian_approx(model, theta, u0=None, tol=1e-8):
                 a_con @ a_con.T, a_con @ grad)
         else:
             grad_proj = grad
-        if np.max(np.abs(grad_proj)) < tol * (1.0 + abs(f_u)):
+        if np.max(np.abs(grad_proj)) < tol:
             converged = True
             break
         delta = factor.solve(grad)
@@ -694,23 +712,6 @@ class HyperPoint:
     approx: GaussianApprox
 
 
-def _ccd_offsets(dim):
-    """Central composite layout: center, axial at +-step and +-2 step,
-    and the 2^dim factorial corners at +-step."""
-    step = _GRID_STEP
-    pts = [np.zeros(dim)]
-    for j in range(dim):
-        for s in (-2 * step, -step, step, 2 * step):
-            v = np.zeros(dim)
-            v[j] = s
-            pts.append(v)
-    if dim > 1:
-        from itertools import product
-        for signs in product((-1.0, 1.0), repeat=dim):
-            pts.append(step * np.asarray(signs))
-    return np.unique(np.round(np.vstack(pts), 12), axis=0)
-
-
 def _log_post(model, theta, u0=None):
     """Laplace log pi~(theta | y) up to a constant, with its approximation
     (Newton started from ``u0``)."""
@@ -718,10 +719,10 @@ def _log_post(model, theta, u0=None):
     return approx.log_evidence + model.log_theta_prior(theta), approx
 
 
-def _weighted_points(model, thetas, threads=1, u0=None):
+def _weighted_points(model, thetas, threads=1, u0=None, log_scale=0.0):
     """Evaluate the Laplace log-posterior at each theta, every Newton solve
-    started from the same ``u0``, and normalize the weights over the given
-    points."""
+    started from the same ``u0``, and normalize the weights
+    exp(log_post + log_scale) over the given points."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -730,46 +731,139 @@ def _weighted_points(model, thetas, threads=1, u0=None):
     else:
         results = [_log_post(model, t, u0) for t in thetas]
     lps = np.array([r[0] for r in results])
-    w = np.exp(lps - lps.max())
+    w = np.exp(lps + log_scale - np.max(lps + log_scale))
     w /= w.sum()
     return [HyperPoint(t, float(lp), float(wi), r[1])
             for t, lp, wi, r in zip(thetas, lps, w, results)]
 
 
+def _mode_search(model):
+    """The theta mode: BFGS on -log pi~(theta | y) from ``theta_init``, with
+    a forward-difference gradient.  Every Newton solve starts from the mode
+    of the evaluation before it.  Returns the best theta evaluated, its
+    log posterior and its latent mean."""
+    dim = model.n_theta
+    start = None  # mean of the previous evaluation
+    best = (None, -np.inf, None)  # theta, log posterior and mean
+
+    def evaluate(t):
+        nonlocal start
+        lp, approx = _log_post(model, t, start)
+        start = approx.mean
+        return lp
+
+    def objective(t):
+        nonlocal best
+        lp = evaluate(t)
+        if lp > best[1]:
+            best = (t.copy(), lp, start)
+        grad = np.empty(dim)
+        for j in range(dim):
+            step = t.copy()
+            step[j] += _FD_STEP
+            grad[j] = (lp - evaluate(step)) / _FD_STEP
+        return -lp, grad
+
+    res = minimize(objective, model.theta_init, jac=True, method="BFGS",
+                   options=dict(gtol=_MODE_GTOL))
+    if not res.success:
+        warnings.warn(f"theta mode search did not fully converge "
+                      f"({res.message}); using the best point found",
+                      stacklevel=3)
+    return best
+
+
+def _neg_hessian(model, mode, lp_mode, u0, threads=1):
+    """-d^2 log pi~ / d theta^2 at the mode by finite differences of step
+    _HESS_STEP: 2 dim axial points and the dim (dim - 1) / 2 one-sided
+    cross points mode + h (e_i + e_j)."""
+    dim, h = len(mode), _HESS_STEP
+    eye = np.eye(dim)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    thetas = [mode + h * e for e in eye] + [mode - h * e for e in eye] \
+        + [mode + h * (eye[i] + eye[j]) for i, j in pairs]
+    lps = [p.log_post for p in _weighted_points(model, thetas, threads, u0)]
+    up, down = np.array(lps[:dim]), np.array(lps[dim:2 * dim])
+    hess = np.diag(up - 2.0 * lp_mode + down)
+    for (i, j), lp in zip(pairs, lps[2 * dim:]):
+        hess[i, j] = hess[j, i] = lp - up[i] - up[j] + lp_mode
+    return -hess / (h * h)
+
+
+def _ccd_design(dim):
+    """Central composite design in standardized coordinates z and the log
+    of each point's integration weight Delta.
+
+    The points are the centre, 2 dim axial points at radius f0 sqrt(dim)
+    and the 2^dim factorial corners at +-f0 (none for dim = 1, where they
+    are the axial points), f0 = _CCD_F0; every point but the centre lies
+    at |z|^2 = dim f0^2.  Delta is 1 at the centre and
+
+        Delta = exp(dim f0^2 / 2) / ((n - 1)(f0^2 - 1))
+
+    at the other n - 1 points: the weights Delta pi(z) then give a
+    standard Gaussian pi its exact mean and covariance, sum w z z^T =
+    sum w I, so a Gaussian theta posterior keeps its spread.  (Rue et al.
+    2009 give Delta = [(n - 1)(f0^2 - 1)(1 + exp(-dim f0^2 / 2))]^{-1};
+    times pi(z) that keeps 0.63 of a Gaussian's variance for dim = 2 and
+    0.48 for dim = 3.)
+    """
+    axial = _CCD_F0 * np.sqrt(dim) * np.vstack([np.eye(dim), -np.eye(dim)])
+    corners = np.array(list(product((1.0, -1.0), repeat=dim))) * _CCD_F0 \
+        if dim > 1 else np.zeros((0, dim))
+    z = np.vstack([np.zeros((1, dim)), axial, corners])
+    log_delta = np.full(len(z), dim * _CCD_F0 ** 2 / 2 - np.log(
+        (len(z) - 1) * (_CCD_F0 ** 2 - 1)))
+    log_delta[0] = 0.0
+    return z, log_delta
+
+
 def hyper_grid(model, threads=1):
-    """Evaluate the hyperparameter posterior on a mode-centered grid.
+    """Explore the hyperparameter posterior as INLA does (Rue, Martino &
+    Chopin 2009, sections 6.1 and 6.5) and return the weighted grid.
 
-    Locates the theta mode with Nelder--Mead on the Laplace evidence plus
-    prior, started from ``theta_init`` (with a warning if it does not fully
-    converge), then evaluates log pi~(theta | y) on a central composite
-    grid and normalizes the weights.
+    1. The mode theta* of log pi~(theta | y), the Laplace evidence plus
+       the theta prior, by BFGS from ``theta_init`` on a forward-difference
+       gradient of step _FD_STEP, stopped at a gradient of _MODE_GTOL
+       (with a warning if it does not converge).
+    2. The Hessian H of log pi~ at theta* by finite differences of step
+       _HESS_STEP.  -H = V Lambda V^T, with every eigenvalue floored at
+       the theta prior's precision 1 / _THETA_PRIOR_SD^2, so that a flat
+       direction cannot stretch the grid past the prior.
+    3. Standardized coordinates theta = theta* + V Lambda^{-1/2} S z, with
+       S = diag(sigma) a skewness correction per axis and side: sigma =
+       D^{-1/2} for the log-density drop D from theta* to z = +-sqrt(2)
+       on that axis (1 for a Gaussian; 1 where D is not positive).
+    4. A central composite design in z (:func:`_ccd_design`, f0 =
+       _CCD_F0): 15 points for 3 theta, 9 for 2.  Each point is weighted
+       by pi~(theta) times its integration weight Delta, chosen so that
+       the design gives a Gaussian posterior its exact covariance, and
+       the weights are normalized.
 
-    Each Newton solve of the sequential search starts from the mode of the
-    evaluation before it; every grid point starts from the mode at the best
-    theta of the search, so the grid does not depend on ``threads``.
+    Each Newton solve of the mode search starts from the mode of the
+    evaluation before it.  Every point of steps 2-4 starts from the latent
+    mean at theta*, and ``threads`` evaluates each step's points in
+    parallel, so the grid does not depend on ``threads``.  With no
+    hyperparameters the grid is ``theta_init`` alone.
     """
     dim = model.n_theta
     if dim == 0:
         return _weighted_points(model, [model.theta_init], threads)
-
-    best = (-np.inf, None)  # log posterior and mode of the best evaluation
-    start = None  # mode of the previous evaluation
-
-    def neg_log_post(t):
-        nonlocal start, best
-        lp, approx = _log_post(model, t, start)
-        start = approx.mean
-        if lp > best[0]:
-            best = (lp, approx.mean)
-        return -lp
-
-    res = minimize(neg_log_post, model.theta_init, method="Nelder-Mead",
-                   options=dict(xatol=0.02, fatol=0.02, maxfev=80 * dim))
-    if not res.success:
-        warnings.warn("theta mode search did not fully converge; "
-                      "using best point found", stacklevel=2)
-    return _weighted_points(model, res.x[None, :] + _ccd_offsets(dim),
-                            threads, u0=best[1])
+    mode, lp_mode, u_mode = _mode_search(model)
+    lam, vecs = np.linalg.eigh(_neg_hessian(model, mode, lp_mode, u_mode,
+                                            threads))
+    scale = vecs / np.sqrt(np.maximum(lam, _THETA_PRIOR_SD ** -2))
+    # skewness: the drop at z = +sqrt(2) e_i (row i) and -sqrt(2) e_i
+    # (row dim + i)
+    z_skew = np.sqrt(2.0) * np.vstack([np.eye(dim), -np.eye(dim)])
+    drop = lp_mode - np.array([p.log_post for p in _weighted_points(
+        model, mode + z_skew @ scale.T, threads, u_mode)])
+    sigma = np.ones(2 * dim)
+    sigma[drop > 0] = drop[drop > 0] ** -0.5
+    z, log_delta = _ccd_design(dim)
+    z = np.where(z > 0, z * sigma[:dim], z * sigma[dim:])
+    return _weighted_points(model, mode + z @ scale.T, threads, u_mode,
+                            log_scale=log_delta)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from scipy.fft import next_fast_len
 from scipy.special import expit
 
 from ._csv import _write_csv
-from .errors import InvalidGeometryError, reading
+from .errors import DataError, InvalidGeometryError, reading
 from .functionals import sample_points_in_polygon
 from .spde import MaternParams, matern_cov, practical_range, sigma_from_tau
 from .survey import SurveyFrame, design_weights
@@ -148,6 +148,8 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
     binomial with logit p = beta0 + S_i + eps_ij.  Design weights are the
     two-stage reciprocals.  The truth lattice (default 200 x 200 over the
     boundary bbox) carries the same field realization used for clusters.
+    With ``areas``, each cluster takes the id of the first area that
+    contains it, and a cluster in no area raises :class:`DataError`.
     """
     if boundary.area() <= 0:
         raise InvalidGeometryError("boundary polygon must have positive area")
@@ -181,10 +183,16 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
                              config.households_per_ea)
 
     if areas:
-        area_of_cluster = np.full(n_cl, "-1", dtype=object)
+        area_of_cluster = np.empty(n_cl, dtype=object)
+        found = np.zeros(n_cl, dtype=bool)
         for poly in areas:
-            hit = poly.contains(locs) & (area_of_cluster == "-1")
+            hit = poly.contains(locs) & ~found
             area_of_cluster[hit] = poly.id
+            found |= hit
+        if not found.all():
+            x, y = locs[np.argmin(found)]
+            raise DataError(f"{int(np.sum(~found))} of {n_cl} clusters lie in "
+                            f"no area, the first at ({x:.6g}, {y:.6g})")
         area_ids = area_of_cluster[hh_cluster]
     else:
         area_ids = np.zeros(n_households, dtype=int)

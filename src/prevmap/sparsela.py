@@ -17,9 +17,12 @@ closed form (Q_post itself when none is), each prior block with no
 ``logdet`` and no closed form (never a constrained one), and the ICAR
 block's minor once for its log pseudo-determinant constant; the SPDE
 precision factors its K = kappa^2 C + G.  Each keeps one ordering per
-matrix; together with :func:`union_pattern`, which lays out a sum of
-sparse matrices as data on one fixed pattern, a new theta or Newton step
-costs only a numerical refactorization.
+matrix and factors every matrix through it, the first one too, since
+SuperLU's own ordering and the permuted natural one round differently (by
+about 1e-11 on a Schur complement of a BYM model).  Together with
+:func:`union_pattern`, which lays out a sum of sparse matrices as data on
+one fixed pattern, a new theta or Newton step costs only a numerical
+refactorization.
 """
 
 import numpy as np

@@ -168,10 +168,12 @@ class SpdePrecision:
         k = sp.csc_matrix((th.kappa ** 2 * self._kc + self._kg,
                            self._k_indices, self._k_indptr),
                           shape=(self.n, self.n))
+        # every K, the first too, is factored through the stored ordering,
+        # so all of them get the same arithmetic; the ordering depends only
+        # on the pattern, so threads that compute it at once agree
+        if self._k_order is None:
+            self._k_order = SparseCholesky(k).order
         factor = SparseCholesky(k, order=self._k_order)
-        # the ordering depends only on the pattern: threads that factor the
-        # first K at once may each compute it, and they agree
-        self._k_order = factor.order
         return 2.0 * self.n * th.log_tau + 2.0 * factor.logdet - self._log_c
 
 

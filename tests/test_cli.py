@@ -191,6 +191,19 @@ def test_cli_missing_simulation_input_exits_3(tmp_path, capsys, key):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def test_cli_simulate_clusters_in_no_area_exits_3(tmp_path, capsys):
+    # areas.csv holds 3 of the 49 cells of a 7 x 7 partition, so most
+    # clusters lie in no area
+    ini = _write_config(str(tmp_path))
+    areas = str(tmp_path / "areas.csv")
+    write_polygons_csv(areas, grid_areas(0, 0, 10, 10, 7, 7)[:3])
+    capsys.readouterr()
+    assert cli.main(["simulate", "-c", ini]) == 3
+    err = capsys.readouterr().err
+    assert f"{areas}: " in err and "clusters lie in no area" in err
+    assert not os.path.exists(_out(ini, "frame.csv"))
+
+
 def test_cli_geojson_boundary_matches_csv(tmp_path):
     by_csv = _write_config(str(tmp_path / "csv"))
     geojson = str(tmp_path / "boundary.geojson")

@@ -96,6 +96,16 @@ def test_spde_precision_matches_formula_and_k_logdet(coarse_fem10):
     assert np.array_equal(assemble_precision(c, g, th).toarray(), dense)
 
 
+def test_spde_logdet_first_and_later_k_share_arithmetic(coarse_fem10):
+    # the first K of a pattern goes through the stored ordering too, so the
+    # same theta gives the same bits on the first call and on later ones
+    prec = SpdePrecision(*coarse_fem10)
+    theta = (0.3, -0.4)
+    first = prec.logdet(theta)
+    assert prec.logdet((1.0, 0.5)) != first
+    assert prec.logdet(theta) == first
+
+
 def test_assemble_rejects_non_diagonal_mass(coarse_fem10):
     _, g = coarse_fem10
     with pytest.raises(ValueError):
