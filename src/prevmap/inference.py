@@ -32,15 +32,15 @@ the fixed effects are not.  With no such block S is Q_post itself.
 
 The sparsity of Q_prior and of S does not change with theta or with the
 Newton iterate, so each :class:`LatentModel` caches what depends only on
-it (a ``_Pattern``): which blocks are integrated out, the fill-reducing
-ordering of every matrix it factors, and one symbolic pattern of S with
-the maps that fill it (the positions of each kept prior block, and a
-sparse map from h~ to the data of B^T diag(h~) B).  A Newton step then
-assembles S as one data vector and refactors it numerically, and reuses
-the factor where h has not changed.  log|Q_prior| is a sum over the
-prior's diagonal blocks: the block's own ``logdet`` where its precision
-has one (the SPDE field's, the ICAR block's generalized one), the closed
-form for other diagonal blocks, and a factorization otherwise.
+it (a ``_Pattern``): which blocks are integrated out, and one symbolic
+pattern of S, laid out in its fill-reducing order, with the maps that fill
+it (the positions of each kept prior block, and a sparse map from h~ to
+the data of B^T diag(h~) B).  A Newton step then assembles S as one data
+vector and refactors it numerically in that order, and reuses the factor
+where h has not changed.  log|Q_prior| is a sum over the prior's diagonal
+blocks: the block's own ``logdet`` where its precision has one (the SPDE
+field's, the ICAR block's generalized one), the closed form for other
+diagonal blocks, and a factorization otherwise.
 """
 
 import warnings
@@ -264,7 +264,7 @@ class LatentModel:
             names = comp.theta_names or tuple(
                 f"{comp.name}.theta{j}" for j in range(comp.n_theta))
             self.theta_names.extend(names)
-        # how Q_post is factored (a _Pattern, with its orderings): it
+        # how Q_post is factored (a _Pattern, in its fill-reducing order): it
         # depends only on the sparsity of the prior blocks, which does not
         # change with eta and rarely with theta
         self._pattern = None
@@ -329,18 +329,6 @@ def _krige(x, a_con, w_mat, m_mat):
     return x - w_mat @ (m_mat @ (a_con @ x))
 
 
-def _factor(orders, key, q):
-    """Factor q with the ordering ``orders[key]``, computed from the first
-    matrix of that key and stored there.  Every matrix, the first too, is
-    factored through the stored ordering, so one pattern gets one
-    arithmetic.  Threads that meet the first matrices at once may each
-    compute the ordering; it depends only on the pattern, so they agree."""
-    order = orders.get(key)
-    if order is None:
-        order = orders.setdefault(key, SparseCholesky(q).order)
-    return SparseCholesky(q, order=order)
-
-
 class _Pattern:
     """How Q_post = Q_prior + B^T diag(h) B is factored, for one sparsity of
     the prior blocks: which latent coordinates are integrated out, and the
@@ -363,8 +351,11 @@ class _Pattern:
     (b, a) are equal, so C @ h~ is exactly symmetric.  Kept block i sits at
     ``pos[i]`` in the data and its transpose at ``pos_t[i]``;
     ``diagonal[i]`` says whether prior block i is a full diagonal.  With E
-    empty, S is Q_post.  ``orders`` holds the fill-reducing orderings of S
-    ("schur") and of the prior blocks that are factored (("prior", name)).
+    empty, S is Q_post.
+
+    ``keep`` lists R in the fill-reducing order of S, SuperLU's ordering of
+    S at h = 1, and S, ``design`` and ``design_e`` are laid out in that
+    order, so that every S of the pattern factors in natural order.
     """
 
     def __init__(self, model, blocks):
@@ -394,7 +385,6 @@ class _Pattern:
         self.elim = np.concatenate(
             [np.arange(starts[i], starts[i + 1]) for i in elim]
             + [np.zeros(0, dtype=int)]).astype(np.intp)
-        self.keep = np.setdiff1d(np.arange(model.latent_dim), self.elim)
         # the observed eliminated coordinates: observation row, position
         # in E and design value
         b_e = columns[:, self.elim].tocoo()
@@ -402,16 +392,23 @@ class _Pattern:
         self.e_rows = b_e.row[nonzero]
         self.e_cols = b_e.col[nonzero]
         self.e_vals = b_e.data[nonzero]
-        self.design = b[:, self.keep]
-        self.design_e = self.design[self.e_rows]  # B_R's rows that E observes
-        self._curvature_map(self.design,
-                            [blocks[i] for i in self.kept_blocks])
+        # S in ascending latent order gives the fill-reducing order, which
+        # depends only on the sparsity; then S is laid out in that order
+        kept = np.setdiff1d(np.arange(model.latent_dim), self.elim)
+        self._lay_out(b, kept, blocks)
+        s = self.schur(self.prior(blocks), np.ones(b.shape[0]))[0]
+        self._lay_out(b, kept[SparseCholesky(s).order], blocks)
         self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
-        self.orders = {}
 
-    def _curvature_map(self, b, blocks):
-        """The pattern of S and the maps onto it, from the kept design b
-        (canonical CSR) and the kept prior blocks."""
+    def _lay_out(self, b, keep, blocks):
+        """The pattern of S and the maps onto it, with R in the order
+        ``keep``, from the design b (CSR, no duplicates) and the prior
+        blocks."""
+        self.keep = keep
+        self.design = b = b[:, keep]
+        self.design_e = b[self.e_rows]  # B_R's rows that E observes
+        blocks = [blocks[i] for i in self.kept_blocks]
+        rank = np.argsort(keep)  # position in keep of each kept coordinate
         # pairs (e, f) of stored entries of B in the same row k
         per_row = np.diff(b.indptr)
         obs = np.repeat(np.arange(b.shape[0]), per_row)
@@ -421,12 +418,12 @@ class _Pattern:
                                                    reps)
         second = b.indptr[obs[first]] + offset
         vals = b.data[first] * b.data[second]
-        keep = vals != 0
-        first, second, vals = first[keep], second[keep], vals[keep]
+        nonzero = vals != 0
+        first, second, vals = first[nonzero], second[nonzero], vals[nonzero]
 
         d = b.shape[1]
         starts = np.cumsum([0] + [q.shape[0] for q in blocks])
-        entries = [(r + s0, c + s0) for (r, c), s0
+        entries = [(rank[r + s0], rank[c + s0]) for (r, c), s0
                    in zip(map(coo_indices, blocks), starts)]
         self.indptr, self.indices, pos = union_pattern(
             d, entries + [(c, r) for r, c in entries]
@@ -498,7 +495,7 @@ class _PosteriorFactor:
         if not np.all(q > 0) or not np.all(np.isfinite(q)):
             raise NotPositiveDefiniteError(
                 "an eliminated diagonal of Q_post is not positive")
-        self.schur = _factor(pat.orders, "schur", s)
+        self.schur = SparseCholesky(s, natural=True)
         self.h = h
         self.logdet = self.schur.logdet + float(np.log(q).sum())
         self._pat = pat
@@ -534,7 +531,8 @@ class _PosteriorFactor:
         draws."""
         z = np.asarray(z, dtype=float)
         pat = self._pat
-        x_r = self.schur.sample(z[pat.keep])
+        # z's kept entries, in ascending latent index, feed S's factor rows
+        x_r = self.schur.sample(z[np.sort(pat.keep)])
         q = _rows(self._q, z)
         x = np.empty_like(z)
         x[pat.keep] = x_r
@@ -564,7 +562,7 @@ def _prior_logdet(model, theta, blocks, pat):
                     f"prior block {names[i]} has a non-positive diagonal")
             logdet += float(np.log(q.data).sum())
         else:
-            logdet += _factor(pat.orders, ("prior", names[i]), q).logdet
+            logdet += SparseCholesky(q).logdet
     return logdet
 
 

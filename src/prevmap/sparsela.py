@@ -7,19 +7,17 @@ factorization an LDL^T / Cholesky factorization in disguise.  The wrapper
 exposes the pieces needed elsewhere: solves, log-determinant, and the
 half-solve used to draw Gaussian vectors with precision Q.
 
-The ordering depends only on the sparsity pattern, so it is computed once
-per pattern and reused: a factorization exposes the permutation it used as
-an :class:`Ordering`, and a later matrix with the same pattern is factored
-as ``q[perm][:, perm]`` in natural order, which skips the minimum-degree
-pass and gives the same fill.  The latent model engine factors the Schur
-complement of Q_post over the coordinates that are not integrated out in
-closed form (Q_post itself when none is), each prior block with no
-``logdet`` and no closed form (never a constrained one), and the ICAR
-block's minor once for its log pseudo-determinant constant; the SPDE
-precision factors its K = kappa^2 C + G.  Each keeps one ordering per
-matrix and factors every matrix through it, the first one too, since
-SuperLU's own ordering and the permuted natural one round differently (by
-about 1e-11 on a Schur complement of a BYM model).  Together with
+The ordering depends only on the sparsity pattern.  An owner of a pattern
+that it factors many times finds the pattern's ordering p once, as the
+:attr:`SparseCholesky.order` of any SPD matrix on it, and lays every
+matrix out as ``q[p][:, p]``; ``natural=True`` then factors it as given,
+which skips the minimum-degree pass and gives the same fill.  Two owners
+do so: the latent model engine for the Schur complement of Q_post over the
+coordinates that are not integrated out in closed form (Q_post itself when
+none is), and the SPDE precision for its K = kappa^2 C + G.  Every matrix
+of such a pattern, the first too, then gets the same arithmetic.  One-off
+factorizations (the ICAR block's minor, a prior block with no ``logdet``
+and no closed form) let SuperLU order them.  Together with
 :func:`union_pattern`, which lays out a sum of sparse matrices as data on
 one fixed pattern, a new theta or Newton step costs only a numerical
 refactorization.
@@ -67,78 +65,29 @@ def coo_indices(q):
     return q.indices, np.repeat(np.arange(q.shape[1]), np.diff(q.indptr))
 
 
-class Ordering:
-    """Symmetric permutation ``perm`` of an n x n matrix: ``q[perm][:, perm]``.
-
-    :meth:`permute` builds the permuted matrix by gathering ``q.data``
-    through an index computed the first time a sparsity pattern is seen, so
-    each later matrix with that pattern costs one gather.
-    """
-
-    def __init__(self, perm):
-        perm = np.asarray(perm, dtype=np.intp)
-        n = len(perm)
-        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError("ordering must be a permutation of 0..n-1")
-        self.perm = perm
-        self.inverse = np.empty(n, dtype=np.intp)
-        self.inverse[perm] = np.arange(n)
-        self._pattern = None  # (indptr, indices, gather, new indices, new indptr)
-
-    def permute(self, q):
-        """``q[perm][:, perm]`` of a CSC matrix, in CSC form."""
-        n = len(self.perm)
-        if q.shape != (n, n):
-            raise ValueError(f"ordering of size {n} does not fit a "
-                             f"{q.shape} matrix")
-        if not q.has_canonical_format:
-            q = q.copy()
-            q.sum_duplicates()
-        pat = self._pattern
-        if pat is None or not (np.array_equal(pat[0], q.indptr)
-                               and np.array_equal(pat[1], q.indices)):
-            cols = np.repeat(np.arange(n), np.diff(q.indptr))
-            rows, cols = self.inverse[q.indices], self.inverse[cols]
-            gather = np.lexsort((rows, cols))
-            indptr = np.zeros(n + 1, dtype=q.indptr.dtype)
-            np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-            pat = (q.indptr.copy(), q.indices.copy(), gather,
-                   rows[gather].astype(q.indices.dtype), indptr)
-            self._pattern = pat
-        return sp.csc_matrix((q.data[pat[2]], pat[3], pat[4]), shape=(n, n))
-
-
 class SparseCholesky:
     """Cholesky-type factorization of a sparse SPD matrix.
 
-    Without ``order`` SuperLU computes a minimum-degree ordering; with one
-    (an :class:`Ordering` or a permutation array, e.g. the ``order`` of an
-    earlier factorization of the same pattern) it factors
-    ``q[order][:, order]`` in natural order.  Either way ``order`` holds
-    the ordering used, and solves and samples are in the order of ``q``.
+    SuperLU orders q by minimum degree, or with ``natural=True`` factors it
+    in the order given, for a q already laid out in a fill-reducing order.
+    Solves and samples are in the order of q.
 
     Raises :class:`NotPositiveDefiniteError` (with a smallest-eigenvalue
     estimate when obtainable) if the input is not positive definite.
     """
 
-    def __init__(self, q, order=None):
+    def __init__(self, q, natural=False):
         q = sp.csc_matrix(q)
         if q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
         self.n = q.shape[0]
-        if order is None:
-            a, spec = q, "MMD_AT_PLUS_A"
-        else:
-            if not isinstance(order, Ordering):
-                order = Ordering(order)
-            a, spec = order.permute(q), "NATURAL"
         # relax=1, panel_size=5 instead of SuperLU's defaults: the numeric
         # factorization measured 10-30% faster on every matrix tried, from
         # an ICAR block of d = 100 to an SPDE Q_post of d = 11,858
         try:
             self._lu = spla.splu(
-                a,
-                permc_spec=spec,
+                q,
+                permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 relax=1,
                 panel_size=5,
@@ -154,6 +103,8 @@ class SparseCholesky:
                 "factorization required pivoting; matrix is not SPD",
                 min_eigenvalue=_smallest_eig_estimate(q),
             )
+        # the pivots D of U = D L^T: SuperLU exports only L, U, perm_c,
+        # perm_r, shape, nnz and solve, so they are read from a copy of U
         d = self._lu.U.diagonal()
         if np.any(d <= 0) or not np.all(np.isfinite(d)):
             raise NotPositiveDefiniteError(
@@ -161,16 +112,15 @@ class SparseCholesky:
                 min_eigenvalue=_smallest_eig_estimate(q),
             )
         self._diag = d
-        # the ordering applied before SuperLU (None when SuperLU ordered q
-        # itself), and the map from the rows of L to those of q for sample()
-        self._outer = order
-        if order is None:
-            self.order = Ordering(np.argsort(self._lu.perm_c))
-            self._perm = self._lu.perm_c
-        else:
-            self.order = order
-            self._perm = self._lu.perm_c[order.inverse]
         self._lt = None
+
+    @property
+    def order(self):
+        """The permutation p for which ``q[p][:, p]`` was factored:
+        SuperLU's minimum-degree ordering (or, with ``natural=True``, the
+        identity) post-ordered by its elimination tree.  It depends only
+        on the sparsity of q."""
+        return np.argsort(self._lu.perm_c)
 
     @property
     def logdet(self):
@@ -178,11 +128,7 @@ class SparseCholesky:
 
     def solve(self, b):
         """Solve Q x = b; b may be a vector or a (n, k) matrix."""
-        b = np.asarray(b, dtype=float)
-        if self._outer is None:
-            return self._lu.solve(np.ascontiguousarray(b))
-        x = self._lu.solve(np.ascontiguousarray(b[self._outer.perm]))
-        return x[self._outer.inverse]
+        return self._lu.solve(np.ascontiguousarray(b, dtype=float))
 
     def sample(self, z):
         """Map standard normal draws z (n,) or (n, k) to N(0, Q^{-1}) draws.
@@ -194,4 +140,4 @@ class SparseCholesky:
             self._lt = sp.csr_matrix(self._lu.L.T)
         rhs = z / np.sqrt(self._diag).reshape(-1, *([1] * (z.ndim - 1)))
         w = spla.spsolve_triangular(self._lt, rhs, lower=False)
-        return w[self._perm]
+        return w[self._lu.perm_c]

@@ -11,7 +11,7 @@ Only tau and kappa change between evaluations, so :class:`SpdePrecision`
 lays C, G and G C^{-1} G out once on one fixed pattern and computes a new Q
 as a data vector.  With lumped C, Q = tau^2 K C^{-1} K for K = kappa^2 C + G,
 so log|Q| comes from a factorization of K, a matrix with the sparsity of G,
-in an ordering kept from its first factorization.
+laid out once in its fill-reducing order.
 """
 
 from dataclasses import dataclass
@@ -149,10 +149,12 @@ class SpdePrecision:
         self.n = n
         self._q_indptr, self._q_indices, (self._c, self._g, self._gcg) = \
             _on_pattern(n, (c, g, gcg))
+        # K laid out in the fill-reducing order of its pattern, found from
+        # K at kappa = 1, so that every K factors in natural order
+        p = SparseCholesky(c + g).order
         self._k_indptr, self._k_indices, (self._kc, self._kg) = \
-            _on_pattern(n, (c, g))
+            _on_pattern(n, (c[p][:, p], g[p][:, p]))
         self._log_c = float(np.log(cd).sum())
-        self._k_order = None  # ordering of K, from its first factorization
 
     def __call__(self, theta):
         th = SpdeTheta(theta[0], theta[1])
@@ -168,30 +170,23 @@ class SpdePrecision:
         k = sp.csc_matrix((th.kappa ** 2 * self._kc + self._kg,
                            self._k_indices, self._k_indptr),
                           shape=(self.n, self.n))
-        # every K, the first too, is factored through the stored ordering,
-        # so all of them get the same arithmetic; the ordering depends only
-        # on the pattern, so threads that compute it at once agree
-        if self._k_order is None:
-            self._k_order = SparseCholesky(k).order
-        factor = SparseCholesky(k, order=self._k_order)
-        return 2.0 * self.n * th.log_tau + 2.0 * factor.logdet - self._log_c
+        return 2.0 * self.n * th.log_tau \
+            + 2.0 * SparseCholesky(k, natural=True).logdet - self._log_c
 
 
-def assemble_precision(c, g, theta, check=True):
+def assemble_precision(c, g, theta):
     """Sparse GMRF precision of the basis weights for alpha = 2 (nu = 1).
 
     Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G) with C the lumped mass
     matrix and G the stiffness matrix of the same mesh, built by
-    :class:`SpdePrecision`.  ``check=True`` verifies positive definiteness
-    by factorization.
+    :class:`SpdePrecision`, and verified positive definite by factorization.
     """
     q = SpdePrecision(c, g)((theta.log_tau, theta.log_kappa))
-    if check:
-        try:
-            SparseCholesky(q)
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(
-                f"assembled precision is not positive definite "
-                f"(smallest eigenvalue estimate: {exc.min_eigenvalue})",
-                min_eigenvalue=exc.min_eigenvalue) from exc
+    try:
+        SparseCholesky(q)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(
+            f"assembled precision is not positive definite "
+            f"(smallest eigenvalue estimate: {exc.min_eigenvalue})",
+            min_eigenvalue=exc.min_eigenvalue) from exc
     return q

@@ -528,8 +528,8 @@ def test_warm_start_matches_cold(problem):
 
 
 def _theta_grid_bytes(tmp_path, make_model, threads):
-    # a fresh model per run: its orderings and pattern (and an SPDE
-    # field's K ordering) are first computed while the threads evaluate
+    # a fresh model per run: its pattern, with the ordering of S, is first
+    # built while the threads evaluate
     model = make_model()
     fit = FitResult(model=model, points=hyper_grid(model, threads=threads))
     path = tmp_path / f"grid{threads}.csv"
@@ -666,21 +666,23 @@ def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
         blocks = model.prior_blocks(theta)
         pat = _pattern(model, blocks)
         assert np.array_equal(pat.elim, elim)
-        assert np.array_equal(pat.keep, keep)
+        # R, in the pattern's fill-reducing order
+        assert np.array_equal(np.sort(pat.keep), keep)
         prior = pat.prior(blocks)
         s_mat = pat.schur(prior, model.obs.neg_hess(eta))[0].toarray()
         ref = _reference_q_post(model, theta, eta)
-        q_re = ref[np.ix_(keep, elim)]
-        schur = ref[np.ix_(keep, keep)] \
+        q_re = ref[np.ix_(pat.keep, elim)]
+        schur = ref[np.ix_(pat.keep, pat.keep)] \
             - q_re @ np.linalg.solve(ref[np.ix_(elim, elim)], q_re.T)
         assert np.abs(s_mat - schur).max() <= 1e-13 * np.abs(schur).max()
         assert np.array_equal(s_mat, s_mat.T)
         if not len(elim):
-            assert np.abs(s_mat - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.abs(s_mat - ref[np.ix_(pat.keep, pat.keep)]).max() \
+                <= 1e-14 * np.abs(ref).max()
         # Q_prior laid out on the same pattern and its eliminated diagonal
         q_prior = model.prior_precision(theta).toarray()
         assert np.array_equal(pat.matrix(prior[0]).toarray(),
-                              q_prior[np.ix_(keep, keep)])
+                              q_prior[np.ix_(pat.keep, pat.keep)])
         assert np.array_equal(prior[1], np.diag(q_prior)[elim])
         # the factor of the full Q_post
         factor = _curvature(model, pat, prior, eta)[0]
@@ -716,21 +718,55 @@ def test_blockwise_prior_logdet_matches_full_factor(name, coarse_mesh10,
 
 
 def test_factor_first_and_later_matrices_share_arithmetic():
-    # the first matrix of a key computes the ordering and is then factored
-    # through it like every later one: the same matrix gives the same bits
-    from prevmap.inference import _factor, _pattern
-    model = _bym_problem()
+    # the first evaluation of a fresh model builds the pattern and its
+    # ordering, then factors like every later one: the same theta gives
+    # the same bits (_binomial_problem also factors its RW1 prior block)
+    for problem in (_bym_problem, _binomial_problem):
+        model = problem()
+        first = gaussian_approx(model, model.theta_init)
+        second = gaussian_approx(model, model.theta_init)
+        assert np.array_equal(first.mean, second.mean)
+        assert first.log_evidence == second.log_evidence
+
+
+@pytest.mark.parametrize("name", sorted(_ELIMINATED))
+def test_pattern_lays_s_out_in_its_fill_reducing_order(name, coarse_mesh10,
+                                                       coarse_fem10):
+    # S factors in the order it is laid out in (the identity permutation),
+    # with the fill of SuperLU's own ordering of the same S
+    from prevmap.inference import _PosteriorFactor, _pattern
+    from prevmap.sparsela import SparseCholesky
+    model = _models(coarse_mesh10, coarse_fem10)[name]
     blocks = model.prior_blocks(model.theta_init)
     pat = _pattern(model, blocks)
-    s_mat = pat.schur(pat.prior(blocks),
-                      model.obs.neg_hess(np.zeros(model.obs.n)))[0]
-    orders = {}
-    first = _factor(orders, "schur", s_mat)
-    second = _factor(orders, "schur", s_mat)
-    assert first.order is second.order
-    rhs = np.random.default_rng(2).standard_normal((s_mat.shape[0], 3))
-    assert np.array_equal(first.solve(rhs), second.solve(rhs))
-    assert first.logdet == second.logdet
+    h = model.obs.neg_hess(np.full(model.obs.n, -1.0))
+    lu = _PosteriorFactor(pat, pat.prior(blocks), h).schur._lu
+    assert np.array_equal(lu.perm_c, np.arange(len(pat.keep)))
+    s_mat = pat.schur(pat.prior(blocks), h)[0]
+    ascending = np.argsort(pat.keep)
+    ordered = SparseCholesky(s_mat[ascending][:, ascending])
+    assert lu.L.nnz == ordered._lu.L.nnz
+
+
+@pytest.mark.parametrize("name", ["bym", "spde", "spde_nugget"])
+def test_draws_feed_kept_normals_to_factor_rows_in_latent_order(
+        name, coarse_mesh10, coarse_fem10):
+    # the map from standard normals to draws does not depend on the layout
+    # of S: z's kept entries, in ascending latent index, feed the rows of
+    # S's factor L D L^T in order, x_R = L^{-T} D^{-1/2} z_R
+    import scipy.linalg as sla
+    from prevmap.inference import _PosteriorFactor, _pattern
+    model = _models(coarse_mesh10, coarse_fem10)[name]
+    blocks = model.prior_blocks(model.theta_init)
+    pat = _pattern(model, blocks)
+    factor = _PosteriorFactor(pat, pat.prior(blocks), model.obs.neg_hess(
+        np.full(model.obs.n, -1.0)))
+    z = np.random.default_rng(5).standard_normal(model.latent_dim)
+    lu = factor.schur._lu
+    x_r = sla.solve_triangular(lu.L.T.toarray(), z[np.sort(pat.keep)]
+                               / np.sqrt(lu.U.diagonal()), lower=False)
+    assert np.abs(factor.sample(z)[pat.keep] - x_r).max() \
+        <= 1e-12 * np.abs(x_r).max()
 
 
 def test_constraint_needs_a_precision_with_logdet():

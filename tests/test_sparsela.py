@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from prevmap.errors import NotPositiveDefiniteError
-from prevmap.sparsela import Ordering, SparseCholesky
+from prevmap.sparsela import SparseCholesky
 
 from conftest import solve_columns
 
@@ -66,26 +67,30 @@ def _same_pattern_pair(n, seed):
 
 
 def test_reused_ordering_matches_dense_oracle():
+    # q2 laid out in the ordering of a factorization of q1 (one pattern),
+    # and in an arbitrary permutation, factors as given
     q1, q2 = _same_pattern_pair(70, seed=11)
-    perm = np.random.default_rng(3).permutation(70)
     dense = q2.toarray()
     cov = np.linalg.inv(dense)
     b = np.random.default_rng(12).standard_normal((70, 4))
-    # the ordering of a factorization of q1, and an arbitrary permutation
-    for order in (SparseCholesky(q1).order, perm):
-        f = SparseCholesky(q2, order=order)
-        assert np.abs(f.solve(b) - np.linalg.solve(dense, b)).max() < 1e-10
-        assert np.abs(f.solve(b[:, 0]) - np.linalg.solve(dense, b[:, 0])).max() \
-            < 1e-10
+    for p in (SparseCholesky(q1).order,
+              np.random.default_rng(3).permutation(70)):
+        f = SparseCholesky(q2[p][:, p], natural=True)
+        ref = np.linalg.solve(dense, b)[p]
+        assert np.abs(f.solve(b[p]) - ref).max() < 1e-10
+        assert np.abs(f.solve(b[p, 0]) - ref[:, 0]).max() < 1e-10
         assert f.logdet == pytest.approx(np.linalg.slogdet(dense)[1], abs=1e-9)
         cols = [9, 2, 40]
-        assert np.abs(solve_columns(f, cols) - cov[:, cols]).max() < 1e-10
+        assert np.abs(solve_columns(f, cols) - cov[p][:, p][:, cols]).max() \
+            < 1e-10
         # sample() is a linear map M with M M^T = Q^{-1}
         m = f.sample(np.eye(70))
-        assert np.abs(m @ m.T - cov).max() < 1e-10
-    assert np.array_equal(SparseCholesky(q2, order=perm).order.perm, perm)
-    # same fill as a fresh minimum-degree factorization of q2
-    reused = SparseCholesky(q2, order=SparseCholesky(q1).order)
+        assert np.abs(m @ m.T - cov[p][:, p]).max() < 1e-10
+    # SuperLU's own ordering: the identity permutation and the same fill as
+    # a fresh minimum-degree factorization of q2
+    p = SparseCholesky(q1).order
+    reused = SparseCholesky(q2[p][:, p], natural=True)
+    assert np.array_equal(reused.order, np.arange(70))
     assert reused._lu.L.nnz == SparseCholesky(q2)._lu.L.nnz
 
 
@@ -94,15 +99,30 @@ def test_reused_ordering_indefinite_raises():
     shift = np.linalg.eigvalsh(q1.toarray()).min() + 1.0
     bad = (q1 - shift * sp.identity(50)).tocsc()
     assert np.array_equal(bad.indices, q1.indices)
-    with pytest.raises(NotPositiveDefiniteError):
-        SparseCholesky(bad, order=SparseCholesky(q1).order)
+    for p in (SparseCholesky(q1).order,
+              np.random.default_rng(4).permutation(50)):
+        with pytest.raises(NotPositiveDefiniteError):
+            SparseCholesky(bad[p][:, p], natural=True)
 
 
-def test_ordering_rejects_non_permutation():
+def test_natural_order_rejects_non_square():
     with pytest.raises(ValueError):
-        Ordering([0, 0, 2])
-    with pytest.raises(ValueError):
-        SparseCholesky(_random_spd(5), order=np.arange(4))
+        SparseCholesky(_random_spd(5)[:, :4], natural=True)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 80), density=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_natural_order_of_any_permutation_matches_own_order(n, density, seed):
+    q = _random_spd(n, seed=seed, density=density)
+    rng = np.random.default_rng(seed)
+    p = rng.permutation(n)
+    own = SparseCholesky(q)
+    f = SparseCholesky(q[p][:, p], natural=True)
+    assert f.logdet == pytest.approx(own.logdet, rel=1e-12)
+    b = rng.standard_normal((n, 2))
+    x = own.solve(b)
+    assert np.abs(f.solve(b[p]) - x[p]).max() <= 1e-12 * np.abs(x).max()
 
 
 def _lattice_spd(side, seed):
@@ -122,7 +142,7 @@ def _lattice_spd(side, seed):
 @pytest.mark.parametrize("side", [10, 32, 63])
 def test_factor_matches_dense_oracle_at_size(side):
     # d = 100, 1,024 and 3,969: solve, logdet and the sample map M against a
-    # dense LU, fresh and with a reused ordering
+    # dense LU, fresh and laid out in the fresh factor's ordering
     import scipy.linalg as sla
     q = _lattice_spd(side, seed=side)
     n = q.shape[0]
@@ -134,12 +154,15 @@ def test_factor_matches_dense_oracle_at_size(side):
     e = np.zeros((n, len(cols)))
     e[cols, np.arange(len(cols))] = 1.0
     first = SparseCholesky(q)
-    for f in (first, SparseCholesky(q, order=first.order)):
-        x = f.solve(b)
-        assert np.abs(x - sla.lu_solve(lu, b)).max() \
+    p = first.order
+    for f, perm in ((first, np.arange(n)),
+                    (SparseCholesky(q[p][:, p], natural=True), p)):
+        x = f.solve(b[perm])
+        assert np.abs(x - sla.lu_solve(lu, b)[perm]).max() \
             <= 1e-10 * np.abs(x).max()
         assert f.logdet == pytest.approx(logdet, rel=1e-12)
         # sample() is a linear map M with M M^T = Q^{-1}, so M^T Q M = I;
         # checked on a subset of the columns of M
-        m = f.sample(e)
-        assert np.abs(m.T @ (q @ m) - np.eye(len(cols))).max() < 1e-10
+        m = f.sample(e[perm])
+        qp = q[perm][:, perm]
+        assert np.abs(m.T @ (qp @ m) - np.eye(len(cols))).max() < 1e-10

@@ -106,6 +106,22 @@ def test_spde_logdet_first_and_later_k_share_arithmetic(coarse_fem10):
     assert prec.logdet(theta) == first
 
 
+def test_spde_k_laid_out_in_its_fill_reducing_order(coarse_fem10):
+    # K = kappa^2 C + G is stored as K[p][:, p] for SuperLU's ordering p of
+    # its pattern: it factors in the order it is laid out in (the identity
+    # permutation), with the fill of SuperLU's own ordering of K
+    c, g = coarse_fem10
+    prec = SpdePrecision(c, g)
+    k = sp.csc_matrix((0.7 ** 2 * prec._kc + prec._kg, prec._k_indices,
+                       prec._k_indptr), shape=(prec.n, prec.n))
+    ref = (0.7 ** 2 * c + 0.5 * (g + g.T)).tocsc()
+    p = SparseCholesky(ref).order
+    assert np.abs(k - ref[p][:, p]).max() <= 1e-15 * abs(ref).max()
+    lu = SparseCholesky(k, natural=True)._lu
+    assert np.array_equal(lu.perm_c, np.arange(prec.n))
+    assert lu.L.nnz == SparseCholesky(ref)._lu.L.nnz
+
+
 def test_assemble_rejects_non_diagonal_mass(coarse_fem10):
     _, g = coarse_fem10
     with pytest.raises(ValueError):
@@ -119,8 +135,7 @@ def test_large_kappa_kills_correlation(coarse_fem10):
     cors = []
     for kappa in (1.0, 8.0):
         tau = tau_from_sigma(sigma2, kappa)
-        q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(kappa)),
-                               check=False)
+        q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(kappa)))
         f = SparseCholesky(q)
         i, j = 200, 260  # two interior vertices at a fixed distance
         cols = solve_columns(f, [i, j])
@@ -137,8 +152,7 @@ def spde_oracle_mesh(square10):
 
 def _fem_correlations(mesh, c, g, params, max_dist=5.0, min_dist=0.0):
     tau = tau_from_sigma(params.sigma2, params.kappa, params.nu)
-    q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(params.kappa)),
-                           check=False)
+    q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(params.kappa)))
     f = SparseCholesky(q)
     center = np.array([5.0, 5.0])
     dc = np.linalg.norm(mesh.vertices - center, axis=1)
@@ -177,8 +191,7 @@ def test_spde_interior_variance_stationarity(spde_oracle_mesh):
     mesh, (c, g) = spde_oracle_mesh
     params = MaternParams(sigma2=1.0, kappa=np.exp(0.5), nu=1.0)
     tau = tau_from_sigma(params.sigma2, params.kappa)
-    q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(params.kappa)),
-                           check=False)
+    q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(params.kappa)))
     f = SparseCholesky(q)
     rng = np.random.default_rng(0)
     interior = np.where(
