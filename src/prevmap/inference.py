@@ -33,14 +33,15 @@ the fixed effects are not.  With no such block S is Q_post itself.
 The sparsity of Q_prior and of S does not change with theta or with the
 Newton iterate, so each :class:`LatentModel` caches what depends only on
 it (a ``_Pattern``): which blocks are integrated out, and one symbolic
-pattern of S, laid out in its fill-reducing order, with the maps that fill
-it (the positions of each kept prior block, and a sparse map from h~ to
-the data of B^T diag(h~) B).  A Newton step then assembles S as one data
-vector and refactors it numerically in that order, and reuses the factor
-where h has not changed.  log|Q_prior| is a sum over the prior's diagonal
-blocks: the block's own ``logdet`` where its precision has one (the SPDE
-field's, the ICAR block's generalized one), the closed form for other
-diagonal blocks, and a factorization otherwise.
+pattern of S, laid out in its bandwidth-reducing order with its band
+layout, with the maps that fill it (the positions of each kept prior
+block, and a sparse map from h~ to the data of B^T diag(h~) B).  A Newton
+step then assembles S as one data vector and refactors it numerically in
+that order, and reuses the factor where h has not changed.  log|Q_prior|
+is a sum over the prior's diagonal blocks: the block's own ``logdet``
+where its precision has one (the SPDE field's, the ICAR block's
+generalized one), the closed form for other diagonal blocks, and a
+factorization otherwise.
 """
 
 import warnings
@@ -56,7 +57,7 @@ from scipy.special import expit, gammaln, ndtr
 from ._csv import _write_csv
 from .errors import ConvergenceError, NotPositiveDefiniteError
 from .functionals import JointSamples
-from .sparsela import SparseCholesky, coo_indices, union_pattern
+from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
     "GaussianObs",
@@ -264,7 +265,7 @@ class LatentModel:
             names = comp.theta_names or tuple(
                 f"{comp.name}.theta{j}" for j in range(comp.n_theta))
             self.theta_names.extend(names)
-        # how Q_post is factored (a _Pattern, in its fill-reducing order): it
+        # how Q_post is factored (a _Pattern, in its band order): it
         # depends only on the sparsity of the prior blocks, which does not
         # change with eta and rarely with theta
         self._pattern = None
@@ -353,9 +354,11 @@ class _Pattern:
     ``diagonal[i]`` says whether prior block i is a full diagonal.  With E
     empty, S is Q_post.
 
-    ``keep`` lists R in the fill-reducing order of S, SuperLU's ordering of
-    S at h = 1, and S, ``design`` and ``design_e`` are laid out in that
-    order, so that every S of the pattern factors in natural order.
+    ``keep`` lists R in the bandwidth-reducing order of S, the
+    :attr:`SparseCholesky.order` of S at h = 1 (reverse Cuthill-McKee, with
+    dense columns such as the fixed effects last), and S, ``design`` and
+    ``design_e`` are laid out in that order.  ``layout`` is the band layout
+    of S as laid out, so that every S of the pattern factors as given.
     """
 
     def __init__(self, model, blocks):
@@ -392,12 +395,13 @@ class _Pattern:
         self.e_rows = b_e.row[nonzero]
         self.e_cols = b_e.col[nonzero]
         self.e_vals = b_e.data[nonzero]
-        # S in ascending latent order gives the fill-reducing order, which
-        # depends only on the sparsity; then S is laid out in that order
+        # S in ascending latent order gives the band order, which depends
+        # only on the sparsity; then S is laid out in that order
         kept = np.setdiff1d(np.arange(model.latent_dim), self.elim)
         self._lay_out(b, kept, blocks)
         s = self.schur(self.prior(blocks), np.ones(b.shape[0]))[0]
         self._lay_out(b, kept[SparseCholesky(s).order], blocks)
+        self.layout = BandLayout(self.indptr, self.indices)
         self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
 
     def _lay_out(self, b, keep, blocks):
@@ -495,7 +499,7 @@ class _PosteriorFactor:
         if not np.all(q > 0) or not np.all(np.isfinite(q)):
             raise NotPositiveDefiniteError(
                 "an eliminated diagonal of Q_post is not positive")
-        self.schur = SparseCholesky(s, natural=True)
+        self.schur = SparseCholesky(s, layout=pat.layout)
         self.h = h
         self.logdet = self.schur.logdet + float(np.log(q).sum())
         self._pat = pat

@@ -11,7 +11,7 @@ Only tau and kappa change between evaluations, so :class:`SpdePrecision`
 lays C, G and G C^{-1} G out once on one fixed pattern and computes a new Q
 as a data vector.  With lumped C, Q = tau^2 K C^{-1} K for K = kappa^2 C + G,
 so log|Q| comes from a factorization of K, a matrix with the sparsity of G,
-laid out once in its fill-reducing order.
+laid out once in its bandwidth-reducing order.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.special import gamma as _gamma, kv as _kv
 
 from .errors import NotPositiveDefiniteError
-from .sparsela import SparseCholesky, coo_indices, union_pattern
+from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
     "MaternParams",
@@ -149,11 +149,13 @@ class SpdePrecision:
         self.n = n
         self._q_indptr, self._q_indices, (self._c, self._g, self._gcg) = \
             _on_pattern(n, (c, g, gcg))
-        # K laid out in the fill-reducing order of its pattern, found from
-        # K at kappa = 1, so that every K factors in natural order
+        # K laid out in the bandwidth-reducing order of its pattern, found
+        # from K at kappa = 1, with its band layout, so that every K factors
+        # as given
         p = SparseCholesky(c + g).order
         self._k_indptr, self._k_indices, (self._kc, self._kg) = \
             _on_pattern(n, (c[p][:, p], g[p][:, p]))
+        self._k_layout = BandLayout(self._k_indptr, self._k_indices)
         self._log_c = float(np.log(cd).sum())
 
     def __call__(self, theta):
@@ -170,8 +172,8 @@ class SpdePrecision:
         k = sp.csc_matrix((th.kappa ** 2 * self._kc + self._kg,
                            self._k_indices, self._k_indptr),
                           shape=(self.n, self.n))
-        return 2.0 * self.n * th.log_tau \
-            + 2.0 * SparseCholesky(k, natural=True).logdet - self._log_c
+        log_k = SparseCholesky(k, layout=self._k_layout).logdet
+        return 2.0 * self.n * th.log_tau + 2.0 * log_k - self._log_c
 
 
 def assemble_precision(c, g, theta):

@@ -35,6 +35,20 @@ def solve_columns(factor, indices):
     return factor.solve(e)
 
 
+def dense_factor(factor):
+    """The Cholesky factor L of a :class:`SparseCholesky`, rebuilt densely
+    from its band L_A, its border block W^T and L_C."""
+    layout = factor.layout
+    m = layout.m
+    lower = np.zeros((factor.n, factor.n))
+    for k in range(min(layout.bandwidth, m - 1) + 1):
+        j = np.arange(m - k)
+        lower[j + k, j] = factor._band[k, :m - k]
+    lower[m:, :m] = factor._w.T
+    lower[m:, m:] = np.tril(factor._lc)
+    return lower
+
+
 def grid_areas(x0, y0, x1, y1, nx, ny, prefix="A"):
     """Rectangular partition of a box into nx * ny polygon cells."""
     xs = np.linspace(x0, x1, nx + 1)

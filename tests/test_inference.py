@@ -13,6 +13,8 @@ from prevmap.inference import (BinomialObs, FitResult, GaussianObs,
                                marginals, sample_joint,
                                write_fit_summary_csv, write_theta_grid_csv)
 
+from conftest import dense_factor
+
 
 def _assert_factor_of(factor, q_post, rel=1e-12):
     """``factor`` solves with and has the log-determinant of the dense
@@ -555,20 +557,26 @@ def test_spde_hyper_grid_threads_give_identical_bytes(tmp_path,
 def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
                                               coarse_fem10):
     # The patterns of Q_prior and Q_post do not change with theta or eta, so
-    # a whole fit runs the minimum-degree ordering at most twice.
-    import scipy.sparse.linalg as spla
+    # a whole fit runs the ordering routine at most twice, while it factors
+    # at every evaluation.
     from prevmap import sparsela
     from prevmap.geometry import project
     from prevmap.inference import make_spde_model
 
-    calls = {"ordered": 0, "natural": 0}
-    splu = spla.splu
+    calls = {"ordered": 0, "factored": 0}
+    band_order = sparsela._band_order
+    init = sparsela.SparseCholesky.__init__
 
-    def counting_splu(a, permc_spec=None, **kwargs):
-        calls["natural" if permc_spec == "NATURAL" else "ordered"] += 1
-        return splu(a, permc_spec=permc_spec, **kwargs)
+    def counting_order(q):
+        calls["ordered"] += 1
+        return band_order(q)
 
-    monkeypatch.setattr(sparsela.spla, "splu", counting_splu)
+    def counting_init(self, *args, **kwargs):
+        calls["factored"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparsela, "_band_order", counting_order)
+    monkeypatch.setattr(sparsela.SparseCholesky, "__init__", counting_init)
     rng = np.random.default_rng(8)
     locs = rng.uniform(0, 10, (120, 2))
     trials = np.full(120, 10.0)
@@ -578,8 +586,8 @@ def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
                             nugget=False)
     fit = fit_latent_model(model)
     assert len(fit.points) > 1
-    assert calls["ordered"] <= 2
-    assert calls["natural"] > len(fit.points)
+    assert 1 <= calls["ordered"] <= 2
+    assert calls["factored"] > len(fit.points)
 
 
 # ---------------------------------------------------------------------------
@@ -732,20 +740,25 @@ def test_factor_first_and_later_matrices_share_arithmetic():
 @pytest.mark.parametrize("name", sorted(_ELIMINATED))
 def test_pattern_lays_s_out_in_its_fill_reducing_order(name, coarse_mesh10,
                                                        coarse_fem10):
-    # S factors in the order it is laid out in (the identity permutation),
-    # with the fill of SuperLU's own ordering of the same S
+    # S is laid out in its own band order: R lists the coordinates in the
+    # order SparseCholesky finds for S in ascending latent order, and S
+    # factors as given (the identity permutation) with the band and border
+    # of that ordering
     from prevmap.inference import _PosteriorFactor, _pattern
     from prevmap.sparsela import SparseCholesky
     model = _models(coarse_mesh10, coarse_fem10)[name]
     blocks = model.prior_blocks(model.theta_init)
     pat = _pattern(model, blocks)
     h = model.obs.neg_hess(np.full(model.obs.n, -1.0))
-    lu = _PosteriorFactor(pat, pat.prior(blocks), h).schur._lu
-    assert np.array_equal(lu.perm_c, np.arange(len(pat.keep)))
+    schur = _PosteriorFactor(pat, pat.prior(blocks), h).schur
+    assert np.array_equal(schur.order, np.arange(len(pat.keep)))
     s_mat = pat.schur(pat.prior(blocks), h)[0]
     ascending = np.argsort(pat.keep)
-    ordered = SparseCholesky(s_mat[ascending][:, ascending])
-    assert lu.L.nnz == ordered._lu.L.nnz
+    own = SparseCholesky(s_mat[ascending][:, ascending])
+    assert np.array_equal(pat.keep, np.sort(pat.keep)[own.order])
+    assert (schur.layout.bandwidth, schur.layout.border, schur.nnz) \
+        == (own.layout.bandwidth, own.layout.border, own.nnz)
+    assert schur.logdet == pytest.approx(own.logdet, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["bym", "spde", "spde_nugget"])
@@ -753,7 +766,7 @@ def test_draws_feed_kept_normals_to_factor_rows_in_latent_order(
         name, coarse_mesh10, coarse_fem10):
     # the map from standard normals to draws does not depend on the layout
     # of S: z's kept entries, in ascending latent index, feed the rows of
-    # S's factor L D L^T in order, x_R = L^{-T} D^{-1/2} z_R
+    # S's factor L L^T in order, x_R = L^{-T} z_R
     import scipy.linalg as sla
     from prevmap.inference import _PosteriorFactor, _pattern
     model = _models(coarse_mesh10, coarse_fem10)[name]
@@ -762,9 +775,8 @@ def test_draws_feed_kept_normals_to_factor_rows_in_latent_order(
     factor = _PosteriorFactor(pat, pat.prior(blocks), model.obs.neg_hess(
         np.full(model.obs.n, -1.0)))
     z = np.random.default_rng(5).standard_normal(model.latent_dim)
-    lu = factor.schur._lu
-    x_r = sla.solve_triangular(lu.L.T.toarray(), z[np.sort(pat.keep)]
-                               / np.sqrt(lu.U.diagonal()), lower=False)
+    x_r = sla.solve_triangular(dense_factor(factor.schur).T,
+                               z[np.sort(pat.keep)], lower=False)
     assert np.abs(factor.sample(z)[pat.keep] - x_r).max() \
         <= 1e-12 * np.abs(x_r).max()
 

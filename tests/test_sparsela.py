@@ -1,4 +1,4 @@
-"""Sparse SPD factorization wrapper."""
+"""Sparse SPD factorization: band Cholesky with a dense border."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prevmap.errors import NotPositiveDefiniteError
 from prevmap.sparsela import SparseCholesky
 
-from conftest import solve_columns
+from conftest import dense_factor, solve_columns
 
 
 def _random_spd(n, seed=0, density=0.05):
@@ -86,12 +86,14 @@ def test_reused_ordering_matches_dense_oracle():
         # sample() is a linear map M with M M^T = Q^{-1}
         m = f.sample(np.eye(70))
         assert np.abs(m @ m.T - cov[p][:, p]).max() < 1e-10
-    # SuperLU's own ordering: the identity permutation and the same fill as
-    # a fresh minimum-degree factorization of q2
+    # the own ordering: the identity permutation, and the band and border of
+    # a fresh factorization of q2
     p = SparseCholesky(q1).order
     reused = SparseCholesky(q2[p][:, p], natural=True)
+    fresh = SparseCholesky(q2)
     assert np.array_equal(reused.order, np.arange(70))
-    assert reused._lu.L.nnz == SparseCholesky(q2)._lu.L.nnz
+    assert (reused.layout.bandwidth, reused.layout.border, reused.nnz) \
+        == (fresh.layout.bandwidth, fresh.layout.border, fresh.nnz)
 
 
 def test_reused_ordering_indefinite_raises():
@@ -166,3 +168,112 @@ def test_factor_matches_dense_oracle_at_size(side):
         m = f.sample(e[perm])
         qp = q[perm][:, perm]
         assert np.abs(m.T @ (qp @ m) - np.eye(len(cols))).max() < 1e-10
+
+
+def _bordered_band(n, kd, dense, seed):
+    """A random SPD matrix with bandwidth kd and ``dense`` columns coupled
+    to every other column, symmetrically permuted, as (q, dense columns)."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for k in range(1, min(kd, n - 1) + 1):
+        a += np.diag(rng.standard_normal(n - k)
+                     * (rng.random(n - k) < 0.8), -k)
+    a = a + a.T
+    cols = rng.choice(n, size=min(dense, n), replace=False)
+    for j in cols:
+        a[:, j] = a[j] = rng.standard_normal(n)
+    np.fill_diagonal(a, 0.0)
+    a += np.diag(np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, n))
+    p = rng.permutation(n)
+    return sp.csc_matrix(a[p][:, p]), np.argsort(p)[cols]
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(n=st.integers(0, 60), kd=st.integers(0, 3), dense=st.integers(0, 3),
+       natural=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_bordered_band_matches_dense_oracle(n, kd, dense, natural, seed):
+    q, cols = _bordered_band(n, kd, dense, seed)
+    qd = q.toarray()
+    f = SparseCholesky(q, natural=natural)
+    p = f.order
+    assert np.array_equal(np.sort(p), np.arange(n))
+    if natural:
+        assert np.array_equal(p, np.arange(n))
+    elif n >= 20:
+        # a column coupled to all others is dense from n = 18 on, and goes
+        # to the border
+        assert f.layout.border == len(cols)
+        assert np.array_equal(np.sort(p[n - len(cols):]), np.sort(cols))
+    lower = dense_factor(f)
+    assert np.abs(lower @ lower.T - qd[p][:, p]).max(initial=0.0) \
+        <= 1e-12 * np.abs(qd).max(initial=1.0)
+    assert f.logdet == pytest.approx(np.linalg.slogdet(qd)[1] if n else 0.0,
+                                     rel=1e-12, abs=1e-12)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, 3))
+    ref = np.linalg.solve(qd, b) if n else b
+    scale = np.abs(ref).max(initial=1.0)
+    assert np.abs(f.solve(b) - ref).max(initial=0.0) <= 1e-10 * scale
+    assert np.abs(f.solve(b[:, 0]) - ref[:, 0]).max(initial=0.0) \
+        <= 1e-10 * scale
+    # sample() is a linear map M with M M^T = Q^{-1}
+    m = f.sample(np.eye(n))
+    cov = np.linalg.inv(qd) if n else qd
+    assert np.abs(m @ m.T - cov).max(initial=0.0) \
+        <= 1e-10 * np.abs(cov).max(initial=1.0)
+
+
+def _band_not_spd(seed=21, n=40):
+    """An SPD band matrix with one dense column, as a dense array, with the
+    position of that column."""
+    q, cols = _bordered_band(n, 2, 1, seed)
+    return q.toarray(), cols[0]
+
+
+def test_negative_pivot_in_band_block_raises():
+    qd, _ = _band_not_spd()
+    qd -= (np.linalg.eigvalsh(qd).min() + 0.5) * np.eye(len(qd))
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        SparseCholesky(sp.csc_matrix(qd))
+    assert info.value.min_eigenvalue == pytest.approx(-0.5, rel=1e-9)
+
+
+def test_negative_pivot_in_border_schur_block_raises():
+    # the band block stays SPD; only the border's C - W^T W is not
+    qd, j = _band_not_spd()
+    assert SparseCholesky(sp.csc_matrix(qd)).layout.border == 1
+    rest = np.setdiff1d(np.arange(len(qd)), [j])
+    band = qd[np.ix_(rest, rest)]
+    b = qd[rest, j]
+    qd[j, j] = b @ np.linalg.solve(band, b) - 0.3
+    for natural in (False, True):
+        p = np.r_[rest, j] if natural else np.arange(len(qd))
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            SparseCholesky(sp.csc_matrix(qd[p][:, p]), natural=natural)
+        assert info.value.min_eigenvalue == pytest.approx(
+            np.linalg.eigvalsh(qd).min(), rel=1e-9)
+        assert info.value.min_eigenvalue < 0
+
+
+def test_nan_entry_raises():
+    qd, j = _band_not_spd()
+    i = (j + 1) % len(qd)
+    qd[i, j] = qd[j, i] = np.nan
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        SparseCholesky(sp.csc_matrix(qd))
+    assert np.isnan(info.value.min_eigenvalue)
+
+
+def test_dense_matrix_is_all_border():
+    # every column is dense: no band block, the border is the whole matrix
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((30, 30))
+    qd = a @ a.T + np.eye(30)
+    f = SparseCholesky(sp.csc_matrix(qd))
+    assert (f.layout.m, f.layout.border) == (0, 30)
+    b = rng.standard_normal((30, 2))
+    assert np.abs(f.solve(b) - np.linalg.solve(qd, b)).max() < 1e-10
+    assert f.logdet == pytest.approx(np.linalg.slogdet(qd)[1], rel=1e-12)
+    m = f.sample(np.eye(30))
+    cov = np.linalg.inv(qd)
+    assert np.abs(m @ m.T - cov).max() <= 1e-10 * np.abs(cov).max()

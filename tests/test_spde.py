@@ -107,19 +107,23 @@ def test_spde_logdet_first_and_later_k_share_arithmetic(coarse_fem10):
 
 
 def test_spde_k_laid_out_in_its_fill_reducing_order(coarse_fem10):
-    # K = kappa^2 C + G is stored as K[p][:, p] for SuperLU's ordering p of
-    # its pattern: it factors in the order it is laid out in (the identity
-    # permutation), with the fill of SuperLU's own ordering of K
+    # K = kappa^2 C + G is stored as K[p][:, p] for its own band order p: it
+    # factors as given (the identity permutation), on the layout kept with
+    # it, with the band and border of that ordering
     c, g = coarse_fem10
     prec = SpdePrecision(c, g)
     k = sp.csc_matrix((0.7 ** 2 * prec._kc + prec._kg, prec._k_indices,
                        prec._k_indptr), shape=(prec.n, prec.n))
     ref = (0.7 ** 2 * c + 0.5 * (g + g.T)).tocsc()
-    p = SparseCholesky(ref).order
+    own = SparseCholesky(ref)
+    p = own.order
     assert np.abs(k - ref[p][:, p]).max() <= 1e-15 * abs(ref).max()
-    lu = SparseCholesky(k, natural=True)._lu
-    assert np.array_equal(lu.perm_c, np.arange(prec.n))
-    assert lu.L.nnz == SparseCholesky(ref)._lu.L.nnz
+    for f in (SparseCholesky(k, natural=True),
+              SparseCholesky(k, layout=prec._k_layout)):
+        assert np.array_equal(f.order, np.arange(prec.n))
+        assert (f.layout.bandwidth, f.layout.border, f.nnz) \
+            == (own.layout.bandwidth, own.layout.border, own.nnz)
+        assert f.logdet == pytest.approx(own.logdet, rel=1e-12)
 
 
 def test_assemble_rejects_non_diagonal_mass(coarse_fem10):
