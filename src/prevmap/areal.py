@@ -202,7 +202,7 @@ def _eta_operator(lm, icar_cols, k):
                          shape=(k, lm.latent_dim))
 
 
-def fit_bym(model, thetas=None, threads=1):
+def fit_bym(model, thetas=None):
     """Fit the convolution smoothing model and summarize eta_k and p_k.
 
     The area-level eta_k = beta0* + S_k + eps_k is a linear combination of
@@ -212,7 +212,7 @@ def fit_bym(model, thetas=None, threads=1):
     """
     lm, icar_cols, singletons = _build_latent_model(model)
     k = model.graph.n_areas
-    fit = fit_latent_model(lm, thetas=thetas, threads=threads)
+    fit = fit_latent_model(lm, thetas=thetas)
     mus, sds, mean, sd, q = _linear_mixture(
         fit, _eta_operator(lm, icar_cols, k))
     weights = fit.weights

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  All outputs are flat files under [paths] output_dir; identical
-config + seed + thread count give byte-identical CSV and pixel-identical
-PGM outputs.
+config + seed give byte-identical CSV and pixel-identical PGM outputs.
 
 Each command runs as its own process, so import time is part of its run
 time.  Module level therefore imports only the standard library, numpy,
@@ -154,7 +153,7 @@ def _fit_spde(cfg, boundary, frame):
     obs = BinomialObs(frame.positives, frame.n_members)
     model = make_spde_model(obs, proj, c_mat, g_mat, nugget=cfg.nugget,
                             theta_init=_spde_theta_init(cfg))
-    fit = fit_latent_model(model, threads=cfg.threads)
+    fit = fit_latent_model(model)
     samples = sample_joint(fit, cfg.samples, seed=cfg.seed)
 
     write_theta_grid_csv(cfg.out("theta_grid.csv"), fit)
@@ -207,8 +206,7 @@ def _fit_bym(cfg, frame, areas):
                                          [p.id for p in areas])
     else:
         graph = areal.adjacency_from_polygons(areas)
-    bym = areal.fit_bym(areal.BymModel(y=y, v_hat=v, graph=graph),
-                        threads=cfg.threads)
+    bym = areal.fit_bym(areal.BymModel(y=y, v_hat=v, graph=graph))
     _write_csv(cfg.out("bym_summary.csv"),
                ["area_id", "eta_mean", "eta_sd", "eta_q025", "eta_q50",
                 "eta_q975", "p_mean", "p_q025", "p_q50", "p_q975",

@@ -49,7 +49,8 @@ _SETTINGS = (
     _S("paths", "adjacency", ""),
     _S("run", "seed", "0", int, lo=0),
     _S("run", "samples", "1000", int, lo=1),
-    _S("run", "threads", "", int, lo=1),
+    # read by nothing; kept so that configs with threads = 1 still parse
+    _S("run", "threads", "1", int, lo=1, hi=1),
     _S("model", "interior_max_edge", "0.6", float, lo=0, strict=True),
     _S("model", "extension_factor", "1.5", float, lo=1),
     _S("model", "exterior_max_edge", "", float),
@@ -76,10 +77,8 @@ _SETTINGS = (
     _S("functionals", "grid_spacing", "", float, lo=0, strict=True),
 )
 
-# a blank derived value resolves from the values parsed before it;
-# PREVMAP_THREADS is read here and nowhere else
+# a blank derived value resolves from the values parsed before it
 _DERIVED = {
-    "threads": lambda v: os.environ.get("PREVMAP_THREADS") or "1",
     "exterior_max_edge": lambda v: repr(5.0 * v["interior_max_edge"]),
     "grid_spacing": lambda v: repr(v["interior_max_edge"] / 2.0),
 }

@@ -45,7 +45,6 @@ factorization otherwise.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -57,7 +56,8 @@ from scipy.special import expit, gammaln, ndtr
 from ._csv import _write_csv
 from .errors import ConvergenceError, NotPositiveDefiniteError
 from .functionals import JointSamples
-from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
+from .sparsela import (BandLayout, SparseCholesky, band_order, coo_indices,
+                       union_pattern)
 
 __all__ = [
     "GaussianObs",
@@ -354,11 +354,11 @@ class _Pattern:
     ``diagonal[i]`` says whether prior block i is a full diagonal.  With E
     empty, S is Q_post.
 
-    ``keep`` lists R in the bandwidth-reducing order of S, the
-    :attr:`SparseCholesky.order` of S at h = 1 (reverse Cuthill-McKee, with
-    dense columns such as the fixed effects last), and S, ``design`` and
-    ``design_e`` are laid out in that order.  ``layout`` is the band layout
-    of S as laid out, so that every S of the pattern factors as given.
+    ``keep`` lists R in the :func:`band_order` of the pattern of S (reverse
+    Cuthill-McKee, with dense columns such as the fixed effects last), and
+    S, ``design`` and ``design_e`` are laid out in that order.  ``layout``
+    is the band layout of S as laid out, so that every S of the pattern
+    factors as given.
     """
 
     def __init__(self, model, blocks):
@@ -395,12 +395,11 @@ class _Pattern:
         self.e_rows = b_e.row[nonzero]
         self.e_cols = b_e.col[nonzero]
         self.e_vals = b_e.data[nonzero]
-        # S in ascending latent order gives the band order, which depends
-        # only on the sparsity; then S is laid out in that order
+        # the pattern of S in ascending latent order gives the band order;
+        # then S is laid out in that order
         kept = np.setdiff1d(np.arange(model.latent_dim), self.elim)
         self._lay_out(b, kept, blocks)
-        s = self.schur(self.prior(blocks), np.ones(b.shape[0]))[0]
-        self._lay_out(b, kept[SparseCholesky(s).order], blocks)
+        self._lay_out(b, kept[band_order(self.indptr, self.indices)], blocks)
         self.layout = BandLayout(self.indptr, self.indices)
         self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
 
@@ -473,8 +472,7 @@ class _Pattern:
 
 def _pattern(model, blocks):
     """The model's pattern, rebuilt when the prior blocks' sparsity differs
-    from the one it was built for.  Shared between threads: a thread keeps
-    the pattern it was given."""
+    from the one it was built for."""
     pat = model._pattern
     if pat is None or not pat.fits(blocks):
         pat = _Pattern(model, blocks)
@@ -721,17 +719,12 @@ def _log_post(model, theta, u0=None):
     return approx.log_evidence + model.log_theta_prior(theta), approx
 
 
-def _weighted_points(model, thetas, threads=1, u0=None, log_scale=0.0):
+def _weighted_points(model, thetas, u0=None, log_scale=0.0):
     """Evaluate the Laplace log-posterior at each theta, every Newton solve
     started from the same ``u0``, and normalize the weights
     exp(log_post + log_scale) over the given points."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _log_post(model, t, u0),
-                                    thetas))
-    else:
-        results = [_log_post(model, t, u0) for t in thetas]
+    results = [_log_post(model, t, u0) for t in thetas]
     lps = np.array([r[0] for r in results])
     w = np.exp(lps + log_scale - np.max(lps + log_scale))
     w /= w.sum()
@@ -775,7 +768,7 @@ def _mode_search(model):
     return best
 
 
-def _neg_hessian(model, mode, lp_mode, u0, threads=1):
+def _neg_hessian(model, mode, lp_mode, u0):
     """-d^2 log pi~ / d theta^2 at the mode by finite differences of step
     _HESS_STEP: 2 dim axial points and the dim (dim - 1) / 2 one-sided
     cross points mode + h (e_i + e_j)."""
@@ -784,7 +777,7 @@ def _neg_hessian(model, mode, lp_mode, u0, threads=1):
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     thetas = [mode + h * e for e in eye] + [mode - h * e for e in eye] \
         + [mode + h * (eye[i] + eye[j]) for i, j in pairs]
-    lps = [p.log_post for p in _weighted_points(model, thetas, threads, u0)]
+    lps = [_log_post(model, t, u0)[0] for t in thetas]
     up, down = np.array(lps[:dim]), np.array(lps[dim:2 * dim])
     hess = np.diag(up - 2.0 * lp_mode + down)
     for (i, j), lp in zip(pairs, lps[2 * dim:]):
@@ -820,7 +813,7 @@ def _ccd_design(dim):
     return z, log_delta
 
 
-def hyper_grid(model, threads=1):
+def hyper_grid(model):
     """Explore the hyperparameter posterior as INLA does (Rue, Martino &
     Chopin 2009, sections 6.1 and 6.5) and return the weighted grid.
 
@@ -844,27 +837,25 @@ def hyper_grid(model, threads=1):
 
     Each Newton solve of the mode search starts from the mode of the
     evaluation before it.  Every point of steps 2-4 starts from the latent
-    mean at theta*, and ``threads`` evaluates each step's points in
-    parallel, so the grid does not depend on ``threads``.  With no
-    hyperparameters the grid is ``theta_init`` alone.
+    mean at theta*, so no point depends on the points evaluated before it.
+    With no hyperparameters the grid is ``theta_init`` alone.
     """
     dim = model.n_theta
     if dim == 0:
-        return _weighted_points(model, [model.theta_init], threads)
+        return _weighted_points(model, [model.theta_init])
     mode, lp_mode, u_mode = _mode_search(model)
-    lam, vecs = np.linalg.eigh(_neg_hessian(model, mode, lp_mode, u_mode,
-                                            threads))
+    lam, vecs = np.linalg.eigh(_neg_hessian(model, mode, lp_mode, u_mode))
     scale = vecs / np.sqrt(np.maximum(lam, _THETA_PRIOR_SD ** -2))
     # skewness: the drop at z = +sqrt(2) e_i (row i) and -sqrt(2) e_i
     # (row dim + i)
     z_skew = np.sqrt(2.0) * np.vstack([np.eye(dim), -np.eye(dim)])
-    drop = lp_mode - np.array([p.log_post for p in _weighted_points(
-        model, mode + z_skew @ scale.T, threads, u_mode)])
+    drop = lp_mode - np.array([_log_post(model, t, u_mode)[0]
+                               for t in mode + z_skew @ scale.T])
     sigma = np.ones(2 * dim)
     sigma[drop > 0] = drop[drop > 0] ** -0.5
     z, log_delta = _ccd_design(dim)
     z = np.where(z > 0, z * sigma[:dim], z * sigma[dim:])
-    return _weighted_points(model, mode + z @ scale.T, threads, u_mode,
+    return _weighted_points(model, mode + z @ scale.T, u_mode,
                             log_scale=log_delta)
 
 
@@ -892,16 +883,16 @@ class FitResult:
         return np.array([p.weight for p in self.points])
 
 
-def fit_latent_model(model, thetas=None, threads=1):
+def fit_latent_model(model, thetas=None):
     """Fit the model: hyperparameter grid with attached Gaussian approximations.
 
     ``thetas`` may give explicit grid points (list of vectors) to skip the
     mode search, e.g. a single point for a fixed-theta fit.
     """
     if thetas is not None:
-        points = _weighted_points(model, thetas, threads)
+        points = _weighted_points(model, thetas)
     else:
-        points = hyper_grid(model, threads=threads)
+        points = hyper_grid(model)
     return FitResult(model=model, points=points)
 
 

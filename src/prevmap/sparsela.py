@@ -24,18 +24,17 @@ supernodal LU on a minimum-degree order; at edge 0.15 (d = 10,027,
 bandwidth 506) in 108 ms against 144 ms.
 
 The ordering depends only on the sparsity pattern.  An owner of a pattern
-that it factors many times finds the pattern's ordering p once, as the
-:attr:`SparseCholesky.order` of any matrix on it, lays every matrix out as
-``q[p][:, p]``, and keeps the :class:`BandLayout` of the laid-out pattern,
-with which a factorization is a scatter and the LAPACK calls.  Two owners
-do so: the latent model engine for the Schur complement of Q_post over the
-coordinates that are not integrated out in closed form (Q_post itself when
-none is), and the SPDE precision for its K = kappa^2 C + G.  One-off
-factorizations (the ICAR block's minor, a prior block with no ``logdet``
-and no closed form) order their own pattern.  Together with
-:func:`union_pattern`, which lays out a sum of sparse matrices as data on
-one fixed pattern, a new theta or Newton step costs only a numerical
-refactorization.
+that it factors many times calls :func:`band_order` on the pattern once,
+lays every matrix out as ``q[p][:, p]`` in that order p, and keeps the
+:class:`BandLayout` of the laid-out pattern, with which a factorization is
+a scatter and the LAPACK calls.  Two owners do so: the latent model engine
+for the Schur complement of Q_post over the coordinates that are not
+integrated out in closed form (Q_post itself when none is), and the SPDE
+precision for its K = kappa^2 C + G.  One-off factorizations (the ICAR
+block's minor, a prior block with no ``logdet`` and no closed form) order
+their own pattern.  Together with :func:`union_pattern`, which lays out a
+sum of sparse matrices as data on one fixed pattern, a new theta or Newton
+step costs only a numerical refactorization.
 """
 
 from types import SimpleNamespace
@@ -108,12 +107,12 @@ def _dense(n, rows, cols):
     return degree > _DENSE_FACTOR * np.sqrt(n)
 
 
-def _band_order(q):
-    """The bandwidth-reducing order of the symmetric pattern of q: reverse
+def band_order(indptr, indices):
+    """The bandwidth-reducing order of a symmetric CSC pattern: reverse
     Cuthill-McKee over the columns that are not dense, then the dense
     columns."""
-    n = q.shape[0]
-    _, rows, cols = _lower(q.indptr, q.indices)
+    n = len(indptr) - 1
+    _, rows, cols = _lower(indptr, indices)
     dense = _dense(n, rows, cols)
     keep = np.flatnonzero(~dense)
     rank = np.cumsum(~dense) - 1
@@ -181,29 +180,26 @@ class SparseCholesky:
     dense border (see the module docstring).
 
     q must be symmetric; only its entries on or below the diagonal are
-    read.  By default q is factored in its own bandwidth-reducing order
-    (:attr:`order`); with ``natural=True`` it is factored as given, for a q
-    already laid out in such an order, whose trailing dense columns then
-    form the border.  ``layout``, the :class:`BandLayout` of q's pattern as
-    given, factors q as given without deriving the layout again; an owner
-    that factors one pattern many times keeps it.  Solves and samples are
-    in the order of q.
+    read.  Without ``layout`` q is factored in the :func:`band_order` of
+    its pattern.  With ``layout``, the :class:`BandLayout` of q's pattern
+    as given, q is factored as given: an owner that factors one pattern
+    many times lays it out in its band order and keeps its layout.  Solves
+    and samples are in the order of q.
 
     Raises :class:`NotPositiveDefiniteError` (with a smallest-eigenvalue
     estimate when obtainable) if the input is not positive definite or not
     finite.
     """
 
-    def __init__(self, q, natural=False, layout=None):
+    def __init__(self, q, layout=None):
         q = sp.csc_matrix(q)
         if q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
         self.n = q.shape[0]
         self._perm = None
         if layout is None:
-            if not natural:
-                self._perm = _band_order(q)
-                q = q[self._perm][:, self._perm].tocsc()
+            self._perm = band_order(q.indptr, q.indices)
+            q = q[self._perm][:, self._perm].tocsc()
             layout = BandLayout(q.indptr, q.indices)
         self.layout = layout
         band, b_blk, c_blk = layout.blocks(q.data)
@@ -223,14 +219,6 @@ class SparseCholesky:
                 "not SPD",
                 min_eigenvalue=_smallest_eig_estimate(q))
         self.logdet = 2.0 * float(np.log(diag).sum())
-
-    @property
-    def order(self):
-        """The permutation p for which ``q[p][:, p]`` was factored: reverse
-        Cuthill-McKee over the columns that are not dense, then the dense
-        columns (or, with ``natural=True``, the identity).  It depends only
-        on the sparsity of q."""
-        return np.arange(self.n) if self._perm is None else self._perm
 
     @property
     def nnz(self):

@@ -21,7 +21,8 @@ import scipy.sparse as sp
 from scipy.special import gamma as _gamma, kv as _kv
 
 from .errors import NotPositiveDefiniteError
-from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
+from .sparsela import (BandLayout, SparseCholesky, band_order, coo_indices,
+                       union_pattern)
 
 __all__ = [
     "MaternParams",
@@ -149,10 +150,10 @@ class SpdePrecision:
         self.n = n
         self._q_indptr, self._q_indices, (self._c, self._g, self._gcg) = \
             _on_pattern(n, (c, g, gcg))
-        # K laid out in the bandwidth-reducing order of its pattern, found
-        # from K at kappa = 1, with its band layout, so that every K factors
-        # as given
-        p = SparseCholesky(c + g).order
+        # K laid out in the band order of its pattern, that of C + G, with
+        # its band layout, so that every K factors as given
+        k = c + g
+        p = band_order(k.indptr, k.indices)
         self._k_indptr, self._k_indices, (self._kc, self._kg) = \
             _on_pattern(n, (c[p][:, p], g[p][:, p]))
         self._k_layout = BandLayout(self._k_indptr, self._k_indices)

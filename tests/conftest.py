@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from prevmap.geometry import Polygon, fem_matrices
 from prevmap.meshing import build_mesh
+from prevmap.sparsela import BandLayout, SparseCholesky
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,13 @@ def solve_columns(factor, indices):
     e = np.zeros((factor.n, len(indices)))
     e[np.asarray(indices, dtype=int), np.arange(len(indices))] = 1.0
     return factor.solve(e)
+
+
+def factor_as_given(q):
+    """A :class:`SparseCholesky` of q in the order q is given in, on the band
+    layout of its own pattern, as an owner of a laid-out pattern factors."""
+    q = sp.csc_matrix(q)
+    return SparseCholesky(q, layout=BandLayout(q.indptr, q.indices))
 
 
 def dense_factor(factor):

@@ -309,6 +309,7 @@ BAD_INPUTS = {
     "grid_spacing_nan": lambda d: (
         {"functionals": {"grid_spacing": "nan"}}, 2, "functionals.grid_spacing"),
     "threads_text": lambda d: ({"run": {"threads": "abc"}}, 2, "run.threads"),
+    "threads_two": lambda d: ({"run": {"threads": "2"}}, 2, "run.threads"),
     "frame_y_above_n": lambda d: _frame_case(d, y_above_n=True),
     "frame_without_weight": lambda d: _frame_case(d, drop="weight"),
     "frame_without_y": lambda d: _frame_case(d, drop="Y"),

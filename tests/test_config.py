@@ -1,8 +1,14 @@
-"""Pipeline configuration: the echoed config re-parses to the same values."""
+"""Pipeline configuration: the echoed config re-parses to the same values,
+and the pipeline reads every key."""
 
 import dataclasses
+import re
 
-from prevmap.config import load_config
+from prevmap import cli
+from prevmap.config import PipelineConfig, load_config
+
+# keys the pipeline does not read, each with the reason it stays
+UNREAD = {"threads": "configs written with threads = 1 must still parse"}
 
 
 def test_echoed_config_reparses_to_same_values(tmp_path):
@@ -12,7 +18,7 @@ def test_echoed_config_reparses_to_same_values(tmp_path):
     ini.write_text(
         "[paths]\n"
         f"output_dir = {tmp_path / 'out'}\n"
-        "[run]\nseed = 7\nthreads = 2\n"
+        "[run]\nseed = 7\nthreads = 1\n"
         "[model]\ninterior_max_edge = 0.45\nnugget = false\n"
         "[sim]\nbeta0 = -2.5\nm_max = 9\n"
         "[functionals]\nu = 0.1\n")
@@ -25,16 +31,10 @@ def test_echoed_config_reparses_to_same_values(tmp_path):
     assert cfg.grid_spacing == 0.45 / 2.0
 
 
-def test_echo_records_threads_from_the_environment(tmp_path, monkeypatch):
-    # run.threads left blank resolves from PREVMAP_THREADS; the echo holds
-    # the resolved count, so it re-parses the same without the variable
-    ini = tmp_path / "config.ini"
-    ini.write_text(f"[paths]\noutput_dir = {tmp_path / 'out'}\n")
-    monkeypatch.setenv("PREVMAP_THREADS", "3")
-    cfg = load_config(str(ini))
-    assert cfg.threads == 3
-    echo = tmp_path / "config_resolved.ini"
-    cfg.echo(str(echo))
-    monkeypatch.delenv("PREVMAP_THREADS")
-    assert load_config(str(ini)).threads == 1
-    assert dataclasses.asdict(load_config(str(echo))) == dataclasses.asdict(cfg)
+def test_pipeline_reads_every_setting():
+    # a key that nothing reads only looks like an option: every field but
+    # the raw sections is read as cfg.<field> by the commands
+    with open(cli.__file__) as fh:
+        read = set(re.findall(r"\bcfg\.(\w+)", fh.read()))
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"raw"}
+    assert fields - read == set(UNREAD)

@@ -1,10 +1,14 @@
 """Geometry: polygons, mesh construction, FEM matrices, projection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prevmap.errors import InvalidGeometryError
-from prevmap.geometry import (Polygon, _min_angles, fem_matrices, project,
+from prevmap.geometry import (_BOUNDARY_TOL, Polygon, _min_angles,
+                              fem_matrices, project,
                               read_polygons_csv, read_polygons_geojson,
                               write_polygons_csv, TriMesh)
 from prevmap.meshing import build_mesh
@@ -68,6 +72,74 @@ def test_containment_monte_carlo_area_oracle():
     ratio = tri.area() / 1.0
     se = np.sqrt(ratio * (1 - ratio) / 10000)
     assert abs(frac - ratio) < 3 * se
+
+
+def _star_ring(rng, k, r_lo, r_hi, centre):
+    """k vertices at increasing angles, at most 90 degrees apart, and radii
+    in [r_lo, r_hi] around ``centre``: a simple ring."""
+    angles = 2 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k
+    radii = rng.uniform(r_lo, r_hi, k)
+    return centre + radii[:, None] * np.column_stack([np.cos(angles),
+                                                      np.sin(angles)])
+
+
+def _contains_oracle(rings, x, y):
+    """Even-odd rule by counting, edge by edge, the crossings of the ray
+    from (x, y) towards +x; a point within the boundary tolerance of an
+    edge is inside."""
+    outer = rings[0]
+    tol = _BOUNDARY_TOL * max(np.ptp(outer[:, 0]), np.ptp(outer[:, 1]), 1.0)
+    crossings = 0
+    for ring in rings:
+        for (xa, ya), (xb, yb) in zip(ring, np.roll(ring, -1, axis=0)):
+            dx, dy = xb - xa, yb - ya
+            t = min(max(((x - xa) * dx + (y - ya) * dy)
+                        / (dx * dx + dy * dy), 0.0), 1.0)
+            if math.hypot(x - xa - t * dx, y - ya - t * dy) <= tol:
+                return True
+            if (ya > y) != (yb > y) and x < xa + (y - ya) * dx / dy:
+                crossings += 1
+    return crossings % 2 == 1
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(k=st.integers(4, 9), k_hole=st.integers(3, 6),
+       scale=st.floats(0.5, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_contains_matches_crossing_number_oracle(k, k_hole, scale, seed):
+    # a star-shaped polygon with a star-shaped hole; points scattered over
+    # the grown bounding box, on every edge, on the bounding box and just
+    # outside it, within and beyond the boundary tolerance
+    rng = np.random.default_rng(seed)
+    centre = rng.uniform(-5.0, 5.0, 2)
+    outer = _star_ring(rng, k, 0.5 * scale, scale, centre)
+    hole = _star_ring(rng, k_hole, 0.05 * scale, 0.2 * scale, centre)
+    poly = Polygon([outer, hole])
+    x0, y0, x1, y1 = poly.bbox()
+    tol = _BOUNDARY_TOL * max(x1 - x0, y1 - y0, 1.0)
+    grow = 0.1 * np.array([x1 - x0, y1 - y0])
+    pts = [rng.uniform([x0, y0] - grow, [x1, y1] + grow, (40, 2))]
+    for ring in poly.rings:
+        t = rng.uniform(0.0, 1.0, (len(ring), 1))
+        pts.append(ring + t * (np.roll(ring, -1, axis=0) - ring))
+        pts.append(ring)
+    u = rng.uniform(0.0, 1.0, 10)
+    xs, ys = x0 + u * (x1 - x0), y0 + u[::-1] * (y1 - y0)
+    ring = poly.rings[0]
+    extreme = ring[[np.argmin(ring[:, 0]), np.argmax(ring[:, 0]),
+                    np.argmin(ring[:, 1]), np.argmax(ring[:, 1])]]
+    outwards = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    for gap in (0.0, 0.5 * tol, 2.0 * tol, 1e-9 * scale):
+        pts += [np.column_stack([np.full(10, x0 - gap), ys]),
+                np.column_stack([np.full(10, x1 + gap), ys]),
+                np.column_stack([xs, np.full(10, y0 - gap)]),
+                np.column_stack([xs, np.full(10, y1 + gap)]),
+                # beside the extreme vertices, where the tolerance decides
+                extreme + gap * outwards]
+    pts = np.vstack(pts)
+    got = poly.contains(pts)
+    want = np.array([_contains_oracle(poly.rings, x, y) for x, y in pts])
+    assert np.array_equal(got, want)
+    assert poly.contains(pts[0]) == want[0]
 
 
 def test_polygon_distance(unit_square):

@@ -529,53 +529,29 @@ def test_warm_start_matches_cold(problem):
         assert np.abs(model.constraint @ warm.mean).max() < 1e-9 * scale
 
 
-def _theta_grid_bytes(tmp_path, make_model, threads):
-    # a fresh model per run: its pattern, with the ordering of S, is first
-    # built while the threads evaluate
-    model = make_model()
-    fit = FitResult(model=model, points=hyper_grid(model, threads=threads))
-    path = tmp_path / f"grid{threads}.csv"
-    write_theta_grid_csv(path, fit)
-    return path.read_bytes()
-
-
-def test_hyper_grid_threads_give_identical_bytes(tmp_path):
-    assert _theta_grid_bytes(tmp_path, _binomial_problem, 1) \
-        == _theta_grid_bytes(tmp_path, _binomial_problem, 2)
-
-
-def test_spde_hyper_grid_threads_give_identical_bytes(tmp_path,
-                                                      coarse_mesh10,
-                                                      coarse_fem10):
-    def make_model():
-        return _spde_problem(coarse_mesh10, coarse_fem10, nugget=True)
-
-    assert _theta_grid_bytes(tmp_path, make_model, 1) \
-        == _theta_grid_bytes(tmp_path, make_model, 2)
-
-
 def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
                                               coarse_fem10):
     # The patterns of Q_prior and Q_post do not change with theta or eta, so
     # a whole fit runs the ordering routine at most twice, while it factors
     # at every evaluation.
-    from prevmap import sparsela
+    from prevmap import inference, sparsela, spde
     from prevmap.geometry import project
     from prevmap.inference import make_spde_model
 
     calls = {"ordered": 0, "factored": 0}
-    band_order = sparsela._band_order
+    band_order = sparsela.band_order
     init = sparsela.SparseCholesky.__init__
 
-    def counting_order(q):
+    def counting_order(indptr, indices):
         calls["ordered"] += 1
-        return band_order(q)
+        return band_order(indptr, indices)
 
     def counting_init(self, *args, **kwargs):
         calls["factored"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sparsela, "_band_order", counting_order)
+    for module in (sparsela, inference, spde):  # where it is looked up
+        monkeypatch.setattr(module, "band_order", counting_order)
     monkeypatch.setattr(sparsela.SparseCholesky, "__init__", counting_init)
     rng = np.random.default_rng(8)
     locs = rng.uniform(0, 10, (120, 2))
@@ -741,21 +717,22 @@ def test_factor_first_and_later_matrices_share_arithmetic():
 def test_pattern_lays_s_out_in_its_fill_reducing_order(name, coarse_mesh10,
                                                        coarse_fem10):
     # S is laid out in its own band order: R lists the coordinates in the
-    # order SparseCholesky finds for S in ascending latent order, and S
-    # factors as given (the identity permutation) with the band and border
-    # of that ordering
+    # band order of S's pattern in ascending latent order, and S factors as
+    # given with the band and border of that ordering
     from prevmap.inference import _PosteriorFactor, _pattern
-    from prevmap.sparsela import SparseCholesky
+    from prevmap.sparsela import SparseCholesky, band_order
     model = _models(coarse_mesh10, coarse_fem10)[name]
     blocks = model.prior_blocks(model.theta_init)
     pat = _pattern(model, blocks)
     h = model.obs.neg_hess(np.full(model.obs.n, -1.0))
     schur = _PosteriorFactor(pat, pat.prior(blocks), h).schur
-    assert np.array_equal(schur.order, np.arange(len(pat.keep)))
+    assert schur.layout is pat.layout
     s_mat = pat.schur(pat.prior(blocks), h)[0]
     ascending = np.argsort(pat.keep)
-    own = SparseCholesky(s_mat[ascending][:, ascending])
-    assert np.array_equal(pat.keep, np.sort(pat.keep)[own.order])
+    s_asc = s_mat[ascending][:, ascending].tocsc()
+    own = SparseCholesky(s_asc)
+    assert np.array_equal(pat.keep, np.sort(pat.keep)[
+        band_order(s_asc.indptr, s_asc.indices)])
     assert (schur.layout.bandwidth, schur.layout.border, schur.nnz) \
         == (own.layout.bandwidth, own.layout.border, own.nnz)
     assert schur.logdet == pytest.approx(own.logdet, rel=1e-12)

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from prevmap.errors import NotPositiveDefiniteError
-from prevmap.sparsela import SparseCholesky
+from prevmap.sparsela import BandLayout, SparseCholesky, band_order
 
-from conftest import dense_factor, solve_columns
+from conftest import dense_factor, factor_as_given, solve_columns
 
 
 def _random_spd(n, seed=0, density=0.05):
@@ -66,16 +66,19 @@ def _same_pattern_pair(n, seed):
     return q1, q2
 
 
+def _own_order(q):
+    return band_order(q.indptr, q.indices)
+
+
 def test_reused_ordering_matches_dense_oracle():
-    # q2 laid out in the ordering of a factorization of q1 (one pattern),
-    # and in an arbitrary permutation, factors as given
+    # q2 laid out in the band order of q1's pattern (one pattern), and in
+    # an arbitrary permutation, factors as given
     q1, q2 = _same_pattern_pair(70, seed=11)
     dense = q2.toarray()
     cov = np.linalg.inv(dense)
     b = np.random.default_rng(12).standard_normal((70, 4))
-    for p in (SparseCholesky(q1).order,
-              np.random.default_rng(3).permutation(70)):
-        f = SparseCholesky(q2[p][:, p], natural=True)
+    for p in (_own_order(q1), np.random.default_rng(3).permutation(70)):
+        f = factor_as_given(q2[p][:, p])
         ref = np.linalg.solve(dense, b)[p]
         assert np.abs(f.solve(b[p]) - ref).max() < 1e-10
         assert np.abs(f.solve(b[p, 0]) - ref[:, 0]).max() < 1e-10
@@ -86,12 +89,10 @@ def test_reused_ordering_matches_dense_oracle():
         # sample() is a linear map M with M M^T = Q^{-1}
         m = f.sample(np.eye(70))
         assert np.abs(m @ m.T - cov[p][:, p]).max() < 1e-10
-    # the own ordering: the identity permutation, and the band and border of
-    # a fresh factorization of q2
-    p = SparseCholesky(q1).order
-    reused = SparseCholesky(q2[p][:, p], natural=True)
+    # the own ordering: the band and border of a fresh factorization of q2
+    p = _own_order(q1)
+    reused = factor_as_given(q2[p][:, p])
     fresh = SparseCholesky(q2)
-    assert np.array_equal(reused.order, np.arange(70))
     assert (reused.layout.bandwidth, reused.layout.border, reused.nnz) \
         == (fresh.layout.bandwidth, fresh.layout.border, fresh.nnz)
 
@@ -101,15 +102,16 @@ def test_reused_ordering_indefinite_raises():
     shift = np.linalg.eigvalsh(q1.toarray()).min() + 1.0
     bad = (q1 - shift * sp.identity(50)).tocsc()
     assert np.array_equal(bad.indices, q1.indices)
-    for p in (SparseCholesky(q1).order,
-              np.random.default_rng(4).permutation(50)):
+    for p in (_own_order(q1), np.random.default_rng(4).permutation(50)):
         with pytest.raises(NotPositiveDefiniteError):
-            SparseCholesky(bad[p][:, p], natural=True)
+            factor_as_given(bad[p][:, p])
 
 
 def test_natural_order_rejects_non_square():
-    with pytest.raises(ValueError):
-        SparseCholesky(_random_spd(5)[:, :4], natural=True)
+    q = _random_spd(5)
+    for layout in (None, BandLayout(q.indptr, q.indices)):
+        with pytest.raises(ValueError):
+            SparseCholesky(q[:, :4], layout=layout)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -120,7 +122,7 @@ def test_natural_order_of_any_permutation_matches_own_order(n, density, seed):
     rng = np.random.default_rng(seed)
     p = rng.permutation(n)
     own = SparseCholesky(q)
-    f = SparseCholesky(q[p][:, p], natural=True)
+    f = factor_as_given(q[p][:, p])
     assert f.logdet == pytest.approx(own.logdet, rel=1e-12)
     b = rng.standard_normal((n, 2))
     x = own.solve(b)
@@ -155,10 +157,9 @@ def test_factor_matches_dense_oracle_at_size(side):
     cols = rng.choice(n, size=min(n, 40), replace=False)
     e = np.zeros((n, len(cols)))
     e[cols, np.arange(len(cols))] = 1.0
-    first = SparseCholesky(q)
-    p = first.order
-    for f, perm in ((first, np.arange(n)),
-                    (SparseCholesky(q[p][:, p], natural=True), p)):
+    p = _own_order(q)
+    for f, perm in ((SparseCholesky(q), np.arange(n)),
+                    (factor_as_given(q[p][:, p]), p)):
         x = f.solve(b[perm])
         assert np.abs(x - sla.lu_solve(lu, b)[perm]).max() \
             <= 1e-10 * np.abs(x).max()
@@ -194,12 +195,12 @@ def _bordered_band(n, kd, dense, seed):
 def test_bordered_band_matches_dense_oracle(n, kd, dense, natural, seed):
     q, cols = _bordered_band(n, kd, dense, seed)
     qd = q.toarray()
-    f = SparseCholesky(q, natural=natural)
-    p = f.order
-    assert np.array_equal(np.sort(p), np.arange(n))
     if natural:
-        assert np.array_equal(p, np.arange(n))
-    elif n >= 20:
+        f, p = factor_as_given(q), np.arange(n)
+    else:
+        f, p = SparseCholesky(q), _own_order(q)
+    assert np.array_equal(np.sort(p), np.arange(n))
+    if not natural and n >= 20:
         # a column coupled to all others is dense from n = 18 on, and goes
         # to the border
         assert f.layout.border == len(cols)
@@ -246,10 +247,10 @@ def test_negative_pivot_in_border_schur_block_raises():
     band = qd[np.ix_(rest, rest)]
     b = qd[rest, j]
     qd[j, j] = b @ np.linalg.solve(band, b) - 0.3
-    for natural in (False, True):
-        p = np.r_[rest, j] if natural else np.arange(len(qd))
+    for factor, p in ((SparseCholesky, np.arange(len(qd))),
+                      (factor_as_given, np.r_[rest, j])):
         with pytest.raises(NotPositiveDefiniteError) as info:
-            SparseCholesky(sp.csc_matrix(qd[p][:, p]), natural=natural)
+            factor(sp.csc_matrix(qd[p][:, p]))
         assert info.value.min_eigenvalue == pytest.approx(
             np.linalg.eigvalsh(qd).min(), rel=1e-9)
         assert info.value.min_eigenvalue < 0

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from prevmap.sparsela import SparseCholesky
+from prevmap.sparsela import BandLayout, SparseCholesky
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "tracing.py")
@@ -47,8 +47,9 @@ def test_perfbench_factor_hook_reads_nnz_of_l():
     # the order it is laid out in
     q = sp.diags([np.full(29, -1.0), np.full(30, 4.0), np.full(29, -1.0)],
                  [-1, 0, 1], format="csc")
-    chol = SparseCholesky(q, natural=True)
+    layout = BandLayout(q.indptr, q.indices)
+    chol = SparseCholesky(q, layout=layout)
     span = {"attrs": {}}
-    _installed().hooks["sparsela.factor"](span, (chol, q), {"natural": True},
+    _installed().hooks["sparsela.factor"](span, (chol, q), {"layout": layout},
                                           None)
     assert span["attrs"]["nnz_L"] == chol._lu.L.nnz
