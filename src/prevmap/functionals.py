@@ -41,36 +41,40 @@ __all__ = [
 _BLOCK_CELLS = 2 ** 18
 # Rejection-sampling batches before sample_points_in_polygon gives up.
 _MAX_TRIES = 1000
+# Least share of its bounding box a polygon fills to be sampled by rejection,
+# which draws 1 / ratio candidates a point.
+_MIN_FILL = 1e-3
 
 
 def sample_points_in_polygon(polygon, n, rng):
-    """Uniform points in a polygon by bounding-box rejection.
-
-    Polygons thinner than 1e-6 of their bounding box fall back to a
-    triangulation-based direct sampler.
-    """
+    """Uniform points in a polygon by rejection: candidates uniform in its
+    bounding box or, below ``_MIN_FILL`` of it, in the triangles of its
+    outer ring, each kept if the polygon contains it (not in a hole)."""
     x0, y0, x1, y1 = polygon.bbox()
     box_area = (x1 - x0) * (y1 - y0)
     ratio = polygon.area() / box_area if box_area > 0 else 0.0
-    if ratio < 1e-6:
-        return _triangle_sampler(polygon, n, rng)
+    if ratio < _MIN_FILL:
+        draw = _triangle_sampler(polygon, rng)
+    else:
+        def draw(need):
+            batch = int(need / ratio) + 8
+            return np.column_stack([rng.uniform(x0, x1, batch),
+                                    rng.uniform(y0, y1, batch)])
     out = np.empty((n, 2))
     got = 0
     for _ in range(_MAX_TRIES):
-        need = n - got
-        batch = max(int(need / max(ratio, 1e-3)) + 8, need)
-        cand = np.column_stack([rng.uniform(x0, x1, batch),
-                                rng.uniform(y0, y1, batch)])
-        keep = cand[polygon.contains(cand)]
-        take = min(len(keep), need)
-        out[got:got + take] = keep[:take]
-        got += take
+        cand = draw(n - got)
+        keep = cand[polygon.contains(cand)][:n - got]
+        out[got:got + len(keep)] = keep
+        got += len(keep)
         if got == n:
             return out
     raise RuntimeError("rejection sampling failed to fill the polygon")
 
 
-def _triangle_sampler(polygon, n, rng):
+def _triangle_sampler(polygon, rng):
+    """draw(k): k points uniform in the Delaunay triangles of the outer
+    ring whose centroids the polygon contains."""
     from scipy.spatial import Delaunay
 
     ring = polygon.rings[0]
@@ -83,14 +87,17 @@ def _triangle_sampler(polygon, n, rng):
     c = ring[simplices[:, 2]]
     areas = np.abs(_signed_areas(ring, simplices))
     p = areas / areas.sum()
-    pick = rng.choice(len(simplices), size=n, p=p)
-    u = rng.random(n)
-    v = rng.random(n)
-    flip = u + v > 1
-    u[flip] = 1 - u[flip]
-    v[flip] = 1 - v[flip]
-    return a[pick] + u[:, None] * (b[pick] - a[pick]) \
-        + v[:, None] * (c[pick] - a[pick])
+
+    def draw(k):
+        pick = rng.choice(len(simplices), size=k, p=p)
+        u = rng.random(k)
+        v = rng.random(k)
+        flip = u + v > 1
+        u[flip] = 1 - u[flip]
+        v[flip] = 1 - v[flip]
+        return a[pick] + u[:, None] * (b[pick] - a[pick]) \
+            + v[:, None] * (c[pick] - a[pick])
+    return draw
 
 
 @dataclass

@@ -33,15 +33,15 @@ the fixed effects are not.  With no such block S is Q_post itself.
 The sparsity of Q_prior and of S does not change with theta or with the
 Newton iterate, so each :class:`LatentModel` caches what depends only on
 it (a ``_Pattern``): which blocks are integrated out, and one symbolic
-pattern of S, laid out in its bandwidth-reducing order with its band
-layout, with the maps that fill it (the positions of each kept prior
-block, and a sparse map from h~ to the data of B^T diag(h~) B).  A Newton
-step then assembles S as one data vector and refactors it numerically in
-that order, and reuses the factor where h has not changed.  log|Q_prior|
-is a sum over the prior's diagonal blocks: the block's own ``logdet``
-where its precision has one (the SPDE field's, the ICAR block's
-generalized one), the closed form for other diagonal blocks, and a
-factorization otherwise.
+pattern of S in ascending latent order, with its band layout, which holds
+its bandwidth-reducing order, and the maps that fill it (the positions of
+each kept prior block, and a sparse map from h~ to the data of
+B^T diag(h~) B).  A Newton step then assembles S as one data vector and
+refactors it numerically on that layout, and reuses the factor where h
+has not changed.  log|Q_prior| is a sum over the prior's diagonal blocks:
+the block's own ``logdet`` where its precision has one (the SPDE field's,
+the ICAR block's generalized one), the closed form for other diagonal
+blocks, and a factorization otherwise.
 """
 
 import warnings
@@ -56,8 +56,7 @@ from scipy.special import expit, gammaln, ndtr
 from ._csv import _write_csv
 from .errors import ConvergenceError, NotPositiveDefiniteError
 from .functionals import JointSamples
-from .sparsela import (BandLayout, SparseCholesky, band_order, coo_indices,
-                       union_pattern)
+from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
     "GaussianObs",
@@ -265,7 +264,7 @@ class LatentModel:
             names = comp.theta_names or tuple(
                 f"{comp.name}.theta{j}" for j in range(comp.n_theta))
             self.theta_names.extend(names)
-        # how Q_post is factored (a _Pattern, in its band order): it
+        # how Q_post is factored (a _Pattern, with its band layout): it
         # depends only on the sparsity of the prior blocks, which does not
         # change with eta and rarely with theta
         self._pattern = None
@@ -315,19 +314,9 @@ class GaussianApprox:
 
     theta: np.ndarray
     mean: np.ndarray            # constraint-corrected mean
-    factor: object              # factor of Q_post (solve, logdet, sample)
+    factor: object              # _PosteriorFactor of Q_post and A
     log_evidence: float
     n_iter: int
-    constraint: np.ndarray = None
-    _w: np.ndarray = None       # Q^{-1} A^T
-    _m: np.ndarray = None       # (A Q^{-1} A^T)^{-1}
-
-
-def _krige(x, a_con, w_mat, m_mat):
-    """Condition x (d,) or (d, k) on A x = 0: x - W M A x."""
-    if a_con is None:
-        return x
-    return x - w_mat @ (m_mat @ (a_con @ x))
 
 
 class _Pattern:
@@ -354,11 +343,10 @@ class _Pattern:
     ``diagonal[i]`` says whether prior block i is a full diagonal.  With E
     empty, S is Q_post.
 
-    ``keep`` lists R in the :func:`band_order` of the pattern of S (reverse
-    Cuthill-McKee, with dense columns such as the fixed effects last), and
-    S, ``design`` and ``design_e`` are laid out in that order.  ``layout``
-    is the band layout of S as laid out, so that every S of the pattern
-    factors as given.
+    ``keep`` lists R in ascending latent order, the order of S, ``design``
+    and ``design_e``.  ``layout``, the band layout of S's pattern, holds
+    its band order (reverse Cuthill-McKee, with dense columns such as the
+    fixed effects last), and every S of the pattern factors on it.
     """
 
     def __init__(self, model, blocks):
@@ -395,23 +383,11 @@ class _Pattern:
         self.e_rows = b_e.row[nonzero]
         self.e_cols = b_e.col[nonzero]
         self.e_vals = b_e.data[nonzero]
-        # the pattern of S in ascending latent order gives the band order;
-        # then S is laid out in that order
-        kept = np.setdiff1d(np.arange(model.latent_dim), self.elim)
-        self._lay_out(b, kept, blocks)
-        self._lay_out(b, kept[band_order(self.indptr, self.indices)], blocks)
-        self.layout = BandLayout(self.indptr, self.indices)
-        self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
-
-    def _lay_out(self, b, keep, blocks):
-        """The pattern of S and the maps onto it, with R in the order
-        ``keep``, from the design b (CSR, no duplicates) and the prior
-        blocks."""
-        self.keep = keep
-        self.design = b = b[:, keep]
+        # the pattern of S and the maps onto it, R in ascending latent order
+        self.keep = np.setdiff1d(np.arange(model.latent_dim), self.elim)
+        self.design = b = b[:, self.keep]
         self.design_e = b[self.e_rows]  # B_R's rows that E observes
-        blocks = [blocks[i] for i in self.kept_blocks]
-        rank = np.argsort(keep)  # position in keep of each kept coordinate
+        kept = [blocks[i] for i in self.kept_blocks]
         # pairs (e, f) of stored entries of B in the same row k
         per_row = np.diff(b.indptr)
         obs = np.repeat(np.arange(b.shape[0]), per_row)
@@ -425,16 +401,18 @@ class _Pattern:
         first, second, vals = first[nonzero], second[nonzero], vals[nonzero]
 
         d = b.shape[1]
-        starts = np.cumsum([0] + [q.shape[0] for q in blocks])
-        entries = [(rank[r + s0], rank[c + s0]) for (r, c), s0
-                   in zip(map(coo_indices, blocks), starts)]
+        starts = np.cumsum([0] + [q.shape[0] for q in kept])
+        entries = [(r + s0, c + s0) for (r, c), s0
+                   in zip(map(coo_indices, kept), starts)]
         self.indptr, self.indices, pos = union_pattern(
             d, entries + [(c, r) for r, c in entries]
             + [(b.indices[first], b.indices[second])])
-        self.pos, self.pos_t = pos[:len(blocks)], pos[len(blocks):-1]
+        self.pos, self.pos_t = pos[:len(kept)], pos[len(kept):-1]
         self.curvature = sp.csr_matrix((vals, (pos[-1], obs[first])),
                                        shape=(len(self.indices), b.shape[0]))
         self.shape = (d, d)
+        self.layout = BandLayout(self.indptr, self.indices)
+        self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
 
     def fits(self, blocks):
         return len(blocks) == len(self.blocks) and all(
@@ -490,9 +468,13 @@ class _PosteriorFactor:
     Q_post's off-diagonal block is Q_ER = B_E^T diag(h) B_R, so a solve
     eliminates forward, solves S and substitutes back through q, and a
     draw takes x_R from S and x_E = -(Q_ER x_R) / q + z_E / sqrt(q).
+
+    With constraint rows A (None for none), :meth:`krige` conditions on
+    A x = 0 by kriging (Rue & Held 2005, section 2.3) with the kept
+    W = Q_post^{-1} A^T and M = (A W)^{-1}.
     """
 
-    def __init__(self, pat, prior, h):
+    def __init__(self, pat, prior, h, constraint):
         s, q = pat.schur(prior, h)
         if not np.all(q > 0) or not np.all(np.isfinite(q)):
             raise NotPositiveDefiniteError(
@@ -503,6 +485,16 @@ class _PosteriorFactor:
         self._pat = pat
         self._q = q
         self._c = pat.e_vals * h[pat.e_rows]  # nonzeros of B_E^T diag(h)
+        self.constraint = constraint
+        if constraint is not None:
+            self.w = self.solve(constraint.T)
+            self.m = np.linalg.inv(constraint @ self.w)
+
+    def krige(self, x):
+        """Condition x (d,) or (d, k) on A x = 0: x - W M A x."""
+        if self.constraint is None:
+            return x
+        return x - self.w @ (self.m @ (self.constraint @ x))
 
     def _q_er(self, x_r):
         """Q_ER x_R for x_R of shape (|R|,) or (|R|, k)."""
@@ -534,7 +526,7 @@ class _PosteriorFactor:
         z = np.asarray(z, dtype=float)
         pat = self._pat
         # z's kept entries, in ascending latent index, feed S's factor rows
-        x_r = self.schur.sample(z[np.sort(pat.keep)])
+        x_r = self.schur.sample(z[pat.keep])
         q = _rows(self._q, z)
         x = np.empty_like(z)
         x[pat.keep] = x_r
@@ -569,20 +561,15 @@ def _prior_logdet(model, theta, blocks, pat):
 
 
 def _curvature(model, pat, prior, eta, last=None):
-    """The factor of the posterior precision at the linear predictor eta
-    and the kriging matrices W = Q^{-1} A^T and M = (A W)^{-1} (both None
-    without constraints).  ``last``, an earlier result of the same prior,
-    is returned as it is when its curvature h equals the one at eta, as it
-    does at every eta for a Gaussian observation stage."""
+    """The factor of the posterior precision at the linear predictor eta,
+    conditioned on the model's constraints.  ``last``, an earlier factor of
+    the same prior, is returned as it is when its curvature h equals the
+    one at eta, as it does at every eta for a Gaussian observation
+    stage."""
     h = model.obs.neg_hess(eta)
-    if last is not None and np.array_equal(h, last[0].h):
+    if last is not None and np.array_equal(h, last.h):
         return last
-    factor = _PosteriorFactor(pat, prior, h)
-    w_mat = m_mat = None
-    if model.constraint is not None:
-        w_mat = factor.solve(model.constraint.T)
-        m_mat = np.linalg.inv(model.constraint @ w_mat)
-    return factor, w_mat, m_mat
+    return _PosteriorFactor(pat, prior, h, model.constraint)
 
 
 def gaussian_approx(model, theta, u0=None, tol=1e-9):
@@ -633,12 +620,11 @@ def gaussian_approx(model, theta, u0=None, tol=1e-9):
     trace = [f_u]
     n_iter = 0
     converged = False
-    cur = None
+    factor = None
     for it in range(_MAX_ITER):
         eta = b @ u
         g = model.obs.grad(eta)
-        cur = _curvature(model, pat, prior, eta, cur)
-        factor, w_mat, m_mat = cur
+        factor = _curvature(model, pat, prior, eta, factor)
         grad = np.asarray(b.T @ g).ravel() - prior_times(u)
         if a_con is not None:
             # projected gradient: remove the constrained directions
@@ -653,7 +639,7 @@ def gaussian_approx(model, theta, u0=None, tol=1e-9):
         step = 1.0
         improved = False
         for _ in range(_MAX_HALVINGS):
-            u_try = _krige(u + step * delta, a_con, w_mat, m_mat)
+            u_try = factor.krige(u + step * delta)
             f_try = objective(u_try)
             if f_try >= f_u - 1e-12 * (1 + abs(f_u)):
                 improved = True
@@ -670,8 +656,7 @@ def gaussian_approx(model, theta, u0=None, tol=1e-9):
         if rel_change < tol:
             converged = True
             # refresh curvature at the accepted mode
-            cur = _curvature(model, pat, prior, b @ u, cur)
-            factor, w_mat, m_mat = cur
+            factor = _curvature(model, pat, prior, b @ u, factor)
             break
     if not converged:
         raise ConvergenceError(
@@ -692,12 +677,10 @@ def gaussian_approx(model, theta, u0=None, tol=1e-9):
     if a_con is not None:
         # Laplace integral over {A u = 0}, normal to the gradient A^T lambda
         log_ev += 0.5 * (np.linalg.slogdet(a_con @ a_con.T)[1]
-                         - np.linalg.slogdet(a_con @ w_mat)[1])
+                         - np.linalg.slogdet(a_con @ factor.w)[1])
 
-    mean = _krige(mu_hat, a_con, w_mat, m_mat)
-    return GaussianApprox(theta=theta, mean=mean, factor=factor,
-                          log_evidence=log_ev, n_iter=n_iter,
-                          constraint=a_con, _w=w_mat, _m=m_mat)
+    return GaussianApprox(theta=theta, mean=factor.krige(mu_hat),
+                          factor=factor, log_evidence=log_ev, n_iter=n_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -929,9 +912,9 @@ def _combination_variance(approx, op):
         dense = op[s:s + _DENSE_CUTOFF].toarray()
         out[s:s + _DENSE_CUTOFF] = np.einsum(
             "kd,dk->k", dense, approx.factor.solve(dense.T))
-    if approx.constraint is not None:
-        out -= np.sum((op @ (approx._w @ approx._m)) * (op @ approx._w),
-                      axis=1)
+    factor = approx.factor
+    if factor.constraint is not None:
+        out -= np.sum((op @ (factor.w @ factor.m)) * (op @ factor.w), axis=1)
     return out
 
 
@@ -985,8 +968,7 @@ def sample_joint(fit, num_samples, seed):
             continue
         approx = fit.points[j].approx
         z = rng.standard_normal((d, len(sel)))
-        s = _krige(approx.factor.sample(z), approx.constraint, approx._w,
-                   approx._m)
+        s = approx.factor.krige(approx.factor.sample(z))
         out[sel] = (approx.mean[:, None] + s).T
     return JointSamples(samples=out, theta_index=idx,
                         coord_names=fit.model.coord_names())

@@ -23,18 +23,19 @@ border column) factors in 1.4 ms, against 6.4 ms with SuperLU's
 supernodal LU on a minimum-degree order; at edge 0.15 (d = 10,027,
 bandwidth 506) in 108 ms against 144 ms.
 
-The ordering depends only on the sparsity pattern.  An owner of a pattern
-that it factors many times calls :func:`band_order` on the pattern once,
-lays every matrix out as ``q[p][:, p]`` in that order p, and keeps the
-:class:`BandLayout` of the laid-out pattern, with which a factorization is
-a scatter and the LAPACK calls.  Two owners do so: the latent model engine
-for the Schur complement of Q_post over the coordinates that are not
-integrated out in closed form (Q_post itself when none is), and the SPDE
-precision for its K = kappa^2 C + G.  One-off factorizations (the ICAR
-block's minor, a prior block with no ``logdet`` and no closed form) order
-their own pattern.  Together with :func:`union_pattern`, which lays out a
-sum of sparse matrices as data on one fixed pattern, a new theta or Newton
-step costs only a numerical refactorization.
+The ordering depends only on the sparsity pattern, so the pattern's
+:class:`BandLayout` computes it, with where each stored entry goes in band
+storage in that order; solves and draws take and return vectors in the
+matrix's own order.  An owner of a pattern that it factors many times
+keeps its layout, and a factorization is then a scatter and the LAPACK
+calls.  Two owners do so: the latent model engine for the Schur
+complement of Q_post over the coordinates that are not integrated out in
+closed form (Q_post itself when none is), and the SPDE precision for its
+K = kappa^2 C + G.  One-off factorizations (the ICAR block's minor, a
+prior block with no ``logdet`` and no closed form) lay out their own
+pattern.  Together with :func:`union_pattern`, which lays out a sum of
+sparse matrices as data on one fixed pattern, a new theta or Newton step
+costs only a numerical refactorization.
 """
 
 from types import SimpleNamespace
@@ -107,24 +108,6 @@ def _dense(n, rows, cols):
     return degree > _DENSE_FACTOR * np.sqrt(n)
 
 
-def band_order(indptr, indices):
-    """The bandwidth-reducing order of a symmetric CSC pattern: reverse
-    Cuthill-McKee over the columns that are not dense, then the dense
-    columns."""
-    n = len(indptr) - 1
-    _, rows, cols = _lower(indptr, indices)
-    dense = _dense(n, rows, cols)
-    keep = np.flatnonzero(~dense)
-    rank = np.cumsum(~dense) - 1
-    edge = ~dense[rows] & ~dense[cols]
-    r, c = rank[rows[edge]], rank[cols[edge]]
-    graph = sp.csr_matrix((np.ones(2 * len(r)), (np.r_[r, c], np.r_[c, r])),
-                          shape=(len(keep), len(keep)))
-    if len(keep):  # the ordering routine rejects an empty graph
-        keep = keep[reverse_cuthill_mckee(graph, symmetric_mode=True)]
-    return np.concatenate([keep, np.flatnonzero(dense)])
-
-
 def _triangular(solver, a, y, **kwargs):
     """A LAPACK triangular solve with the factor a and the right-hand sides
     y (n, k), skipped when either is empty: given no columns or an empty
@@ -133,15 +116,18 @@ def _triangular(solver, a, y, **kwargs):
 
 
 class BandLayout:
-    """Where the stored entries of one symmetric sparsity pattern, taken in
-    the order given, go in band-plus-border storage.
+    """The band order of one symmetric sparsity pattern, and where its
+    stored entries go in band-plus-border storage in that order.
 
-    The border is the trailing run of dense columns, ``border`` of them;
-    the band block over the other m columns has bandwidth ``bandwidth``.
-    Only the entries on or below the diagonal are read: the band block in
-    LAPACK's lower band storage, ``(bandwidth + 1, m)`` in column-major
-    order, then the m x border block B and the border x border block C,
-    both column-major, in one vector of ``size`` doubles.
+    ``perm`` lists the coordinates in the order they are factored: reverse
+    Cuthill-McKee over the columns that are not dense, then the dense
+    columns, ``border`` of them; ``rank`` is its inverse.  The band block
+    over the other m columns has bandwidth ``bandwidth``.  Only the
+    entries on or below the diagonal are read, (i, j) going to (max, min)
+    of (rank[i], rank[j]): the band block in LAPACK's lower band storage,
+    ``(bandwidth + 1, m)`` in column-major order, then the m x border block
+    B and the border x border block C, both column-major, in one vector of
+    ``size`` doubles.
     """
 
     def __init__(self, indptr, indices):
@@ -149,8 +135,21 @@ class BandLayout:
         self._entries = len(indices)
         self._src, rows, cols = _lower(indptr, indices)
         dense = _dense(n, rows, cols)
-        m = n - int(np.argmin(dense[::-1])) if not dense.all() else 0
-        b = n - m
+        keep = np.flatnonzero(~dense)
+        rank = np.cumsum(~dense) - 1
+        edge = ~dense[rows] & ~dense[cols]
+        r, c = rank[rows[edge]], rank[cols[edge]]
+        graph = sp.csr_matrix(
+            (np.ones(2 * len(r)), (np.r_[r, c], np.r_[c, r])),
+            shape=(len(keep), len(keep)))
+        if len(keep):  # the ordering routine rejects an empty graph
+            keep = keep[reverse_cuthill_mckee(graph, symmetric_mode=True)]
+        self.perm = np.concatenate([keep, np.flatnonzero(dense)])
+        rank[self.perm] = np.arange(n)
+        self.rank = rank
+        rows, cols = rank[rows], rank[cols]
+        rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        m, b = len(keep), n - len(keep)
         band = rows < m
         kd = int((rows[band] - cols[band]).max(initial=0))
         self.m, self.border, self.bandwidth = m, b, kd
@@ -180,11 +179,10 @@ class SparseCholesky:
     dense border (see the module docstring).
 
     q must be symmetric; only its entries on or below the diagonal are
-    read.  Without ``layout`` q is factored in the :func:`band_order` of
-    its pattern.  With ``layout``, the :class:`BandLayout` of q's pattern
-    as given, q is factored as given: an owner that factors one pattern
-    many times lays it out in its band order and keeps its layout.  Solves
-    and samples are in the order of q.
+    read.  q is factored in the band order of ``layout``, the
+    :class:`BandLayout` of q's pattern, built here when not given: an owner
+    that factors one pattern many times keeps its layout.  Solves and
+    samples take and return vectors in the order of q.
 
     Raises :class:`NotPositiveDefiniteError` (with a smallest-eigenvalue
     estimate when obtainable) if the input is not positive definite or not
@@ -196,10 +194,7 @@ class SparseCholesky:
         if q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
         self.n = q.shape[0]
-        self._perm = None
         if layout is None:
-            self._perm = band_order(q.indptr, q.indices)
-            q = q[self._perm][:, self._perm].tocsc()
             layout = BandLayout(q.indptr, q.indices)
         self.layout = layout
         band, b_blk, c_blk = layout.blocks(q.data)
@@ -231,22 +226,19 @@ class SparseCholesky:
         # factor's size as ``_lu.L.nnz``
         return SimpleNamespace(L=SimpleNamespace(nnz=self.nnz))
 
-    def _rows(self, b):
-        """A Fortran-ordered copy of b (n,) or (n, k) as (n, k), in the
-        factored order."""
+    def _rows(self, b, gather=True):
+        """A Fortran-ordered copy of b (n,) or (n, k) as (n, k), gathered
+        into the factored order unless ``gather`` is false."""
         b = np.asarray(b, dtype=float)
         b = b[:, None] if b.ndim == 1 else b
-        if self._perm is None:
+        if not gather:
             return np.array(b, order="F")
-        return np.asfortranarray(b[self._perm])
+        # np.take on the transpose: one pass, Fortran order for any b
+        return np.take(b.T, self.layout.perm, axis=1).T
 
     def _unrows(self, x, shape):
         """x (n, k) in the factored order back in the order of q."""
-        if self._perm is not None:
-            out = np.empty_like(x)
-            out[self._perm] = x
-            x = out
-        return x.reshape(shape)
+        return np.take(x.T, self.layout.rank, axis=1).T.reshape(shape)
 
     # The band solves work on the whole (n, k) array in place: LAPACK
     # solves its first m rows, its leading dimension being n.
@@ -277,7 +269,9 @@ class SparseCholesky:
     def sample(self, z):
         """Map standard normal draws z (n,) or (n, k) to N(0, Q^{-1}) draws.
 
-        Uses the half-solve x = P^T L^{-T} z, z's entries feeding the rows
-        of L in order, so that cov(x) = Q^{-1}.
+        Uses the half-solve x = P^T L^{-T} z: z's entries feed the rows of
+        L in order, and P^T scatters the result from the factored order
+        ``layout.perm`` back to the order of q, so that cov(x) = Q^{-1}.
         """
-        return self._unrows(self._backward(self._rows(z)), np.shape(z))
+        return self._unrows(self._backward(self._rows(z, gather=False)),
+                            np.shape(z))

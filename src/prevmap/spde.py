@@ -11,7 +11,7 @@ Only tau and kappa change between evaluations, so :class:`SpdePrecision`
 lays C, G and G C^{-1} G out once on one fixed pattern and computes a new Q
 as a data vector.  With lumped C, Q = tau^2 K C^{-1} K for K = kappa^2 C + G,
 so log|Q| comes from a factorization of K, a matrix with the sparsity of G,
-laid out once in its bandwidth-reducing order.
+on the one band layout of that pattern.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,7 @@ import scipy.sparse as sp
 from scipy.special import gamma as _gamma, kv as _kv
 
 from .errors import NotPositiveDefiniteError
-from .sparsela import (BandLayout, SparseCholesky, band_order, coo_indices,
-                       union_pattern)
+from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
     "MaternParams",
@@ -130,8 +129,9 @@ class SpdePrecision:
     Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G), whose data is that
     same sum of three vectors on one pattern.  G and G C^{-1} G are
     symmetrized once, so every Q is exactly symmetric.  :meth:`logdet`
-    gives log|Q| from K = kappa^2 C + G.  C must be the lumped (diagonal)
-    mass matrix and G the stiffness matrix of the same mesh.
+    gives log|Q| from K = kappa^2 C + G, factored on the kept band layout
+    of the pattern of C + G.  C must be the lumped (diagonal) mass matrix
+    and G the stiffness matrix of the same mesh.
     """
 
     def __init__(self, c, g):
@@ -150,12 +150,9 @@ class SpdePrecision:
         self.n = n
         self._q_indptr, self._q_indices, (self._c, self._g, self._gcg) = \
             _on_pattern(n, (c, g, gcg))
-        # K laid out in the band order of its pattern, that of C + G, with
-        # its band layout, so that every K factors as given
-        k = c + g
-        p = band_order(k.indptr, k.indices)
+        # K on the pattern of C + G, with the band layout every K factors on
         self._k_indptr, self._k_indices, (self._kc, self._kg) = \
-            _on_pattern(n, (c[p][:, p], g[p][:, p]))
+            _on_pattern(n, (c, g))
         self._k_layout = BandLayout(self._k_indptr, self._k_indices)
         self._log_c = float(np.log(cd).sum())
 

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from prevmap.geometry import Polygon, fem_matrices
 from prevmap.meshing import build_mesh
-from prevmap.sparsela import BandLayout, SparseCholesky
 
 
 @pytest.fixture(scope="session")
@@ -37,16 +35,10 @@ def solve_columns(factor, indices):
     return factor.solve(e)
 
 
-def factor_as_given(q):
-    """A :class:`SparseCholesky` of q in the order q is given in, on the band
-    layout of its own pattern, as an owner of a laid-out pattern factors."""
-    q = sp.csc_matrix(q)
-    return SparseCholesky(q, layout=BandLayout(q.indptr, q.indices))
-
-
 def dense_factor(factor):
-    """The Cholesky factor L of a :class:`SparseCholesky`, rebuilt densely
-    from its band L_A, its border block W^T and L_C."""
+    """The Cholesky factor L of a :class:`SparseCholesky`, in its factored
+    order ``layout.perm``, rebuilt densely from its band L_A, its border
+    block W^T and L_C."""
     layout = factor.layout
     m = layout.m
     lower = np.zeros((factor.n, factor.n))

@@ -8,7 +8,6 @@ import pytest
 from prevmap.areal import (AdjacencyGraph, BymModel, IcarPrecision,
                            _build_latent_model, adjacency_from_csv,
                            adjacency_from_polygons, fit_bym, icar_precision)
-from prevmap.geometry import Polygon
 
 
 def path_graph(k):

@@ -8,12 +8,11 @@ from scipy.special import expit, logit
 from scipy.stats import norm
 
 from prevmap import functionals
-from prevmap.functionals import (EvalGrid, SurfaceSpec, area_averages,
-                                 make_grid, pointwise_median,
-                                 sample_points_in_polygon,
+from prevmap.functionals import (SurfaceSpec, area_averages, make_grid,
+                                 pointwise_median, sample_points_in_polygon,
                                  simultaneous_excursions, write_area_csv,
                                  write_grid_csv)
-from prevmap.geometry import Polygon, fem_matrices, project
+from prevmap.geometry import Polygon, project
 from prevmap.inference import JointSamples
 from prevmap.meshing import build_mesh
 
@@ -60,6 +59,27 @@ def test_sample_points_thin_polygon_triangulation_path():
     rng = np.random.default_rng(1)
     pts = sample_points_in_polygon(thin, 500, rng)
     assert thin.contains(pts).all()
+    # a diagonal strip filling 9.4e-4 of its box, with a hole of 6% of it:
+    # the triangles of the outer ring cover the hole, whose points are
+    # drawn again
+    hole = [(400, 399.9), (600, 599.7), (600, 600.0), (400, 400.2)]
+    holed = Polygon([[(0, 0), (1000, 999), (1000, 1000), (0, 1)], hole])
+    pts = sample_points_in_polygon(holed, 5000, rng)
+    assert holed.contains(pts).all()
+    assert not Polygon([hole]).contains(pts).any()
+
+
+@pytest.mark.parametrize("ratio", [5e-6, 2e-6, 5e-4])
+def test_sample_points_sliver_below_the_batch_cap(ratio):
+    # the sliver (0, 0), (1, 1), (1, 1 - e) fills e / 2 of its unit box;
+    # rejection with batches capped at 1000 candidates a point ran out of
+    # tries below ~1e-5, so every ratio under the cap is triangulated
+    sliver = Polygon([[(0, 0), (1, 1), (1, 1 - 2 * ratio)]])
+    for seed in range(5):
+        pts = sample_points_in_polygon(sliver, 100,
+                                       np.random.default_rng(seed))
+        assert pts.shape == (100, 2)
+        assert sliver.contains(pts).all()
 
 
 # ---------------------------------------------------------------------------

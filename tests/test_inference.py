@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import expit
-from scipy.stats import norm
 
 from prevmap.errors import ConvergenceError
 from prevmap.inference import (BinomialObs, FitResult, GaussianObs,
@@ -532,26 +531,25 @@ def test_warm_start_matches_cold(problem):
 def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
                                               coarse_fem10):
     # The patterns of Q_prior and Q_post do not change with theta or eta, so
-    # a whole fit runs the ordering routine at most twice, while it factors
-    # at every evaluation.
-    from prevmap import inference, sparsela, spde
+    # a whole fit builds at most two band layouts (each computes its
+    # ordering), while it factors at every evaluation.
+    from prevmap import sparsela
     from prevmap.geometry import project
     from prevmap.inference import make_spde_model
 
     calls = {"ordered": 0, "factored": 0}
-    band_order = sparsela.band_order
+    layout_init = sparsela.BandLayout.__init__
     init = sparsela.SparseCholesky.__init__
 
-    def counting_order(indptr, indices):
+    def counting_layout(self, *args, **kwargs):
         calls["ordered"] += 1
-        return band_order(indptr, indices)
+        layout_init(self, *args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         calls["factored"] += 1
         init(self, *args, **kwargs)
 
-    for module in (sparsela, inference, spde):  # where it is looked up
-        monkeypatch.setattr(module, "band_order", counting_order)
+    monkeypatch.setattr(sparsela.BandLayout, "__init__", counting_layout)
     monkeypatch.setattr(sparsela.SparseCholesky, "__init__", counting_init)
     rng = np.random.default_rng(8)
     locs = rng.uniform(0, 10, (120, 2))
@@ -650,8 +648,8 @@ def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
         blocks = model.prior_blocks(theta)
         pat = _pattern(model, blocks)
         assert np.array_equal(pat.elim, elim)
-        # R, in the pattern's fill-reducing order
-        assert np.array_equal(np.sort(pat.keep), keep)
+        # R, in ascending latent order
+        assert np.array_equal(pat.keep, keep)
         prior = pat.prior(blocks)
         s_mat = pat.schur(prior, model.obs.neg_hess(eta))[0].toarray()
         ref = _reference_q_post(model, theta, eta)
@@ -669,7 +667,7 @@ def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
                               q_prior[np.ix_(pat.keep, pat.keep)])
         assert np.array_equal(prior[1], np.diag(q_prior)[elim])
         # the factor of the full Q_post
-        factor = _curvature(model, pat, prior, eta)[0]
+        factor = _curvature(model, pat, prior, eta)
         _assert_factor_of(factor, ref, rel=1e-10)
         draws = factor.sample(np.eye(model.latent_dim))
         cov = np.linalg.inv(ref)
@@ -716,23 +714,21 @@ def test_factor_first_and_later_matrices_share_arithmetic():
 @pytest.mark.parametrize("name", sorted(_ELIMINATED))
 def test_pattern_lays_s_out_in_its_fill_reducing_order(name, coarse_mesh10,
                                                        coarse_fem10):
-    # S is laid out in its own band order: R lists the coordinates in the
-    # band order of S's pattern in ascending latent order, and S factors as
-    # given with the band and border of that ordering
+    # S is laid out once, R in ascending latent order, and its layout holds
+    # the band order of its pattern: every S factors on the pattern's
+    # layout with the order, band, border and logdet of its own factor
     from prevmap.inference import _PosteriorFactor, _pattern
-    from prevmap.sparsela import SparseCholesky, band_order
+    from prevmap.sparsela import SparseCholesky
     model = _models(coarse_mesh10, coarse_fem10)[name]
     blocks = model.prior_blocks(model.theta_init)
     pat = _pattern(model, blocks)
+    assert np.all(np.diff(pat.keep) > 0)
     h = model.obs.neg_hess(np.full(model.obs.n, -1.0))
-    schur = _PosteriorFactor(pat, pat.prior(blocks), h).schur
+    schur = _PosteriorFactor(pat, pat.prior(blocks), h,
+                             model.constraint).schur
     assert schur.layout is pat.layout
-    s_mat = pat.schur(pat.prior(blocks), h)[0]
-    ascending = np.argsort(pat.keep)
-    s_asc = s_mat[ascending][:, ascending].tocsc()
-    own = SparseCholesky(s_asc)
-    assert np.array_equal(pat.keep, np.sort(pat.keep)[
-        band_order(s_asc.indptr, s_asc.indices)])
+    own = SparseCholesky(pat.schur(pat.prior(blocks), h)[0])
+    assert np.array_equal(schur.layout.perm, own.layout.perm)
     assert (schur.layout.bandwidth, schur.layout.border, schur.nnz) \
         == (own.layout.bandwidth, own.layout.border, own.nnz)
     assert schur.logdet == pytest.approx(own.logdet, rel=1e-12)
@@ -741,21 +737,47 @@ def test_pattern_lays_s_out_in_its_fill_reducing_order(name, coarse_mesh10,
 @pytest.mark.parametrize("name", ["bym", "spde", "spde_nugget"])
 def test_draws_feed_kept_normals_to_factor_rows_in_latent_order(
         name, coarse_mesh10, coarse_fem10):
-    # the map from standard normals to draws does not depend on the layout
-    # of S: z's kept entries, in ascending latent index, feed the rows of
-    # S's factor L L^T in order, x_R = L^{-T} z_R
+    # the map from standard normals to draws does not depend on the order
+    # in which S is factored: z's kept entries, in ascending latent index,
+    # feed the rows of S's factor L L^T in order, x_R = P^T L^{-T} z_R
     import scipy.linalg as sla
     from prevmap.inference import _PosteriorFactor, _pattern
     model = _models(coarse_mesh10, coarse_fem10)[name]
     blocks = model.prior_blocks(model.theta_init)
     pat = _pattern(model, blocks)
     factor = _PosteriorFactor(pat, pat.prior(blocks), model.obs.neg_hess(
-        np.full(model.obs.n, -1.0)))
+        np.full(model.obs.n, -1.0)), model.constraint)
     z = np.random.default_rng(5).standard_normal(model.latent_dim)
-    x_r = sla.solve_triangular(dense_factor(factor.schur).T,
-                               z[np.sort(pat.keep)], lower=False)
-    assert np.abs(factor.sample(z)[pat.keep] - x_r).max() \
-        <= 1e-12 * np.abs(x_r).max()
+    x_r = sla.solve_triangular(dense_factor(factor.schur).T, z[pat.keep],
+                               lower=False)
+    draw = factor.sample(z)[pat.keep[factor.schur.layout.perm]]
+    assert np.abs(draw - x_r).max() <= 1e-12 * np.abs(x_r).max()
+
+
+def test_constrained_draws_and_variances_match_dense_oracle():
+    # kriged draws are N(0, Sigma - Sigma A^T (A Sigma A^T)^{-1} A Sigma)
+    # for the dense Sigma = Q_post^{-1}: the BYM model's ICAR block sums
+    # to zero
+    from prevmap.inference import _combination_variance
+    model = _bym_problem()
+    approx = gaussian_approx(model, model.theta_init)
+    factor = approx.factor
+    a, b, d = model.constraint, model.design.toarray(), model.latent_dim
+    draws = factor.krige(factor.sample(np.eye(d)))
+    assert np.abs(a @ draws).max() < 1e-12
+    q_post = model.prior_precision(model.theta_init).toarray() \
+        + (b.T * factor.h) @ b
+    sigma = np.linalg.inv(0.5 * (q_post + q_post.T))
+    sa = sigma @ a.T
+    cov = sigma - sa @ np.linalg.solve(a @ sa, sa.T)
+    scale = np.abs(cov).max()
+    assert np.abs(draws @ draws.T - cov).max() <= 1e-10 * scale
+    var = _combination_variance(approx, sp.identity(d, format="csr"))
+    assert np.abs(var - np.diag(cov)).max() <= 1e-10 * scale
+    x = np.random.default_rng(7).standard_normal((d, 3))
+    once = factor.krige(x)
+    assert np.abs(factor.krige(once) - once).max() \
+        <= 1e-12 * np.abs(once).max()
 
 
 def test_constraint_needs_a_precision_with_logdet():

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from prevmap.errors import NotPositiveDefiniteError
-from prevmap.sparsela import BandLayout, SparseCholesky, band_order
+from prevmap.sparsela import BandLayout, SparseCholesky
 
-from conftest import dense_factor, factor_as_given, solve_columns
+from conftest import dense_factor, solve_columns
 
 
 def _random_spd(n, seed=0, density=0.05):
@@ -66,34 +66,30 @@ def _same_pattern_pair(n, seed):
     return q1, q2
 
 
-def _own_order(q):
-    return band_order(q.indptr, q.indices)
-
-
 def test_reused_ordering_matches_dense_oracle():
-    # q2 laid out in the band order of q1's pattern (one pattern), and in
-    # an arbitrary permutation, factors as given
+    # q2 factored on the layout kept from q1's pattern (one pattern), and a
+    # random relabelling of q2 on its own layout, against the dense oracle
     q1, q2 = _same_pattern_pair(70, seed=11)
-    dense = q2.toarray()
-    cov = np.linalg.inv(dense)
+    layout = BandLayout(q1.indptr, q1.indices)
     b = np.random.default_rng(12).standard_normal((70, 4))
-    for p in (_own_order(q1), np.random.default_rng(3).permutation(70)):
-        f = factor_as_given(q2[p][:, p])
-        ref = np.linalg.solve(dense, b)[p]
-        assert np.abs(f.solve(b[p]) - ref).max() < 1e-10
-        assert np.abs(f.solve(b[p, 0]) - ref[:, 0]).max() < 1e-10
+    p = np.random.default_rng(3).permutation(70)
+    for f, q in ((SparseCholesky(q2, layout=layout), q2),
+                 (SparseCholesky(q2[p][:, p]), q2[p][:, p])):
+        dense = q.toarray()
+        cov = np.linalg.inv(dense)
+        ref = np.linalg.solve(dense, b)
+        assert np.abs(f.solve(b) - ref).max() < 1e-10
+        assert np.abs(f.solve(b[:, 0]) - ref[:, 0]).max() < 1e-10
         assert f.logdet == pytest.approx(np.linalg.slogdet(dense)[1], abs=1e-9)
         cols = [9, 2, 40]
-        assert np.abs(solve_columns(f, cols) - cov[p][:, p][:, cols]).max() \
-            < 1e-10
+        assert np.abs(solve_columns(f, cols) - cov[:, cols]).max() < 1e-10
         # sample() is a linear map M with M M^T = Q^{-1}
         m = f.sample(np.eye(70))
-        assert np.abs(m @ m.T - cov[p][:, p]).max() < 1e-10
-    # the own ordering: the band and border of a fresh factorization of q2
-    p = _own_order(q1)
-    reused = factor_as_given(q2[p][:, p])
+        assert np.abs(m @ m.T - cov).max() < 1e-10
+    # the kept layout has the order, band and border of q2's own
     fresh = SparseCholesky(q2)
-    assert (reused.layout.bandwidth, reused.layout.border, reused.nnz) \
+    assert np.array_equal(layout.perm, fresh.layout.perm)
+    assert (layout.bandwidth, layout.border, layout.size) \
         == (fresh.layout.bandwidth, fresh.layout.border, fresh.nnz)
 
 
@@ -102,9 +98,11 @@ def test_reused_ordering_indefinite_raises():
     shift = np.linalg.eigvalsh(q1.toarray()).min() + 1.0
     bad = (q1 - shift * sp.identity(50)).tocsc()
     assert np.array_equal(bad.indices, q1.indices)
-    for p in (_own_order(q1), np.random.default_rng(4).permutation(50)):
+    p = np.random.default_rng(4).permutation(50)
+    for q, layout in ((bad, BandLayout(q1.indptr, q1.indices)),
+                      (bad[p][:, p].tocsc(), None)):
         with pytest.raises(NotPositiveDefiniteError):
-            factor_as_given(bad[p][:, p])
+            SparseCholesky(q, layout=layout)
 
 
 def test_natural_order_rejects_non_square():
@@ -118,11 +116,12 @@ def test_natural_order_rejects_non_square():
 @given(n=st.integers(1, 80), density=st.floats(0.0, 0.2),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_natural_order_of_any_permutation_matches_own_order(n, density, seed):
+    # a relabelled matrix has the logdet and the relabelled solves of q
     q = _random_spd(n, seed=seed, density=density)
     rng = np.random.default_rng(seed)
     p = rng.permutation(n)
     own = SparseCholesky(q)
-    f = factor_as_given(q[p][:, p])
+    f = SparseCholesky(q[p][:, p])
     assert f.logdet == pytest.approx(own.logdet, rel=1e-12)
     b = rng.standard_normal((n, 2))
     x = own.solve(b)
@@ -146,7 +145,7 @@ def _lattice_spd(side, seed):
 @pytest.mark.parametrize("side", [10, 32, 63])
 def test_factor_matches_dense_oracle_at_size(side):
     # d = 100, 1,024 and 3,969: solve, logdet and the sample map M against a
-    # dense LU, fresh and laid out in the fresh factor's ordering
+    # dense LU, fresh and relabelled by the fresh factor's ordering
     import scipy.linalg as sla
     q = _lattice_spd(side, seed=side)
     n = q.shape[0]
@@ -157,9 +156,9 @@ def test_factor_matches_dense_oracle_at_size(side):
     cols = rng.choice(n, size=min(n, 40), replace=False)
     e = np.zeros((n, len(cols)))
     e[cols, np.arange(len(cols))] = 1.0
-    p = _own_order(q)
+    p = BandLayout(q.indptr, q.indices).perm
     for f, perm in ((SparseCholesky(q), np.arange(n)),
-                    (factor_as_given(q[p][:, p]), p)):
+                    (SparseCholesky(q[p][:, p]), p)):
         x = f.solve(b[perm])
         assert np.abs(x - sla.lu_solve(lu, b)[perm]).max() \
             <= 1e-10 * np.abs(x).max()
@@ -191,37 +190,39 @@ def _bordered_band(n, kd, dense, seed):
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(n=st.integers(0, 60), kd=st.integers(0, 3), dense=st.integers(0, 3),
-       natural=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_bordered_band_matches_dense_oracle(n, kd, dense, natural, seed):
-    q, cols = _bordered_band(n, kd, dense, seed)
-    qd = q.toarray()
-    if natural:
-        f, p = factor_as_given(q), np.arange(n)
-    else:
-        f, p = SparseCholesky(q), _own_order(q)
-    assert np.array_equal(np.sort(p), np.arange(n))
-    if not natural and n >= 20:
-        # a column coupled to all others is dense from n = 18 on, and goes
-        # to the border
-        assert f.layout.border == len(cols)
-        assert np.array_equal(np.sort(p[n - len(cols):]), np.sort(cols))
-    lower = dense_factor(f)
-    assert np.abs(lower @ lower.T - qd[p][:, p]).max(initial=0.0) \
-        <= 1e-12 * np.abs(qd).max(initial=1.0)
-    assert f.logdet == pytest.approx(np.linalg.slogdet(qd)[1] if n else 0.0,
-                                     rel=1e-12, abs=1e-12)
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bordered_band_matches_dense_oracle(n, kd, dense, seed):
+    # the matrix and a random relabelling of it, each against the oracle
+    q0, cols0 = _bordered_band(n, kd, dense, seed)
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal((n, 3))
-    ref = np.linalg.solve(qd, b) if n else b
-    scale = np.abs(ref).max(initial=1.0)
-    assert np.abs(f.solve(b) - ref).max(initial=0.0) <= 1e-10 * scale
-    assert np.abs(f.solve(b[:, 0]) - ref[:, 0]).max(initial=0.0) \
-        <= 1e-10 * scale
-    # sample() is a linear map M with M M^T = Q^{-1}
-    m = f.sample(np.eye(n))
-    cov = np.linalg.inv(qd) if n else qd
-    assert np.abs(m @ m.T - cov).max(initial=0.0) \
-        <= 1e-10 * np.abs(cov).max(initial=1.0)
+    relabel = rng.permutation(n)
+    for q, cols in ((q0, cols0),
+                    (q0[relabel][:, relabel], np.argsort(relabel)[cols0])):
+        qd = q.toarray()
+        f = SparseCholesky(q)
+        p = f.layout.perm
+        assert np.array_equal(np.sort(p), np.arange(n))
+        if n >= 20:
+            # a column coupled to all others is dense from n = 18 on, and
+            # goes to the border
+            assert f.layout.border == len(cols)
+            assert np.array_equal(np.sort(p[n - len(cols):]), np.sort(cols))
+        lower = dense_factor(f)
+        assert np.abs(lower @ lower.T - qd[p][:, p]).max(initial=0.0) \
+            <= 1e-12 * np.abs(qd).max(initial=1.0)
+        assert f.logdet == pytest.approx(
+            np.linalg.slogdet(qd)[1] if n else 0.0, rel=1e-12, abs=1e-12)
+        b = rng.standard_normal((n, 3))
+        ref = np.linalg.solve(qd, b) if n else b
+        scale = np.abs(ref).max(initial=1.0)
+        assert np.abs(f.solve(b) - ref).max(initial=0.0) <= 1e-10 * scale
+        assert np.abs(f.solve(b[:, 0]) - ref[:, 0]).max(initial=0.0) \
+            <= 1e-10 * scale
+        # sample() is a linear map M with M M^T = Q^{-1}
+        m = f.sample(np.eye(n))
+        cov = np.linalg.inv(qd) if n else qd
+        assert np.abs(m @ m.T - cov).max(initial=0.0) \
+            <= 1e-10 * np.abs(cov).max(initial=1.0)
 
 
 def _band_not_spd(seed=21, n=40):
@@ -247,10 +248,9 @@ def test_negative_pivot_in_border_schur_block_raises():
     band = qd[np.ix_(rest, rest)]
     b = qd[rest, j]
     qd[j, j] = b @ np.linalg.solve(band, b) - 0.3
-    for factor, p in ((SparseCholesky, np.arange(len(qd))),
-                      (factor_as_given, np.r_[rest, j])):
+    for p in (np.arange(len(qd)), np.r_[rest, j]):
         with pytest.raises(NotPositiveDefiniteError) as info:
-            factor(sp.csc_matrix(qd[p][:, p]))
+            SparseCholesky(sp.csc_matrix(qd[p][:, p]))
         assert info.value.min_eigenvalue == pytest.approx(
             np.linalg.eigvalsh(qd).min(), rel=1e-9)
         assert info.value.min_eigenvalue < 0

@@ -6,12 +6,12 @@ import scipy.sparse as sp
 
 from prevmap.geometry import fem_matrices
 from prevmap.meshing import build_mesh
-from prevmap.sparsela import SparseCholesky, band_order
+from prevmap.sparsela import SparseCholesky
 from prevmap.spde import (MaternParams, SpdePrecision, SpdeTheta,
                           assemble_precision, matern_cov, practical_range,
                           sigma_from_tau, tau_from_sigma)
 
-from conftest import factor_as_given, solve_columns
+from conftest import solve_columns
 
 
 def test_matern_at_zero_is_variance():
@@ -107,21 +107,21 @@ def test_spde_logdet_first_and_later_k_share_arithmetic(coarse_fem10):
 
 
 def test_spde_k_laid_out_in_its_fill_reducing_order(coarse_fem10):
-    # K = kappa^2 C + G is stored as K[p][:, p] for its own band order p: it
-    # factors as given, on its own pattern's layout and on the layout kept
-    # with it, with the band and border of that ordering
+    # K = kappa^2 C + G is stored on the pattern of C + G in the mesh's
+    # order; the layout kept with it holds that pattern's band order, and K
+    # factors on it with the band, border and logdet of its own factor
     c, g = coarse_fem10
     prec = SpdePrecision(c, g)
     k = sp.csc_matrix((0.7 ** 2 * prec._kc + prec._kg, prec._k_indices,
                        prec._k_indptr), shape=(prec.n, prec.n))
     ref = (0.7 ** 2 * c + 0.5 * (g + g.T)).tocsc()
+    assert np.abs(k - ref).max() <= 1e-15 * abs(ref).max()
     own = SparseCholesky(ref)
-    p = band_order(ref.indptr, ref.indices)
-    assert np.abs(k - ref[p][:, p]).max() <= 1e-15 * abs(ref).max()
-    for f in (factor_as_given(k), SparseCholesky(k, layout=prec._k_layout)):
-        assert (f.layout.bandwidth, f.layout.border, f.nnz) \
-            == (own.layout.bandwidth, own.layout.border, own.nnz)
-        assert f.logdet == pytest.approx(own.logdet, rel=1e-12)
+    f = SparseCholesky(k, layout=prec._k_layout)
+    assert np.array_equal(f.layout.perm, own.layout.perm)
+    assert (f.layout.bandwidth, f.layout.border, f.nnz) \
+        == (own.layout.bandwidth, own.layout.border, own.nnz)
+    assert f.logdet == pytest.approx(own.logdet, rel=1e-12)
 
 
 def test_assemble_rejects_non_diagonal_mass(coarse_fem10):
