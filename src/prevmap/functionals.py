@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csv import _write_csv
+from .errors import InvalidGeometryError
 from .geometry import _signed_areas, project
 
 __all__ = [
@@ -48,13 +49,13 @@ _MIN_FILL = 1e-3
 
 def sample_points_in_polygon(polygon, n, rng):
     """Uniform points in a polygon by rejection: candidates uniform in its
-    bounding box or, below ``_MIN_FILL`` of it, in the triangles of its
+    bounding box or, below ``_MIN_FILL`` of it, in the ear triangles of its
     outer ring, each kept if the polygon contains it (not in a hole)."""
     x0, y0, x1, y1 = polygon.bbox()
     box_area = (x1 - x0) * (y1 - y0)
     ratio = polygon.area() / box_area if box_area > 0 else 0.0
     if ratio < _MIN_FILL:
-        draw = _triangle_sampler(polygon, rng)
+        draw = _triangle_sampler(polygon.rings[0], rng)
     else:
         def draw(need):
             batch = int(need / ratio) + 8
@@ -72,21 +73,35 @@ def sample_points_in_polygon(polygon, n, rng):
     raise RuntimeError("rejection sampling failed to fill the polygon")
 
 
-def _triangle_sampler(polygon, rng):
-    """draw(k): k points uniform in the Delaunay triangles of the outer
-    ring whose centroids the polygon contains."""
-    from scipy.spatial import Delaunay
+def _ear_clip(ring):
+    """Index triples of triangles that tile a counter-clockwise simple ring
+    exactly: each ear clipped is convex and holds no other vertex."""
+    idx, tris, i, misses = list(range(len(ring))), [], 0, 0
+    while len(idx) > 3:
+        if misses > len(idx):
+            raise InvalidGeometryError("outer ring has no ear to clip")
+        i %= len(idx)
+        t = [idx[i - 1], idx[i], idx[(i + 1) % len(idx)]]
+        # side[e, j] > 0: vertex idx[j] lies left of the ear's edge e
+        edges = zip(t, t[1:] + t[:1])
+        side = np.array([_signed_areas(ring, np.column_stack(
+            np.broadcast_arrays(u, v, idx))) for u, v in edges])
+        held = (side >= 0).all(axis=0) & ~np.isin(idx, t)
+        if side[0, (i + 1) % len(idx)] > 0 and not held.any():
+            tris.append(t)
+            del idx[i]
+            misses = 0
+        else:
+            i, misses = i + 1, misses + 1
+    return np.array(tris + [idx])
 
-    ring = polygon.rings[0]
-    tri = Delaunay(ring)
-    cent = ring[tri.simplices].mean(axis=1)
-    keep = polygon.contains(cent)
-    simplices = tri.simplices[keep]
-    a = ring[simplices[:, 0]]
-    b = ring[simplices[:, 1]]
-    c = ring[simplices[:, 2]]
-    areas = np.abs(_signed_areas(ring, simplices))
-    p = areas / areas.sum()
+
+def _triangle_sampler(ring, rng):
+    """draw(k): k points uniform in the ring, in its ear triangles."""
+    simplices = _ear_clip(ring)
+    a, b, c = (ring[simplices[:, k]] for k in range(3))
+    p = np.abs(_signed_areas(ring, simplices))
+    p /= p.sum()
 
     def draw(k):
         pick = rng.choice(len(simplices), size=k, p=p)

@@ -12,7 +12,7 @@ from prevmap.functionals import (SurfaceSpec, area_averages, make_grid,
                                  pointwise_median, sample_points_in_polygon,
                                  simultaneous_excursions, write_area_csv,
                                  write_grid_csv)
-from prevmap.geometry import Polygon, project
+from prevmap.geometry import Polygon, _signed_areas, project
 from prevmap.inference import JointSamples
 from prevmap.meshing import build_mesh
 
@@ -67,6 +67,29 @@ def test_sample_points_thin_polygon_triangulation_path():
     pts = sample_points_in_polygon(holed, 5000, rng)
     assert holed.contains(pts).all()
     assert not Polygon([hole]).contains(pts).any()
+    # a thin V filling 9.99e-4 of its box, one unit tall over every x, so
+    # each half of each arm holds a quarter of the points; a Delaunay
+    # triangle of its ring has its centroid outside it yet holds the lower
+    # half of both arms
+    vee = Polygon([[(0, 0), (500, 1000), (1000, 0), (1000, 1), (500, 1001),
+                    (0, 1)]])
+    pts = sample_points_in_polygon(vee, 8000, rng)
+    assert vee.contains(pts).all()
+    share = np.histogram(pts[:, 0], bins=4, range=(0, 1000))[0] / 8000
+    np.testing.assert_allclose(share, 0.25, atol=0.025)
+
+
+def test_ear_clip_tiles_non_convex_rings():
+    # a comb with a collinear vertex on its base: the ears
+    # cover the ring exactly and lie inside it
+    comb = Polygon([[(0, 0), (3, 0), (6, 0), (6, 3), (5, 3), (5, 1), (4, 1),
+                     (4, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]])
+    ring = comb.rings[0]
+    tris = functionals._ear_clip(ring)
+    areas = _signed_areas(ring, tris)
+    assert (areas >= 0).all()
+    assert np.isclose(areas.sum(), comb.area(), rtol=0, atol=1e-12)
+    assert comb.contains(ring[tris[areas > 0]].mean(axis=1)).all()
 
 
 @pytest.mark.parametrize("ratio", [5e-6, 2e-6, 5e-4])
