@@ -7,7 +7,8 @@ config + seed give byte-identical CSV and pixel-identical PGM outputs.
 Each command runs as its own process, so import time is part of its run
 time.  Module level therefore imports only the standard library, numpy,
 ``config`` and ``errors``; each command imports the layers it runs when it
-is called.
+is called.  ``simulate`` and ``fit`` load scipy; ``areas``, ``excursions``
+and ``report`` run on numpy alone.
 """
 
 import argparse
@@ -57,9 +58,6 @@ def _sim_config(cfg):
     sizes = tuple(range(1, 13))
     probs = tuple([1.0 / 12] * 12)
     if cfg.household_sizes:
-        if not os.path.exists(cfg.household_sizes):
-            raise DataError(f"household size file not found: "
-                            f"{cfg.household_sizes}")
         sizes, probs = simulate.read_household_size_csv(cfg.household_sizes)
     return simulate.SimConfig(
         beta0=cfg.sim_beta0, tau=cfg.sim_tau, kappa=cfg.sim_kappa,
@@ -75,15 +73,12 @@ def cmd_simulate(cfg):
 
     boundary = _boundary(cfg)
     areas = _areas(cfg)
-    locs = None
-    if cfg.cluster_locations:
-        if not os.path.exists(cfg.cluster_locations):
-            raise DataError(f"cluster location file not found: "
-                            f"{cfg.cluster_locations}")
-        locs = simulate.read_locations_csv(cfg.cluster_locations)
+    sim_config = _sim_config(cfg)
+    locs = (simulate.read_locations_csv(cfg.cluster_locations)
+            if cfg.cluster_locations else None)
     try:
-        sim = simulate.simulate_survey(_sim_config(cfg), boundary,
-                                       areas=areas, cluster_locations=locs)
+        sim = simulate.simulate_survey(sim_config, boundary, areas=areas,
+                                       cluster_locations=locs)
     except DataError as exc:  # the areas do not cover the clusters
         raise DataError(f"{cfg.areas}: {exc}") from exc
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._csv import _write_csv
 from .errors import InvalidGeometryError
-from .geometry import _signed_areas, project
+from .geometry import _ring_signed_area, _signed_areas, project
 
 __all__ = [
     "JointSamples",
@@ -40,8 +40,10 @@ __all__ = [
 
 # Most float64 values one block of the surface holds (2 MB).
 _BLOCK_CELLS = 2 ** 18
-# Rejection-sampling batches before sample_points_in_polygon gives up.
+# Rejection-sampling batches before sample_points_in_polygon gives up, and
+# most candidates in a batch of (points missing) / (share filled) + 8.
 _MAX_TRIES = 1000
+_MAX_BATCH = 2 ** 20
 # Least share of its bounding box a polygon fills to be sampled by rejection,
 # which draws 1 / ratio candidates a point.
 _MIN_FILL = 1e-3
@@ -53,24 +55,25 @@ def sample_points_in_polygon(polygon, n, rng):
     outer ring, each kept if the polygon contains it (not in a hole)."""
     x0, y0, x1, y1 = polygon.bbox()
     box_area = (x1 - x0) * (y1 - y0)
-    ratio = polygon.area() / box_area if box_area > 0 else 0.0
-    if ratio < _MIN_FILL:
+    share = polygon.area() / box_area if box_area > 0 else 0.0
+    if share < _MIN_FILL:
         draw = _triangle_sampler(polygon.rings[0], rng)
+        share = polygon.area() / abs(_ring_signed_area(polygon.rings[0]))
     else:
-        def draw(need):
-            batch = int(need / ratio) + 8
-            return np.column_stack([rng.uniform(x0, x1, batch),
-                                    rng.uniform(y0, y1, batch)])
+        def draw(k):
+            return np.column_stack([rng.uniform(x0, x1, k),
+                                    rng.uniform(y0, y1, k)])
     out = np.empty((n, 2))
     got = 0
     for _ in range(_MAX_TRIES):
-        cand = draw(n - got)
+        cand = draw(min(int((n - got) / share) + 8, _MAX_BATCH))
         keep = cand[polygon.contains(cand)][:n - got]
         out[got:got + len(keep)] = keep
         got += len(keep)
         if got == n:
             return out
-    raise RuntimeError("rejection sampling failed to fill the polygon")
+    raise InvalidGeometryError(f"polygon {polygon.id}: rejection sampling "
+                               f"drew {got} of {n} points")
 
 
 def _ear_clip(ring):
@@ -165,8 +168,9 @@ def _surface_blocks(samples, spec, points, unit=1):
     Returns the out-of-mesh mask and an iterator of ``(rows, eta)`` pairs:
     ``eta`` is a new C-contiguous block, points in rows and joint samples in
     columns, that the caller may overwrite.  The linear predictor uses the
-    intercept and the projected field only (no nugget, no covariates); the
-    points are projected once.
+    intercept and the projected field only (no nugget, no covariates).  The
+    points are projected once, and each block weighs the field samples at
+    the three vertices of each point's triangle.
     """
     proj = project(spec.mesh, points)
     w_t = np.ascontiguousarray(samples.samples[:, spec.field_slice].T)
@@ -176,7 +180,7 @@ def _surface_blocks(samples, spec, points, unit=1):
 
     def blocks():
         for rows in _row_blocks(len(proj.out_of_mesh), w_t.shape[1], unit):
-            eta = proj.matrix[rows] @ w_t
+            eta = proj.apply(w_t, rows)
             if b0 is not None:
                 eta += b0
             yield rows, eta
@@ -197,12 +201,9 @@ def area_averages(samples, spec, areas, points_per_area=100, seed=0):
     if points_per_area < 1:
         raise ValueError("points_per_area must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = []
-    ids = []
-    for poly in areas:
-        pts.append(sample_points_in_polygon(poly, points_per_area, rng))
-        ids.append(poly.id)
-    pts = np.vstack(pts)
+    pts = np.vstack([sample_points_in_polygon(poly, points_per_area, rng)
+                     for poly in areas])
+    ids = [poly.id for poly in areas]
     k = len(areas)
     out, blocks = _surface_blocks(samples, spec, pts, unit=points_per_area)
     out = out.reshape(k, points_per_area)

@@ -7,6 +7,7 @@ counter-clockwise outer ring plus optional clockwise hole rings.
 
 import csv
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,108 +312,106 @@ def fem_matrices(mesh):
 # point-to-mesh projection
 # ---------------------------------------------------------------------------
 
+@dataclass
 class Projector:
-    """Sparse barycentric projection of query points onto mesh vertices.
+    """Barycentric projection of query points onto mesh vertices.
 
-    ``matrix`` has one row per query point with at most 3 nonzeros summing
-    to 1; rows of points outside the mesh hull are zero and flagged in
-    ``out_of_mesh``.
+    Row i holds the three vertices (ascending) of the triangle containing
+    point i and the point's barycentric weights in it, non-negative and
+    summing to 1.  A point outside the mesh hull is flagged in
+    ``out_of_mesh`` and weighs nothing.
     """
 
-    def __init__(self, matrix, out_of_mesh):
+    vertices: np.ndarray     # (n, 3) int
+    weights: np.ndarray      # (n, 3) float
+    out_of_mesh: np.ndarray  # (n,) bool
+    num_vertices: int        # of the mesh
+
+    def apply(self, x, rows=slice(None)):
+        """Values at the points in ``rows`` of the vertex values ``x`` (one
+        row per vertex), bit for bit ``matrix[rows] @ x``: each point sums
+        over its vertices in ascending order, as a CSR row does."""
+        return np.einsum("rk,rks->rs", self.weights[rows],
+                         x[self.vertices[rows]])
+
+    @property
+    def matrix(self):
+        """The projection as a (points, mesh vertices) scipy CSR matrix."""
         import scipy.sparse as sp
 
-        self.matrix = sp.csr_matrix(matrix)
-        self.out_of_mesh = np.asarray(out_of_mesh, dtype=bool)
+        n = len(self.weights)
+        keep = self.weights > 0
+        rows = np.repeat(np.arange(n), 3).reshape(n, 3)
+        return sp.csr_matrix(
+            (self.weights[keep], (rows[keep], self.vertices[keep])),
+            shape=(n, self.num_vertices))
+
+
+def _ranges(starts, counts):
+    """``arange(s, s + c)`` for each s, c of ``starts``, ``counts``, joined."""
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return offsets + np.arange(len(offsets))
 
 
 def project(mesh, points):
-    """Barycentric projection of each point onto its containing triangle."""
-    import scipy.sparse as sp
+    """Barycentric projection of each point onto its containing triangle.
 
+    Triangles are binned on a uniform grid, into every cell their bounding
+    box meets; all (point, triangle of its cell) pairs are tested at once.
+    The lowest-index triangle holding a point (weights down to
+    ``-_PROJECT_TOL``) takes it, its weights clipped at 0 and rescaled.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ValueError("query points must be finite")
     tol = _PROJECT_TOL
-    v = mesh.vertices
-    t = mesh.triangles
-    a = v[t[:, 0]]
-    e1 = v[t[:, 1]] - a
-    e2 = v[t[:, 2]] - a
+    corners = mesh.vertices[mesh.triangles]
+    a = corners[:, 0]
+    e1, e2 = corners[:, 1] - a, corners[:, 2] - a
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    tmin, tmax = corners.min(axis=1), corners.max(axis=1)
+    cell = max(*np.median(tmax - tmin, axis=0), 1e-12)
+    nx, ny = np.maximum(np.ceil((hi - lo) / cell).astype(int), 1)
 
-    # bin triangles on a uniform grid keyed by their bounding boxes
-    x0, y0 = v.min(axis=0)
-    x1, y1 = v.max(axis=0)
-    tmin = np.minimum(np.minimum(v[t[:, 0]], v[t[:, 1]]), v[t[:, 2]])
-    tmax = np.maximum(np.maximum(v[t[:, 0]], v[t[:, 1]]), v[t[:, 2]])
-    cell = max(np.median(tmax[:, 0] - tmin[:, 0]),
-               np.median(tmax[:, 1] - tmin[:, 1]), 1e-12)
-    nx = max(int(np.ceil((x1 - x0) / cell)), 1)
-    ny = max(int(np.ceil((y1 - y0) / cell)), 1)
-    buckets = {}
-    ci0 = np.clip(((tmin[:, 0] - x0) / cell).astype(int), 0, nx - 1)
-    ci1 = np.clip(((tmax[:, 0] - x0) / cell).astype(int), 0, nx - 1)
-    cj0 = np.clip(((tmin[:, 1] - y0) / cell).astype(int), 0, ny - 1)
-    cj1 = np.clip(((tmax[:, 1] - y0) / cell).astype(int), 0, ny - 1)
-    for k in range(len(t)):
-        for ci in range(ci0[k], ci1[k] + 1):
-            for cj in range(cj0[k], cj1[k] + 1):
-                buckets.setdefault((ci, cj), []).append(k)
-    buckets = {k: np.asarray(ix) for k, ix in buckets.items()}
+    def cell_of(p):
+        c = np.clip(((p - lo) / cell).astype(int), 0, [nx - 1, ny - 1])
+        return c[:, 0] * ny + c[:, 1]
 
-    pcell = np.column_stack([
-        np.clip(((pts[:, 0] - x0) / cell).astype(int), 0, nx - 1),
-        np.clip(((pts[:, 1] - y0) / cell).astype(int), 0, ny - 1),
-    ])
-    inside_box = ((pts[:, 0] >= x0 - tol) & (pts[:, 0] <= x1 + tol)
-                  & (pts[:, 1] >= y0 - tol) & (pts[:, 1] <= y1 + tol))
+    # (triangle, cell) pairs, sorted by cell and then by triangle
+    c0, c1 = cell_of(tmin), cell_of(tmax)
+    span = c1 % ny - c0 % ny + 1
+    count = (c1 // ny - c0 // ny + 1) * span
+    tri = np.repeat(np.arange(len(count)), count)
+    k = _ranges(0, count)
+    key = c0[tri] + k // span[tri] * ny + k % span[tri]
+    tri = tri[np.argsort(key, kind="stable")]
+    start = np.concatenate([[0], np.cumsum(np.bincount(key,
+                                                       minlength=nx * ny))])
 
-    rows = np.full((len(pts), 3), -1, dtype=np.int64)
-    wts = np.zeros((len(pts), 3))
-    out = np.ones(len(pts), dtype=bool)
+    # (point, candidate) pairs, sorted by point and then by triangle
+    sub = np.flatnonzero(((pts >= lo - tol) & (pts <= hi + tol)).all(axis=1))
+    pc = cell_of(pts[sub])
+    n_cand = start[pc + 1] - start[pc]
+    pt = np.repeat(sub, n_cand)
+    cand = tri[_ranges(start[pc], n_cand)]
+    d = pts[pt] - a[cand]
+    w1 = (d[:, 0] * e2[cand, 1] - d[:, 1] * e2[cand, 0]) / det[cand]
+    w2 = (e1[cand, 0] * d[:, 1] - e1[cand, 1] * d[:, 0]) / det[cand]
+    w = np.column_stack([1.0 - w1 - w2, w1, w2])
+    hit = np.flatnonzero((w >= -tol).all(axis=1))
+    first = hit[np.diff(pt[hit], prepend=-1) > 0]
+    pt, held = pt[first], mesh.triangles[cand[first]]
+    w = np.clip(w[first], 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
 
-    order = np.lexsort((pcell[:, 1], pcell[:, 0]))
-    s = 0
-    while s < len(order):
-        e = s
-        key = (pcell[order[s], 0], pcell[order[s], 1])
-        while e < len(order) and (pcell[order[e], 0], pcell[order[e], 1]) == key:
-            e += 1
-        idx = order[s:e]
-        s = e
-        cand = buckets.get(key)
-        if cand is None:
-            continue
-        sub = idx[inside_box[idx]]
-        if len(sub) == 0:
-            continue
-        d = pts[sub][:, None, :] - a[cand][None, :, :]
-        w1 = (d[:, :, 0] * e2[cand, 1] - d[:, :, 1] * e2[cand, 0]) / det[cand]
-        w2 = (e1[cand, 0] * d[:, :, 1] - e1[cand, 1] * d[:, :, 0]) / det[cand]
-        w0 = 1.0 - w1 - w2
-        ok = (w0 >= -tol) & (w1 >= -tol) & (w2 >= -tol)
-        hit = ok.argmax(axis=1)
-        found = ok[np.arange(len(sub)), hit]
-        tri_ix = cand[hit[found]]
-        ww = np.column_stack([w0[np.arange(len(sub)), hit],
-                              w1[np.arange(len(sub)), hit],
-                              w2[np.arange(len(sub)), hit]])[found]
-        ww = np.clip(ww, 0.0, None)
-        ww /= ww.sum(axis=1, keepdims=True)
-        sel = sub[found]
-        rows[sel] = t[tri_ix]
-        wts[sel] = ww
-        out[sel] = False
-
-    nz = ~out
-    r = np.repeat(np.where(nz)[0], 3)
-    c = rows[nz].ravel()
-    d = wts[nz].ravel()
-    keep = d > 0
-    mat = sp.csr_matrix((d[keep], (r[keep], c[keep])),
-                        shape=(len(pts), mesh.num_vertices))
-    return Projector(mat, out)
+    order = np.argsort(held, axis=1)
+    vertices = np.zeros((len(pts), 3), dtype=np.int64)
+    weights = np.zeros((len(pts), 3))
+    vertices[pt] = np.take_along_axis(held, order, axis=1)
+    weights[pt] = np.take_along_axis(w, order, axis=1)
+    return Projector(vertices, weights, ~weights.any(axis=1),
+                     mesh.num_vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,12 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
 # ---------------------------------------------------------------------------
 
 def read_locations_csv(path):
-    pts = []
     with reading(path), open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            pts.append((float(row["x"]), float(row["y"])))
-    return np.asarray(pts)
+        pts = np.array([(float(row["x"]), float(row["y"]))
+                        for row in csv.DictReader(fh)])
+        if not len(pts) or not np.isfinite(pts).all():
+            raise ValueError("column x, y: no rows or a non-finite value")
+    return pts
 
 
 def read_household_size_csv(path):
@@ -245,6 +246,9 @@ def read_household_size_csv(path):
         for row in csv.DictReader(fh):
             sizes.append(int(row["size"]))
             probs.append(float(row["probability"]))
+        if min(probs, default=0) < 0 or abs(sum(probs) - 1) > 1e-9:
+            raise ValueError("column probability: must be non-negative "
+                             "and sum to 1")
     return tuple(sizes), tuple(probs)
 
 

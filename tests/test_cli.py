@@ -332,3 +332,27 @@ def test_cli_bad_input_exit_code_names_the_culprit(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli.main(["fit", "-c", ini]) == code
     assert culprit in capsys.readouterr().err
+
+
+# simulation inputs: (config key, header, rows) of a bad file
+BAD_SIMULATE_INPUTS = {
+    "household_sizes_sum_below_1": ("household_sizes", ["size", "probability"],
+                                    [(1, 0.5), (2, 0.25)]),
+    "household_sizes_negative": ("household_sizes", ["size", "probability"],
+                                 [(1, 1.5), (2, -0.5)]),
+    "cluster_locations_no_rows": ("cluster_locations", ["x", "y"], []),
+    "cluster_locations_nan": ("cluster_locations", ["x", "y"],
+                              [(1.5, 2.5), ("nan", 3.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIMULATE_INPUTS))
+def test_cli_bad_simulation_input_exits_3_naming_the_file(tmp_path, capsys,
+                                                          case):
+    key, header, rows = BAD_SIMULATE_INPUTS[case]
+    path = _write_rows(str(tmp_path / f"{key}.csv"), header, rows)
+    ini = _write_config(str(tmp_path), extra={"paths": {key: path}})
+    capsys.readouterr()
+    assert cli.main(["simulate", "-c", ini]) == 3
+    assert f"data error: {path}: " in capsys.readouterr().err
+    assert not os.path.exists(_out(ini, "frame.csv"))

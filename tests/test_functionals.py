@@ -8,6 +8,7 @@ from scipy.special import expit, logit
 from scipy.stats import norm
 
 from prevmap import functionals
+from prevmap.errors import InvalidGeometryError
 from prevmap.functionals import (SurfaceSpec, area_averages, make_grid,
                                  pointwise_median, sample_points_in_polygon,
                                  simultaneous_excursions, write_area_csv,
@@ -103,6 +104,24 @@ def test_sample_points_sliver_below_the_batch_cap(ratio):
                                        np.random.default_rng(seed))
         assert pts.shape == (100, 2)
         assert sliver.contains(pts).all()
+
+
+def test_sample_points_frame_whose_hole_covers_most_of_its_ring(monkeypatch):
+    # a 10 x 10 square less a hole inset by 5e-4 fills 2e-4 of its outer
+    # ring: batches of one candidate a missing point ran out of tries
+    inset = 5e-4
+    hole = [(inset, inset), (10 - inset, inset), (10 - inset, 10 - inset),
+            (inset, 10 - inset)]
+    frame = Polygon([[(0, 0), (10, 0), (10, 10), (0, 10)], hole], id="frame")
+    pts = sample_points_in_polygon(frame, 100, np.random.default_rng(0))
+    assert pts.shape == (100, 2)
+    assert frame.contains(pts).all()
+    assert not Polygon([hole]).contains(pts).any()
+    # a polygon the batches cannot fill is named in a data error
+    monkeypatch.setattr(functionals, "_MAX_BATCH", 1000)
+    monkeypatch.setattr(functionals, "_MAX_TRIES", 3)
+    with pytest.raises(InvalidGeometryError, match="polygon frame: "):
+        sample_points_in_polygon(frame, 100, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Geometry: polygons, mesh construction, FEM matrices, projection."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from prevmap.errors import InvalidGeometryError
-from prevmap.geometry import (_BOUNDARY_TOL, Polygon, _min_angles,
-                              fem_matrices, project,
+from prevmap.geometry import (_BOUNDARY_TOL, _PROJECT_TOL, Polygon,
+                              _min_angles, fem_matrices, project,
                               read_polygons_csv, read_polygons_geojson,
                               write_polygons_csv, TriMesh)
 from prevmap.meshing import build_mesh
@@ -299,6 +301,77 @@ def test_project_partition_of_unity(coarse_mesh10):
 def test_project_out_of_hull_flagged(coarse_mesh10):
     pr = project(coarse_mesh10, np.array([[100.0, 100.0]]))
     assert pr.out_of_mesh[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_mesh(shape):
+    """A two-zone mesh over a unit square or an L, its exterior coarse."""
+    ring = {"square": [(0, 0), (1, 0), (1, 1), (0, 1)],
+            "ell": [(0, 0), (1, 0), (1, 0.4), (0.4, 0.4), (0.4, 1), (0, 1)]}
+    return build_mesh(Polygon([ring[shape]]), interior_max_edge=0.15,
+                      extension_factor=1.3, exterior_max_edge=0.5)
+
+
+def _barycentric_oracle(vertices, triangles, pts):
+    """(points, triangles, 3) barycentric weights, each from the areas of
+    the sub-triangles the point cuts."""
+    def cross(o, p, q):
+        return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
+                - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
+
+    a, b, c = (vertices[triangles[:, k]][None] for k in range(3))
+    p = pts[:, None]
+    return np.stack([cross(p, b, c), cross(a, p, c), cross(a, b, p)],
+                    axis=-1) / cross(a, b, c)[..., None]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(shape=st.sampled_from(["square", "ell"]),
+       scale=st.floats(1e-3, 1e4), shift=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_project_matches_brute_force_oracle(shape, scale, shift, seed):
+    # points uniform over the grown bounding box, at vertices, at edge
+    # midpoints and beyond the hull, against a test of every triangle
+    base = _oracle_mesh(shape)
+    mesh = TriMesh(shift + scale * base.vertices, base.triangles)
+    v, t = mesh.vertices, mesh.triangles
+    rng = np.random.default_rng(seed)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    edges, _ = mesh.edges()
+    edges = edges[rng.choice(len(edges), 60)]
+    pts = np.vstack([rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                                 (150, 2)),
+                     v[rng.choice(len(v), 60)],
+                     0.5 * (v[edges[:, 0]] + v[edges[:, 1]]),
+                     hi + rng.uniform(1e-6, 1.0, (20, 2)) * (hi - lo)])
+    pr = project(mesh, pts)
+
+    bary = _barycentric_oracle(v, t, pts)
+    holds = (bary >= -_PROJECT_TOL).all(axis=2)
+    assert np.array_equal(pr.out_of_mesh, ~holds.any(axis=1))
+    assert (pr.weights[pr.out_of_mesh] == 0).all()
+    inside = ~pr.out_of_mesh
+    rows, w = pr.vertices[inside], pr.weights[inside]
+    tri_of = {tuple(tri): k for k, tri in enumerate(np.sort(t, axis=1))}
+    tri = np.array([tri_of[tuple(r)] for r in rows])  # KeyError: no triangle
+    # of the triangles holding a point, the lowest-index one takes it
+    assert np.array_equal(tri, holds[inside].argmax(axis=1))
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert (w >= 0).all()
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("ik,ikd->id", w, v[rows]),
+                               pts[inside], rtol=0, atol=1e-9 * scale)
+
+    n = len(pts)
+    want = sp.csr_matrix((pr.weights.ravel(),
+                          (np.repeat(np.arange(n), 3), pr.vertices.ravel())),
+                         shape=(n, mesh.num_vertices))
+    want.eliminate_zeros()
+    got = pr.matrix
+    assert (got != want).nnz == 0 and got.nnz == want.nnz
+    x = rng.standard_normal((mesh.num_vertices, 7))
+    assert np.array_equal(pr.apply(x), got @ x)
+    assert np.array_equal(pr.apply(x, slice(5, 40)), got[5:40] @ x)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 # modules the cheap post-fit commands must not load: the fit layers, and
-# every scipy subpackage but the sparse CSR product of the projector
-POST_FIT_DENIED = ("scipy.linalg", "scipy.special", "scipy.optimize",
-                   "scipy.spatial", "scipy.sparse.linalg",
-                   "prevmap.inference", "prevmap.sparsela", "prevmap.spde",
-                   "prevmap.meshing", "prevmap.areal", "prevmap.simulate",
-                   "prevmap.survey")
+# scipy at all, as the projector weighs field samples with numpy gathers
+POST_FIT_DENIED = ("scipy", "prevmap.inference", "prevmap.sparsela",
+                   "prevmap.spde", "prevmap.meshing", "prevmap.areal",
+                   "prevmap.simulate", "prevmap.survey")
 SIMULATE_DENIED = ("scipy.optimize", "scipy.spatial", "prevmap.inference")
 
 
