@@ -74,8 +74,10 @@ def cmd_simulate(cfg):
     boundary = _boundary(cfg)
     areas = _areas(cfg)
     sim_config = _sim_config(cfg)
-    locs = (simulate.read_locations_csv(cfg.cluster_locations)
-            if cfg.cluster_locations else None)
+    locs = None
+    if cfg.cluster_locations:
+        locs = simulate.read_locations_csv(cfg.cluster_locations)
+        _check_inside(cfg.cluster_locations, boundary, locs)
     try:
         sim = simulate.simulate_survey(sim_config, boundary, areas=areas,
                                        cluster_locations=locs)
@@ -94,6 +96,16 @@ def cmd_simulate(cfg):
     return 0
 
 
+def _check_inside(path, boundary, locs):
+    """Refuse the file at ``path`` if a location of ``locs`` lies outside
+    ``boundary``, naming the first one."""
+    outside = locs[~boundary.contains(locs)]
+    if len(outside):
+        x, y = (float(v) for v in outside[0])
+        raise DataError(f"{path}: column x, y: {len(outside)} locations "
+                        f"outside the boundary, e.g. ({x}, {y})")
+
+
 def _load_frame(cfg, boundary, areas=None):
     """The survey frame, with every cluster inside ``boundary`` and, when
     ``areas`` are given, every area_id one of theirs."""
@@ -105,11 +117,8 @@ def _load_frame(cfg, boundary, areas=None):
                         f"set paths.data)")
     frame = read_frame_csv(path)
     # one test per location: households of a cluster share theirs
-    locs = np.unique(np.column_stack([frame.x, frame.y]), axis=0)
-    outside = locs[~boundary.contains(locs)]
-    if len(outside):
-        raise DataError(f"{path}: column x, y: {len(outside)} locations "
-                        f"outside the boundary, e.g. {tuple(outside[0])}")
+    _check_inside(path, boundary,
+                  np.unique(np.column_stack([frame.x, frame.y]), axis=0))
     if areas is not None:
         unknown = sorted({str(a) for a in frame.area_id}
                          - {str(p.id) for p in areas})

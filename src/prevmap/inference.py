@@ -50,7 +50,6 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
 from scipy.special import expit, gammaln, ndtr
 
 from ._csv import _write_csv
@@ -79,7 +78,7 @@ __all__ = [
 
 _DENSE_CUTOFF = 2500  # rows per chunk of dense variance solves
 _MAX_ITER = 100       # Newton iterations before ConvergenceError
-_MAX_HALVINGS = 30    # step halvings of one Newton line search
+_MAX_HALVINGS = 30    # step cuts of one line search (Newton, BFGS)
 _FIXED_PREC = 1e-3    # prior precision of each fixed effect
 _THETA_PRIOR_SD = 1.5  # prior sd of each hyperparameter about theta_init
 _FD_STEP = 1e-3       # forward-difference step of the mode search's gradient
@@ -715,12 +714,62 @@ def _weighted_points(model, thetas, u0=None, log_scale=0.0):
             for t, lp, wi, r in zip(thetas, lps, w, results)]
 
 
+def minimize(fun, grad, x0, gtol=_MODE_GTOL):
+    """Minimize ``fun`` by BFGS from ``x0`` (Nocedal & Wright 2006,
+    algorithm 6.1), for a handful of coordinates.  Returns the last
+    accepted point and None, or that point and why the search stopped
+    short.
+
+    ``grad(x, f)`` is the gradient at a point ``x`` the line search has
+    accepted, whose value is ``f``; a trial point it rejects costs one call
+    of ``fun``.  The line search backtracks from the full step to the
+    minimum of the quadratic through f, its slope and the rejected value,
+    kept within [0.1, 0.5] of the step, until the Armijo condition holds.
+    The inverse Hessian starts as the identity and the first step is at
+    most 1 long.  (The rescaling s^T y / y^T y of N&W eq. 6.20 after the
+    first step fits the stiffest direction; on the theta posteriors here,
+    whose curvatures differ a hundredfold, it shrank every later step along
+    the flat ones and took more evaluations than the identity.)  Stops once
+    the largest gradient entry is at most ``gtol``."""
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    g = grad(x, f)
+    h_inv = np.eye(len(x))
+    for it in range(200 * len(x)):
+        if np.max(np.abs(g)) <= gtol:
+            return x, None
+        p = -h_inv @ g
+        slope = g @ p
+        if not slope < 0:  # not a descent direction: restart from -g
+            h_inv, p = np.eye(len(x)), -g
+            slope = g @ p
+        alpha = min(1.0, 1.0 / np.linalg.norm(p)) if it == 0 else 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new = fun(x + alpha * p)
+            if f_new < f + 1e-4 * alpha * slope:
+                break
+            cut = -slope * alpha / (2.0 * (f_new - f - slope * alpha)) \
+                if np.isfinite(f_new) else 0.1
+            alpha *= min(max(cut, 0.1), 0.5)
+        else:
+            return x, "the line search found no decrease"
+        s = alpha * p
+        x = x + s
+        g_new = grad(x, f_new)
+        y, f, g = g_new - g, f_new, g_new
+        sy = s @ y
+        if sy > 0:  # BFGS update, skipped where the curvature is not positive
+            v = np.eye(len(x)) - np.outer(s, y) / sy
+            h_inv = v @ h_inv @ v.T + np.outer(s, s) / sy
+    return x, "the iteration limit was reached"
+
+
 def _mode_search(model):
-    """The theta mode: BFGS on -log pi~(theta | y) from ``theta_init``, with
-    a forward-difference gradient.  Every Newton solve starts from the mode
-    of the evaluation before it.  Returns the best theta evaluated, its
-    log posterior and its latent mean."""
-    dim = model.n_theta
+    """The theta mode: BFGS (:func:`minimize`) on -log pi~(theta | y) from
+    ``theta_init``, with a forward-difference gradient of step _FD_STEP.
+    Every Newton solve starts from the mode of the evaluation before it.
+    Returns the best theta evaluated outside the gradients, its log
+    posterior and its latent mean."""
     start = None  # mean of the previous evaluation
     best = (None, -np.inf, None)  # theta, log posterior and mean
 
@@ -735,18 +784,20 @@ def _mode_search(model):
         lp = evaluate(t)
         if lp > best[1]:
             best = (t.copy(), lp, start)
-        grad = np.empty(dim)
-        for j in range(dim):
+        return -lp
+
+    def gradient(t, f):
+        grad = np.empty(len(t))
+        for j in range(len(t)):
             step = t.copy()
             step[j] += _FD_STEP
-            grad[j] = (lp - evaluate(step)) / _FD_STEP
-        return -lp, grad
+            grad[j] = (-evaluate(step) - f) / _FD_STEP
+        return grad
 
-    res = minimize(objective, model.theta_init, jac=True, method="BFGS",
-                   options=dict(gtol=_MODE_GTOL))
-    if not res.success:
+    _, failure = minimize(objective, gradient, model.theta_init)
+    if failure:
         warnings.warn(f"theta mode search did not fully converge "
-                      f"({res.message}); using the best point found",
+                      f"({failure}); using the best point found",
                       stacklevel=3)
     return best
 
@@ -801,9 +852,11 @@ def hyper_grid(model):
     Chopin 2009, sections 6.1 and 6.5) and return the weighted grid.
 
     1. The mode theta* of log pi~(theta | y), the Laplace evidence plus
-       the theta prior, by BFGS from ``theta_init`` on a forward-difference
-       gradient of step _FD_STEP, stopped at a gradient of _MODE_GTOL
-       (with a warning if it does not converge).
+       the theta prior, by this module's BFGS (:func:`minimize`, with a
+       backtracking line search) from ``theta_init`` on a
+       forward-difference gradient of step _FD_STEP, taken only at the
+       points the line search accepts, stopped at a gradient of
+       _MODE_GTOL (with a warning if it does not converge).
     2. The Hessian H of log pi~ at theta* by finite differences of step
        _HESS_STEP.  -H = V Lambda V^T, with every eigenvalue floored at
        the theta prior's precision 1 / _THETA_PRIOR_SD^2, so that a flat

@@ -142,7 +142,9 @@ def _bilinear(xs, ys, grid, pts):
 def simulate_survey(config, boundary, areas=None, cluster_locations=None):
     """Generate a full synthetic survey plus its truth surfaces.
 
-    Cluster locations default to uniform draws in the boundary polygon.
+    Cluster locations default to uniform draws in the boundary polygon;
+    given ones must lie in it (the field is clamped to the truth lattice's
+    edge, and ``prevmap simulate`` refuses a location file that does not).
     Households per cluster are uniform on the configured range, member
     counts follow the household-size distribution, and outcomes are
     binomial with logit p = beta0 + S_i + eps_ij.  Design weights are the

@@ -343,6 +343,8 @@ BAD_SIMULATE_INPUTS = {
     "cluster_locations_no_rows": ("cluster_locations", ["x", "y"], []),
     "cluster_locations_nan": ("cluster_locations", ["x", "y"],
                               [(1.5, 2.5), ("nan", 3.0)]),
+    "cluster_locations_outside": ("cluster_locations", ["x", "y"],
+                                  [(1.5, 2.5), (50, 50), (7.5, 7.5)]),
 }
 
 
@@ -356,3 +358,25 @@ def test_cli_bad_simulation_input_exits_3_naming_the_file(tmp_path, capsys,
     assert cli.main(["simulate", "-c", ini]) == 3
     assert f"data error: {path}: " in capsys.readouterr().err
     assert not os.path.exists(_out(ini, "frame.csv"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_cli_outside_location_is_named_in_plain_floats(tmp_path, capsys,
+                                                       command):
+    # simulate refuses the location file (the truth field would be clamped
+    # to its lattice edge), fit the frame; both name the first outside
+    # point as plain numbers
+    if command == "simulate":
+        path = _write_rows(str(tmp_path / "locs.csv"), ["x", "y"],
+                           [(1.5, 2.5), (50, 50), (7.5, 7.5)])
+        extra = {"paths": {"cluster_locations": path}}
+    else:
+        extra, _, _ = _frame_case(str(tmp_path), bad=("x", "50"))
+        path = extra["paths"]["data"]
+    ini = _write_config(str(tmp_path), extra=extra)
+    capsys.readouterr()
+    assert cli.main([command, "-c", ini]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {path}: column x, y: 1 locations outside the " \
+        "boundary, e.g. (50.0, " in err
+    assert "np.float64" not in err

@@ -1,5 +1,6 @@
 """Area averages, exceedance probabilities, excursion regions."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -117,11 +118,25 @@ def test_sample_points_frame_whose_hole_covers_most_of_its_ring(monkeypatch):
     assert pts.shape == (100, 2)
     assert frame.contains(pts).all()
     assert not Polygon([hole]).contains(pts).any()
-    # a polygon the batches cannot fill is named in a data error
+    # a polygon the candidate budget cannot fill is named in a data error
     monkeypatch.setattr(functionals, "_MAX_BATCH", 1000)
-    monkeypatch.setattr(functionals, "_MAX_TRIES", 3)
+    monkeypatch.setattr(functionals, "_MAX_CANDIDATES", 3000)
     with pytest.raises(InvalidGeometryError, match="polygon frame: "):
         sample_points_in_polygon(frame, 100, np.random.default_rng(0))
+
+
+def test_sample_points_unfillable_polygon_fails_at_once():
+    # a hole inset by 1e-9 leaves 4e-10 of the outer ring: 100 points would
+    # take ~2.5e11 candidates, and batches of 2**20 ran ~20 minutes before
+    # giving up
+    inset = 1e-9
+    hole = [(inset, inset), (10 - inset, inset), (10 - inset, 10 - inset),
+            (inset, 10 - inset)]
+    frame = Polygon([[(0, 0), (10, 0), (10, 10), (0, 10)], hole], id="frame")
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidGeometryError, match="polygon frame: fills"):
+        sample_points_in_polygon(frame, 100, np.random.default_rng(0))
+    assert time.perf_counter() - t0 < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +442,41 @@ def test_out_of_mesh_points_get_nan_statistics(unit_square):
         assert np.isnan(values[2])
         assert np.isfinite(values[:2]).all()
     assert res.labels[2] == "indeterminate"
+
+
+@pytest.mark.parametrize("num_samples", [1, 2, 3, 2000, 2001])
+def test_pointwise_median_is_numpy_median_bit_for_bit(coarse_mesh10,
+                                                      num_samples):
+    mesh = coarse_mesh10
+    rng = np.random.default_rng(num_samples)
+    # one decimal: ties between samples, and exact zeros of either sign
+    pts = np.column_stack([rng.uniform(0, 10, 400), rng.uniform(0, 10, 400)])
+    pts[7] = (40.0, 40.0)  # outside the mesh
+    proj = project(mesh, pts)
+    samples = np.round(rng.normal(size=(num_samples, mesh.num_vertices + 1)),
+                       1)
+    # a NaN in the field at a vertex of the first three points' triangles
+    samples[rng.integers(num_samples), proj.vertices[:3, 0]] = np.nan
+    spec = SurfaceSpec(mesh=mesh, field_slice=slice(0, mesh.num_vertices),
+                       beta0_index=mesh.num_vertices)
+    js = JointSamples(samples=samples,
+                      theta_index=np.zeros(num_samples, dtype=int),
+                      coord_names=[])
+    eta = proj.apply(samples[:, spec.field_slice].T) + samples[:, -1]
+    want = np.median(eta, axis=1)
+    want[proj.out_of_mesh] = np.nan
+    got = pointwise_median(js, spec, pts)
+    assert 0 < np.isnan(got[~proj.out_of_mesh]).sum() < len(pts) - 1
+    assert got.tobytes() == want.tobytes()
+
+
+def test_row_medians_of_signed_zeros_and_nans():
+    eta = np.array([[-0.0, -0.0, 1.0], [-0.0, -0.0, -1.0], [0.0, -0.0, 2.0],
+                    [3.0, np.nan, 1.0], [np.nan, 2.0, 1.0]])
+    for width in (1, 2, 3):
+        block = eta[:, :width].copy()
+        want = np.median(block, axis=1)
+        assert functionals._row_medians(block).tobytes() == want.tobytes()
 
 
 def test_excursion_pass_holds_no_dense_surface(coarse_mesh10):

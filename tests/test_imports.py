@@ -23,6 +23,8 @@ POST_FIT_DENIED = ("scipy", "prevmap.inference", "prevmap.sparsela",
                    "prevmap.spde", "prevmap.meshing", "prevmap.areal",
                    "prevmap.simulate", "prevmap.survey")
 SIMULATE_DENIED = ("scipy.optimize", "scipy.spatial", "prevmap.inference")
+# the theta mode search is inference.minimize, not scipy's
+FIT_DENIED = ("scipy.optimize",)
 
 
 def _run(code):
@@ -88,6 +90,13 @@ def test_simulate_loads_no_fit_layer(tmp_path):
     rc, modules = _command_modules("simulate", _write_config(str(tmp_path)))
     assert rc == 0
     assert _loaded(modules, SIMULATE_DENIED) == []
+
+
+def test_fit_loads_no_scipy_optimize(fitted):
+    rc, modules = _command_modules("fit", fitted)
+    assert rc == 0
+    assert "prevmap.inference" in modules
+    assert _loaded(modules, FIT_DENIED) == []
 
 
 def test_exports_resolve_to_their_owner():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
+from prevmap import inference
 from prevmap.errors import ConvergenceError
 from prevmap.inference import (BinomialObs, FitResult, GaussianObs,
                                LatentComponent, LatentModel,
@@ -341,6 +342,88 @@ def test_hyper_grid_searches_through_module_minimize(monkeypatch):
     assert calls == []
     hyper_grid(_theta_problem()[0])
     assert calls == [1]
+
+
+def _counted(fun):
+    """``fun`` and the list of its calls' arguments."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return fun(*args)
+    return wrapped, calls
+
+
+def test_minimize_reaches_the_minimum_of_a_quadratic():
+    # curvatures 0.5 to 50 along rotated axes; the oracle is a dense solve
+    rng = np.random.default_rng(4)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    a = rot @ np.diag([0.5, 5.0, 50.0]) @ rot.T
+    b = rng.normal(size=3)
+    fun, f_calls = _counted(lambda x: 0.5 * x @ a @ x - b @ x)
+    grad, g_calls = _counted(lambda x, f: a @ x - b)
+    x, failure = inference.minimize(fun, grad, np.zeros(3), gtol=1e-9)
+    assert failure is None
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-9)
+    assert len(f_calls) <= 15 and len(g_calls) <= 12
+    # the gradient is taken only where the line search accepted a step
+    assert all(f == fun(x_) for x_, f in g_calls)
+
+
+def _skewed(x, y):
+    """A convex, skewed function of two variables (broadcasts)."""
+    return np.exp(x) - 3.0 * x + np.exp(y - x) - y + 0.125 * (x + y) ** 2
+
+
+def test_minimize_reaches_a_dense_grid_minimum_of_a_skewed_function():
+    def grad(p, f):
+        x, y = p
+        return np.array([np.exp(x) - 3.0 - np.exp(y - x) + 0.25 * (x + y),
+                         np.exp(y - x) - 1.0 + 0.25 * (x + y)])
+
+    fun, f_calls = _counted(lambda p: _skewed(*p))
+    x, failure = inference.minimize(fun, grad, np.array([-2.0, 3.0]),
+                                    gtol=1e-8)
+    assert failure is None
+    assert len(f_calls) <= 25
+    # oracle: the least value over a dense grid, refined once around it
+    centre, half = np.zeros(2), 4.0
+    for _ in range(2):
+        axes = [np.linspace(c - half, c + half, 1601) for c in centre]
+        vals = _skewed(*np.meshgrid(*axes, indexing="ij"))
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        centre, spacing = np.array([axes[0][i], axes[1][j]]), half / 800
+        half = 4 * spacing
+    np.testing.assert_allclose(x, centre, rtol=0, atol=2 * spacing)
+    assert _skewed(*x) <= vals.min()
+
+
+def test_minimize_reports_a_line_search_without_decrease():
+    # a gradient of the wrong sign: every trial step goes uphill
+    fun, f_calls = _counted(lambda x: float(x @ x))
+    x, failure = inference.minimize(fun, lambda x, f: -2.0 * x,
+                                    np.array([1.0, 0.5]))
+    assert failure == "the line search found no decrease"
+    assert np.array_equal(x, [1.0, 0.5])
+    assert len(f_calls) == 1 + inference._MAX_HALVINGS
+
+
+def test_mode_search_warns_and_keeps_the_best_point(monkeypatch):
+    model = _theta_problem()[0]
+    seen = []
+
+    def stopping_minimize(fun, grad, x0):
+        seen.extend(-fun(x0 + d) for d in (0.0, 0.4, -0.4))
+        return x0, "the iteration limit was reached"
+
+    monkeypatch.setattr(inference, "minimize", stopping_minimize)
+    with pytest.warns(UserWarning, match="did not fully converge "
+                      r"\(the iteration limit was reached\)"):
+        theta, lp, mean = inference._mode_search(model)
+    assert lp == max(seen)
+    assert theta == pytest.approx(model.theta_init
+                                  + [0.0, 0.4, -0.4][int(np.argmax(seen))])
+    assert mean is not None
 
 
 def test_marginals_single_component_gaussian_quantiles():
