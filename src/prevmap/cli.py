@@ -224,10 +224,10 @@ def _fit_bym(cfg, frame, areas):
 
 
 def cmd_fit(cfg):
+    if cfg.fit_bym and not cfg.areas:
+        raise ConfigError("paths.areas", "required for the BYM path")
     boundary = _boundary(cfg)
     areas = _areas(cfg) if cfg.fit_bym else None
-    if cfg.fit_bym and areas is None:
-        raise DataError("paths.areas is required for the BYM path")
     frame = _load_frame(cfg, boundary, areas)
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
@@ -254,7 +254,7 @@ def _load_state(cfg):
         field_slice=slice(int(z["field_start"]), int(z["field_stop"])),
         beta0_index=int(z["beta0_index"]))
     samples = JointSamples(samples=z["samples"],
-                           theta_index=z["theta_index"], coord_names=[])
+                           theta_index=z["theta_index"])
     return samples, spec
 
 
@@ -262,8 +262,6 @@ def cmd_areas(cfg):
     from . import functionals
 
     areas = _areas(cfg)
-    if areas is None:
-        raise DataError("paths.areas is required for area averages")
     samples, spec = _load_state(cfg)
     res = functionals.area_averages(samples, spec, areas,
                                     points_per_area=cfg.points_per_area,
@@ -285,11 +283,15 @@ def cmd_excursions(cfg):
     functionals.write_grid_csv(
         cfg.out("excursion_grid.csv"), grid.points, mean=exc.mean,
         sd=exc.sd, exceed_prob=exc.exceed_prob, labels=exc.labels)
-    n_above = int((exc.labels == "above").sum())
-    n_below = int((exc.labels == "below").sum())
+    sets = []
+    for label, p in (("above", exc.joint_above_prob),
+                     ("below", exc.joint_below_prob)):
+        se = np.sqrt(p * (1.0 - p) / samples.num_samples)
+        sets.append(f"{int((exc.labels == label).sum())} {label} "
+                    f"(joint P {p:.4f}, s.e. {se:.4f})")
     n_ind = int((exc.labels == "indeterminate").sum())
     print(f"excursions: u={cfg.u} level={1 - cfg.alpha_level}: "
-          f"{n_above} above, {n_below} below, {n_ind} indeterminate")
+          f"{', '.join(sets)}, {n_ind} indeterminate")
     return 0
 
 

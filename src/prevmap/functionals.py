@@ -9,10 +9,10 @@ members exceed (fall below) the threshold stays at the target level, which
 splits the map into above / below / indeterminate regions.
 
 The surface is never held whole as a points x samples float matrix: it is
-evaluated in row blocks of at most ``_BLOCK_CELLS`` values, and every
-reduction over it is per point or per area, so the results do not depend
-on the block size.  The excursion pass keeps only the points x samples
-bool indicators of exceeding and falling below the threshold.
+evaluated in row blocks of at most ``geometry._BLOCK_CELLS`` values, and
+every reduction over it is per point or per area, so the results do not
+depend on the block size.  The excursion pass keeps only the points x
+samples bool indicators of exceeding and falling below the threshold.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._csv import _write_csv
 from .errors import InvalidGeometryError
-from .geometry import _ring_signed_area, _signed_areas, project
+from .geometry import _ring_signed_area, _row_blocks, _signed_areas, project
 
 __all__ = [
     "JointSamples",
@@ -38,8 +38,6 @@ __all__ = [
     "write_grid_csv",
 ]
 
-# Most float64 values one block of the surface holds (2 MB).
-_BLOCK_CELLS = 2 ** 18
 # Most rejection-sampling candidates sample_points_in_polygon draws in all,
 # and in a batch of (points missing) / (share filled) + 8.
 _MAX_CANDIDATES = 2 ** 25
@@ -135,7 +133,6 @@ class JointSamples:
 
     samples: np.ndarray
     theta_index: np.ndarray
-    coord_names: list
 
     @property
     def num_samples(self):
@@ -162,15 +159,6 @@ class SurfaceSpec:
     mesh: object
     field_slice: slice
     beta0_index: int = None
-
-
-def _row_blocks(n, width, unit=1):
-    """Slices over ``n`` rows of ``width`` values, in whole groups of
-    ``unit`` rows: at most ``_BLOCK_CELLS`` values a block, but never less
-    than one group."""
-    step = unit * max(1, _BLOCK_CELLS // max(unit * width, 1))
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
 
 
 def _surface_blocks(samples, spec, points, unit=1):

@@ -32,6 +32,23 @@ _BOUNDARY_TOL = 1e-12
 _DUPLICATE_TOL = 1e-9
 # Barycentric weights down to -_PROJECT_TOL count as inside a triangle.
 _PROJECT_TOL = 1e-10
+# Most float64 values one row block holds (2 MB).
+_BLOCK_CELLS = 2 ** 18
+
+
+def _row_blocks(n, width, unit=1):
+    """Slices over ``n`` rows of ``width`` values, in whole groups of
+    ``unit`` rows: at most ``_BLOCK_CELLS`` values a block, but never less
+    than one group."""
+    step = unit * max(1, _BLOCK_CELLS // max(unit * width, 1))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _ranges(starts, counts):
+    """``arange(s, s + c)`` for each s, c of ``starts``, ``counts``, joined."""
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return offsets + np.arange(len(offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -43,36 +60,16 @@ def _ring_signed_area(ring):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_intersect(p1, p2, q1, q2):
-    """Proper intersection test for segments p1p2 and q1q2."""
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _ring_dist2(ring, px, py):
-    """Squared distances from the points (px, py), each a column of shape
-    (n, 1), to the edges of ``ring``: shape (n, number of edges)."""
-    xa, ya = ring[:, 0], ring[:, 1]
-    dx, dy = np.roll(xa, -1) - xa, np.roll(ya, -1) - ya
-    L2 = dx * dx + dy * dy
-    t = ((px - xa) * dx + (py - ya) * dy) / np.where(L2 > 0, L2, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return (px - (xa + t * dx)) ** 2 + (py - (ya + t * dy)) ** 2
-
-
 class Polygon:
     """Simple polygon with optional holes.
 
     ``rings`` are arrays of shape (k, 2) without a repeated closing vertex;
     ring 0 is the outer boundary.  Orientation is normalized on construction
     (outer CCW, holes CW).  Degenerate input raises
-    :class:`InvalidGeometryError`.
+    :class:`InvalidGeometryError`, and so does a crossing of two edges of
+    any rings, whatever their size.  The edges of all rings are held as one
+    pair of start and end arrays; point tests run over them in row blocks
+    of at most ``_BLOCK_CELLS`` (point, edge) values.
     """
 
     def __init__(self, rings, id="0"):
@@ -98,28 +95,49 @@ class Polygon:
         self.rings = norm
         if self.area() <= 0:
             raise InvalidGeometryError("polygon has non-positive area")
+        x0, y0, x1, y1 = self.bbox()
+        self._tol = _BOUNDARY_TOL * max(x1 - x0, y1 - y0, 1.0)
+        # edge k runs from _starts[k] to _ends[k], ring by ring
+        self._starts = np.vstack(norm)
+        self._ends = np.vstack([np.roll(r, -1, axis=0) for r in norm])
         self._check_self_intersections()
 
     def _check_self_intersections(self):
-        segs = []
-        for ring in self.rings:
-            closed = np.vstack([ring, ring[:1]])
-            for i in range(len(ring)):
-                segs.append((closed[i], closed[i + 1]))
-        n = len(segs)
-        if n > 2000:  # quadratic check priced out; trust large inputs
-            return
-        for i in range(n):
-            for j in range(i + 2, n):
-                a1, a2 = segs[i]
-                b1, b2 = segs[j]
-                shared = any(np.array_equal(p, q)
-                             for p in (a1, a2) for q in (b1, b2))
-                if shared:
-                    continue
-                if _segments_intersect(a1, a2, b1, b2):
-                    raise InvalidGeometryError(
-                        f"self-intersection between segments {i} and {j}")
+        """Raise on the lowest pair of edges (i, j), j > i + 1, that cross
+        properly and share no endpoint.  Only pairs whose x-ranges overlap
+        can cross: the edges sorted by smallest x, each is tested against
+        those that start before it ends (the sweep of Shamos & Hoey 1976).
+        """
+        def cross(o, a, b):
+            return ((a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1])
+                    - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0]))
+
+        a, b = self._starts, self._ends
+        n = len(a)
+        x_range = np.sort(np.column_stack([a[:, 0], b[:, 0]]), axis=1)
+        order = np.argsort(x_range[:, 0], kind="stable")
+        lo, hi = x_range[order].T
+        start = np.arange(1, n + 1)
+        count = np.searchsorted(lo, hi, side="right") - start
+        lowest = n * n
+        for rows in _row_blocks(n, int(count.max())):
+            first = np.repeat(order[rows], count[rows])
+            second = order[_ranges(start[rows], count[rows])]
+            i, j = np.minimum(first, second), np.maximum(first, second)
+            p1, p2, q1, q2 = a[i], b[i], a[j], b[j]
+            shared = np.zeros(len(i), dtype=bool)
+            for p in (p1, p2):
+                for q in (q1, q2):
+                    shared |= (p == q).all(axis=1)
+            hit = ((j - i >= 2) & ~shared
+                   & ((cross(q1, q2, p1) > 0) != (cross(q1, q2, p2) > 0))
+                   & ((cross(p1, p2, q1) > 0) != (cross(p1, p2, q2) > 0)))
+            if hit.any():
+                lowest = min(lowest, int((i[hit] * n + j[hit]).min()))
+        if lowest < n * n:
+            raise InvalidGeometryError(
+                f"self-intersection between segments {lowest // n} and "
+                f"{lowest % n}")
 
     def area(self):
         """Outer area minus hole areas."""
@@ -133,6 +151,28 @@ class Polygon:
         return (outer[:, 0].min(), outer[:, 1].min(),
                 outer[:, 0].max(), outer[:, 1].max())
 
+    def _edge_pass(self, points):
+        """Per point of the (n, 2) array ``points``: whether a ray from it
+        towards +x crosses the edges of all rings an odd number of times,
+        and its squared distance to the nearest edge."""
+        xa, ya = self._starts[:, 0], self._starts[:, 1]
+        xb, yb = self._ends[:, 0], self._ends[:, 1]
+        dx, dy = xb - xa, yb - ya
+        L2 = dx * dx + dy * dy
+        L2 = np.where(L2 > 0, L2, 1.0)
+        odd = np.empty(len(points), dtype=bool)
+        dist2 = np.empty(len(points))
+        for rows in _row_blocks(len(points), len(xa)):
+            px, py = points[rows, :1], points[rows, 1:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xint = xa + (py - ya) * dx / dy
+            crossing = ((ya > py) != (yb > py)) & (px < xint)
+            odd[rows] = np.count_nonzero(crossing, axis=1) % 2 == 1
+            t = np.clip(((px - xa) * dx + (py - ya) * dy) / L2, 0.0, 1.0)
+            dist2[rows] = ((px - (xa + t * dx)) ** 2
+                           + (py - (ya + t * dy)) ** 2).min(axis=1)
+        return odd, dist2
+
     def contains(self, points):
         """Even-odd containment for an array of points, holes respected.
 
@@ -143,25 +183,12 @@ class Polygon:
         """
         all_pts = np.atleast_2d(np.asarray(points, dtype=float))
         x0, y0, x1, y1 = self.bbox()
-        tol = _BOUNDARY_TOL * max(x1 - x0, y1 - y0, 1.0)
+        tol = self._tol
         near = ((all_pts[:, 0] >= x0 - tol) & (all_pts[:, 0] <= x1 + tol)
                 & (all_pts[:, 1] >= y0 - tol) & (all_pts[:, 1] <= y1 + tol))
-        pts = all_pts[near]
-        inside = np.zeros(len(pts), dtype=bool)
-        on_edge = np.zeros(len(pts), dtype=bool)
-        for ring in self.rings:
-            xa, ya = ring[:, 0], ring[:, 1]
-            xb, yb = np.roll(xa, -1), np.roll(ya, -1)
-            px = pts[:, 0][:, None]
-            py = pts[:, 1][:, None]
-            cond = (ya[None, :] > py) != (yb[None, :] > py)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xint = xa + (py - ya) * (xb - xa) / (yb - ya)
-            crossing = cond & (px < xint)
-            inside ^= (np.sum(crossing, axis=1) % 2).astype(bool)
-            on_edge |= (_ring_dist2(ring, px, py) <= tol * tol).any(axis=1)
+        odd, dist2 = self._edge_pass(all_pts[near])
         result = np.zeros(len(all_pts), dtype=bool)
-        result[near] = inside | on_edge
+        result[near] = odd | (dist2 <= tol * tol)
         if np.ndim(points) == 1:
             return bool(result[0])
         return result
@@ -169,15 +196,9 @@ class Polygon:
     def distance(self, points):
         """Unsigned distance to the polygon: 0 inside, else distance to rings."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        best = np.full(len(pts), np.inf)
-        for ring in self.rings:
-            # chunk over points to bound memory on large queries
-            for s in range(0, len(pts), 4096):
-                d2 = _ring_dist2(ring, pts[s:s + 4096, 0][:, None],
-                                 pts[s:s + 4096, 1][:, None])
-                best[s:s + 4096] = np.minimum(best[s:s + 4096], d2.min(axis=1))
-        d = np.sqrt(best)
-        d[self.contains(pts)] = 0.0
+        odd, dist2 = self._edge_pass(pts)
+        d = np.sqrt(dist2)
+        d[odd | (dist2 <= self._tol * self._tol)] = 0.0
         return d if np.ndim(points) > 1 else float(d[0])
 
 
@@ -345,12 +366,6 @@ class Projector:
         return sp.csr_matrix(
             (self.weights[keep], (rows[keep], self.vertices[keep])),
             shape=(n, self.num_vertices))
-
-
-def _ranges(starts, counts):
-    """``arange(s, s + c)`` for each s, c of ``starts``, ``counts``, joined."""
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return offsets + np.arange(len(offsets))
 
 
 def project(mesh, points):

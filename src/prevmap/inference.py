@@ -1023,8 +1023,7 @@ def sample_joint(fit, num_samples, seed):
         z = rng.standard_normal((d, len(sel)))
         s = approx.factor.krige(approx.factor.sample(z))
         out[sel] = (approx.mean[:, None] + s).T
-    return JointSamples(samples=out, theta_index=idx,
-                        coord_names=fit.model.coord_names())
+    return JointSamples(samples=out, theta_index=idx)
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,6 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
     if exterior_max_edge < interior_max_edge:
         raise InvalidGeometryError(
             "exterior_max_edge must be >= interior_max_edge")
-    if boundary.area() <= 0:
-        raise InvalidGeometryError("boundary polygon has zero area")
 
     h_int = float(interior_max_edge)
     h_ext = float(exterior_max_edge)

@@ -16,7 +16,7 @@ from scipy.fft import next_fast_len
 from scipy.special import expit
 
 from ._csv import _write_csv
-from .errors import DataError, InvalidGeometryError, reading
+from .errors import DataError, reading
 from .functionals import sample_points_in_polygon
 from .spde import MaternParams, matern_cov, practical_range, sigma_from_tau
 from .survey import SurveyFrame, design_weights
@@ -153,8 +153,6 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
     With ``areas``, each cluster takes the id of the first area that
     contains it, and a cluster in no area raises :class:`DataError`.
     """
-    if boundary.area() <= 0:
-        raise InvalidGeometryError("boundary polygon must have positive area")
     rng = np.random.default_rng(config.seed)
     params = config.matern()
 

@@ -3,7 +3,9 @@
 import csv
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 from prevmap import cli, inference
@@ -121,6 +123,35 @@ def test_cli_numeric_setting_text_exits_2(tmp_path, capsys, setting):
     capsys.readouterr()
     assert cli.main(["fit", "-c", ini]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "areas"])
+def test_cli_missing_areas_path_exits_2(tmp_path, capsys, command):
+    # fit_bym is on by default, so fit needs the areas as areas does
+    ini = _write_config(str(tmp_path), extra={"paths": {"areas": ""}})
+    capsys.readouterr()
+    assert cli.main([command, "-c", ini]) == 2
+    assert "config error: [paths.areas] required" in capsys.readouterr().err
+
+
+def test_cli_excursions_line_reports_joint_probabilities(first_run, capsys):
+    directory, _ = first_run
+    capsys.readouterr()
+    assert cli.main(["excursions", "-c",
+                     os.path.join(directory, "config.ini")]) == 0
+    line = capsys.readouterr().out
+    sets = re.findall(r"(\d+) (above|below) \(joint P ([\d.]+), "
+                      r"s\.e\. ([\d.]+)\)", line)
+    assert [label for _, label, _, _ in sets] == ["above", "below"], line
+    level = 1 - 0.05  # the default alpha_level
+    samples = int(TINY["run"]["samples"])
+    assert any(int(n) for n, _, _, _ in sets), line
+    for n, _, p, se in sets:
+        p, se = float(p), float(se)
+        if int(n):
+            assert p >= level, line
+        assert se == pytest.approx(np.sqrt(p * (1 - p) / samples),
+                                   abs=1e-4), line
 
 
 def test_cli_areas_before_fit_exits_3(tmp_path):

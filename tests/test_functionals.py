@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import norm
 
-from prevmap import functionals
+from prevmap import functionals, geometry
 from prevmap.errors import InvalidGeometryError
 from prevmap.functionals import (SurfaceSpec, area_averages, make_grid,
                                  pointwise_median, sample_points_in_polygon,
@@ -39,8 +39,7 @@ def _samples_from_fields(mesh, fields, beta0):
     b0 = np.broadcast_to(np.atleast_1d(beta0), (fields.shape[0],))
     samples = np.hstack([fields, b0[:, None]])
     return JointSamples(samples=samples,
-                        theta_index=np.zeros(fields.shape[0], dtype=int),
-                        coord_names=[])
+                        theta_index=np.zeros(fields.shape[0], dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +354,12 @@ def test_area_averages_do_not_depend_on_block_size(surface, monkeypatch):
     areas = grid_areas(0, 0, 10, 10, 5, 1)
     run = lambda: area_averages(samples, spec, areas, points_per_area=10,
                                 seed=4)
-    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 10 ** 9)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
     whole = run()
     # two areas a block, the last block one area; then one area a block,
     # though an area holds more cells than the cap
     for cells in (2 * 10 * 30, 7):
-        monkeypatch.setattr(functionals, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
         blocked = run()
         for name in ("mean", "sd", "q025", "q50", "q975"):
             assert np.array_equal(getattr(blocked, name),
@@ -373,10 +372,10 @@ def test_pointwise_maps_do_not_depend_on_block_size(surface, monkeypatch):
     samples = _gradient_samples(mesh, 30, 31)
     pts = np.column_stack([np.linspace(0.2, 9.8, 23), np.full(23, 4.0)])
     field = SurfaceSpec(mesh=mesh, field_slice=spec.field_slice)
-    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 10 ** 9)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
     probs = _exceed_prob(samples, spec, pts, 0.5)
     med = pointwise_median(samples, field, pts)
-    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 4 * 30)  # 4,4,...,3
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 4 * 30)  # 4,4,...,3
     assert np.array_equal(_exceed_prob(samples, spec, pts, 0.5),
                           probs)
     assert np.array_equal(pointwise_median(samples, field, pts), med)
@@ -399,12 +398,12 @@ def test_excursions_do_not_depend_on_block_size(surface, monkeypatch,
         eta_before = eta.copy()
     run = lambda: simultaneous_excursions(samples, spec, pts, 0.5,
                                           alpha_level=0.1, **kwargs)
-    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 10 ** 9)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
     whole = run()
     # both joint sets span several 5-row blocks; 49 rows leave a ragged
     # last block
     assert whole.above().sum() > 5 and whole.below().sum() > 5
-    monkeypatch.setattr(functionals, "_BLOCK_CELLS", 5 * n_samp)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 5 * n_samp)
     blocked = run()
     for name in ("exceed_prob", "labels", "joint_above_prob",
                  "joint_below_prob", "mean", "sd"):
@@ -460,8 +459,7 @@ def test_pointwise_median_is_numpy_median_bit_for_bit(coarse_mesh10,
     spec = SurfaceSpec(mesh=mesh, field_slice=slice(0, mesh.num_vertices),
                        beta0_index=mesh.num_vertices)
     js = JointSamples(samples=samples,
-                      theta_index=np.zeros(num_samples, dtype=int),
-                      coord_names=[])
+                      theta_index=np.zeros(num_samples, dtype=int))
     eta = proj.apply(samples[:, spec.field_slice].T) + samples[:, -1]
     want = np.median(eta, axis=1)
     want[proj.out_of_mesh] = np.nan

@@ -2,12 +2,14 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from prevmap import geometry
 from prevmap.errors import InvalidGeometryError
 from prevmap.geometry import (_BOUNDARY_TOL, _PROJECT_TOL, Polygon,
                               _min_angles, fem_matrices, project,
@@ -149,6 +151,70 @@ def test_polygon_distance(unit_square):
     assert d[0] == 0.0
     assert d[1] == pytest.approx(1.0)
     assert d[2] == pytest.approx(np.sqrt(2))
+
+
+def _circle(n, r=1.0, centre=(0.0, 0.0)):
+    u = 2 * np.pi * np.arange(n) / n
+    return np.asarray(centre) + r * np.column_stack([np.cos(u), np.sin(u)])
+
+
+def _spiral(n):
+    """Two turns of r = 1 + 0.3 u / (4 pi) at n angles u over [0, 4 pi):
+    the closing edge, from the outer end back to the inner one, crosses
+    the edge that ends the first turn (segment n / 2 - 1)."""
+    u = 4 * np.pi * np.arange(n) / n
+    r = 1 + 0.3 * u / (4 * np.pi)
+    return r[:, None] * np.column_stack([np.cos(u), np.sin(u)])
+
+
+@pytest.mark.parametrize("n, pair", [(40, (19, 39)), (2400, (1199, 2399))])
+def test_polygon_rejects_self_intersection_at_any_size(n, pair):
+    with pytest.raises(InvalidGeometryError,
+                       match=f"between segments {pair[0]} and {pair[1]}$"):
+        Polygon([_spiral(n)])
+
+
+def test_polygon_validates_a_50000_vertex_circle():
+    poly = Polygon([_circle(50_000)])
+    assert poly.area() == pytest.approx(np.pi, rel=1e-8)
+
+
+def test_polygon_point_tests_do_not_depend_on_block_size(monkeypatch):
+    # a 600-vertex wavy outer ring with a 300-vertex hole, probed over the
+    # bounding box and at vertices of both rings; the rings are validated
+    # at each block size too
+    u = 2 * np.pi * np.arange(600) / 600
+    outer = (3 + 0.3 * np.sin(7 * u))[:, None] * np.column_stack(
+        [np.cos(u), np.sin(u)])
+    hole = _circle(300, 1.0, (0.2, -0.1))
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform(-4.0, 4.0, (300, 2)), outer[::7],
+                     hole[::5]])
+    found = []
+    for cells in (1, 10 ** 9):  # one row a block, then one block
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+        poly = Polygon([outer, hole])
+        found.append((poly.contains(pts), poly.distance(pts)))
+    (inside, dist), (inside_whole, dist_whole) = found
+    assert np.array_equal(inside, inside_whole)
+    assert np.array_equal(dist, dist_whole)
+    assert np.array_equal(inside, dist == 0.0)
+    assert inside[300:].all() and not inside[:300].all()
+
+
+def test_contains_memory_does_not_grow_with_points():
+    # (points x edges) arrays would take 0.8 GB each
+    poly = Polygon([_circle(2500)])
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (40_000, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inside = poly.contains(pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(inside.mean() - np.pi / 4) < 0.01
+    assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
