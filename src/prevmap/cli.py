@@ -226,6 +226,8 @@ def _fit_bym(cfg, frame, areas):
 def cmd_fit(cfg):
     if cfg.fit_bym and not cfg.areas:
         raise ConfigError("paths.areas", "required for the BYM path")
+    if cfg.fit_bym and not os.path.exists(cfg.areas):
+        raise ConfigError("paths.areas", f"file not found: {cfg.areas}")
     boundary = _boundary(cfg)
     areas = _areas(cfg) if cfg.fit_bym else None
     frame = _load_frame(cfg, boundary, areas)
@@ -300,12 +302,23 @@ def _read_column(path, column, key=None):
     ``key``, a dict from the ``key`` column to float values instead."""
     with reading(path):
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            rows = csv.reader(fh)
+            header = next(rows, [])
+            table = list(filter(None, rows))  # skip blank rows
+        for c in (column, key):
+            if c is not None and c not in header:
+                raise KeyError(c)
+        if set(map(len, table)) - {len(header)}:
+            k = next(k for k, r in enumerate(table) if len(r) != len(header))
+            raise ValueError(f"data row {k + 1} has {len(table[k])} "
+                             f"fields, the header {len(header)}")
+        cells = list(zip(*table)) or [()] * len(header)
+        values = cells[header.index(column)]
         if key is not None:
-            return {r[key]: float(r[column]) for r in rows}
+            return dict(zip(cells[header.index(key)], map(float, values)))
         if column == "label":
-            return np.array([r[column] for r in rows])
-        return np.array([float(r[column]) for r in rows])
+            return np.array(values)
+        return np.array(list(map(float, values)))
 
 
 # area maps: input CSV, its value column, output SVG, title

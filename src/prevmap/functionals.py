@@ -9,9 +9,15 @@ members exceed (fall below) the threshold stays at the target level, which
 splits the map into above / below / indeterminate regions.
 
 The surface is never held whole as a points x samples float matrix: it is
-evaluated in row blocks of at most ``geometry._BLOCK_CELLS`` values, and
-every reduction over it is per point or per area, so the results do not
-depend on the block size.  The excursion pass keeps only the points x
+evaluated in tiles of at most ``geometry._BLOCK_CELLS`` values, small
+enough that a tile, its gather of vertex values and every pass over it
+stay in cache.  The per-point passes (median, excursions) reduce along
+each point's row of samples, so their tiles are blocks of whole rows.  The
+area averages reduce over the points of an area, so their tiles hold whole
+areas; an area holding more than the budget is walked over column chunks
+of the samples, none one column wide.  Every reduction is per point or per
+area, in the same order in any tile, so the results do not depend on the
+tile size, bit for bit.  The excursion pass keeps only the points x
 samples bool indicators of exceeding and falling below the threshold.
 """
 
@@ -21,7 +27,8 @@ import numpy as np
 
 from ._csv import _write_csv
 from .errors import InvalidGeometryError
-from .geometry import _ring_signed_area, _row_blocks, _signed_areas, project
+from .geometry import (_ring_signed_area, _row_blocks, _signed_areas,
+                       _tiles, project)
 
 __all__ = [
     "JointSamples",
@@ -161,15 +168,16 @@ class SurfaceSpec:
     beta0_index: int = None
 
 
-def _surface_blocks(samples, spec, points, unit=1):
-    """Sampled linear predictor at ``points``, evaluated in row blocks.
+def _surface(samples, spec, points):
+    """The sampled field and intercept behind the linear predictor at
+    ``points``, which is ``field + b0``: no nugget, no covariates.
 
-    Returns the out-of-mesh mask and an iterator of ``(rows, eta)`` pairs:
-    ``eta`` is a new C-contiguous block, points in rows and joint samples in
-    columns, that the caller may overwrite.  The linear predictor uses the
-    intercept and the projected field only (no nugget, no covariates).  The
-    points are projected once, and each block weighs the field samples at
-    the three vertices of each point's triangle.
+    Returns ``(out, field_at, b0)``: the out-of-mesh mask; ``field_at(rows,
+    cols)``, the sampled field at the points in ``rows`` for the joint
+    samples in ``cols``, a new C-contiguous block (points in rows) that the
+    caller may overwrite; and the intercept's samples, None without
+    ``beta0_index``.  The points are projected once, and each block weighs
+    the field samples at the three vertices of each point's triangle.
     """
     proj = project(spec.mesh, points)
     w_t = np.ascontiguousarray(samples.samples[:, spec.field_slice].T)
@@ -177,50 +185,46 @@ def _surface_blocks(samples, spec, points, unit=1):
     if spec.beta0_index is not None:
         b0 = samples.samples[:, spec.beta0_index]
 
-    def blocks():
-        for rows in _row_blocks(len(proj.out_of_mesh), w_t.shape[1], unit):
-            eta = proj.apply(w_t, rows)
-            if b0 is not None:
-                eta += b0
-            yield rows, eta
+    def field_at(rows, cols=slice(None)):
+        return proj.apply(w_t[:, cols], rows)
 
-    return proj.out_of_mesh, blocks()
+    return proj.out_of_mesh, field_at, b0
 
 
-def _expit(eta):
-    """1 / (1 + exp(-eta)), computed in place."""
-    np.negative(eta, out=eta)
-    np.exp(eta, out=eta)
-    eta += 1.0
-    return np.divide(1.0, eta, out=eta)
+def _negated(block, b0, cols=slice(None)):
+    """-(block + b0[cols]) in place; -block for ``b0`` None.  In one pass:
+    (-b) - f is -(f + b) bit for bit, as rounding to nearest is symmetric,
+    but for the sign of an exact zero sum, which exp and the threshold
+    tests do not see."""
+    if b0 is None:
+        return np.negative(block, out=block)
+    return np.subtract(-b0[cols], block, out=block)
+
+
+def _expit_of_negated(neg):
+    """expit(eta) = 1 / (1 + exp(neg)) of ``neg`` = -eta, in place."""
+    np.exp(neg, out=neg)
+    neg += 1.0
+    return np.divide(1.0, neg, out=neg)
 
 
 def area_averages(samples, spec, areas, points_per_area=100, seed=0):
-    """Monte Carlo posterior of the area-average prevalences T_k."""
+    """Monte Carlo posterior of the area-average prevalences T_k.
+
+    Each area averages the prevalence at its points inside the mesh; an
+    area with none inside is flagged and gets NaN.
+    """
     if points_per_area < 1:
         raise ValueError("points_per_area must be >= 1")
     rng = np.random.default_rng(seed)
     pts = np.vstack([sample_points_in_polygon(poly, points_per_area, rng)
                      for poly in areas])
     ids = [poly.id for poly in areas]
+    t, ok = _area_draws(samples, spec, pts, points_per_area)
     k = len(areas)
-    out, blocks = _surface_blocks(samples, spec, pts, unit=points_per_area)
-    out = out.reshape(k, points_per_area)
-    t = np.empty((k, samples.num_samples))
-    flagged = []
-    for rows, eta in blocks:
-        prev = _expit(eta).reshape(-1, points_per_area, eta.shape[1])
-        for i, area_prev in enumerate(prev, rows.start // points_per_area):
-            good = ~out[i]
-            if not good.any():
-                flagged.append(ids[i])
-                t[i] = np.nan
-                continue
-            t[i] = area_prev[good].mean(axis=0)
     mean = np.full(k, np.nan)
     sd = np.full(k, np.nan)
     q = np.full((3, k), np.nan)
-    ok = ~np.isnan(t[:, 0])
     if ok.any():
         mean[ok] = t[ok].mean(axis=1)
         sd[ok] = t[ok].std(axis=1, ddof=1) if samples.num_samples > 1 else 0.0
@@ -228,16 +232,40 @@ def area_averages(samples, spec, areas, points_per_area=100, seed=0):
     return AreaAverageResult(
         area_ids=ids, mean=mean, sd=sd,
         q025=q[0], q50=q[1], q975=q[2],
-        points_per_area=points_per_area, flagged=flagged)
+        points_per_area=points_per_area,
+        flagged=[ids[i] for i in np.flatnonzero(~ok)])
+
+
+def _area_draws(samples, spec, points, unit):
+    """Per joint sample, the mean prevalence over each group of ``unit``
+    consecutive ``points`` inside the mesh: an (areas x samples) matrix,
+    and whether each area has a point inside (its row is NaN if not)."""
+    k, width = len(points) // unit, samples.num_samples
+    out, field_at, b0 = _surface(samples, spec, points)
+    n_in = unit - np.count_nonzero(out.reshape(k, unit), axis=1)
+    t = np.empty((k, width))
+    for rows, cols in _tiles(len(points), width, unit):
+        prev = _expit_of_negated(_negated(field_at(rows, cols), b0, cols))
+        # a point outside the mesh adds 0.0, which leaves its area's sum
+        # as the sum over the points inside
+        prev[out[rows]] = 0.0
+        in_tile = slice(rows.start // unit, rows.stop // unit)
+        t[in_tile, cols] = prev.reshape(-1, unit, prev.shape[1]).sum(axis=1)
+    t /= np.maximum(n_in, 1)[:, None]
+    t[n_in == 0] = np.nan
+    return t, n_in > 0
 
 
 def pointwise_median(samples, spec, points):
     """Per point: posterior median of the sampled linear predictor, NaN
     outside the mesh.  A ``SurfaceSpec`` without ``beta0_index`` gives the
     median of the field alone."""
-    out, blocks = _surface_blocks(samples, spec, points)
+    out, field_at, b0 = _surface(samples, spec, points)
     med = np.empty(len(out))
-    for rows, eta in blocks:
+    for rows in _row_blocks(len(out), samples.num_samples):
+        eta = field_at(rows)
+        if b0 is not None:
+            eta += b0
         med[rows] = _row_medians(eta)
     med[out] = np.nan
     return med
@@ -294,7 +322,7 @@ def _greedy_joint_set(indicator, order, level):
     for rows in _row_blocks(len(order), indicator.shape[1]):
         running = np.logical_and.accumulate(indicator[order[rows]], axis=0)
         running &= held
-        joint = running.mean(axis=1)
+        joint = np.count_nonzero(running, axis=1) / indicator.shape[1]
         ok = joint >= level
         n_ok = len(ok) if ok.all() else int(np.argmin(ok))
         if n_ok:
@@ -325,25 +353,37 @@ def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05,
         raise ValueError("alpha_level must lie in (0, 0.5]")
     if eta is None:
         width = samples.num_samples
-        out, blocks = _surface_blocks(samples, spec, grid_points)
+        out, field_at, b0 = _surface(samples, spec, grid_points)
+
+        def negated(rows):
+            return _negated(field_at(rows), b0)
     else:
         eta, out = eta
         width = eta.shape[1]
-        blocks = ((rows, np.array(eta[rows], dtype=float, order="C"))
-                  for rows in _row_blocks(len(eta), width))
-    thresh = np.log(u / (1.0 - u))
+
+        def negated(rows):
+            return -np.asarray(eta[rows], dtype=float)
+    # eta > thresh exactly when -eta < -thresh
+    neg_thresh = -np.log(u / (1.0 - u))
     n = len(out)
     above_ind = np.empty((n, width), dtype=bool)
     below_ind = np.empty((n, width), dtype=bool)
+    probs = np.empty(n)
     mean = np.empty(n)
     sd = np.empty(n)
-    for rows, block in blocks:
-        np.greater(block, thresh, out=above_ind[rows])
-        np.less(block, thresh, out=below_ind[rows])
-        prev = _expit(block)
-        mean[rows] = prev.mean(axis=1)
-        sd[rows] = prev.std(axis=1, ddof=1)
-    probs = above_ind.mean(axis=1)
+    for rows in _row_blocks(n, width):
+        neg = negated(rows)
+        np.less(neg, neg_thresh, out=above_ind[rows])
+        np.greater(neg, neg_thresh, out=below_ind[rows])
+        probs[rows] = np.count_nonzero(above_ind[rows], axis=1) / width
+        prev = _expit_of_negated(neg)
+        # mean and sd (ddof=1) with the arithmetic of np.mean and np.std:
+        # the squared deviations from that same mean, summed, over width - 1
+        mean[rows] = np.add.reduce(prev, axis=1) / width
+        np.subtract(prev, mean[rows, None], out=prev)
+        np.multiply(prev, prev, out=prev)
+        sd[rows] = np.add.reduce(prev, axis=1) / (width - 1)
+    np.sqrt(sd, out=sd)
     for v in (probs, mean, sd):
         v[out] = np.nan
 

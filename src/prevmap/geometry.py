@@ -32,8 +32,13 @@ _BOUNDARY_TOL = 1e-12
 _DUPLICATE_TOL = 1e-9
 # Barycentric weights down to -_PROJECT_TOL count as inside a triangle.
 _PROJECT_TOL = 1e-10
-# Most float64 values one row block holds (2 MB).
-_BLOCK_CELLS = 2 ** 18
+# Most values one block or tile of a blocked pass holds.  It is a cache
+# budget, not a memory cap: 2 ** 15 float64 values are 256 kB, and a
+# projected tile gathers three vertex rows a point (768 kB), so a tile and
+# the temporaries of each pass over it stay in a core's 2 MB L2 cache.  On
+# a 2-core Xeon guest, `Polygon.contains` of 40,000 points against 2,500
+# edges took 2.0 s at 2 ** 15, 2.9 s at 2 ** 17 and 3.3 s at 2 ** 18.
+_BLOCK_CELLS = 2 ** 15
 
 
 def _row_blocks(n, width, unit=1):
@@ -43,6 +48,29 @@ def _row_blocks(n, width, unit=1):
     step = unit * max(1, _BLOCK_CELLS // max(unit * width, 1))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+def _tiles(n, width, unit):
+    """``(rows, cols)`` slices over ``n`` rows of ``width`` columns: the
+    row blocks of ``_row_blocks`` with every column, but a group of
+    ``unit`` rows holding more than ``_BLOCK_CELLS`` values is walked over
+    column chunks of at most that many values.  No chunk is one column
+    wide unless ``width`` is: numpy reduces and weighs a one-column block
+    along another path, so its sums would differ in the last bit from the
+    same columns in a wider block."""
+    if unit * width <= _BLOCK_CELLS:
+        for rows in _row_blocks(n, width, unit):
+            yield rows, slice(0, width)
+        return
+    step = max(2, _BLOCK_CELLS // unit)
+    starts = list(range(0, width, step))
+    if len(starts) > 1 and width - starts[-1] == 1:
+        starts.pop()  # the last chunk takes the remaining column
+    bounds = list(zip(starts, starts[1:] + [width]))
+    for start in range(0, n, unit):
+        rows = slice(start, min(start + unit, n))
+        for c0, c1 in bounds:
+            yield rows, slice(c0, c1)
 
 
 def _ranges(starts, counts):

@@ -60,20 +60,26 @@ def excursion_to_gray(labels_grid):
     return out
 
 
-def _colormap(t):
-    """Blue -> cyan -> yellow -> red ramp on [0, 1]."""
-    anchors = [(0.0, (20, 40, 160)), (0.33, (30, 170, 200)),
-               (0.66, (240, 220, 60)), (1.0, (200, 30, 30))]
-    t = min(max(float(t), 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(anchors, anchors[1:]):
-        if t <= t1:
-            f = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
-            return tuple(int(round(a + f * (b - a))) for a, b in zip(c0, c1))
-    return anchors[-1][1]
+# the blue -> cyan -> yellow -> red colour ramp: anchor positions on [0, 1]
+# and their RGB colours
+_RAMP_T = np.array([0.0, 0.33, 0.66, 1.0])
+_RAMP_RGB = np.array([(20, 40, 160), (30, 170, 200), (240, 220, 60),
+                      (200, 30, 30)], dtype=float)
 
 
-def _hex(rgb):
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _ramp_colors(t):
+    """'#rrggbb' colour of each value of the 1-D finite ``t``, clipped to
+    [0, 1], on the ramp: linear between the two anchors around it (the
+    lower segment at an anchor), each channel rounded half to even."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    seg = np.searchsorted(_RAMP_T[1:], t)  # the first anchor at or above t
+    t0, t1 = _RAMP_T[seg], _RAMP_T[seg + 1]
+    c0, c1 = _RAMP_RGB[seg], _RAMP_RGB[seg + 1]
+    f = ((t - t0) / (t1 - t0))[:, None]
+    rgb = np.rint(c0 + f * (c1 - c0)).astype(np.int64)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    codes, index = np.unique(packed, return_inverse=True)
+    return np.array([f"#{c:06x}" for c in codes.tolist()], dtype="U7")[index]
 
 
 def _svg_open(title):
@@ -105,35 +111,35 @@ def _svg_write(path, parts, legend):
         fh.write("\n".join(parts + [legend, "</svg>"]))
 
 
-def _svg_cells(path, grid, fills, title, legend):
-    """Cell map on an EvalGrid: one rect per cell whose entry in the
-    (ny, nx) object array ``fills`` is a colour (None draws no cell)."""
+def _svg_cells(path, grid, drawn, fills, title, legend):
+    """Cell map on an EvalGrid: one rect for each cell where the (ny, nx)
+    bool ``drawn`` is set, filled with the colours ``fills`` in row-major
+    order.  A cell's x depends on its column alone and its y on its row
+    alone, so each is formatted once."""
     bbox = (grid.x[0], grid.y[0], grid.x[-1], grid.y[-1])
     tf = _frame_transform(bbox)
     dx = grid.x[1] - grid.x[0] if len(grid.x) > 1 else 1.0
     dy = grid.y[1] - grid.y[0] if len(grid.y) > 1 else 1.0
     cw = abs(tf(dx, 0)[0] - tf(0, 0)[0]) + 0.5
     ch = abs(tf(0, dy)[1] - tf(0, 0)[1]) + 0.5
-    parts = _svg_open(title)
-    for j, yv in enumerate(grid.y):
-        for i, xv in enumerate(grid.x):
-            fill = fills[j, i]
-            if fill is None:
-                continue
-            px, py = tf(xv - dx / 2, yv + dy / 2)
-            parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw:.2f}" '
-                         f'height="{ch:.2f}" fill="{fill}"/>')
-    _svg_write(path, parts, legend)
+    px = tf(grid.x - dx / 2, 0.0)[0]
+    py = tf(0.0, grid.y + dy / 2)[1]
+    x_text = np.array([f'<rect x="{v:.2f}" y="' for v in px.tolist()])
+    y_text = np.array([f'{v:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="'
+                       for v in py.tolist()])
+    row, col = np.nonzero(drawn)
+    cells = np.char.add(np.char.add(x_text[col], y_text[row]),
+                        np.char.add(fills, '"/>'))
+    _svg_write(path, _svg_open(title) + cells.tolist(), legend)
 
 
 def svg_heatmap(path, grid, values, title=""):
     """Colored-cell map of per-grid-point values on an EvalGrid."""
     full = grid.full(values)
     vmin, vmax, span = _finite_range(full)
-    fills = np.full(grid.shape, None, dtype=object)
-    for j, i in zip(*np.nonzero(np.isfinite(full))):
-        fills[j, i] = _hex(_colormap((full[j, i] - vmin) / span))
-    _svg_cells(path, grid, fills, title, _legend_gradient(vmin, vmax))
+    drawn = np.isfinite(full)
+    _svg_cells(path, grid, drawn, _ramp_colors((full[drawn] - vmin) / span),
+               title, _legend_gradient(vmin, vmax))
 
 
 def _polygon_path(poly, tf):
@@ -154,9 +160,10 @@ def svg_choropleth(path, polygons, values, title=""):
     ys1 = max(p.bbox()[3] for p in polygons)
     tf = _frame_transform((xs0, ys0, xs1, ys1))
     parts = _svg_open(title)
-    for poly, v in zip(polygons, vals):
-        fill = "#dddddd" if not np.isfinite(v) \
-            else _hex(_colormap((v - vmin) / span))
+    finite = np.isfinite(vals)
+    fills = np.full(len(vals), "#dddddd")
+    fills[finite] = _ramp_colors((vals[finite] - vmin) / span)
+    for poly, fill in zip(polygons, fills.tolist()):
         parts.append(f'<path d="{_polygon_path(poly, tf)}" fill="{fill}" '
                      f'stroke="black" stroke-width="0.5" fill-rule="evenodd"/>')
     _svg_write(path, parts, _legend_gradient(vmin, vmax))
@@ -165,8 +172,7 @@ def svg_choropleth(path, polygons, values, title=""):
 def _legend_gradient(vmin, vmax, n=24):
     items = [f'<g font-size="11" font-family="sans-serif">']
     x = _WIDTH - 160
-    for i in range(n):
-        c = _hex(_colormap(i / (n - 1)))
+    for i, c in enumerate(_ramp_colors(np.arange(n) / (n - 1)).tolist()):
         items.append(f'<rect x="{x + i * 5}" y="8" width="5" height="10" '
                      f'fill="{c}"/>')
     items.append(f'<text x="{x}" y="30">{vmin:.4g}</text>')
@@ -181,7 +187,10 @@ _EXC_COLORS = {"below": "#0000ff", "above": "#ff0000",
 
 def svg_excursions(path, grid, labels, title=""):
     """Three-color excursion map with a three-class legend."""
-    fills = grid.full([_EXC_COLORS[str(lab)] for lab in labels], fill=None)
+    names, index = np.unique(np.asarray(labels, dtype=str),
+                             return_inverse=True)
+    fills = np.array([_EXC_COLORS[name] for name in names.tolist()],
+                     dtype="U7")[index]
     # legend: exactly the three classes
     lx = _WIDTH - 150
     legend = ['<g font-size="12" font-family="sans-serif" id="legend">']
@@ -191,4 +200,4 @@ def svg_excursions(path, grid, labels, title=""):
                       f'fill="{_EXC_COLORS[name]}" class="legend-item"/>')
         legend.append(f'<text x="{lx + 18}" y="{ly + 10}">{name}</text>')
     legend.append("</g>")
-    _svg_cells(path, grid, fills, title, "\n".join(legend))
+    _svg_cells(path, grid, grid.mask, fills, title, "\n".join(legend))

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.special import expit
 
 from ._csv import _write_csv
@@ -92,6 +91,21 @@ class SimOutput:
     config: SimConfig
 
 
+def _next_fast_len(n):
+    """Smallest 2**a * 3**b * 5**c >= n: the FFT lengths pocketfft
+    transforms fastest, as ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()  # the smallest power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def lattice_field(xs, ys, params, rng):
     """Stationary Matern field on a regular lattice by circulant embedding.
 
@@ -106,8 +120,8 @@ def lattice_field(xs, ys, params, rng):
     rng_len = practical_range(params.kappa, params.nu)
     pad = _PAD_RANGES
     for attempt in range(_MAX_GROW + 1):
-        mx = next_fast_len(nx + int(np.ceil(pad * rng_len / hx)), real=True)
-        my = next_fast_len(ny + int(np.ceil(pad * rng_len / hy)), real=True)
+        mx = _next_fast_len(nx + int(np.ceil(pad * rng_len / hx)))
+        my = _next_fast_len(ny + int(np.ceil(pad * rng_len / hy)))
         dx = np.minimum(np.arange(mx), mx - np.arange(mx)) * hx
         dy = np.minimum(np.arange(my), my - np.arange(my)) * hy
         cov = matern_cov(np.hypot(dx[:, None], dy[None, :]), params)

@@ -4,11 +4,12 @@ import csv
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from prevmap import cli, inference
+from prevmap import cli, geometry, inference
 from prevmap.config import _SETTINGS
 from prevmap.errors import ConvergenceError, NotPositiveDefiniteError
 from prevmap.geometry import Polygon, write_polygons_csv
@@ -68,11 +69,11 @@ def _run_pipeline(directory):
 
 
 def _outputs(directory):
-    """Bytes of every CSV and PGM output, by file name."""
+    """Bytes of every CSV, PGM and SVG output, by file name."""
     out = os.path.join(directory, "out")
     files = {}
     for name in sorted(os.listdir(out)):
-        if name.endswith((".csv", ".pgm")):
+        if name.endswith((".csv", ".pgm", ".svg")):
             with open(os.path.join(out, name), "rb") as fh:
                 files[name] = fh.read()
     return files
@@ -132,6 +133,61 @@ def test_cli_missing_areas_path_exits_2(tmp_path, capsys, command):
     capsys.readouterr()
     assert cli.main([command, "-c", ini]) == 2
     assert "config error: [paths.areas] required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "areas"])
+def test_cli_missing_areas_file_exits_2(tmp_path, capsys, command):
+    # fit_bym is on by default: fit refuses a missing areas file as areas
+    # does, before it reads anything else
+    missing = str(tmp_path / "no_such_areas.csv")
+    ini = _write_config(str(tmp_path), extra={"paths": {"areas": missing}})
+    capsys.readouterr()
+    assert cli.main([command, "-c", ini]) == 2
+    assert (f"config error: [paths.areas] file not found: {missing}"
+            in capsys.readouterr().err)
+
+
+def test_cli_post_fit_outputs_do_not_depend_on_block_size(first_run,
+                                                          tmp_path,
+                                                          monkeypatch):
+    # the fitted tiny study, copied; areas, excursions and report at one
+    # block for everything and at a 7-cell cap, which gives one-row blocks
+    # and area tiles of 2 samples
+    directory, _ = first_run
+    ini = _write_config(str(tmp_path))
+    shutil.copytree(os.path.join(directory, "out"), tmp_path / "out")
+    runs = []
+    for cells in (10 ** 9, 7):
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+        for command in ("areas", "excursions", "report"):
+            assert cli.main([command, "-c", ini]) == 0
+        runs.append(_outputs(str(tmp_path)))
+    assert {n for n in runs[0] if n.endswith(".svg")} == {
+        n for n in EXPECTED["report"] if n.endswith(".svg")}
+    assert sorted(runs[0]) == sorted(runs[1])
+    for name in runs[0]:
+        assert runs[0][name] == runs[1][name], f"{name} depends on blocks"
+
+
+@pytest.mark.parametrize("damage", ["missing_column", "ragged_row",
+                                    "text_value"])
+def test_cli_report_bad_fit_output_exits_3_naming_it(first_run, tmp_path,
+                                                      capsys, damage):
+    directory, _ = first_run
+    ini = _write_config(str(tmp_path))
+    shutil.copytree(os.path.join(directory, "out"), tmp_path / "out")
+    path = tmp_path / "out" / "field_median_lattice.csv"
+    header, first, *rest = path.read_text().splitlines()
+    if damage == "missing_column":
+        header = header.replace("mean", "median")
+    elif damage == "ragged_row":
+        first = first.rsplit(",", 1)[0]
+    else:
+        first = first.rsplit(",", 1)[0] + ",abc"
+    path.write_text("\n".join([header, first] + rest) + "\n")
+    capsys.readouterr()
+    assert cli.main(["report", "-c", ini]) == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_cli_excursions_line_reports_joint_probabilities(first_run, capsys):

@@ -356,8 +356,9 @@ def test_area_averages_do_not_depend_on_block_size(surface, monkeypatch):
                                 seed=4)
     monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
     whole = run()
-    # two areas a block, the last block one area; then one area a block,
-    # though an area holds more cells than the cap
+    # two areas a block, the last block one area; then, as an area holds
+    # more cells than the cap, one area a tile walked over 15 chunks of 2
+    # of the 30 samples
     for cells in (2 * 10 * 30, 7):
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
         blocked = run()
@@ -375,11 +376,96 @@ def test_pointwise_maps_do_not_depend_on_block_size(surface, monkeypatch):
     monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
     probs = _exceed_prob(samples, spec, pts, 0.5)
     med = pointwise_median(samples, field, pts)
-    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 4 * 30)  # 4,4,...,3
-    assert np.array_equal(_exceed_prob(samples, spec, pts, 0.5),
-                          probs)
-    assert np.array_equal(pointwise_median(samples, field, pts), med)
+    # 4, 4, ..., 3 rows a block; then a cap below one row of 30 samples,
+    # which still gives blocks of one whole row
+    for cells in (4 * 30, 7):
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+        assert np.array_equal(_exceed_prob(samples, spec, pts, 0.5), probs)
+        assert np.array_equal(pointwise_median(samples, field, pts), med)
     assert np.isfinite(probs).all() and np.isfinite(med).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 36, 37, 38])
+@pytest.mark.parametrize("cells", [1, 7, 20, 41, 80, 10 ** 9])
+def test_tiles_cover_each_cell_once_in_whole_groups(width, cells,
+                                                    monkeypatch):
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+    unit, n = 4, 12
+    seen = np.zeros((n, width), dtype=int)
+    for rows, cols in geometry._tiles(n, width, unit):
+        assert rows.start % unit == 0 and rows.stop % unit == 0
+        r, c = rows.stop - rows.start, cols.stop - cols.start
+        if unit * width <= cells:  # whole rows, as many groups as fit
+            assert c == width and r * c <= cells
+        else:  # one group, in chunks of the cap (at least 2 columns)
+            step = max(2, cells // unit)
+            assert r == unit and c in (step, step + 1, width % step)
+        # never one column wide unless the matrix is
+        assert c >= min(width, 2)
+        seen[rows, cols] += 1
+    assert (seen == 1).all()
+
+
+@pytest.mark.parametrize("step", [2, 3, 4, 6, 9, 12, 18, 36])
+def test_area_draws_column_chunks_leave_no_one_column_remainder(
+        surface, monkeypatch, step):
+    # 37 samples in chunks of ``step`` would leave one column over, whose
+    # sums numpy would take along another path; it joins the last chunk,
+    # and every area draw equals that of the whole matrix bit for bit
+    mesh, spec = surface
+    samples = _gradient_samples(mesh, 37, 43)
+    pts = np.random.default_rng(6).uniform(0.0, 10.0, (3 * 10, 2))
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
+    whole, _ = functionals._area_draws(samples, spec, pts, 10)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 * step)
+    widths = [c.stop - c.start
+              for r, c in geometry._tiles(30, 37, 10) if r.start == 0]
+    assert widths == [step] * (36 // step - 1) + [step + 1]
+    blocked, _ = functionals._area_draws(samples, spec, pts, 10)
+    assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("num_samples", [1, 30])
+def test_area_averages_under_column_tiles_flag_outside_areas_once(
+        surface, monkeypatch, num_samples):
+    # areas inside, wholly outside and partly outside the mesh; at a cap
+    # of 7 cells each is walked over chunks of 2 samples (of 1 sample when
+    # there is only one)
+    mesh, spec = surface
+    samples = _gradient_samples(mesh, num_samples, 47)
+    areas = [Polygon([[(1, 1), (4, 1), (4, 4), (1, 4)]], id="in"),
+             Polygon([[(100, 100), (101, 100), (101, 101), (100, 101)]],
+                     id="out"),
+             Polygon([[(-100, 4), (5, 4), (5, 6), (-100, 6)]], id="part")]
+    p, seed = 40, 8
+    run = lambda: area_averages(samples, spec, areas, points_per_area=p,
+                                seed=seed)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
+    whole = run()
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 7)
+    blocked = run()
+    assert blocked.flagged == whole.flagged == ["out"]
+    for name in ("mean", "sd", "q025", "q50", "q975"):
+        a, b = getattr(blocked, name), getattr(whole, name)
+        assert np.array_equal(a, b, equal_nan=True), name
+        assert np.isnan(a[1]) and np.isfinite(a[[0, 2]]).all(), name
+    # the draws too, at both caps; the partial area averages its points
+    # inside the mesh alone
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([sample_points_in_polygon(a, p, rng) for a in areas])
+    draws, ok = functionals._area_draws(samples, spec, pts, p)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
+    assert np.array_equal(functionals._area_draws(samples, spec, pts, p)[0],
+                          draws, equal_nan=True)
+    assert ok.tolist() == [True, False, True]
+    proj = project(mesh, pts)
+    part = slice(2 * p, 3 * p)
+    inside = ~proj.out_of_mesh[part]
+    assert 0 < inside.sum() < p
+    eta = (proj.matrix[part] @ samples.samples[:, spec.field_slice].T
+           + samples.samples[:, spec.beta0_index])
+    assert np.allclose(draws[2], expit(eta[inside]).mean(axis=0),
+                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("synthetic", [False, True])

@@ -22,7 +22,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 POST_FIT_DENIED = ("scipy", "prevmap.inference", "prevmap.sparsela",
                    "prevmap.spde", "prevmap.meshing", "prevmap.areal",
                    "prevmap.simulate", "prevmap.survey")
-SIMULATE_DENIED = ("scipy.optimize", "scipy.spatial", "prevmap.inference")
+# the circulant embedding finds its FFT lengths itself, without scipy.fft
+SIMULATE_DENIED = ("scipy.optimize", "scipy.spatial", "scipy.fft",
+                   "prevmap.inference")
 # the theta mode search is inference.minimize, not scipy's
 FIT_DENIED = ("scipy.optimize",)
 

@@ -1,8 +1,10 @@
-"""Synthetic survey generator: circulant-embedding field moments."""
+"""Synthetic survey generator: circulant-embedding field moments and its
+FFT lengths."""
 
 import numpy as np
+from scipy.fft import next_fast_len
 
-from prevmap.simulate import lattice_field
+from prevmap.simulate import _next_fast_len, lattice_field
 from prevmap.spde import MaternParams, matern_cov
 
 
@@ -29,3 +31,15 @@ def test_lattice_field_moments_match_matern():
         c = float(matern_cov(np.array(np.hypot(di * hx, dj * hy)), params))
         se = np.sqrt((params.sigma2 ** 2 + c * c) / n)
         assert abs(np.mean(x * y) - c) < 4 * se, (dj, di)
+
+
+def test_next_fast_len_is_scipys_real_length():
+    # every length up to 20,000, then a spread of larger ones and the
+    # 5-smooth numbers themselves and their neighbours near 2 ** 20
+    rng = np.random.default_rng(2)
+    smooth = [2 ** 20, 3 ** 12, 5 ** 8, 2 ** 7 * 3 ** 5 * 5 ** 2]
+    lengths = (list(range(1, 20_001))
+               + rng.integers(20_001, 2_000_000, 2000).tolist()
+               + [m + d for m in smooth for d in (-1, 0, 1)])
+    for n in lengths:
+        assert _next_fast_len(n) == next_fast_len(n, real=True), n
