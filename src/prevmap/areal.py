@@ -8,7 +8,6 @@ The CAR term is an exact intrinsic GMRF (:class:`IcarPrecision`, no ridge)
 that sums to zero over each connected component.
 """
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from ._csv import _read_csv
 from .errors import DataError, reading
 from .inference import (GaussianObs, LatentComponent, LatentModel,
                         _linear_mixture, fit_latent_model)
@@ -243,9 +243,7 @@ def adjacency_from_csv(path, area_ids):
     """Edge-list CSV (area_i, area_j) over string area identifiers."""
     index = {str(a): i for i, a in enumerate(area_ids)}
     with reading(path):
-        with open(path, newline="") as fh:
-            pairs = [(str(row["area_i"]), str(row["area_j"]))
-                     for row in csv.DictReader(fh)]
+        pairs = list(zip(*_read_csv(path, ["area_i", "area_j"])))
         unknown = sorted({a for pair in pairs for a in pair} - set(index))
         if unknown:
             raise DataError(f"{path}: unknown area ids {unknown}")

@@ -6,18 +6,18 @@ config + seed give byte-identical CSV and pixel-identical PGM outputs.
 
 Each command runs as its own process, so import time is part of its run
 time.  Module level therefore imports only the standard library, numpy,
-``config`` and ``errors``; each command imports the layers it runs when it
-is called.  ``simulate`` and ``fit`` load scipy; ``areas``, ``excursions``
-and ``report`` run on numpy alone.
+``_csv``, ``config`` and ``errors``; each command imports the layers it
+runs when it is called.  ``simulate`` and ``fit`` load scipy; ``areas``,
+``excursions`` and ``report`` run on numpy alone.
 """
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
+from ._csv import _read_csv, _write_csv
 from .config import load_config
 from .errors import (ConfigError, ConvergenceError, DataError,
                      InvalidGeometryError, NoDataError,
@@ -194,7 +194,6 @@ def _fit_spde(cfg, boundary, frame):
 def _fit_bym(cfg, frame, areas):
     """BYM smoothing of the direct estimates.  Returns the files written."""
     from . import areal, survey
-    from ._csv import _write_csv
     from .inference import write_theta_grid_csv
 
     ests = survey.direct_estimates(frame)
@@ -301,21 +300,10 @@ def _read_column(path, column, key=None):
     """One column of a CSV output: floats, or strings for ``label``.  With
     ``key``, a dict from the ``key`` column to float values instead."""
     with reading(path):
-        with open(path, newline="") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, [])
-            table = list(filter(None, rows))  # skip blank rows
-        for c in (column, key):
-            if c is not None and c not in header:
-                raise KeyError(c)
-        if set(map(len, table)) - {len(header)}:
-            k = next(k for k, r in enumerate(table) if len(r) != len(header))
-            raise ValueError(f"data row {k + 1} has {len(table[k])} "
-                             f"fields, the header {len(header)}")
-        cells = list(zip(*table)) or [()] * len(header)
-        values = cells[header.index(column)]
         if key is not None:
-            return dict(zip(cells[header.index(key)], map(float, values)))
+            values, keys = _read_csv(path, [column, key])
+            return dict(zip(keys, map(float, values)))
+        values, = _read_csv(path, [column])
         if column == "label":
             return np.array(values)
         return np.array(list(map(float, values)))

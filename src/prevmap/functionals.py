@@ -13,12 +13,12 @@ evaluated in tiles of at most ``geometry._BLOCK_CELLS`` values, small
 enough that a tile, its gather of vertex values and every pass over it
 stay in cache.  The per-point passes (median, excursions) reduce along
 each point's row of samples, so their tiles are blocks of whole rows.  The
-area averages reduce over the points of an area, so their tiles hold whole
-areas; an area holding more than the budget is walked over column chunks
-of the samples, none one column wide.  Every reduction is per point or per
-area, in the same order in any tile, so the results do not depend on the
-tile size, bit for bit.  The excursion pass keeps only the points x
-samples bool indicators of exceeding and falling below the threshold.
+area averages reduce over the points of an area, so their tiles hold one
+area each, walked over column chunks of the samples, none one column
+wide.  Every reduction is per point or per area, in the same order in any
+tile, so the results do not depend on the tile size, bit for bit.  The
+excursion pass keeps only the points x samples bool indicators of
+exceeding and falling below the threshold.
 """
 
 from dataclasses import dataclass, field
@@ -304,9 +304,6 @@ class ExcursionResult:
     def below(self):
         return self.labels == "below"
 
-    def indeterminate(self):
-        return self.labels == "indeterminate"
-
 
 def _greedy_joint_set(indicator, order, level):
     """Largest prefix of ``order`` whose all-points-hold probability stays
@@ -334,8 +331,7 @@ def _greedy_joint_set(indicator, order, level):
     return order[:stop], achieved
 
 
-def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05,
-                            eta=None):
+def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05):
     """Three-region excursion map at threshold u and confidence 1 - alpha.
 
     Grid points are ranked by pointwise exceedance probability (ties broken
@@ -344,25 +340,11 @@ def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05,
     and symmetrically for the below-set on the reversed ranking.  The
     result also carries the pointwise posterior mean and sd (ddof=1) of
     the prevalence, from the same pass over the surface.
-
-    ``eta`` is a synthetic input in place of ``samples`` and ``spec``: a
-    (points x samples linear-predictor matrix, out-of-mesh mask) pair.  It
-    is read in the same row blocks and is not modified.
     """
     if not 0.0 < alpha_level <= 0.5:
         raise ValueError("alpha_level must lie in (0, 0.5]")
-    if eta is None:
-        width = samples.num_samples
-        out, field_at, b0 = _surface(samples, spec, grid_points)
-
-        def negated(rows):
-            return _negated(field_at(rows), b0)
-    else:
-        eta, out = eta
-        width = eta.shape[1]
-
-        def negated(rows):
-            return -np.asarray(eta[rows], dtype=float)
+    width = samples.num_samples
+    out, field_at, b0 = _surface(samples, spec, grid_points)
     # eta > thresh exactly when -eta < -thresh
     neg_thresh = -np.log(u / (1.0 - u))
     n = len(out)
@@ -372,7 +354,7 @@ def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05,
     mean = np.empty(n)
     sd = np.empty(n)
     for rows in _row_blocks(n, width):
-        neg = negated(rows)
+        neg = _negated(field_at(rows), b0)
         np.less(neg, neg_thresh, out=above_ind[rows])
         np.greater(neg, neg_thresh, out=below_ind[rows])
         probs[rows] = np.count_nonzero(above_ind[rows], axis=1) / width

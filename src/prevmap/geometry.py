@@ -5,13 +5,12 @@ projection or geodesy here.  Polygons follow the usual convention of one
 counter-clockwise outer ring plus optional clockwise hole rings.
 """
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import _write_csv
+from ._csv import _read_csv, _write_csv
 from .errors import InvalidGeometryError, reading
 
 __all__ = [
@@ -41,27 +40,21 @@ _PROJECT_TOL = 1e-10
 _BLOCK_CELLS = 2 ** 15
 
 
-def _row_blocks(n, width, unit=1):
-    """Slices over ``n`` rows of ``width`` values, in whole groups of
-    ``unit`` rows: at most ``_BLOCK_CELLS`` values a block, but never less
-    than one group."""
-    step = unit * max(1, _BLOCK_CELLS // max(unit * width, 1))
+def _row_blocks(n, width):
+    """Slices over ``n`` rows of ``width`` values: at most ``_BLOCK_CELLS``
+    values a block, but never less than one row."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
 
 def _tiles(n, width, unit):
-    """``(rows, cols)`` slices over ``n`` rows of ``width`` columns: the
-    row blocks of ``_row_blocks`` with every column, but a group of
-    ``unit`` rows holding more than ``_BLOCK_CELLS`` values is walked over
-    column chunks of at most that many values.  No chunk is one column
-    wide unless ``width`` is: numpy reduces and weighs a one-column block
-    along another path, so its sums would differ in the last bit from the
-    same columns in a wider block."""
-    if unit * width <= _BLOCK_CELLS:
-        for rows in _row_blocks(n, width, unit):
-            yield rows, slice(0, width)
-        return
+    """``(rows, cols)`` slices over ``n`` rows of ``width`` columns: one
+    group of ``unit`` rows at a time, walked over column chunks of at most
+    ``_BLOCK_CELLS`` values.  No chunk is one column wide unless ``width``
+    is: numpy reduces and weighs a one-column block along another path, so
+    its sums would differ in the last bit from the same columns in a wider
+    block."""
     step = max(2, _BLOCK_CELLS // unit)
     starts = list(range(0, width, step))
     if len(starts) > 1 and width - starts[-1] == 1:
@@ -506,12 +499,11 @@ def read_polygons_geojson(path):
 def read_polygons_csv(path):
     """Read polygons from CSV rows (id, ring_index, vertex_index, x, y)."""
     data = {}
-    with reading(path), open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = row["id"]
-            ring = int(row["ring_index"])
-            data.setdefault(key, {}).setdefault(ring, []).append(
-                (int(row["vertex_index"]), float(row["x"]), float(row["y"])))
+    with reading(path):
+        for key, ring, vertex, x, y in zip(*_read_csv(
+                path, ["id", "ring_index", "vertex_index", "x", "y"])):
+            data.setdefault(key, {}).setdefault(int(ring), []).append(
+                (int(vertex), float(x), float(y)))
     out = []
     for pid in data:
         rings = []

@@ -78,6 +78,8 @@ __all__ = [
 
 _DENSE_CUTOFF = 2500  # rows per chunk of dense variance solves
 _MAX_ITER = 100       # Newton iterations before ConvergenceError
+_NEWTON_TOL = 1e-9    # Newton's gradient and relative step tolerance
+_QUANTILE_TOL = 1e-8  # bracket width at which quantile bisection stops
 _MAX_HALVINGS = 30    # step cuts of one line search (Newton, BFGS)
 _FIXED_PREC = 1e-3    # prior precision of each fixed effect
 _THETA_PRIOR_SD = 1.5  # prior sd of each hyperparameter about theta_init
@@ -571,7 +573,7 @@ def _curvature(model, pat, prior, eta, last=None):
     return _PosteriorFactor(pat, prior, h, model.constraint)
 
 
-def gaussian_approx(model, theta, u0=None, tol=1e-9):
+def gaussian_approx(model, theta, u0=None):
     """Newton--Raphson Gaussian approximation of pi(u | y, theta).
 
     Returns the (constrained) mode, the factor of the posterior precision
@@ -579,12 +581,12 @@ def gaussian_approx(model, theta, u0=None, tol=1e-9):
     Gaussian observation stage the first Newton step is exact.
 
     Newton stops when every entry of the (projected) gradient of the log
-    conditional density is below ``tol`` in absolute value, or when a step
-    changes u by less than ``tol`` relative to its size.  The gradient
-    test does not scale with the density, so where Newton started moves
-    the log-evidence by about 0.1 tol at most on the test models, far
-    below what the finite differences in theta of :func:`hyper_grid`
-    resolve.
+    conditional density is below ``_NEWTON_TOL`` in absolute value, or
+    when a step changes u by less than ``_NEWTON_TOL`` relative to its
+    size.  The gradient test does not scale with the density, so where
+    Newton started moves the log-evidence by about 0.1 ``_NEWTON_TOL`` at
+    most on the test models, far below what the finite differences in
+    theta of :func:`hyper_grid` resolve.
 
     Newton starts from ``u0`` (default zero).  ``u0`` must satisfy the
     model's constraints, A u0 = 0, as the ``mean`` of an earlier
@@ -631,7 +633,7 @@ def gaussian_approx(model, theta, u0=None, tol=1e-9):
                 a_con @ a_con.T, a_con @ grad)
         else:
             grad_proj = grad
-        if np.max(np.abs(grad_proj)) < tol:
+        if np.max(np.abs(grad_proj)) < _NEWTON_TOL:
             converged = True
             break
         delta = factor.solve(grad)
@@ -652,7 +654,7 @@ def gaussian_approx(model, theta, u0=None, tol=1e-9):
         f_u = f_try
         trace.append(f_u)
         n_iter = it + 1
-        if rel_change < tol:
+        if rel_change < _NEWTON_TOL:
             converged = True
             # refresh curvature at the accepted mode
             factor = _curvature(model, pat, prior, b @ u, factor)
@@ -932,7 +934,7 @@ def fit_latent_model(model, thetas=None):
     return FitResult(model=model, points=points)
 
 
-def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
+def _mixture_quantiles(mus, sds, weights, probs):
     """Quantiles of a Gaussian mixture by bisection of the CDF.
 
     mus, sds: (k, m) component parameters per coordinate; weights: (k,).
@@ -951,7 +953,7 @@ def _mixture_quantiles(mus, sds, weights, probs, tol=1e-8):
             high = cdf >= p
             bnd = np.where(high, mid, bnd)
             a = np.where(high, a, mid)
-            if np.max(bnd - a) < tol:
+            if np.max(bnd - a) < _QUANTILE_TOL:
                 break
         out[pi] = 0.5 * (a + bnd)
     return out

@@ -68,7 +68,7 @@ def _triangle_metrics(pts, tris):
 class _RectBoundary:
     """The four walls of the extension rectangle as splittable segments."""
 
-    def __init__(self, box, hfun, frac=_SEED_SPACING):
+    def __init__(self, box, hfun):
         self.box = box
         x0, x1, y0, y1 = box
         self.pos = []
@@ -78,8 +78,8 @@ class _RectBoundary:
             t = lo
             while True:
                 h = float(hfun(self._xy(k, np.array([t])))[0])
-                t = t + frac * h
-                if t >= hi - 0.35 * frac * h:
+                t = t + _SEED_SPACING * h
+                if t >= hi - 0.35 * _SEED_SPACING * h:
                     break
                 ts.append(t)
             ts.append(hi)
@@ -234,9 +234,7 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
         simplices = tri.simplices
         cc, r, minang = _triangle_metrics(pts, simplices)
         cent = pts[simplices].mean(axis=1)
-        h_t = np.minimum(hfun(cent), np.minimum(
-            np.minimum(hfun(pts[simplices[:, 0]]), hfun(pts[simplices[:, 1]])),
-            hfun(pts[simplices[:, 2]])))
+        h_t = np.minimum(hfun(cent), hfun(pts)[simplices].min(axis=1))
         bad_size = r > _SIZE_FACTOR * h_t
         bad_q = minang < minrad
         bad = bad_size | bad_q

@@ -20,8 +20,9 @@ __all__ = [
 # gray levels for the three-region excursion map
 _GRAY = {"below": 80, "above": 200, "indeterminate": 0, "outside": 255}
 
-# SVG canvas size in pixels
+# SVG canvas size and the margin around the drawing, in pixels
 _WIDTH, _HEIGHT = 640, 560
+_PAD = 30
 
 
 def write_pgm(path, gray):
@@ -94,14 +95,14 @@ def _svg_open(title):
     return parts
 
 
-def _frame_transform(bbox, pad=30):
+def _frame_transform(bbox):
     x0, y0, x1, y1 = bbox
-    sx = (_WIDTH - 2 * pad) / (x1 - x0)
-    sy = (_HEIGHT - 2 * pad) / (y1 - y0)
+    sx = (_WIDTH - 2 * _PAD) / (x1 - x0)
+    sy = (_HEIGHT - 2 * _PAD) / (y1 - y0)
     s = min(sx, sy)
 
     def tf(x, y):
-        return (pad + (x - x0) * s, _HEIGHT - pad - (y - y0) * s)
+        return (_PAD + (x - x0) * s, _HEIGHT - _PAD - (y - y0) * s)
 
     return tf
 

@@ -7,14 +7,13 @@ values read off the same surface so that truth and data share one
 realization.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from ._csv import _write_csv
+from ._csv import _read_csv, _write_csv
 from .errors import DataError, reading
 from .functionals import sample_points_in_polygon
 from .spde import MaternParams, matern_cov, practical_range, sigma_from_tau
@@ -246,24 +245,22 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
 # ---------------------------------------------------------------------------
 
 def read_locations_csv(path):
-    with reading(path), open(path, newline="") as fh:
-        pts = np.array([(float(row["x"]), float(row["y"]))
-                        for row in csv.DictReader(fh)])
+    with reading(path):
+        x, y = _read_csv(path, ["x", "y"])
+        pts = np.array([(float(a), float(b)) for a, b in zip(x, y)])
         if not len(pts) or not np.isfinite(pts).all():
             raise ValueError("column x, y: no rows or a non-finite value")
     return pts
 
 
 def read_household_size_csv(path):
-    sizes, probs = [], []
-    with reading(path), open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            sizes.append(int(row["size"]))
-            probs.append(float(row["probability"]))
+    with reading(path):
+        sizes, probs = _read_csv(path, ["size", "probability"])
+        sizes, probs = tuple(map(int, sizes)), tuple(map(float, probs))
         if min(probs, default=0) < 0 or abs(sum(probs) - 1) > 1e-9:
             raise ValueError("column probability: must be non-negative "
                              "and sum to 1")
-    return tuple(sizes), tuple(probs)
+    return sizes, probs
 
 
 def write_truth_lattice_csv(path, truth):

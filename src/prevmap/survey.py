@@ -9,12 +9,11 @@ prevalences, and variances too small for the logit, get the
 households by area once and estimates each area from its sub-frame.
 """
 
-import csv
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._csv import _write_csv
+from ._csv import _read_csv, _write_csv
 from .errors import NoDataError, reading
 
 __all__ = [
@@ -274,20 +273,13 @@ def read_frame_csv(path):
     """Read a frame CSV.  A malformed file, or one without a weight in
     every row, raises :class:`DataError` naming it."""
     with reading(path):
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
+        cid, aid, x, y, hid, n, pos, w = _read_csv(path, _FRAME_COLS)
+        if not cid:
             raise NoDataError(f"{path}: empty frame")
-        return SurveyFrame(
-            cluster_id=np.array([r["cluster_id"] for r in rows]),
-            area_id=np.array([r["area_id"] for r in rows]),
-            x=np.array([float(r["x"]) for r in rows]),
-            y=np.array([float(r["y"]) for r in rows]),
-            household_id=np.array([r["household_id"] for r in rows]),
-            n_members=np.array([float(r["N"]) for r in rows]),
-            positives=np.array([float(r["Y"]) for r in rows]),
-            weight=np.array([float(r["weight"]) for r in rows]),
-        )
+        x, y, n, pos, w = (list(map(float, c)) for c in (x, y, n, pos, w))
+        return SurveyFrame(cluster_id=cid, area_id=aid, x=x, y=y,
+                           household_id=hid, n_members=n, positives=pos,
+                           weight=w)
 
 
 def write_direct_estimates_csv(path, estimates):

@@ -170,7 +170,7 @@ def test_cli_post_fit_outputs_do_not_depend_on_block_size(first_run,
 
 
 @pytest.mark.parametrize("damage", ["missing_column", "ragged_row",
-                                    "text_value"])
+                                    "long_row", "text_value"])
 def test_cli_report_bad_fit_output_exits_3_naming_it(first_run, tmp_path,
                                                       capsys, damage):
     directory, _ = first_run
@@ -182,12 +182,19 @@ def test_cli_report_bad_fit_output_exits_3_naming_it(first_run, tmp_path,
         header = header.replace("mean", "median")
     elif damage == "ragged_row":
         first = first.rsplit(",", 1)[0]
+    elif damage == "long_row":
+        first += ",999"
     else:
         first = first.rsplit(",", 1)[0] + ",abc"
     path.write_text("\n".join([header, first] + rest) + "\n")
     capsys.readouterr()
     assert cli.main(["report", "-c", ini]) == 3
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err
+    if damage.endswith("_row"):
+        n = 4 if damage == "long_row" else 2
+        assert (f"data error: {path}: data row 1 has {n} fields, the header "
+                f"3") in err
 
 
 def test_cli_excursions_line_reports_joint_probabilities(first_run, capsys):
@@ -388,6 +395,32 @@ def _polygons_without_ring_index(directory):
     return {"paths": {"boundary": path}}, 3, path
 
 
+def _ragged_row(path, extra):
+    """Give data row 2 of the CSV file at ``path`` one field more (``extra``
+    = 1) or one fewer (-1); returns the error line that must name it."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    n = len(lines[0].split(","))
+    lines[2] = (lines[2] + ",999" if extra > 0
+                else lines[2].rsplit(",", 1)[0])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return (f"data error: {path}: data row 2 has {n + extra} fields, "
+            f"the header {n}")
+
+
+def _ragged_case(directory, key, extra):
+    """Inputs of a BYM fit, a frame, an adjacency CSV and a boundary, with
+    a ragged data row in the file of config key ``key``."""
+    overrides, _, _ = _frame_case(directory, adjacency=[
+        ("A0", "A1"), ("A0", "A2"), ("A1", "A3"), ("A2", "A3")])
+    boundary = os.path.join(directory, "boundary_in.csv")
+    write_polygons_csv(boundary, [
+        Polygon([[(0, 0), (10, 0), (10, 10), (0, 10)]], id="boundary")])
+    overrides["paths"]["boundary"] = boundary
+    return overrides, 3, _ragged_row(overrides["paths"][key], extra)
+
+
 BAD_INPUTS = {
     "exterior_max_edge_text": lambda d: (
         {"model": {"exterior_max_edge": "abc"}}, 2, "model.exterior_max_edge"),
@@ -409,6 +442,12 @@ BAD_INPUTS = {
     "polygons_without_ring_index": _polygons_without_ring_index,
     "adjacency_unknown_area": lambda d: _frame_case(
         d, adjacency=[("A0", "A1"), ("A0", "A9")]),
+    "frame_long_row": lambda d: _ragged_case(d, "data", 1),
+    "frame_short_row": lambda d: _ragged_case(d, "data", -1),
+    "polygons_long_row": lambda d: _ragged_case(d, "boundary", 1),
+    "polygons_short_row": lambda d: _ragged_case(d, "boundary", -1),
+    "adjacency_long_row": lambda d: _ragged_case(d, "adjacency", 1),
+    "adjacency_short_row": lambda d: _ragged_case(d, "adjacency", -1),
 }
 
 
@@ -432,6 +471,14 @@ BAD_SIMULATE_INPUTS = {
                               [(1.5, 2.5), ("nan", 3.0)]),
     "cluster_locations_outside": ("cluster_locations", ["x", "y"],
                                   [(1.5, 2.5), (50, 50), (7.5, 7.5)]),
+    "cluster_locations_long_row": ("cluster_locations", ["x", "y"],
+                                   [(1.5, 2.5), (3.5, 4.5, 9), (7.5, 7.5)]),
+    "cluster_locations_short_row": ("cluster_locations", ["x", "y"],
+                                    [(1.5, 2.5), (3.5,), (7.5, 7.5)]),
+    "household_sizes_long_row": ("household_sizes", ["size", "probability"],
+                                 [(1, 0.5), (2, 0.5, 9)]),
+    "household_sizes_short_row": ("household_sizes", ["size", "probability"],
+                                  [(1, 0.5), (2,)]),
 }
 
 
@@ -443,7 +490,13 @@ def test_cli_bad_simulation_input_exits_3_naming_the_file(tmp_path, capsys,
     ini = _write_config(str(tmp_path), extra={"paths": {key: path}})
     capsys.readouterr()
     assert cli.main(["simulate", "-c", ini]) == 3
-    assert f"data error: {path}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"data error: {path}: " in err
+    ragged = [k for k, row in enumerate(rows, 1) if len(row) != len(header)]
+    if ragged:
+        k = ragged[0]
+        assert (f"{path}: data row {k} has {len(rows[k - 1])} fields, the "
+                f"header {len(header)}") in err
     assert not os.path.exists(_out(ini, "frame.csv"))
 
 

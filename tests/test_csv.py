@@ -1,15 +1,23 @@
 """The shared CSV writer against the row-by-row ``repr(float(...))`` writer
-it replaced, and read back through ``csv.reader``."""
+it replaced, and read back through ``csv.reader``; the shared reader's
+contract; and the rule that no other module parses CSV."""
 
+import ast
 import csv
 import os
+import re
 import struct
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from prevmap._csv import _write_csv
+from prevmap._csv import _read_csv, _write_csv
+from prevmap.errors import DataError
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src", "prevmap")
 
 
 def _reference(path, header, rows):
@@ -74,3 +82,100 @@ def test_write_csv_round_trips_through_csv_reader(rows):
         assert int(ci) == i
         assert cb == str(int(b))
         assert cs == s
+
+
+# ---------------------------------------------------------------------------
+# the reader
+# ---------------------------------------------------------------------------
+
+def test_read_csv_returns_the_named_columns_as_text(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\r\n1,x y,0.5\r\n\r\n2,\"q,r\",-0.0\r\n")
+    assert _read_csv(path, ["c", "a"]) == [("0.5", "-0.0"), ("1", "2")]
+    path.write_text("a,b\n")
+    assert _read_csv(path, ["b"]) == [()]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n", "missing field 'c'"),
+    ("", "missing field 'a'"),
+    ("a,b,c\n1,2,3\n4,5,6,7\n", "data row 2 has 4 fields, the header 3"),
+    ("a,b,c\n1,2\n", "data row 1 has 2 fields, the header 3"),
+], ids=["missing_column", "empty_file", "long_row", "short_row"])
+def test_read_csv_refuses_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        _read_csv(path, ["a", "c"])
+    assert str(err.value) == f"{path}: {message}"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(header=st.lists(st.sampled_from("abcde"), min_size=1, max_size=4,
+                       unique=True),
+       cells=st.lists(st.lists(_TEXT, min_size=5, max_size=5), max_size=6),
+       damage=st.sampled_from(["none", "long", "short", "missing"]),
+       at=st.integers(0, 5))
+def test_read_csv_returns_the_columns_or_names_the_file(header, cells,
+                                                        damage, at):
+    # a table csv.writer wrote, perhaps with one data row a field longer or
+    # shorter, or read for a column it lacks
+    rows = [row[:len(header)] for row in cells]
+    columns = header[::-1] + (["z"] if damage == "missing" else [])
+    bad = None
+    if rows and damage in ("long", "short"):
+        at %= len(rows)
+        rows[at] = rows[at] + ["9"] if damage == "long" else rows[at][:-1]
+        # a row left with no field is a blank row, which is skipped
+        bad = at + 1 if rows[at] else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        if damage == "missing" or bad is not None:
+            with pytest.raises(DataError, match=f"^{re.escape(path)}: "):
+                _read_csv(path, columns)
+            return
+        got = _read_csv(path, columns)
+    kept = [row for row in rows if row]
+    assert got == [tuple(row[header.index(c)] for row in kept)
+                   for c in columns]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(content=st.lists(st.sampled_from(
+    [b"a", b"b", b"1", b",", b"\n", b"\r", b'"', b" ", b"\xff", b"\x00"]),
+    max_size=30).map(b"".join))
+def test_read_csv_of_any_bytes_returns_the_columns_or_names_the_file(
+        content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            got = _read_csv(path, ["a", "b"])
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+    assert len(got) == 2 and len(got[0]) == len(got[1])
+    assert all(isinstance(cell, str) for column in got for cell in column)
+
+
+def test_only_the_csv_module_imports_csv():
+    # one reader and one writer: every other module goes through _csv
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py") or name == "_csv.py":
+            continue
+        with open(os.path.join(PACKAGE, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "csv" for m in modules):
+                found.append(f"{name} (line {node.lineno})")
+    assert found == []

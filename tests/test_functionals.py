@@ -14,7 +14,7 @@ from prevmap.functionals import (SurfaceSpec, area_averages, make_grid,
                                  pointwise_median, sample_points_in_polygon,
                                  simultaneous_excursions, write_area_csv,
                                  write_grid_csv)
-from prevmap.geometry import Polygon, _signed_areas, project
+from prevmap.geometry import Polygon, TriMesh, _signed_areas, project
 from prevmap.inference import JointSamples
 from prevmap.meshing import build_mesh
 
@@ -222,13 +222,27 @@ def test_pointwise_exceedance_gaussian_analytic(surface):
 # simultaneous excursions
 # ---------------------------------------------------------------------------
 
+def _fan(eta):
+    """Samples, spec and points for a synthetic posterior ``eta`` (samples x
+    points) of the linear predictor.  The points are the vertices of a fan
+    of triangles on the x axis, with the field samples ``eta`` there and 0
+    at the apex, so each point projects with weights (1, 0, 0) and its
+    predictor is ``eta`` bit for bit."""
+    n_samp, n = eta.shape
+    points = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    mesh = TriMesh(np.vstack([points, [(n - 1) / 2, 1.0]]),
+                   [(i, i + 1, n) for i in range(n - 1)])
+    # vertices in rows, so the surface reads the field without a copy
+    fields = np.vstack([eta.T, np.zeros((1, n_samp))])
+    samples = JointSamples(samples=fields.T,
+                           theta_index=np.zeros(n_samp, dtype=int))
+    return samples, SurfaceSpec(mesh=mesh, field_slice=slice(0, n + 1)), \
+        points
+
+
 def _direct_excursion(eta, u, alpha):
-    """eta: (n_samples, n_points) synthetic posterior; no mesh involved."""
-    spec = None
-    n_points = eta.shape[1]
-    return simultaneous_excursions(None, spec, np.zeros((n_points, 2)), u,
-                                   alpha_level=alpha,
-                                   eta=(eta.T, np.zeros(n_points, bool)))
+    """Excursions of a synthetic posterior ``eta`` (samples x points)."""
+    return simultaneous_excursions(*_fan(eta), u, alpha_level=alpha)
 
 
 def test_excursions_perfectly_correlated_equal_pointwise():
@@ -323,11 +337,12 @@ def test_excursion_tie_break_deterministic():
 def test_excursion_passed_surface_keeps_out_of_mesh_mask():
     # point 0 is far above u in every sample but lies outside the mesh: it
     # gets no probability and joins neither joint set
-    eta = np.full((200, 3), 5.0)
-    eta[:, 2] = -5.0
-    out = np.array([True, False, False])
-    res = simultaneous_excursions(None, None, np.zeros((3, 2)), 0.5,
-                                  alpha_level=0.05, eta=(eta.T, out))
+    eta = np.full((200, 2), 5.0)
+    eta[:, 1] = -5.0
+    samples, spec, points = _fan(eta)
+    points = np.vstack([[50.0, 50.0], points])
+    res = simultaneous_excursions(samples, spec, points, 0.5,
+                                  alpha_level=0.05)
     assert np.isnan(res.exceed_prob[0])
     assert list(res.labels) == ["indeterminate", "above", "below"]
 
@@ -356,9 +371,8 @@ def test_area_averages_do_not_depend_on_block_size(surface, monkeypatch):
                                 seed=4)
     monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
     whole = run()
-    # two areas a block, the last block one area; then, as an area holds
-    # more cells than the cap, one area a tile walked over 15 chunks of 2
-    # of the 30 samples
+    # one area a tile, with all 30 samples; then walked over 15 chunks of
+    # 2 samples
     for cells in (2 * 10 * 30, 7):
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
         blocked = run()
@@ -392,14 +406,12 @@ def test_tiles_cover_each_cell_once_in_whole_groups(width, cells,
     monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
     unit, n = 4, 12
     seen = np.zeros((n, width), dtype=int)
+    step = max(2, cells // unit)
     for rows, cols in geometry._tiles(n, width, unit):
-        assert rows.start % unit == 0 and rows.stop % unit == 0
-        r, c = rows.stop - rows.start, cols.stop - cols.start
-        if unit * width <= cells:  # whole rows, as many groups as fit
-            assert c == width and r * c <= cells
-        else:  # one group, in chunks of the cap (at least 2 columns)
-            step = max(2, cells // unit)
-            assert r == unit and c in (step, step + 1, width % step)
+        # one group, in chunks of the cap (at least 2 columns)
+        assert rows.start % unit == 0 and rows.stop - rows.start == unit
+        c = cols.stop - cols.start
+        assert c in (step, step + 1, width % step)
         # never one column wide unless the matrix is
         assert c >= min(width, 2)
         seen[rows, cols] += 1
@@ -468,22 +480,14 @@ def test_area_averages_under_column_tiles_flag_outside_areas_once(
                        rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("synthetic", [False, True])
-def test_excursions_do_not_depend_on_block_size(surface, monkeypatch,
-                                               synthetic):
+def test_excursions_do_not_depend_on_block_size(surface, monkeypatch):
     mesh, spec = surface
     n_samp = 40
     samples = _gradient_samples(mesh, n_samp, 37)
     pts = np.column_stack([np.linspace(0.2, 9.8, 49), np.full(49, 6.0)])
     pts[3] = (30.0, 30.0)  # outside the mesh
-    kwargs = {}
-    if synthetic:
-        eta = (project(mesh, pts).matrix
-               @ samples.samples[:, spec.field_slice].T)
-        kwargs["eta"] = (eta, project(mesh, pts).out_of_mesh)
-        eta_before = eta.copy()
     run = lambda: simultaneous_excursions(samples, spec, pts, 0.5,
-                                          alpha_level=0.1, **kwargs)
+                                          alpha_level=0.1)
     monkeypatch.setattr(geometry, "_BLOCK_CELLS", 10 ** 9)
     whole = run()
     # both joint sets span several 5-row blocks; 49 rows leave a ragged
@@ -495,8 +499,6 @@ def test_excursions_do_not_depend_on_block_size(surface, monkeypatch,
                  "joint_below_prob", "mean", "sd"):
         a, b = getattr(blocked, name), getattr(whole, name)
         assert np.array_equal(a, b, equal_nan=name != "labels"), name
-    if synthetic:
-        assert np.array_equal(eta, eta_before)  # input not modified
 
 
 def test_excursion_mean_and_sd_are_of_the_prevalence(surface):
