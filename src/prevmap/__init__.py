@@ -21,8 +21,9 @@ _EXPORTS = {
     "geometry": ("Polygon", "Projector", "TriMesh", "fem_matrices",
                  "project"),
     "meshing": ("build_mesh",),
-    "spde": ("MaternParams", "SpdeTheta", "assemble_precision", "matern_cov",
-             "practical_range", "sigma_from_tau", "tau_from_sigma"),
+    "matern": ("MaternParams", "matern_cov", "practical_range",
+               "sigma_from_tau", "tau_from_sigma"),
+    "spde": ("SpdeTheta", "assemble_precision"),
     "inference": ("BinomialObs", "FitResult", "GaussianObs",
                   "LatentComponent", "LatentModel", "fit_latent_model",
                   "gaussian_approx", "hyper_grid", "make_spde_model",

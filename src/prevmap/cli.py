@@ -7,8 +7,8 @@ config + seed give byte-identical CSV and pixel-identical PGM outputs.
 Each command runs as its own process, so import time is part of its run
 time.  Module level therefore imports only the standard library, numpy,
 ``_csv``, ``config`` and ``errors``; each command imports the layers it
-runs when it is called.  ``simulate`` and ``fit`` load scipy; ``areas``,
-``excursions`` and ``report`` run on numpy alone.
+runs when it is called.  Only ``fit`` loads scipy; ``simulate``,
+``areas``, ``excursions`` and ``report`` run on numpy alone.
 """
 
 import argparse
@@ -129,7 +129,7 @@ def _load_frame(cfg, boundary, areas=None):
 
 
 def _spde_theta_init(cfg):
-    from .spde import tau_from_sigma
+    from .matern import tau_from_sigma
 
     kappa0 = np.sqrt(8.0) / cfg.range_init
     tau0 = tau_from_sigma(cfg.sigma2_init, kappa0, 1.0)

@@ -17,8 +17,8 @@ area averages reduce over the points of an area, so their tiles hold one
 area each, walked over column chunks of the samples, none one column
 wide.  Every reduction is per point or per area, in the same order in any
 tile, so the results do not depend on the tile size, bit for bit.  The
-excursion pass keeps only the points x samples bool indicators of
-exceeding and falling below the threshold.
+excursion pass keeps only a points x samples int8 matrix of the sign of
+each value against the threshold.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +27,8 @@ import numpy as np
 
 from ._csv import _write_csv
 from .errors import InvalidGeometryError
-from .geometry import (_ring_signed_area, _row_blocks, _signed_areas,
-                       _tiles, project)
+from .geometry import (_ring_signed_area, _row_blocks, _row_medians,
+                       _signed_areas, _tiles, project)
 
 __all__ = [
     "JointSamples",
@@ -271,21 +271,6 @@ def pointwise_median(samples, spec, points):
     return med
 
 
-def _row_medians(eta):
-    """``np.median(eta, axis=1)``, bit for bit, by one partition of the
-    rows of ``eta`` in place (numpy partitions an even-length row on two
-    pivots, several times slower).  NaN in a row holding a NaN."""
-    h = eta.shape[1] // 2
-    eta.partition(h, axis=1)
-    med = eta[:, h] + 0.0  # np.median's mean sums from 0.0: -0.0 gives 0.0
-    if eta.shape[1] % 2 == 0:
-        med += eta[:, :h].max(axis=1)
-        med /= 2.0
-    # a NaN sorts last, so at or after the pivot
-    med[np.isnan(eta[:, h:]).any(axis=1)] = np.nan
-    return med
-
-
 @dataclass
 class ExcursionResult:
     grid_points: np.ndarray
@@ -305,21 +290,23 @@ class ExcursionResult:
         return self.labels == "below"
 
 
-def _greedy_joint_set(indicator, order, level):
+def _greedy_joint_set(sign, want, order, level):
     """Largest prefix of ``order`` whose all-points-hold probability stays
     at or above ``level``; returns (member indices, achieved probability).
 
-    ``indicator`` holds points in rows and samples in columns.  The prefix
-    grows a row block at a time and stops in the first block where the
-    joint probability, which never rises along the prefix, falls below
-    ``level``.
+    ``sign`` holds points in rows and samples in columns: +1 above the
+    threshold, -1 below and 0 at it.  A point holds in a sample where its
+    sign is ``want``.  The prefix grows a row block at a time and stops in
+    the first block where the joint probability, which never rises along
+    the prefix, falls below ``level``.
     """
-    held = np.ones(indicator.shape[1], dtype=bool)
+    width = sign.shape[1]
+    held = np.ones(width, dtype=bool)
     stop, achieved = 0, 1.0
-    for rows in _row_blocks(len(order), indicator.shape[1]):
-        running = np.logical_and.accumulate(indicator[order[rows]], axis=0)
+    for rows in _row_blocks(len(order), width):
+        running = np.logical_and.accumulate(sign[order[rows]] == want, axis=0)
         running &= held
-        joint = np.count_nonzero(running, axis=1) / indicator.shape[1]
+        joint = np.count_nonzero(running, axis=1) / width
         ok = joint >= level
         n_ok = len(ok) if ok.all() else int(np.argmin(ok))
         if n_ok:
@@ -348,16 +335,16 @@ def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05):
     # eta > thresh exactly when -eta < -thresh
     neg_thresh = -np.log(u / (1.0 - u))
     n = len(out)
-    above_ind = np.empty((n, width), dtype=bool)
-    below_ind = np.empty((n, width), dtype=bool)
+    # +1 above the threshold, -1 below, 0 at it
+    sign = np.empty((n, width), dtype=np.int8)
     probs = np.empty(n)
     mean = np.empty(n)
     sd = np.empty(n)
     for rows in _row_blocks(n, width):
         neg = _negated(field_at(rows), b0)
-        np.less(neg, neg_thresh, out=above_ind[rows])
-        np.greater(neg, neg_thresh, out=below_ind[rows])
-        probs[rows] = np.count_nonzero(above_ind[rows], axis=1) / width
+        np.less(neg, neg_thresh, out=sign[rows])
+        probs[rows] = np.count_nonzero(sign[rows], axis=1) / width
+        sign[rows] -= neg > neg_thresh
         prev = _expit_of_negated(neg)
         # mean and sd (ddof=1) with the arithmetic of np.mean and np.std:
         # the squared deviations from that same mean, summed, over width - 1
@@ -373,8 +360,8 @@ def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05):
     valid = np.where(~out)[0]
     order_above = valid[np.lexsort((valid, -probs[valid]))]
     order_below = valid[np.lexsort((valid, probs[valid]))]
-    above_set, p_above = _greedy_joint_set(above_ind, order_above, level)
-    below_set, p_below = _greedy_joint_set(below_ind, order_below, level)
+    above_set, p_above = _greedy_joint_set(sign, 1, order_above, level)
+    below_set, p_below = _greedy_joint_set(sign, -1, order_below, level)
 
     labels = np.full(len(grid_points), "indeterminate", dtype=object)
     labels[above_set] = "above"

@@ -11,12 +11,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from ._csv import _read_csv, _write_csv
+from ._csv import _cells, _read_csv, _write_csv
 from .errors import DataError, reading
-from .functionals import sample_points_in_polygon
-from .spde import MaternParams, matern_cov, practical_range, sigma_from_tau
+from .functionals import _expit_of_negated, sample_points_in_polygon
+from .matern import MaternParams, matern_cov, practical_range, sigma_from_tau
 from .survey import SurveyFrame, design_weights
 
 __all__ = [
@@ -121,9 +120,13 @@ def lattice_field(xs, ys, params, rng):
     for attempt in range(_MAX_GROW + 1):
         mx = _next_fast_len(nx + int(np.ceil(pad * rng_len / hx)))
         my = _next_fast_len(ny + int(np.ceil(pad * rng_len / hy)))
-        dx = np.minimum(np.arange(mx), mx - np.arange(mx)) * hx
-        dy = np.minimum(np.arange(my), my - np.arange(my)) * hy
-        cov = matern_cov(np.hypot(dx[:, None], dy[None, :]), params)
+        ix = np.minimum(np.arange(mx), mx - np.arange(mx))
+        iy = np.minimum(np.arange(my), my - np.arange(my))
+        # a torus distance depends only on the folded lags (ix, iy): take
+        # the covariance once per pair of them and spread it over the torus
+        lags = np.hypot(np.arange(ix.max() + 1)[:, None] * hx,
+                        np.arange(iy.max() + 1)[None, :] * hy)
+        cov = matern_cov(lags, params)[np.ix_(ix, iy)]
         lam = np.fft.fft2(cov).real
         if lam.min() >= -1e-9 * lam.max():
             break
@@ -190,7 +193,7 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
                        p=np.asarray(config.household_size_probs))
     eps = rng.normal(0.0, np.sqrt(config.nugget_var), size=n_households) \
         if config.nugget_var > 0 else np.zeros(n_households)
-    p_ij = expit(config.beta0 + s_cluster[hh_cluster] + eps)
+    p_ij = _expit_of_negated(-(config.beta0 + s_cluster[hh_cluster] + eps))
     y_ij = rng.binomial(sizes.astype(int), p_ij)
     weights = design_weights(n_cl, config.total_psu, m_i[hh_cluster],
                              config.households_per_ea)
@@ -222,10 +225,9 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
         weight=weights,
     )
 
-    grid_pts = np.column_stack([np.meshgrid(xs, ys)[0].ravel(),
-                                np.meshgrid(xs, ys)[1].ravel()])
+    grid_pts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys)])
     inside = boundary.contains(grid_pts).reshape(res, res)
-    prevalence = expit(config.beta0 + field)
+    prevalence = _expit_of_negated(-(config.beta0 + field))
     prev_masked = np.where(inside, prevalence, np.nan)
     truth = TruthLattice(x=xs, y=ys, field=field, prevalence=prev_masked,
                          inside=inside)
@@ -265,8 +267,10 @@ def read_household_size_csv(path):
 
 def write_truth_lattice_csv(path, truth):
     ny, nx = len(truth.y), len(truth.x)
+    # each coordinate is formatted once, not once per lattice row or column
+    x, y = (np.array(_cells(v), dtype=object) for v in (truth.x, truth.y))
     _write_csv(path, ["x", "y", "field", "prevalence", "inside"],
-               [np.tile(truth.x, ny), np.repeat(truth.y, nx),
+               [np.tile(x, ny), np.repeat(y, nx),
                 truth.field.ravel(), truth.prevalence.ravel(),
                 truth.inside.ravel()])
 

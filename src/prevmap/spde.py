@@ -1,4 +1,4 @@
-"""Matern covariance and its sparse Markov approximation on a mesh.
+"""The sparse Markov approximation of a Matern field on a mesh.
 
 The continuously indexed Matern field with smoothness nu = 1 solves a
 second-order stochastic PDE whose finite-element discretization on a
@@ -12,40 +12,24 @@ lays C, G and G C^{-1} G out once on one fixed pattern and computes a new Q
 as a data vector.  With lumped C, Q = tau^2 K C^{-1} K for K = kappa^2 C + G,
 so log|Q| comes from a factorization of K, a matrix with the sparsity of G,
 on the one band layout of that pattern.
+
+The Matern covariance itself and the closed forms between tau, kappa and
+the marginal variance live in :mod:`prevmap.matern`, which needs no scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gamma as _gamma, kv as _kv
 
 from .errors import NotPositiveDefiniteError
 from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
-    "MaternParams",
     "SpdeTheta",
-    "matern_cov",
-    "tau_from_sigma",
-    "sigma_from_tau",
-    "practical_range",
     "SpdePrecision",
     "assemble_precision",
 ]
-
-
-@dataclass(frozen=True)
-class MaternParams:
-    """Marginal variance, scale and smoothness of a Matern field."""
-
-    sigma2: float
-    kappa: float
-    nu: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma2 <= 0 or self.kappa <= 0 or self.nu <= 0:
-            raise ValueError("MaternParams must all be positive")
 
 
 @dataclass(frozen=True)
@@ -66,51 +50,6 @@ class SpdeTheta:
     @property
     def kappa(self):
         return float(np.exp(self.log_kappa))
-
-
-def matern_cov(distance, params):
-    """Matern covariance at the given distance(s); sigma2 at distance zero."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distance must be nonnegative")
-    nu, kappa = params.nu, params.kappa
-    out = np.full(d.shape, params.sigma2)
-    pos = d > 0
-    kd = kappa * d[pos]
-    out[pos] = params.sigma2 * (2.0 ** (1 - nu) / _gamma(nu)) \
-        * kd ** nu * _kv(nu, kd)
-    # kv underflows to 0 for large arguments, which is the right limit
-    out[pos] = np.nan_to_num(out[pos], nan=0.0)
-    return out if np.ndim(distance) else float(out)
-
-
-def tau_from_sigma(sigma2, kappa, nu=1.0):
-    """Scale tau such that the SPDE field has marginal variance sigma2.
-
-    tau^2 = Gamma(nu) / (Gamma(alpha) * 4 pi * kappa^(2 nu) * sigma2), with
-    alpha = nu + 1 in two dimensions.
-    """
-    if sigma2 <= 0 or kappa <= 0 or nu <= 0:
-        raise ValueError("arguments must be positive")
-    alpha = nu + 1.0
-    tau2 = _gamma(nu) / (_gamma(alpha) * 4.0 * np.pi * kappa ** (2 * nu) * sigma2)
-    return float(np.sqrt(tau2))
-
-
-def sigma_from_tau(tau, kappa, nu=1.0):
-    """Marginal variance implied by (tau, kappa); inverse of tau_from_sigma."""
-    if tau <= 0 or kappa <= 0 or nu <= 0:
-        raise ValueError("arguments must be positive")
-    alpha = nu + 1.0
-    return float(_gamma(nu) / (_gamma(alpha) * 4.0 * np.pi
-                               * kappa ** (2 * nu) * tau ** 2))
-
-
-def practical_range(kappa, nu=1.0):
-    """Distance sqrt(8 nu) / kappa at which correlation drops to about 0.13."""
-    if kappa <= 0 or nu <= 0:
-        raise ValueError("arguments must be positive")
-    return float(np.sqrt(8.0 * nu) / kappa)
 
 
 def _on_pattern(n, mats):

@@ -334,6 +334,46 @@ def test_excursion_tie_break_deterministic():
     assert np.array_equal(r1.labels, r2.labels)
 
 
+def test_excursions_where_eta_equals_the_threshold():
+    # u = 0.5 puts the threshold at eta = 0 exactly: a sample at 0 is
+    # neither above nor below it, for the pointwise probability and for
+    # both joint sets
+    rng = np.random.default_rng(53)
+    n_samp, n, level = 400, 30, 0.9
+    p_zero = np.repeat([0.01, 0.01, 0.3], 10)
+    p_above = np.repeat([0.99, 0.0, 0.35], 10)
+    draw = rng.random((n_samp, n))
+    eta = np.where(draw < p_above, 1.0,
+                   np.where(draw < p_above + p_zero, 0.0, -1.0))
+    assert (eta == 0.0).any(axis=0).all()
+    res = _direct_excursion(eta, 0.5, 1.0 - level)
+
+    above, below = eta > 0.0, eta < 0.0
+    probs = above.mean(axis=0)
+    idx = np.arange(n)
+
+    def greedy(holds, order):
+        joint = np.logical_and.accumulate(holds[:, order], axis=1).mean(
+            axis=0)
+        k = int(np.count_nonzero(joint >= level))
+        return order[:k], float(joint[k - 1]) if k else 1.0
+
+    above_set, p_above_joint = greedy(above, np.lexsort((idx, -probs)))
+    below_set, p_below_joint = greedy(below, np.lexsort((idx, probs)))
+    assert len(above_set) and len(below_set)
+    labels = np.full(n, "indeterminate", dtype=object)
+    labels[above_set] = "above"
+    labels[below_set] = "below"
+    assert res.exceed_prob.tobytes() == probs.tobytes()
+    assert res.labels.tolist() == labels.tolist()
+    assert (res.joint_above_prob, res.joint_below_prob) == (p_above_joint,
+                                                            p_below_joint)
+    prev = 1.0 / (1.0 + np.exp(-eta))
+    assert np.allclose(res.mean, prev.mean(axis=0), rtol=1e-14, atol=0.0)
+    assert np.allclose(res.sd, prev.std(axis=0, ddof=1), rtol=1e-12,
+                       atol=0.0)
+
+
 def test_excursion_passed_surface_keeps_out_of_mesh_mask():
     # point 0 is far above u in every sample but lies outside the mesh: it
     # gets no probability and joins neither joint set
@@ -562,12 +602,13 @@ def test_row_medians_of_signed_zeros_and_nans():
     for width in (1, 2, 3):
         block = eta[:, :width].copy()
         want = np.median(block, axis=1)
-        assert functionals._row_medians(block).tobytes() == want.tobytes()
+        assert geometry._row_medians(block).tobytes() == want.tobytes()
 
 
 def test_excursion_pass_holds_no_dense_surface(coarse_mesh10):
     # one float64 surface of 20,000 points x 500 samples is 80 MB; the
-    # excursion pass keeps two bool indicators (20 MB) and row blocks
+    # excursion pass keeps one int8 sign matrix (10 MB) and row blocks,
+    # where two bool indicators took 20 MB
     mesh = coarse_mesh10
     samples = _gradient_samples(mesh, 500, 47)
     spec = SurfaceSpec(mesh=mesh, field_slice=slice(0, mesh.num_vertices),
@@ -582,7 +623,7 @@ def test_excursion_pass_holds_no_dense_surface(coarse_mesh10):
     finally:
         tracemalloc.stop()
     assert res.above().any() and res.below().any()
-    assert peak < dense / 2, f"peak {peak / 1e6:.1f} MB"
+    assert peak < dense / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 POST_FIT_DENIED = ("scipy", "prevmap.inference", "prevmap.sparsela",
                    "prevmap.spde", "prevmap.meshing", "prevmap.areal",
                    "prevmap.simulate", "prevmap.survey")
-# the circulant embedding finds its FFT lengths itself, without scipy.fft
-SIMULATE_DENIED = ("scipy.optimize", "scipy.spatial", "scipy.fft",
-                   "prevmap.inference")
+# the survey simulator runs on numpy alone: the circulant embedding finds
+# its FFT lengths itself and prevmap.matern evaluates the Bessel function
+SIMULATE_DENIED = ("scipy", "prevmap.spde", "prevmap.sparsela",
+                   "prevmap.inference", "prevmap.meshing")
 # the theta mode search is inference.minimize, not scipy's
 FIT_DENIED = ("scipy.optimize",)
 
@@ -73,11 +74,24 @@ def test_import_prevmap_loads_no_scipy():
     assert _loaded(modules, ("prevmap.",)) == []
 
 
+def test_import_matern_loads_no_scipy():
+    modules = set(_run("import json, sys\nimport prevmap.matern\n"
+                       "print(json.dumps(sorted(sys.modules)))"))
+    assert _loaded(modules, ("scipy",)) == []
+
+
 @pytest.mark.parametrize("command", ["areas", "excursions"])
 def test_post_fit_command_loads_no_fit_layer(fitted, command):
     rc, modules = _command_modules(command, fitted)
     assert rc == 0
     assert _loaded(modules, POST_FIT_DENIED) == []
+
+
+def test_excursions_loads_no_numpy_ma(fitted):
+    # the projector's bin size is a median by one partition, not np.median
+    rc, modules = _command_modules("excursions", fitted)
+    assert rc == 0
+    assert _loaded(modules, ("numpy.ma",)) == []
 
 
 def test_report_loads_no_scipy(fitted):

@@ -5,7 +5,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from prevmap.simulate import _next_fast_len, lattice_field
-from prevmap.spde import MaternParams, matern_cov
+from prevmap.matern import MaternParams, matern_cov
 
 
 def test_lattice_field_moments_match_matern():

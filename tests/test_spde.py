@@ -5,11 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 from prevmap.geometry import fem_matrices
+from prevmap.matern import (MaternParams, matern_cov, practical_range,
+                            sigma_from_tau, tau_from_sigma)
 from prevmap.meshing import build_mesh
 from prevmap.sparsela import SparseCholesky
-from prevmap.spde import (MaternParams, SpdePrecision, SpdeTheta,
-                          assemble_precision, matern_cov, practical_range,
-                          sigma_from_tau, tau_from_sigma)
+from prevmap.spde import SpdePrecision, SpdeTheta, assemble_precision
 
 from conftest import solve_columns
 
