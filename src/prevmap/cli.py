@@ -90,9 +90,11 @@ def cmd_simulate(cfg):
         simulate.write_truth_areas_csv(cfg.out("truth_areas.csv"),
                                        sim.area_truth)
     cfg.echo(cfg.out("config_resolved.ini"))
+    # households come cluster by cluster, at least one each (m_min >= 1):
+    # the clusters are the runs of cluster_id (np.unique loads numpy.ma)
+    n_clusters = 1 + np.count_nonzero(np.diff(sim.frame.cluster_id))
     print(f"simulate: {sim.frame.num_households} households in "
-          f"{len(np.unique(sim.frame.cluster_id))} clusters -> "
-          f"{cfg.output_dir}")
+          f"{n_clusters} clusters -> {cfg.output_dir}")
     return 0
 
 
@@ -158,27 +160,30 @@ def _fit_spde(cfg, boundary, frame):
     model = make_spde_model(obs, proj, c_mat, g_mat, nugget=cfg.nugget,
                             theta_init=_spde_theta_init(cfg))
     fit = fit_latent_model(model)
-    samples = sample_joint(fit, cfg.samples, seed=cfg.seed)
+    # downstream commands read only the field and beta0: draw those
+    # columns alone, the field first, so that the nugget is never solved
+    # for and the draws are the saved matrix as they are
+    field_ix = np.arange(model.latent_dim)[model.slices["field"]]
+    b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
+    n_field = len(field_ix)
+    samples = sample_joint(fit, cfg.samples, seed=cfg.seed,
+                           coords=np.r_[field_ix, b0])
 
     write_theta_grid_csv(cfg.out("theta_grid.csv"), fit)
     fixed_ix = np.arange(model.slices["fixed"].start, model.latent_dim)
     marg = marginals(fit, coords=fixed_ix)
     write_fit_summary_csv(cfg.out("fit_summary.csv"), marg)
+    del fit  # the theta grid's factors: nothing below reads them
 
     grid = functionals.make_grid(boundary, cfg.grid_spacing)
     field = functionals.SurfaceSpec(mesh=mesh,
-                                    field_slice=model.slices["field"])
+                                    field_slice=slice(0, n_field))
     functionals.write_grid_csv(
         cfg.out("field_median_lattice.csv"), grid.points,
         mean=functionals.pointwise_median(samples, field, grid.points))
-    # downstream commands read only the field and beta0: save those
-    # columns, the field first
-    w = samples.samples[:, model.slices["field"]]
-    b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
-    n_field = w.shape[1]
     np.savez(
         cfg.out("fit_state.npz"),
-        samples=np.column_stack([w, samples.samples[:, b0]]),
+        samples=samples.samples,
         theta_index=samples.theta_index,
         field_start=0,
         field_stop=n_field,

@@ -136,7 +136,10 @@ def _triangle_sampler(ring, rng):
 
 @dataclass
 class JointSamples:
-    """Joint posterior draws: rows are samples over the full latent vector."""
+    """Joint posterior draws: one row per sample, one column per latent
+    coordinate drawn (the full latent vector, or the ``coords`` of
+    :func:`prevmap.inference.sample_joint` in their order), and the
+    theta grid point each sample came from."""
 
     samples: np.ndarray
     theta_index: np.ndarray

@@ -26,9 +26,11 @@ q = p + b^2 h, so the Schur complement S over the remaining coordinates is
 again Q_prior + B^T diag(h~) B over those coordinates, with a rescaled
 curvature h~ = h p / q on the rows those coordinates observe, and
 log|Q_post| = log|S| + sum log q.  Solves and draws eliminate through q
-with no approximation.  The SPDE model's household nugget and the BYM
-model's iid area effects are such blocks; the field, the ICAR block and
-the fixed effects are not.  With no such block S is Q_post itself.
+with no approximation; a joint draw computes eliminated coordinates only
+when :func:`sample_joint` is asked for them.  The SPDE model's household
+nugget and the BYM model's iid area effects are such blocks; the field,
+the ICAR block and the fixed effects are not.  With no such block S is
+Q_post itself.
 
 The sparsity of Q_prior and of S does not change with theta or with the
 Newton iterate, so each :class:`LatentModel` caches what depends only on
@@ -534,6 +536,33 @@ class _PosteriorFactor:
         x[pat.elim] = z[pat.elim] / np.sqrt(q) - self._q_er(x_r) / q
         return x
 
+    def draw(self, rng, k, coords=None):
+        """Rows ``coords`` (all for None) of krige(sample(z)) for one
+        (d, k) standard normal draw z from ``rng``.
+
+        Where ``coords`` holds no eliminated coordinate and there are no
+        constraints, only S's half-solve runs: z's rows are drawn run by
+        run in latent order, the eliminated runs dropped, which leaves the
+        stream and every kept value as the whole draw gives them."""
+        pat = self._pat
+        d = len(pat.keep) + len(pat.elim)
+        if coords is None or self.constraint is not None \
+                or np.isin(coords, pat.elim).any():
+            x = self.krige(self.sample(rng.standard_normal((d, k))))
+            return x if coords is None else x[coords]
+        kept = np.zeros(d, dtype=bool)
+        kept[pat.keep] = True
+        edges = np.r_[0, np.flatnonzero(np.diff(kept)) + 1, d]
+        z_r = np.empty((len(pat.keep), k))
+        row = 0
+        for start, stop in zip(edges[:-1], edges[1:]):
+            if kept[start]:
+                rng.standard_normal(out=z_r[row:row + stop - start])
+                row += stop - start
+            else:
+                rng.standard_normal((stop - start, k))
+        return self.schur.sample(z_r)[np.searchsorted(pat.keep, coords)]
+
 
 def _rows(v, x):
     """The vector v shaped to scale the rows of x, (n,) or (n, k)."""
@@ -1004,27 +1033,37 @@ def marginals(fit, coords=None):
                              sd=sd, q025=q[0], q50=q[1], q975=q[2])
 
 
-def sample_joint(fit, num_samples, seed):
+def sample_joint(fit, num_samples, seed, coords=None):
     """Sample theta from the grid weights, then the latent field given theta.
 
     Deterministic under a fixed seed: theta indices are drawn first, then
-    standard normal blocks per grid point in index order.
+    one (d, k) block of standard normals per grid point in index order, k
+    the number of samples at that point.  ``coords``, as in
+    :func:`marginals`, selects the latent coordinates kept, in its order
+    (None: all of them).  Where it holds no eliminated coordinate and the
+    model has no constraints, a grid point solves only S's half for x_R and
+    drops the eliminated rows of its normal block unused; the stream, and
+    so every kept value, is the same as the full draw's bit for bit.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     rng = np.random.default_rng(seed)
     k = len(fit.points)
     idx = rng.choice(k, size=num_samples, p=fit.weights)
-    d = fit.model.latent_dim
-    out = np.empty((num_samples, d))
+    if coords is None:
+        rows = slice(None)
+        width = fit.model.latent_dim
+    else:
+        rows = coords = np.asarray(coords, dtype=int)
+        width = len(coords)
+    out = np.empty((num_samples, width))
     for j in range(k):
         sel = np.where(idx == j)[0]
         if len(sel) == 0:
             continue
         approx = fit.points[j].approx
-        z = rng.standard_normal((d, len(sel)))
-        s = approx.factor.krige(approx.factor.sample(z))
-        out[sel] = (approx.mean[:, None] + s).T
+        s = approx.factor.draw(rng, len(sel), coords)
+        out[sel] = (approx.mean[rows, None] + s).T
     return JointSamples(samples=out, theta_index=idx)
 
 

@@ -77,11 +77,16 @@ def matern_cov(distance, params):
     out = np.full(d.shape, params.sigma2)
     pos = d > 0
     kd = kappa * d[pos]
-    out[pos] = params.sigma2 * (2.0 ** (1 - nu) / math.gamma(nu)) \
-        * kd ** nu * _kv(nu, kd)
-    # _kv is 0 where e^-x underflows, the right limit; an infinite distance
-    # or an overflowing kd ** nu gives NaN, taken as that same 0
-    out[pos] = np.nan_to_num(out[pos], nan=0.0)
+    power = kd ** nu
+    cov = params.sigma2 * (2.0 ** (1 - nu) / math.gamma(nu)) \
+        * power * _kv(nu, kd)
+    # kd -> 0: below the point where kd ** nu underflows past the normal
+    # floats, or where _kv overflows first, the product is inexact or no
+    # number; the limit there is sigma2.  kd -> inf: _kv is 0 where e^-x
+    # underflows, the right limit, and an infinite distance or an
+    # overflowing kd ** nu gives NaN, taken as that same 0
+    exact = np.isfinite(cov) & (power >= np.finfo(float).tiny)
+    out[pos] = np.where(exact, cov, np.where(kd < 1, params.sigma2, 0.0))
     return out if np.ndim(distance) else float(out)
 
 

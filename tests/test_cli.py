@@ -350,6 +350,39 @@ def test_cli_spde_only_fit(tmp_path):
                       "bym_theta_grid.csv"}
 
 
+def test_cli_fit_state_holds_the_field_and_beta0_draws(tmp_path,
+                                                      monkeypatch):
+    # fit draws only the field and beta0; the saved matrix is the full
+    # draw's field columns then its beta0 column
+    drawn = []
+    sample_joint = inference.sample_joint
+
+    def spy(fit, num_samples, seed, coords=None):
+        drawn.append((fit, num_samples, seed))
+        return sample_joint(fit, num_samples, seed, coords=coords)
+
+    monkeypatch.setattr(inference, "sample_joint", spy)
+    ini = _write_config(str(tmp_path))
+    assert cli.main(["simulate", "-c", ini]) == 0
+    assert cli.main(["fit", "-c", ini]) == 0
+    (fit, num_samples, seed), = drawn
+    model = fit.model
+    n_field = model.slices["field"].stop
+    assert model.slices["field"].start == 0
+    with np.load(_out(ini, "fit_state.npz")) as z:
+        state = {key: z[key] for key in z.files}
+    assert state["samples"].shape == (int(TINY["run"]["samples"]),
+                                      n_field + 1)
+    assert int(state["field_start"]) == 0
+    assert int(state["field_stop"]) == int(state["beta0_index"]) == n_field
+    full = sample_joint(fit, num_samples, seed)
+    b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
+    assert np.array_equal(state["samples"][:, :n_field],
+                          full.samples[:, :n_field])
+    assert np.array_equal(state["samples"][:, n_field], full.samples[:, b0])
+    assert np.array_equal(state["theta_index"], full.theta_index)
+
+
 # ---------------------------------------------------------------------------
 # bad inputs: exit 2 naming the config key, exit 3 naming the file
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ POST_FIT_DENIED = ("scipy", "prevmap.inference", "prevmap.sparsela",
                    "prevmap.spde", "prevmap.meshing", "prevmap.areal",
                    "prevmap.simulate", "prevmap.survey")
 # the survey simulator runs on numpy alone: the circulant embedding finds
-# its FFT lengths itself and prevmap.matern evaluates the Bessel function
+# its FFT lengths itself and prevmap.matern evaluates the Bessel function;
+# its report line counts clusters without np.unique, which loads numpy.ma
 SIMULATE_DENIED = ("scipy", "prevmap.spde", "prevmap.sparsela",
-                   "prevmap.inference", "prevmap.meshing")
+                   "prevmap.inference", "prevmap.meshing", "numpy.ma")
 # the theta mode search is inference.minimize, not scipy's
 FIT_DENIED = ("scipy.optimize",)
 

@@ -837,6 +837,76 @@ def test_draws_feed_kept_normals_to_factor_rows_in_latent_order(
     assert np.abs(draw - x_r).max() <= 1e-12 * np.abs(x_r).max()
 
 
+def _two_point_fit(model):
+    """A fit on theta_init and a point beside it, both with weight."""
+    return fit_latent_model(model, thetas=[model.theta_init,
+                                           model.theta_init + 0.3])
+
+
+def _replayed_draws(fit, num_samples, seed):
+    """Full joint draws replayed from the documented stream: the theta
+    indices, then one (d, k) standard normal block per grid point."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(fit.points), size=num_samples, p=fit.weights)
+    out = np.empty((num_samples, fit.model.latent_dim))
+    for j, point in enumerate(fit.points):
+        sel = np.flatnonzero(idx == j)
+        if len(sel):
+            factor = point.approx.factor
+            z = rng.standard_normal((fit.model.latent_dim, len(sel)))
+            out[sel] = (point.approx.mean[:, None]
+                        + factor.krige(factor.sample(z))).T
+    return out, idx
+
+
+@pytest.mark.parametrize("name", ["spde_nugget", "bym"])
+def test_sample_joint_coords_are_the_full_draws_columns(name, coarse_mesh10,
+                                                        coarse_fem10):
+    # the spde_nugget selections without eps take the fast path, the rest
+    # (eps coordinates, BYM's constraint) the full draw; every one gives
+    # the full draw's columns bit for bit, in the order asked for
+    model = _models(coarse_mesh10, coarse_fem10)[name]
+    fit = _two_point_fit(model)
+    full = sample_joint(fit, 300, seed=11)
+    replay, idx = _replayed_draws(fit, 300, seed=11)
+    assert np.array_equal(full.samples, replay)
+    assert np.array_equal(full.theta_index, idx)
+    assert len(set(idx)) == 2
+    first = _coords(model, [model.components[0].name])
+    beta0 = model.slices["fixed"].start
+    eliminated = _coords(model, _ELIMINATED[name])
+    rng = np.random.default_rng(3)
+    for coords in (np.r_[first, beta0], rng.permutation(np.r_[first, beta0]),
+                   np.r_[beta0, first[::-1][:7]],
+                   rng.permutation(model.latent_dim)[:40],
+                   np.r_[eliminated[:5], beta0, first[:3]]):
+        part = sample_joint(fit, 300, seed=11, coords=coords)
+        assert np.array_equal(part.samples, full.samples[:, coords])
+        assert np.array_equal(part.theta_index, full.theta_index)
+
+
+def test_sample_joint_fast_path_solves_no_eliminated_block(
+        monkeypatch, coarse_mesh10, coarse_fem10):
+    from prevmap.inference import _PosteriorFactor
+    model = _models(coarse_mesh10, coarse_fem10)["spde_nugget"]
+    fit = _two_point_fit(model)
+    calls = []
+    q_er = _PosteriorFactor._q_er
+
+    def spy(self, x_r):
+        calls.append(x_r.shape)
+        return q_er(self, x_r)
+
+    monkeypatch.setattr(_PosteriorFactor, "_q_er", spy)
+    field = _coords(model, ["field"])
+    beta0 = model.slices["fixed"].start
+    part = sample_joint(fit, 200, seed=4, coords=np.r_[field, beta0])
+    assert calls == []
+    assert part.samples.shape == (200, len(field) + 1)
+    sample_joint(fit, 200, seed=4)
+    assert len(calls) == 2  # one per grid point on the full path
+
+
 def test_constrained_draws_and_variances_match_dense_oracle():
     # kriged draws are N(0, Sigma - Sigma A^T (A Sigma A^T)^{-1} A Sigma)
     # for the dense Sigma = Q_post^{-1}: the BYM model's ICAR block sums

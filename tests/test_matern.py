@@ -3,7 +3,7 @@ covariance at the ends of its range."""
 
 import numpy as np
 import pytest
-from scipy.special import kv
+from scipy.special import gamma, kv
 
 from prevmap.matern import MaternParams, _kv, matern_cov
 
@@ -43,3 +43,19 @@ def test_matern_cov_refuses_a_negative_distance():
         matern_cov(np.array([0.5, -1e-300]), p)
     with pytest.raises(ValueError, match="nonnegative"):
         matern_cov(-1.0, p)
+
+
+@pytest.mark.parametrize("nu", [1.0, 3.0])
+def test_matern_cov_is_the_variance_at_tiny_distances(nu):
+    # (kappa d) ** nu underflows while _kv overflows (for nu = 3 from
+    # 1e-103 down, for nu = 1 below 2.2e-308): the limit is sigma2, not
+    # their product's NaN or inf
+    p = MaternParams(sigma2=2.0, kappa=1.0, nu=nu)
+    d = np.array([0.0, 1e-310, 1e-300, 1e-200, 1e-110, 1.0, np.inf])
+    with np.errstate(all="ignore"):
+        cov = matern_cov(d, p)
+    assert cov[0] == 2.0
+    assert cov[1:5] == pytest.approx(2.0, rel=1e-15)
+    mid = 2.0 * 2.0 ** (1 - nu) / gamma(nu) * kv(nu, 1.0)
+    assert cov[5] == pytest.approx(mid, rel=1e-12)
+    assert cov[6] == 0.0
