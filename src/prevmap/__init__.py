@@ -35,7 +35,7 @@ _EXPORTS = {
               "fit_bym", "icar_precision"),
     "functionals": ("JointSamples", "area_averages", "make_grid",
                     "sample_points_in_polygon", "simultaneous_excursions"),
-    "simulate": ("SimConfig", "lattice_field", "simulate_survey"),
+    "simulate": ("lattice_field", "simulate_survey"),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items()

@@ -34,6 +34,8 @@ __all__ = [
 
 # adjacency_from_polygons matches boundary vertices on this lattice
 _VERTEX_TOL = 1e-9
+# where the search for the (ICAR, iid) log precisions starts
+_THETA_INIT = (np.log(10.0), np.log(10.0))
 
 
 @dataclass
@@ -111,15 +113,12 @@ class BymModel:
     y: np.ndarray
     v_hat: np.ndarray
     graph: AdjacencyGraph
-    theta_init: tuple = (np.log(10.0), np.log(10.0))
-    observed: np.ndarray = None  # mask; missing areas are predicted only
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         self.v_hat = np.asarray(self.v_hat, dtype=float)
-        if self.observed is None:
-            self.observed = np.isfinite(self.y) & np.isfinite(self.v_hat)
-        self.observed = np.asarray(self.observed, dtype=bool)
+        # an area without a finite estimate is predicted only
+        self.observed = np.isfinite(self.y) & np.isfinite(self.v_hat)
         if np.any(self.v_hat[self.observed] <= 0):
             raise ValueError("v_hat must be positive for observed areas")
         if len(self.y) != self.graph.n_areas:
@@ -183,7 +182,7 @@ def _build_latent_model(model):
         comps,
         fixed_design=np.ones((n, 1)),
         fixed_names=["beta0_star"],
-        theta_init=np.asarray(model.theta_init, dtype=float)[
+        theta_init=np.asarray(_THETA_INIT, dtype=float)[
             (0 if len(icar_cols) else 1):],
     )
     return lm, icar_cols, np.flatnonzero(singleton).tolist()

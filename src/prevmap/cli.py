@@ -52,34 +52,19 @@ def _areas(cfg):
     return _read_polygons(cfg.areas)
 
 
-def _sim_config(cfg):
-    from . import simulate
-
-    sizes = tuple(range(1, 13))
-    probs = tuple([1.0 / 12] * 12)
-    if cfg.household_sizes:
-        sizes, probs = simulate.read_household_size_csv(cfg.household_sizes)
-    return simulate.SimConfig(
-        beta0=cfg.sim_beta0, tau=cfg.sim_tau, kappa=cfg.sim_kappa,
-        nugget_var=cfg.sim_nugget_var, n_clusters=cfg.sim_n_clusters,
-        total_psu=cfg.total_psu, households_per_ea=cfg.households_per_ea,
-        m_range=(cfg.sim_m_min, cfg.sim_m_max),
-        household_sizes=sizes, household_size_probs=probs,
-        truth_resolution=cfg.sim_truth_resolution, seed=cfg.seed)
-
-
 def cmd_simulate(cfg):
     from . import simulate, survey
 
     boundary = _boundary(cfg)
     areas = _areas(cfg)
-    sim_config = _sim_config(cfg)
+    sizes = (simulate.read_household_size_csv(cfg.household_sizes)
+             if cfg.household_sizes else None)
     locs = None
     if cfg.cluster_locations:
         locs = simulate.read_locations_csv(cfg.cluster_locations)
         _check_inside(cfg.cluster_locations, boundary, locs)
     try:
-        sim = simulate.simulate_survey(sim_config, boundary, areas=areas,
+        sim = simulate.simulate_survey(cfg, boundary, sizes, areas=areas,
                                        cluster_locations=locs)
     except DataError as exc:  # the areas do not cover the clusters
         raise DataError(f"{cfg.areas}: {exc}") from exc
@@ -253,14 +238,14 @@ def _load_state(cfg):
     from .functionals import JointSamples, SurfaceSpec
     from .geometry import TriMesh
 
-    z = np.load(path)
-    mesh = TriMesh(z["mesh_vertices"], z["mesh_triangles"], z["mesh_interior"])
-    spec = SurfaceSpec(
-        mesh=mesh,
-        field_slice=slice(int(z["field_start"]), int(z["field_stop"])),
-        beta0_index=int(z["beta0_index"]))
-    samples = JointSamples(samples=z["samples"],
-                           theta_index=z["theta_index"])
+    with reading(path), np.load(path) as z:
+        spec = SurfaceSpec(
+            mesh=TriMesh(z["mesh_vertices"], z["mesh_triangles"],
+                         z["mesh_interior"]),
+            field_slice=slice(int(z["field_start"]), int(z["field_stop"])),
+            beta0_index=int(z["beta0_index"]))
+        samples = JointSamples(samples=z["samples"],
+                               theta_index=z["theta_index"])
     return samples, spec
 
 

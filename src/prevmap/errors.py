@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import zipfile
 from contextlib import contextmanager
 
 
@@ -49,11 +50,12 @@ class DataError(PrevmapError):
 
 @contextmanager
 def reading(path):
-    """Turn a missing field (KeyError) or a malformed value (TypeError,
-    ValueError) met while reading ``path`` into a DataError naming it."""
+    """Turn a missing field (KeyError), a malformed value or a damaged
+    archive met while reading ``path`` into a DataError naming it."""
     try:
         yield
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, EOFError,
+            zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: {exc}") from exc

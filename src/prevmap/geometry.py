@@ -474,6 +474,12 @@ def _polygon_from_geojson_coords(coords, pid):
     return Polygon(rings, id=pid)
 
 
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} is not a JSON object")
+    return value
+
+
 def read_polygons_geojson(path):
     """Read polygons from a minimal GeoJSON file.
 
@@ -484,7 +490,7 @@ def read_polygons_geojson(path):
     """
     with reading(path):
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = _json_object(json.load(fh), "the top level")
         if obj.get("type") == "FeatureCollection":
             feats = obj["features"]
         elif obj.get("type") == "Feature":
@@ -493,8 +499,10 @@ def read_polygons_geojson(path):
             feats = [{"type": "Feature", "geometry": obj, "properties": {}}]
         out = []
         for i, feat in enumerate(feats):
-            geom = feat.get("geometry") or {}
-            pid = str((feat.get("properties") or {}).get("id", i))
+            feat = _json_object(feat, f"feature {i}")
+            geom, props = (_json_object(feat.get(k) or {}, f"feature {i}: {k}")
+                           for k in ("geometry", "properties"))
+            pid = str(props.get("id", i))
             gtype = geom.get("type")
             if gtype == "Polygon":
                 out.append(_polygon_from_geojson_coords(geom["coordinates"],

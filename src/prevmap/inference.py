@@ -57,6 +57,7 @@ from scipy.special import expit, gammaln, ndtr
 from ._csv import _write_csv
 from .errors import ConvergenceError, NotPositiveDefiniteError
 from .functionals import JointSamples
+from .geometry import _ranges
 from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
 __all__ = [
@@ -396,9 +397,7 @@ class _Pattern:
         obs = np.repeat(np.arange(b.shape[0]), per_row)
         reps = per_row[obs]
         first = np.repeat(np.arange(b.nnz), reps)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps,
-                                                   reps)
-        second = b.indptr[obs[first]] + offset
+        second = _ranges(b.indptr[obs], reps)
         vals = b.data[first] * b.data[second]
         nonzero = vals != 0
         first, second, vals = first[nonzero], second[nonzero], vals[nonzero]

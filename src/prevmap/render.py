@@ -23,6 +23,7 @@ _GRAY = {"below": 80, "above": 200, "indeterminate": 0, "outside": 255}
 # SVG canvas size and the margin around the drawing, in pixels
 _WIDTH, _HEIGHT = 640, 560
 _PAD = 30
+_LEGEND_STEPS = 24  # colour steps of the legend's ramp, 5 pixels each
 
 
 def write_pgm(path, gray):
@@ -170,7 +171,8 @@ def svg_choropleth(path, polygons, values, title=""):
     _svg_write(path, parts, _legend_gradient(vmin, vmax))
 
 
-def _legend_gradient(vmin, vmax, n=24):
+def _legend_gradient(vmin, vmax):
+    n = _LEGEND_STEPS
     items = [f'<g font-size="11" font-family="sans-serif">']
     x = _WIDTH - 160
     for i, c in enumerate(_ramp_colors(np.arange(n) / (n - 1)).tolist()):

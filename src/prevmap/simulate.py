@@ -19,7 +19,6 @@ from .matern import MaternParams, matern_cov, practical_range, sigma_from_tau
 from .survey import SurveyFrame, design_weights
 
 __all__ = [
-    "SimConfig",
     "SimOutput",
     "TruthLattice",
     "lattice_field",
@@ -34,42 +33,7 @@ __all__ = [
 # on an indefinite embedding, doubles the padding up to _MAX_GROW times.
 _PAD_RANGES = 4.0
 _MAX_GROW = 3
-
-
-@dataclass
-class SimConfig:
-    """Parameters of the synthetic survey; the study's defaults are the
-    ``[sim]`` and ``[survey]`` settings of :mod:`prevmap.config`."""
-
-    beta0: float
-    tau: float
-    kappa: float
-    nugget_var: float
-    n_clusters: int
-    total_psu: int
-    households_per_ea: int
-    m_range: tuple
-    household_sizes: tuple
-    household_size_probs: tuple
-    truth_resolution: int
-    seed: int
-
-    def __post_init__(self):
-        if self.nugget_var < 0 or self.tau <= 0 or self.kappa <= 0:
-            raise ValueError("variance parameters must be positive")
-        lo, hi = self.m_range
-        if not (1 <= lo <= hi <= self.households_per_ea):
-            raise ValueError("m_range must lie within 1..households_per_ea")
-        p = np.asarray(self.household_size_probs, dtype=float)
-        if len(p) != len(self.household_sizes) or abs(p.sum() - 1) > 1e-9:
-            raise ValueError("household size distribution must sum to 1")
-
-    @property
-    def sigma2(self):
-        return sigma_from_tau(self.tau, self.kappa, 1.0)
-
-    def matern(self):
-        return MaternParams(sigma2=self.sigma2, kappa=self.kappa, nu=1.0)
+_HOUSEHOLD_SIZES = (tuple(range(1, 13)), tuple([1.0 / 12] * 12))
 
 
 @dataclass
@@ -86,7 +50,6 @@ class SimOutput:
     frame: SurveyFrame
     truth: TruthLattice
     area_truth: dict           # area id -> true T_k
-    config: SimConfig
 
 
 def _next_fast_len(n):
@@ -155,48 +118,53 @@ def _bilinear(xs, ys, grid, pts):
             + tx * ty * grid[iy + 1, ix + 1])
 
 
-def simulate_survey(config, boundary, areas=None, cluster_locations=None):
+def simulate_survey(cfg, boundary, household_sizes=None, areas=None,
+                    cluster_locations=None):
     """Generate a full synthetic survey plus its truth surfaces.
 
-    Cluster locations default to uniform draws in the boundary polygon;
-    given ones must lie in it (the field is clamped to the truth lattice's
-    edge, and ``prevmap simulate`` refuses a location file that does not).
-    Households per cluster are uniform on the configured range, member
-    counts follow the household-size distribution, and outcomes are
-    binomial with logit p = beta0 + S_i + eps_ij.  Design weights are the
-    two-stage reciprocals.  The truth lattice (default 200 x 200 over the
-    boundary bbox) carries the same field realization used for clusters.
-    With ``areas``, each cluster takes the id of the first area that
-    contains it, and a cluster in no area raises :class:`DataError`.
+    ``cfg`` is the parsed (so validated) pipeline configuration;
+    ``household_sizes`` a pair from :func:`read_household_size_csv`, or by
+    default 1 to 12 members equally likely.  Cluster locations default to
+    uniform draws in the boundary polygon; given ones must lie in it (the
+    field is clamped to the truth lattice's edge, and ``prevmap simulate``
+    refuses a location file that does not).  Households per cluster are
+    uniform on [m_min, m_max], member counts follow the household sizes,
+    and outcomes are binomial with logit p = beta0 + S_i + eps_ij.  Design
+    weights are the two-stage reciprocals.  The truth lattice
+    (truth_resolution points a side over the boundary bbox) carries the
+    same field realization used for clusters.  With ``areas``, each
+    cluster takes the id of the first area that contains it, and a cluster
+    in no area raises :class:`DataError`.
     """
-    rng = np.random.default_rng(config.seed)
-    params = config.matern()
+    rng = np.random.default_rng(cfg.seed)
+    params = MaternParams(sigma_from_tau(cfg.sim_tau, cfg.sim_kappa, 1.0),
+                          cfg.sim_kappa, nu=1.0)
 
-    res = config.truth_resolution
+    res = cfg.sim_truth_resolution
     x0, y0, x1, y1 = boundary.bbox()
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
     field = lattice_field(xs, ys, params, rng)
 
     if cluster_locations is None:
-        locs = sample_points_in_polygon(boundary, config.n_clusters, rng)
+        locs = sample_points_in_polygon(boundary, cfg.sim_n_clusters, rng)
     else:
         locs = np.atleast_2d(np.asarray(cluster_locations, dtype=float))
     n_cl = len(locs)
     s_cluster = _bilinear(xs, ys, field, locs)
 
-    m_lo, m_hi = config.m_range
-    m_i = rng.integers(m_lo, m_hi + 1, size=n_cl)
+    m_i = rng.integers(cfg.sim_m_min, cfg.sim_m_max + 1, size=n_cl)
     hh_cluster = np.repeat(np.arange(n_cl), m_i)
     n_households = int(m_i.sum())
-    sizes = rng.choice(np.asarray(config.household_sizes), size=n_households,
-                       p=np.asarray(config.household_size_probs))
-    eps = rng.normal(0.0, np.sqrt(config.nugget_var), size=n_households) \
-        if config.nugget_var > 0 else np.zeros(n_households)
-    p_ij = _expit_of_negated(-(config.beta0 + s_cluster[hh_cluster] + eps))
+    sizes, probs = household_sizes or _HOUSEHOLD_SIZES
+    sizes = rng.choice(np.asarray(sizes), size=n_households,
+                       p=np.asarray(probs))
+    eps = rng.normal(0.0, np.sqrt(cfg.sim_nugget_var), size=n_households) \
+        if cfg.sim_nugget_var > 0 else np.zeros(n_households)
+    p_ij = _expit_of_negated(-(cfg.sim_beta0 + s_cluster[hh_cluster] + eps))
     y_ij = rng.binomial(sizes.astype(int), p_ij)
-    weights = design_weights(n_cl, config.total_psu, m_i[hh_cluster],
-                             config.households_per_ea)
+    weights = design_weights(n_cl, cfg.total_psu, m_i[hh_cluster],
+                             cfg.households_per_ea)
 
     if areas:
         area_of_cluster = np.empty(n_cl, dtype=object)
@@ -227,7 +195,7 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
 
     grid_pts = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys)])
     inside = boundary.contains(grid_pts).reshape(res, res)
-    prevalence = _expit_of_negated(-(config.beta0 + field))
+    prevalence = _expit_of_negated(-(cfg.sim_beta0 + field))
     prev_masked = np.where(inside, prevalence, np.nan)
     truth = TruthLattice(x=xs, y=ys, field=field, prevalence=prev_masked,
                          inside=inside)
@@ -238,8 +206,7 @@ def simulate_survey(config, boundary, areas=None, cluster_locations=None):
             in_area = poly.contains(grid_pts).reshape(res, res)
             if in_area.any():
                 area_truth[poly.id] = float(prevalence[in_area].mean())
-    return SimOutput(frame=frame, truth=truth, area_truth=area_truth,
-                     config=config)
+    return SimOutput(frame=frame, truth=truth, area_truth=area_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +226,8 @@ def read_household_size_csv(path):
     with reading(path):
         sizes, probs = _read_csv(path, ["size", "probability"])
         sizes, probs = tuple(map(int, sizes)), tuple(map(float, probs))
+        if min(sizes, default=0) < 0:
+            raise ValueError("column size: must be non-negative")
         if min(probs, default=0) < 0 or abs(sum(probs) - 1) > 1e-9:
             raise ValueError("column probability: must be non-negative "
                              "and sum to 1")

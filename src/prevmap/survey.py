@@ -4,12 +4,12 @@ A frame holds one row per sampled household.  Design weights are the
 reciprocal two-stage selection probabilities; prevalence is estimated per
 area by the Hajek ratio with a with-replacement first-stage linearization
 variance, then moved to the logit scale by the delta method.  Zero/one
-prevalences, and variances too small for the logit, get the
-:class:`ShrinkFix` boundary fix.  :func:`direct_estimates` groups the
+prevalences, variances too small for the logit and single-cluster areas
+are repaired by one rule (:func:`direct_estimates`), which groups the
 households by area once and estimates each area from its sub-frame.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "hajek",
     "design_variance",
     "empirical_logit",
-    "ShrinkFix",
     "direct_estimates",
     "read_frame_csv",
     "write_frame_csv",
@@ -92,7 +91,7 @@ class DirectEstimate:
     y_logit: float
     v_logit: float
     n_clusters: int
-    flags: list = field(default_factory=list)
+    flags: list
 
 
 def design_weights(num_psu_sampled, total_psu, m_i, households_per_ea):
@@ -148,110 +147,67 @@ def design_variance(frame, p_hat):
     return float(n_c / (n_c - 1) * np.sum((z - zbar) ** 2) / den)
 
 
-@dataclass
-class ShrinkFix:
-    """Boundary fix pulling p toward a reference mean with half a
-    pseudo-observation at the average person weight.
-
-    Applied only when p_hat is 0 or 1; the variance is floored at a
-    binomial variance with the Kish effective sample size so the logit
-    variance stays finite.
-    """
-
-    p_ref: float
-    mean_weight: float
-    n_eff: float
-
-    def __call__(self, p_hat, v_star, sum_wn):
-        fixed = False
-        if p_hat <= 0.0 or p_hat >= 1.0:
-            num = p_hat * sum_wn + 0.5 * self.mean_weight * self.p_ref
-            den = sum_wn + 0.5 * self.mean_weight
-            p_hat = num / den
-            fixed = True
-        floor = p_hat * (1 - p_hat) / max(self.n_eff, 1.0)
-        if not np.isfinite(v_star) or v_star < floor * 1e-12 or (fixed and v_star <= 0):
-            v_star = max(v_star if np.isfinite(v_star) else 0.0, floor)
-            fixed = True
-        return p_hat, v_star, fixed
-
-
-def empirical_logit(p_hat, v_star, fix_policy=None, sum_wn=None):
-    """Empirical logit and its delta-method variance.
-
-    ``fix_policy`` (e.g. :class:`ShrinkFix`) repairs boundary estimates;
-    without one, p_hat must lie strictly inside (0, 1).
-    """
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValueError("p_hat must lie in [0, 1]")
-    fixed = False
-    if fix_policy is not None:
-        p_hat, v_star, fixed = fix_policy(p_hat, v_star, sum_wn or 1.0)
-    if p_hat <= 0.0 or p_hat >= 1.0:
-        raise ValueError("boundary p_hat requires a fix policy")
+def empirical_logit(p_hat, v_star):
+    """Logit of ``p_hat`` in (0, 1) and the delta-method variance there."""
+    if not 0.0 < p_hat < 1.0:
+        raise ValueError("p_hat must lie strictly inside (0, 1)")
     y = float(np.log(p_hat / (1.0 - p_hat)))
     v = float(v_star / (p_hat * (1.0 - p_hat)) ** 2)
-    return y, v, fixed
+    return y, v
 
 
-def _kish_neff(w, n):
-    # Kish effective person count: persons in household j share weight w_j
-    sw = np.sum(w * n)
-    sw2 = np.sum(w ** 2 * n)
-    return sw ** 2 / sw2 if sw2 > 0 else 1.0
+def _area_estimate(area, sub, p, v, n_c, p_nat, pooled_v_logit):
+    """The estimate of ``area`` repaired as :func:`direct_estimates` says."""
+    wn = np.sum(sub.weight * sub.n_members)
+    fixed = not 0.0 < p < 1.0
+    if fixed:  # half a pseudo-observation at the mean weight, toward p_nat
+        half = 0.5 * float(np.mean(sub.weight))
+        p = (p * float(wn) + half * p_nat) / (float(wn) + half)
+    single = n_c < 2 or not np.isfinite(v)
+    if single:
+        y, v_logit = empirical_logit(p, 0.0)[0], pooled_v_logit
+    else:
+        # Kish effective person count: the persons of household j share w_j
+        n_eff = wn ** 2 / np.sum(sub.weight ** 2 * sub.n_members)
+        floor = p * (1 - p) / max(n_eff, 1.0)
+        if v < floor * 1e-12:  # always so at a 0/1 p: all residuals are 0
+            v, fixed = floor, True
+        y, v_logit = empirical_logit(p, v)
+        if fixed:
+            p = 1.0 / (1.0 + np.exp(-y))
+    if single or fixed:
+        v = v_logit * (p * (1 - p)) ** 2
+    flags = ["single_cluster"] * single + ["boundary_fix"] * fixed
+    return DirectEstimate(area, p, v, y, v_logit, n_c, flags)
 
 
 def direct_estimates(frame):
     """Per-area Hajek estimates on the probability and logit scales.
 
-    Single-cluster areas inherit the median logit variance of the
-    multi-cluster areas and are flagged ``single_cluster``; boundary
-    prevalences are repaired by :class:`ShrinkFix` toward the survey-wide
-    estimate and flagged ``boundary_fix``.  Areas come out sorted by id.
+    A 0/1 prevalence shrinks toward the survey-wide estimate by half a
+    pseudo-observation at the area's mean weight.  A single-cluster area
+    takes the median logit variance of the multi-cluster, interior-p areas
+    (flag ``single_cluster``).  A multi-cluster variance below 1e-12 of the
+    Kish binomial variance p(1 - p) / n_eff is raised to it, at any p, and
+    p comes back through the logit.  Either repair flags ``boundary_fix``.
+    Areas come out sorted by id.
     """
     # a stable sort lists each area's households in frame order, so every
     # per-area sum runs over the same sequence as a mask of the frame would
     order = np.argsort(frame.area_id, kind="stable")
     areas, starts = np.unique(frame.area_id[order], return_index=True)
     p_nat = hajek(frame)
-    out = []
     raw = []
     for a, rows in zip(areas, np.split(order, starts[1:])):
         sub = frame.take(rows)
         p = hajek(sub)
-        v = design_variance(sub, p)
-        raw.append((a, p, v, len(np.unique(sub.cluster_id)), sub))
+        raw.append((a, sub, p, design_variance(sub, p),
+                    len(np.unique(sub.cluster_id))))
     # logit-scale variances for multi-cluster, interior-p areas set the pool
-    pool = []
-    for a, p, v, n_c, sub in raw:
-        if n_c >= 2 and 0 < p < 1 and np.isfinite(v) and v > 0:
-            pool.append(v / (p * (1 - p)) ** 2)
+    pool = [v / (p * (1 - p)) ** 2 for _, _, p, v, n_c in raw
+            if n_c >= 2 and 0 < p < 1 and np.isfinite(v) and v > 0]
     pooled_v_logit = float(np.median(pool)) if pool else 1.0
-    for a, p, v, n_c, sub in raw:
-        flags = []
-        w = sub.weight
-        n = sub.n_members
-        sum_wn = float(np.sum(w * n))
-        policy = ShrinkFix(p_ref=p_nat, mean_weight=float(np.mean(w)),
-                           n_eff=_kish_neff(w, n))
-        if n_c < 2 or not np.isfinite(v):
-            flags.append("single_cluster")
-            p_fix = p
-            if p <= 0 or p >= 1:
-                p_fix, _, _ = policy(p, 0.0, sum_wn)
-                flags.append("boundary_fix")
-            y = float(np.log(p_fix / (1 - p_fix)))
-            v_logit = pooled_v_logit
-            v_use = v_logit * (p_fix * (1 - p_fix)) ** 2
-            out.append(DirectEstimate(a, p_fix, v_use, y, v_logit, n_c, flags))
-            continue
-        y, v_logit, fixed = empirical_logit(p, v, policy, sum_wn)
-        if fixed:
-            flags.append("boundary_fix")
-            p = 1.0 / (1.0 + np.exp(-y))
-            v = v_logit * (p * (1 - p)) ** 2
-        out.append(DirectEstimate(a, p, v, y, v_logit, n_c, flags))
-    return out
+    return [_area_estimate(*r, p_nat, pooled_v_logit) for r in raw]
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,34 @@ def test_cli_report_bad_fit_output_exits_3_naming_it(first_run, tmp_path,
                 f"3") in err
 
 
+def _drop_beta0_index(path):
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files if k != "beta0_index"}
+    np.savez(path, **arrays)
+
+
+_STATE_DAMAGE = {
+    "garbage_bytes": lambda path: path.write_bytes(b"not an archive\n" * 8),
+    "truncated": lambda path: path.write_bytes(
+        path.read_bytes()[:path.stat().st_size // 2]),
+    "missing_beta0_index": _drop_beta0_index,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_STATE_DAMAGE))
+def test_cli_damaged_fit_state_exits_3_naming_it(first_run, tmp_path, capsys,
+                                                 damage):
+    directory, _ = first_run
+    ini = _write_config(str(tmp_path))
+    shutil.copytree(os.path.join(directory, "out"), tmp_path / "out")
+    path = tmp_path / "out" / "fit_state.npz"
+    _STATE_DAMAGE[damage](path)
+    for command in ("areas", "excursions"):
+        capsys.readouterr()
+        assert cli.main([command, "-c", ini]) == 3
+        assert f"data error: {path}: " in capsys.readouterr().err
+
+
 def test_cli_excursions_line_reports_joint_probabilities(first_run, capsys):
     directory, _ = first_run
     capsys.readouterr()
@@ -428,6 +456,18 @@ def _polygons_without_ring_index(directory):
     return {"paths": {"boundary": path}}, 3, path
 
 
+_SQUARE = {"type": "Polygon",
+           "coordinates": [[[0, 0], [10, 0], [10, 10], [0, 10]]]}
+
+
+def _geojson_case(directory, obj):
+    """A boundary GeoJSON file holding ``obj``."""
+    path = os.path.join(directory, "boundary_in.geojson")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return {"paths": {"boundary": path}}, 3, f"data error: {path}: "
+
+
 def _ragged_row(path, extra):
     """Give data row 2 of the CSV file at ``path`` one field more (``extra``
     = 1) or one fewer (-1); returns the error line that must name it."""
@@ -473,6 +513,13 @@ BAD_INPUTS = {
     "frame_x_outside_boundary": lambda d: _frame_case(d, bad=("x", "50")),
     "frame_unknown_area_id": lambda d: _frame_case(d, bad=("area_id", "zzz")),
     "polygons_without_ring_index": _polygons_without_ring_index,
+    "geojson_top_level_array": lambda d: _geojson_case(
+        d, [{"type": "Feature", "geometry": _SQUARE, "properties": {}}]),
+    "geojson_top_level_string": lambda d: _geojson_case(d, "Polygon"),
+    "geojson_feature_not_object": lambda d: _geojson_case(
+        d, {"type": "FeatureCollection", "features": ["Feature"]}),
+    "geojson_properties_not_object": lambda d: _geojson_case(
+        d, {"type": "Feature", "geometry": _SQUARE, "properties": ["id"]}),
     "adjacency_unknown_area": lambda d: _frame_case(
         d, adjacency=[("A0", "A1"), ("A0", "A9")]),
     "frame_long_row": lambda d: _ragged_case(d, "data", 1),
@@ -499,6 +546,9 @@ BAD_SIMULATE_INPUTS = {
                                     [(1, 0.5), (2, 0.25)]),
     "household_sizes_negative": ("household_sizes", ["size", "probability"],
                                  [(1, 1.5), (2, -0.5)]),
+    "household_sizes_size_negative": ("household_sizes",
+                                      ["size", "probability"],
+                                      [(-1, 0.5), (2, 0.5)]),
     "cluster_locations_no_rows": ("cluster_locations", ["x", "y"], []),
     "cluster_locations_nan": ("cluster_locations", ["x", "y"],
                               [(1.5, 2.5), ("nan", 3.0)]),

@@ -2,9 +2,11 @@
 and the pipeline reads every key."""
 
 import dataclasses
+import glob
+import os
 import re
 
-from prevmap import cli
+import prevmap
 from prevmap.config import PipelineConfig, load_config
 
 # keys the pipeline does not read, each with the reason it stays
@@ -33,8 +35,11 @@ def test_echoed_config_reparses_to_same_values(tmp_path):
 
 def test_pipeline_reads_every_setting():
     # a key that nothing reads only looks like an option: every field but
-    # the raw sections is read as cfg.<field> by the commands
-    with open(cli.__file__) as fh:
-        read = set(re.findall(r"\bcfg\.(\w+)", fh.read()))
+    # the raw sections is read as cfg.<field> by the package's modules
+    read = set()
+    for path in glob.glob(os.path.join(os.path.dirname(prevmap.__file__),
+                                       "*.py")):
+        with open(path) as fh:
+            read |= set(re.findall(r"\bcfg\.(\w+)", fh.read()))
     fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"raw"}
     assert fields - read == set(UNREAD)

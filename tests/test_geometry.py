@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from prevmap import geometry
-from prevmap.errors import InvalidGeometryError
+from prevmap.errors import DataError, InvalidGeometryError
 from prevmap.geometry import (_BOUNDARY_TOL, _PROJECT_TOL, Polygon,
                               _min_angles, fem_matrices, project,
                               read_polygons_csv, read_polygons_geojson,
@@ -463,6 +463,35 @@ def test_polygon_geojson_roundtrip(tmp_path):
     polys = read_polygons_geojson(path)
     assert [p.id for p in polys] == ["poly", "multi#0", "multi#1"]
     assert polys[0].area() == pytest.approx(4 - 0.25)
+
+
+# arbitrary JSON values, with GeoJSON's keys and type names common enough
+# that the reader's branches are reached
+_GEOJSON_WORDS = st.sampled_from(["type", "features", "geometry",
+                                  "properties", "coordinates", "id",
+                                  "FeatureCollection", "Feature", "Polygon",
+                                  "MultiPolygon"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3) | _GEOJSON_WORDS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(_GEOJSON_WORDS | st.text(max_size=3), inner,
+                      max_size=4),
+    max_leaves=30)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(value=_JSON)
+def test_geojson_reader_on_any_json_returns_polygons_or_a_data_error(
+        tmp_path_factory, value):
+    import json
+    path = tmp_path_factory.getbasetemp() / "any.geojson"
+    path.write_text(json.dumps(value))
+    try:
+        polys = read_polygons_geojson(path)
+    except (DataError, InvalidGeometryError):
+        return
+    assert all(isinstance(p, Polygon) for p in polys)
 
 
 def test_polygon_csv_roundtrip(tmp_path):

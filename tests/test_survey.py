@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from prevmap.errors import NoDataError
-from prevmap.survey import (DirectEstimate, ShrinkFix, SurveyFrame,
-                            design_variance, design_weights,
-                            direct_estimates, empirical_logit, hajek,
-                            read_frame_csv, write_frame_csv,
-                            write_direct_estimates_csv)
+from prevmap.survey import (DirectEstimate, SurveyFrame, design_variance,
+                            design_weights, direct_estimates,
+                            empirical_logit, hajek, read_frame_csv,
+                            write_frame_csv, write_direct_estimates_csv)
 
 
 def _frame(cluster, area, n, y, w, x=None):
@@ -156,25 +155,74 @@ def test_design_variance_against_cluster_bootstrap():
 # ---------------------------------------------------------------------------
 
 def test_empirical_logit_paper_intercept():
-    y, v, _ = empirical_logit(0.07, 0.0)
+    y, v = empirical_logit(0.07, 0.0)
     assert y == pytest.approx(np.log(0.07 / 0.93), rel=1e-12)
     assert y == pytest.approx(-2.5867, abs=1e-4)
 
 
 def test_empirical_logit_delta_method():
-    y, v, _ = empirical_logit(0.5, 0.01)
+    y, v = empirical_logit(0.5, 0.01)
     assert v == pytest.approx(0.01 / 0.0625, rel=1e-12)
     # delta-method identity: v_logit * (p(1-p))^2 == v_star
     for p, vs in [(0.3, 0.004), (0.9, 0.0002)]:
-        yv, vv, _ = empirical_logit(p, vs)
+        yv, vv = empirical_logit(p, vs)
         assert vv * (p * (1 - p)) ** 2 == pytest.approx(vs, rel=1e-12)
 
 
-def test_empirical_logit_zero_fix_shrink():
-    fix = ShrinkFix(p_ref=0.08, mean_weight=2000.0, n_eff=150.0)
-    y, v, fixed = empirical_logit(0.0, 0.0, fix_policy=fix, sum_wn=1e6)
-    assert fixed
-    assert np.isfinite(y) and np.isfinite(v) and v > 0
+def test_direct_estimates_repairs_pinned():
+    # (cluster, area, N, Y, weight) per household
+    rows = [
+        # a: two clusters, no positives: shrunk toward the survey, floored
+        (0, "a", 3, 0, 2.0), (0, "a", 2, 0, 6.0), (1, "a", 4, 0, 1.0),
+        # b: two identical clusters at p = 1/14: zero variance, floored
+        (2, "b", 2, 1, 1.0), (2, "b", 4, 0, 3.0),
+        (3, "b", 2, 1, 1.0), (3, "b", 4, 0, 3.0),
+        # c: one cluster at p = 3/8: the pooled logit variance
+        (4, "c", 5, 2, 4.0), (4, "c", 3, 1, 4.0),
+        # d: three clusters, the only area in the pool
+        (5, "d", 4, 1, 2.0), (5, "d", 3, 2, 2.0), (6, "d", 5, 1, 3.0),
+        (7, "d", 2, 0, 1.0),
+        # e: one cluster, all positive: shrunk, pooled
+        (8, "e", 2, 2, 5.0), (8, "e", 3, 3, 1.0),
+    ]
+    cluster, area, n, y, w = zip(*rows)
+    fr = _frame(cluster, area, n, y, w)
+    ests = {e.area_id: e for e in direct_estimates(fr)}
+    p_nat = np.dot(w, y) / np.dot(w, n)
+    p_d = hajek(fr.take(np.flatnonzero(fr.area_id == "d")))
+    pooled = design_variance(fr.take(np.flatnonzero(fr.area_id == "d")),
+                             p_d) / (p_d * (1 - p_d)) ** 2
+
+    def logit(p):
+        return np.log(p / (1 - p))
+
+    # a: sum wN = 22 and mean weight 3 give half a pseudo-observation of
+    # weight 1.5; Kish n_eff = 22^2 / (4*3 + 36*2 + 1*4) = 5.5
+    p_a = 1.5 * p_nat / (22 + 1.5)
+    a = ests["a"]
+    assert a.flags == ["boundary_fix"]
+    assert a.p_hat == pytest.approx(p_a, rel=1e-12)
+    assert a.v_star == pytest.approx(p_a * (1 - p_a) / 5.5, rel=1e-12)
+    assert a.y_logit == pytest.approx(logit(p_a), rel=1e-12)
+    assert a.v_logit == pytest.approx(1 / (5.5 * p_a * (1 - p_a)), rel=1e-12)
+    # b: an interior p keeps its value; n_eff = 28^2 / (2 * (2 + 36))
+    b = ests["b"]
+    assert b.flags == ["boundary_fix"]
+    assert b.p_hat == pytest.approx(1 / 14, rel=1e-12)
+    assert b.v_star == pytest.approx((1 / 14) * (13 / 14) / (784 / 76),
+                                     rel=1e-12)
+    for key, p, flags in (("c", 3 / 8, ["single_cluster"]),
+                          ("e", (13 + 1.5 * p_nat) / (13 + 1.5),
+                           ["single_cluster", "boundary_fix"])):
+        e = ests[key]
+        assert e.flags == flags and e.n_clusters == 1
+        assert e.p_hat == pytest.approx(p, rel=1e-12)
+        assert e.y_logit == pytest.approx(logit(p), rel=1e-12)
+        assert e.v_logit == pytest.approx(pooled, rel=1e-12)
+        assert e.v_star == pytest.approx(pooled * (p * (1 - p)) ** 2,
+                                         rel=1e-12)
+    assert ests["d"].flags == []
+    assert ests["d"].v_logit == pytest.approx(pooled, rel=1e-12)
 
 
 def test_empirical_logit_boundary_without_fix_raises():
