@@ -33,16 +33,19 @@ def _read_polygons(path):
 
     if not os.path.exists(path):
         raise DataError(f"polygon file not found: {path}")
-    if path.endswith(".csv"):
-        return read_polygons_csv(path)
-    return read_polygons_geojson(path)
+    try:
+        if path.endswith(".csv"):
+            return read_polygons_csv(path)
+        return read_polygons_geojson(path)
+    except InvalidGeometryError as exc:  # a geometry error names no file
+        raise InvalidGeometryError(f"{path}: {exc}") from exc
 
 
 def _boundary(cfg):
     polys = _read_polygons(cfg.boundary)
     if len(polys) != 1:
-        raise DataError(f"boundary file must contain exactly one polygon, "
-                        f"got {len(polys)}")
+        raise DataError(f"{cfg.boundary}: boundary file must contain "
+                        f"exactly one polygon, got {len(polys)}")
     return polys[0]
 
 
@@ -93,12 +96,16 @@ def _check_inside(path, boundary, locs):
                         f"outside the boundary, e.g. ({x}, {y})")
 
 
+def _frame_path(cfg):
+    return cfg.data or cfg.out("frame.csv")
+
+
 def _load_frame(cfg, boundary, areas=None):
     """The survey frame, with every cluster inside ``boundary`` and, when
     ``areas`` are given, every area_id one of theirs."""
     from .survey import read_frame_csv
 
-    path = cfg.data or cfg.out("frame.csv")
+    path = _frame_path(cfg)
     if not os.path.exists(path):
         raise DataError(f"survey frame not found: {path} (run simulate or "
                         f"set paths.data)")
@@ -126,13 +133,42 @@ def _spde_theta_init(cfg):
     return init
 
 
-def _fit_spde(cfg, boundary, frame):
+def _write_npz(path, **arrays):
+    """The archive ``np.savez`` writes, each array's bytes taken from its
+    own buffer: ``np.savez`` copies any array under 16 MiB whole on its way
+    into the zip file."""
+    import zipfile
+    from numpy.lib import format as npy
+
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in arrays.items():
+            value = np.asarray(value)
+            if not value.flags.f_contiguous:
+                value = np.ascontiguousarray(value)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                npy.write_array_header_1_0(
+                    fh, npy.header_data_from_array_1_0(value))
+                fh.write(value.ravel(order="K"))
+
+
+def _fit_spde(cfg, boundary, areas, frame):
     """SPDE fit: theta grid, fixed-effect summary, median field and the
-    saved samples the post-fit commands read.  Returns the files written."""
+    saved samples the post-fit commands read.  Returns the files written.
+
+    ``fit_state.npz`` holds what ``areas`` and ``excursions`` read:
+    ``mesh_vertices``, ``mesh_triangles`` and ``mesh_interior``, the
+    sub-mesh of the triangles that can hold a point of the boundary or of
+    an area polygon (:meth:`TriMesh.submesh`), on which the projection of
+    such a point is the full mesh's bit for bit; ``samples``, one row per
+    joint draw, Fortran-ordered, with the field at the sub-mesh's vertices
+    in its vertex order in columns ``field_start:field_stop`` (0 to the
+    number of its vertices) and beta0 in column ``beta0_index`` (the next
+    one); and ``theta_index``, the grid point of each draw.
+    """
     from . import functionals
     from .geometry import fem_matrices, project
     from .inference import (BinomialObs, fit_latent_model, make_spde_model,
-                            marginals, sample_joint, write_fit_summary_csv,
+                            sample_with_marginals, write_fit_summary_csv,
                             write_theta_grid_csv)
     from .meshing import build_mesh
 
@@ -145,37 +181,37 @@ def _fit_spde(cfg, boundary, frame):
     model = make_spde_model(obs, proj, c_mat, g_mat, nugget=cfg.nugget,
                             theta_init=_spde_theta_init(cfg))
     fit = fit_latent_model(model)
-    # downstream commands read only the field and beta0: draw those
-    # columns alone, the field first, so that the nugget is never solved
-    # for and the draws are the saved matrix as they are
-    field_ix = np.arange(model.latent_dim)[model.slices["field"]]
+    # downstream commands read only the field at points of the boundary
+    # and the areas, and beta0: draw those columns alone, the field first,
+    # so that the nugget is never solved for and the draws are the saved
+    # matrix as they are
+    saved, vertices = mesh.submesh([boundary] + (areas or []))
+    field_ix = np.arange(model.latent_dim)[model.slices["field"]][vertices]
     b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
     n_field = len(field_ix)
-    samples = sample_joint(fit, cfg.samples, seed=cfg.seed,
-                           coords=np.r_[field_ix, b0])
-
+    samples, marg = sample_with_marginals(
+        fit, cfg.samples, cfg.seed, coords=np.r_[field_ix, b0],
+        marginal_coords=np.arange(model.slices["fixed"].start,
+                                  model.latent_dim))
     write_theta_grid_csv(cfg.out("theta_grid.csv"), fit)
-    fixed_ix = np.arange(model.slices["fixed"].start, model.latent_dim)
-    marg = marginals(fit, coords=fixed_ix)
     write_fit_summary_csv(cfg.out("fit_summary.csv"), marg)
-    del fit  # the theta grid's factors: nothing below reads them
 
     grid = functionals.make_grid(boundary, cfg.grid_spacing)
-    field = functionals.SurfaceSpec(mesh=mesh,
+    field = functionals.SurfaceSpec(mesh=saved,
                                     field_slice=slice(0, n_field))
     functionals.write_grid_csv(
         cfg.out("field_median_lattice.csv"), grid.points,
         mean=functionals.pointwise_median(samples, field, grid.points))
-    np.savez(
+    _write_npz(
         cfg.out("fit_state.npz"),
         samples=samples.samples,
         theta_index=samples.theta_index,
         field_start=0,
         field_stop=n_field,
         beta0_index=n_field,
-        mesh_vertices=mesh.vertices,
-        mesh_triangles=mesh.triangles,
-        mesh_interior=mesh.interior_flag,
+        mesh_vertices=saved.vertices,
+        mesh_triangles=saved.triangles,
+        mesh_interior=saved.interior_flag,
     )
     return ["theta_grid.csv", "fit_summary.csv", "field_median_lattice.csv",
             "fit_state.npz"]
@@ -186,7 +222,10 @@ def _fit_bym(cfg, frame, areas):
     from . import areal, survey
     from .inference import write_theta_grid_csv
 
-    ests = survey.direct_estimates(frame)
+    try:
+        ests = survey.direct_estimates(frame)
+    except NoDataError as exc:  # a survey with no positive or no negative
+        raise DataError(f"{_frame_path(cfg)}: {exc}") from exc
     order = {str(p.id): i for i, p in enumerate(areas)}
     y = np.full(len(areas), np.nan)
     v = np.full(len(areas), np.nan)
@@ -215,15 +254,15 @@ def _fit_bym(cfg, frame, areas):
 def cmd_fit(cfg):
     if cfg.fit_bym and not cfg.areas:
         raise ConfigError("paths.areas", "required for the BYM path")
-    if cfg.fit_bym and not os.path.exists(cfg.areas):
+    if cfg.areas and not os.path.exists(cfg.areas):
         raise ConfigError("paths.areas", f"file not found: {cfg.areas}")
     boundary = _boundary(cfg)
-    areas = _areas(cfg) if cfg.fit_bym else None
-    frame = _load_frame(cfg, boundary, areas)
+    areas = _areas(cfg)
+    frame = _load_frame(cfg, boundary, areas if cfg.fit_bym else None)
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
     if cfg.fit_spde:
-        wrote += _fit_spde(cfg, boundary, frame)
+        wrote += _fit_spde(cfg, boundary, areas, frame)
     if cfg.fit_bym:
         wrote += _fit_bym(cfg, frame, areas)
     cfg.echo(cfg.out("config_resolved.ini"))
@@ -232,6 +271,8 @@ def cmd_fit(cfg):
 
 
 def _load_state(cfg):
+    """The joint samples and the surface they describe, from the
+    ``fit_state.npz`` that ``fit`` wrote (its layout: :func:`_fit_spde`)."""
     path = cfg.out("fit_state.npz")
     if not os.path.exists(path):
         raise DataError(f"fit state not found: {path} (run fit first)")

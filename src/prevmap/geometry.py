@@ -295,6 +295,31 @@ class TriMesh:
     def area(self):
         return float(np.abs(self.signed_areas()).sum())
 
+    def submesh(self, polygons):
+        """The triangles that can hold a point of any of ``polygons``, as a
+        mesh, with the indices of its vertices in this mesh (ascending).
+
+        Triangles keep their order and vertices their relative order, so
+        :func:`project` of such a point picks the same triangle with the
+        same weights on both meshes, bit for bit, its vertices renumbered.
+        The test is conservative: a triangle is kept when a polygon comes
+        within the triangle's centroid-to-vertex radius of its centroid,
+        which every point the triangle holds does; the radius is widened
+        by 1e-6 of itself for project's and the polygon's tolerances.
+        """
+        corners = self.vertices[self.triangles]
+        centroids = corners.mean(axis=1)
+        reach = np.sqrt(((corners - centroids[:, None]) ** 2).sum(axis=2)
+                        ).max(axis=1) * (1.0 + 1e-6)
+        keep = np.zeros(len(self.triangles), dtype=bool)
+        for poly in polygons:
+            rest = np.flatnonzero(~keep)
+            keep[rest] = poly.distance(centroids[rest]) <= reach[rest]
+        triangles = self.triangles[keep]
+        used = np.unique(triangles)
+        return TriMesh(self.vertices[used], np.searchsorted(used, triangles),
+                       self.interior_flag[used]), used
+
     def edges(self):
         """Unique undirected edges and the number of adjacent triangles each."""
         t = self.triangles

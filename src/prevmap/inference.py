@@ -74,6 +74,7 @@ __all__ = [
     "fit_latent_model",
     "marginals",
     "sample_joint",
+    "sample_with_marginals",
     "make_spde_model",
     "write_fit_summary_csv",
     "write_theta_grid_csv",
@@ -718,10 +719,16 @@ def gaussian_approx(model, theta, u0=None):
 
 @dataclass
 class HyperPoint:
+    """A grid point: theta, log pi~(theta | y), its normalized weight, and
+    the constraint-corrected mean and the curvature h at the last Newton
+    iterate of its Gaussian approximation.  It holds no factor;
+    :func:`_factor` rebuilds it from theta and h."""
+
     theta: np.ndarray
     log_post: float
     weight: float
-    approx: GaussianApprox
+    mean: np.ndarray
+    h: np.ndarray
 
 
 def _log_post(model, theta, u0=None):
@@ -731,17 +738,34 @@ def _log_post(model, theta, u0=None):
     return approx.log_evidence + model.log_theta_prior(theta), approx
 
 
+def _grid_evaluation(model, theta, u0):
+    """log pi~(theta | y) and the mean and curvature of its approximation,
+    whose factor is freed on return."""
+    lp, approx = _log_post(model, theta, u0)
+    return lp, approx.mean, approx.factor.h
+
+
 def _weighted_points(model, thetas, u0=None, log_scale=0.0):
     """Evaluate the Laplace log-posterior at each theta, every Newton solve
     started from the same ``u0``, and normalize the weights
-    exp(log_post + log_scale) over the given points."""
+    exp(log_post + log_scale) over the given points.  One point's factor
+    is held at a time."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
-    results = [_log_post(model, t, u0) for t in thetas]
+    results = [_grid_evaluation(model, t, u0) for t in thetas]
     lps = np.array([r[0] for r in results])
     w = np.exp(lps + log_scale - np.max(lps + log_scale))
     w /= w.sum()
-    return [HyperPoint(t, float(lp), float(wi), r[1])
-            for t, lp, wi, r in zip(thetas, lps, w, results)]
+    return [HyperPoint(t, float(lp), float(wi), mean, h)
+            for t, lp, wi, (_, mean, h) in zip(thetas, lps, w, results)]
+
+
+def _factor(model, point):
+    """The factor of ``point``'s Q_post, rebuilt from its theta and
+    curvature: the assembly and factorization :func:`gaussian_approx` ended
+    on, so equal to its factor bit for bit."""
+    blocks = model.prior_blocks(point.theta)
+    pat = _pattern(model, blocks)
+    return _PosteriorFactor(pat, pat.prior(blocks), point.h, model.constraint)
 
 
 def minimize(fun, grad, x0, gtol=_MODE_GTOL):
@@ -950,7 +974,8 @@ class FitResult:
 
 
 def fit_latent_model(model, thetas=None):
-    """Fit the model: hyperparameter grid with attached Gaussian approximations.
+    """Fit the model: the hyperparameter grid, each point with the mean and
+    curvature of its Gaussian approximation (:class:`HyperPoint`).
 
     ``thetas`` may give explicit grid points (list of vectors) to skip the
     mode search, e.g. a single point for a fixed-theta fit.
@@ -987,36 +1012,95 @@ def _mixture_quantiles(mus, sds, weights, probs):
     return out
 
 
-def _combination_variance(approx, op):
+def _combination_variance(factor, op):
     """Constraint-corrected variances of the rows of ``op @ u`` under one
-    Gaussian approximation, by dense solves in chunks of rows."""
+    grid point's factor, by dense solves in chunks of rows."""
     out = np.empty(op.shape[0])
     for s in range(0, op.shape[0], _DENSE_CUTOFF):
         dense = op[s:s + _DENSE_CUTOFF].toarray()
         out[s:s + _DENSE_CUTOFF] = np.einsum(
-            "kd,dk->k", dense, approx.factor.solve(dense.T))
-    factor = approx.factor
+            "kd,dk->k", dense, factor.solve(dense.T))
     if factor.constraint is not None:
         out -= np.sum((op @ (factor.w @ factor.m)) * (op @ factor.w), axis=1)
     return out
 
 
-def _linear_mixture(fit, op):
-    """Mixture marginals of the linear combinations ``op @ u`` (op sparse
-    CSR, one row per combination).
+def _grid_pass(fit, op=None, draws=None):
+    """The one walk over the grid points, in index order, that needs their
+    factors.  Each point's factor is rebuilt once (:func:`_factor`), used
+    for everything asked of that point and freed before the next point's,
+    so one factor is held at a time; a point with no work is not rebuilt.
 
-    Returns the per-theta means and sds, shape (points, rows), and the
-    mixture mean, sd and (0.025, 0.5, 0.975) quantiles per row.
+    ``draws``, a tuple (num_samples, seed, coords), asks for the joint
+    draws :func:`sample_joint` describes; ``op``, a sparse CSR matrix,
+    for the per-point means and sds of the linear combinations ``op @ u``,
+    one row per combination.  Returns the :class:`JointSamples` (None
+    without ``draws``), whose matrix is Fortran-ordered so that a block of
+    its columns is contiguous, and the means and sds, shape (points,
+    rows) (None without ``op``).
     """
-    weights = fit.weights
-    mus = np.vstack([op @ p.approx.mean for p in fit.points])
-    sds = np.vstack([np.sqrt(np.maximum(_combination_variance(p.approx, op),
-                                        1e-300)) for p in fit.points])
+    mus, sds = [], []
+    samples = None
+    if draws is not None:
+        num_samples, seed, coords = draws
+        if num_samples < 1:
+            raise ValueError("num_samples must be >= 1")
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(fit.points), size=num_samples, p=fit.weights)
+        rows = slice(None) if coords is None else coords
+        width = fit.model.latent_dim if coords is None else len(coords)
+        samples = JointSamples(
+            samples=np.empty((num_samples, width), order="F"),
+            theta_index=idx)
+    for j, point in enumerate(fit.points):
+        sel = np.flatnonzero(idx == j) if draws is not None else ()
+        if op is None and not len(sel):
+            continue
+        factor = _factor(fit.model, point)
+        if len(sel):
+            s = factor.draw(rng, len(sel), coords)
+            samples.samples[sel] = (point.mean[rows, None] + s).T
+        if op is not None:
+            mus.append(op @ point.mean)
+            sds.append(np.sqrt(np.maximum(_combination_variance(factor, op),
+                                          1e-300)))
+        del factor
+    if op is None:
+        return samples, None, None
+    return samples, np.vstack(mus), np.vstack(sds)
+
+
+def _mixture(weights, mus, sds):
+    """Mixture mean, sd and (0.025, 0.5, 0.975) quantiles per column of
+    the per-point means and sds ``mus`` and ``sds``."""
     mean = weights @ mus
     second = weights @ (sds ** 2 + mus ** 2)
     sd = np.sqrt(np.maximum(second - mean ** 2, 0.0))
     q = _mixture_quantiles(mus, sds, weights, (0.025, 0.5, 0.975))
-    return mus, sds, mean, sd, q
+    return mean, sd, q
+
+
+def _linear_mixture(fit, op):
+    """Mixture marginals of the linear combinations ``op @ u`` (op sparse
+    CSR, one row per combination), in one :func:`_grid_pass`.
+
+    Returns the per-theta means and sds, shape (points, rows), and the
+    mixture mean, sd and (0.025, 0.5, 0.975) quantiles per row.
+    """
+    _, mus, sds = _grid_pass(fit, op=op)
+    return (mus, sds) + _mixture(fit.weights, mus, sds)
+
+
+def _coordinate_op(model, coords):
+    """The rows ``coords`` of the identity, which pick those coordinates."""
+    return sp.identity(model.latent_dim, format="csr")[coords]
+
+
+def _summaries(fit, coords, mus, sds):
+    mean, sd, q = _mixture(fit.weights, mus, sds)
+    all_names = fit.model.coord_names()
+    return MarginalSummaries(names=[all_names[i] for i in coords], mean=mean,
+                             sd=sd, q025=q[0], q50=q[1], q975=q[2])
 
 
 def marginals(fit, coords=None):
@@ -1025,11 +1109,8 @@ def marginals(fit, coords=None):
     if coords is None:
         coords = np.arange(model.latent_dim)
     coords = np.asarray(coords, dtype=int)
-    op = sp.identity(model.latent_dim, format="csr")[coords]
-    _, _, mean, sd, q = _linear_mixture(fit, op)
-    all_names = model.coord_names()
-    return MarginalSummaries(names=[all_names[i] for i in coords], mean=mean,
-                             sd=sd, q025=q[0], q50=q[1], q975=q[2])
+    _, mus, sds = _grid_pass(fit, op=_coordinate_op(model, coords))
+    return _summaries(fit, coords, mus, sds)
 
 
 def sample_joint(fit, num_samples, seed, coords=None):
@@ -1042,28 +1123,25 @@ def sample_joint(fit, num_samples, seed, coords=None):
     (None: all of them).  Where it holds no eliminated coordinate and the
     model has no constraints, a grid point solves only S's half for x_R and
     drops the eliminated rows of its normal block unused; the stream, and
-    so every kept value, is the same as the full draw's bit for bit.
+    so every kept value, is the same as the full draw's bit for bit.  The
+    sample matrix is Fortran-ordered.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    k = len(fit.points)
-    idx = rng.choice(k, size=num_samples, p=fit.weights)
-    if coords is None:
-        rows = slice(None)
-        width = fit.model.latent_dim
-    else:
-        rows = coords = np.asarray(coords, dtype=int)
-        width = len(coords)
-    out = np.empty((num_samples, width))
-    for j in range(k):
-        sel = np.where(idx == j)[0]
-        if len(sel) == 0:
-            continue
-        approx = fit.points[j].approx
-        s = approx.factor.draw(rng, len(sel), coords)
-        out[sel] = (approx.mean[rows, None] + s).T
-    return JointSamples(samples=out, theta_index=idx)
+    if coords is not None:
+        coords = np.asarray(coords, dtype=int)
+    return _grid_pass(fit, draws=(num_samples, seed, coords))[0]
+
+
+def sample_with_marginals(fit, num_samples, seed, coords, marginal_coords):
+    """:func:`sample_joint` with ``coords`` and :func:`marginals` of
+    ``marginal_coords`` from one :func:`_grid_pass`, which rebuilds each
+    grid point's factor once for both.  Returns the samples and the
+    summaries, each equal to what its own function gives."""
+    coords = np.asarray(coords, dtype=int)
+    marginal_coords = np.asarray(marginal_coords, dtype=int)
+    samples, mus, sds = _grid_pass(
+        fit, op=_coordinate_op(fit.model, marginal_coords),
+        draws=(num_samples, seed, coords))
+    return samples, _summaries(fit, marginal_coords, mus, sds)
 
 
 # ---------------------------------------------------------------------------

@@ -190,13 +190,18 @@ def direct_estimates(frame):
     (flag ``single_cluster``).  A multi-cluster variance below 1e-12 of the
     Kish binomial variance p(1 - p) / n_eff is raised to it, at any p, and
     p comes back through the logit.  Either repair flags ``boundary_fix``.
-    Areas come out sorted by id.
+    Areas come out sorted by id.  A survey with no positive or no negative
+    person raises :class:`NoDataError`.
     """
     # a stable sort lists each area's households in frame order, so every
     # per-area sum runs over the same sequence as a mask of the frame would
     order = np.argsort(frame.area_id, kind="stable")
     areas, starts = np.unique(frame.area_id[order], return_index=True)
     p_nat = hajek(frame)
+    if not 0.0 < p_nat < 1.0:  # the shrink toward p_nat would leave a 0/1 p
+        raise NoDataError(f"every tested person is "
+                          f"{'positive' if p_nat else 'negative'}: no area "
+                          f"estimate has a logit")
     raw = []
     for a, rows in zip(areas, np.split(order, starts[1:])):
         sub = frame.take(rows)

@@ -203,8 +203,43 @@ def test_bym_icar_sum_to_zero():
     model = BymModel(y=y, v_hat=np.full(k, 0.3), graph=path_graph(k))
     res = fit_bym(model, thetas=_theta_fixed())
     lm = res.fit.model
-    s_mean = res.fit.points[0].approx.mean[lm.slices["icar"]]
+    s_mean = res.fit.points[0].mean[lm.slices["icar"]]
     assert abs(s_mean.sum()) < 1e-6
+
+
+def test_fit_bym_refactors_each_grid_point_once_after_the_grid(
+        monkeypatch):
+    # the area marginals take one pass over the grid: each point's factor
+    # is rebuilt once, from its own curvature, after the last one is freed
+    import weakref
+
+    from prevmap import areal, inference
+    log, grid = [], []
+    init = inference._PosteriorFactor.__init__
+    fit_latent_model = areal.fit_latent_model
+
+    def factor_spy(self, pat, prior, h, constraint):
+        alive = sum(ref() is not None for _, ref, _ in log)
+        init(self, pat, prior, h, constraint)
+        log.append((h, weakref.ref(self), alive))
+
+    def fit_spy(*args, **kwargs):
+        fit = fit_latent_model(*args, **kwargs)
+        grid.append((fit, len(log)))
+        return fit
+
+    monkeypatch.setattr(inference._PosteriorFactor, "__init__", factor_spy)
+    monkeypatch.setattr(areal, "fit_latent_model", fit_spy)
+    rng = np.random.default_rng(6)
+    k = 12
+    fit_bym(BymModel(y=rng.standard_normal(k), v_hat=np.full(k, 0.3),
+                     graph=path_graph(k)))
+    (fit, start), = grid
+    after = log[start:]
+    assert len(fit.points) > 1
+    assert len(after) == len(fit.points)
+    assert all(h is p.h for (h, _, _), p in zip(after, fit.points))
+    assert all(alive == 0 for _, _, alive in after)
 
 
 def test_bym_shrinkage_monotonicity():

@@ -380,33 +380,48 @@ def test_cli_spde_only_fit(tmp_path):
 
 def test_cli_fit_state_holds_the_field_and_beta0_draws(tmp_path,
                                                       monkeypatch):
-    # fit draws only the field and beta0; the saved matrix is the full
-    # draw's field columns then its beta0 column
-    drawn = []
-    sample_joint = inference.sample_joint
+    # fit draws only the field at the vertices of the sub-mesh it saves,
+    # and beta0; the saved matrix is the full draw's columns at those
+    # vertices, in the sub-mesh's vertex order, then its beta0 column
+    drawn, cut = [], []
+    draw = inference.sample_with_marginals
+    submesh = geometry.TriMesh.submesh
 
-    def spy(fit, num_samples, seed, coords=None):
+    def draw_spy(fit, num_samples, seed, coords, marginal_coords):
         drawn.append((fit, num_samples, seed))
-        return sample_joint(fit, num_samples, seed, coords=coords)
+        return draw(fit, num_samples, seed, coords, marginal_coords)
 
-    monkeypatch.setattr(inference, "sample_joint", spy)
+    def submesh_spy(mesh, polygons):
+        cut.append((mesh, submesh(mesh, polygons)))
+        return cut[-1][1]
+
+    monkeypatch.setattr(inference, "sample_with_marginals", draw_spy)
+    monkeypatch.setattr(geometry.TriMesh, "submesh", submesh_spy)
     ini = _write_config(str(tmp_path))
     assert cli.main(["simulate", "-c", ini]) == 0
     assert cli.main(["fit", "-c", ini]) == 0
     (fit, num_samples, seed), = drawn
+    (mesh, (sub, vertices)), = cut
     model = fit.model
-    n_field = model.slices["field"].stop
-    assert model.slices["field"].start == 0
+    assert model.slices["field"] == slice(0, mesh.num_vertices)
+    assert 0 < len(vertices) < mesh.num_vertices
     with np.load(_out(ini, "fit_state.npz")) as z:
         state = {key: z[key] for key in z.files}
+    assert np.array_equal(state["mesh_vertices"], mesh.vertices[vertices])
+    assert np.array_equal(state["mesh_vertices"], sub.vertices)
+    assert np.array_equal(state["mesh_triangles"], sub.triangles)
+    assert np.array_equal(state["mesh_interior"],
+                          mesh.interior_flag[vertices])
+    n_field = len(vertices)
     assert state["samples"].shape == (int(TINY["run"]["samples"]),
                                       n_field + 1)
+    assert state["samples"].flags.f_contiguous
     assert int(state["field_start"]) == 0
     assert int(state["field_stop"]) == int(state["beta0_index"]) == n_field
-    full = sample_joint(fit, num_samples, seed)
+    full = inference.sample_joint(fit, num_samples, seed)
     b0 = model.slices["fixed"].start + model.fixed_names.index("beta0")
     assert np.array_equal(state["samples"][:, :n_field],
-                          full.samples[:, :n_field])
+                          full.samples[:, vertices])
     assert np.array_equal(state["samples"][:, n_field], full.samples[:, b0])
     assert np.array_equal(state["theta_index"], full.theta_index)
 
@@ -420,11 +435,12 @@ _FRAME_COLS = ["cluster_id", "area_id", "x", "y", "household_id", "N", "Y",
 
 
 def _frame_case(directory, drop=None, y_above_n=False, adjacency=None,
-                bad=None):
+                bad=None, positives=None):
     """A hand-written frame (two clusters of two households in each of the
     2 x 2 areas) without column ``drop``, with one Y > N if asked, the
     first row's value of one column replaced if ``bad`` = (column, text),
-    and an adjacency CSV of the given edges if any.  Returns the config
+    every Y set to ``positives`` if given (a BYM fit alone then), and an
+    adjacency CSV of the given edges if any.  Returns the config
     overrides, the exit code and the file (and the bad column) the error
     message must name."""
     rows = [[2 * a + c, f"A{a}", x + c, y, h, 4, 1 + c, 10.0]
@@ -432,6 +448,8 @@ def _frame_case(directory, drop=None, y_above_n=False, adjacency=None,
             for c in range(2) for h in range(2)]
     if y_above_n:
         rows[0][6] = 9
+    for row in rows if positives is not None else ():
+        row[6] = positives
     if bad is not None:
         rows[0][_FRAME_COLS.index(bad[0])] = bad[1]
     keep = [i for i, name in enumerate(_FRAME_COLS) if name != drop]
@@ -440,6 +458,9 @@ def _frame_case(directory, drop=None, y_above_n=False, adjacency=None,
                         [[row[i] for i in keep] for row in rows])
     if bad is not None:
         return {"paths": {"data": frame}}, 3, f"{frame}: column {bad[0]}"
+    if positives is not None:
+        return ({"paths": {"data": frame}, "model": {"fit_spde": "false"}},
+                3, f"data error: {frame}: ")
     if adjacency is None:
         return {"paths": {"data": frame}}, 3, frame
     adj = _write_rows(os.path.join(directory, "adjacency.csv"),
@@ -458,6 +479,12 @@ def _polygons_without_ring_index(directory):
 
 _SQUARE = {"type": "Polygon",
            "coordinates": [[[0, 0], [10, 0], [10, 10], [0, 10]]]}
+
+
+def _two_polygon_boundary(directory):
+    path = os.path.join(directory, "boundary_in.csv")
+    write_polygons_csv(path, grid_areas(0, 0, 10, 10, 2, 1))
+    return {"paths": {"boundary": path}}, 3, f"data error: {path}: "
 
 
 def _geojson_case(directory, obj):
@@ -512,7 +539,10 @@ BAD_INPUTS = {
     "frame_y_fractional": lambda d: _frame_case(d, bad=("Y", "0.5")),
     "frame_x_outside_boundary": lambda d: _frame_case(d, bad=("x", "50")),
     "frame_unknown_area_id": lambda d: _frame_case(d, bad=("area_id", "zzz")),
+    "frame_no_positive": lambda d: _frame_case(d, positives=0),
+    "frame_all_positive": lambda d: _frame_case(d, positives=4),
     "polygons_without_ring_index": _polygons_without_ring_index,
+    "boundary_two_polygons": _two_polygon_boundary,
     "geojson_top_level_array": lambda d: _geojson_case(
         d, [{"type": "Feature", "geometry": _SQUARE, "properties": {}}]),
     "geojson_top_level_string": lambda d: _geojson_case(d, "Polygon"),
@@ -520,6 +550,10 @@ BAD_INPUTS = {
         d, {"type": "FeatureCollection", "features": ["Feature"]}),
     "geojson_properties_not_object": lambda d: _geojson_case(
         d, {"type": "Feature", "geometry": _SQUARE, "properties": ["id"]}),
+    "geojson_point": lambda d: _geojson_case(
+        d, {"type": "Point", "coordinates": [1, 2]}),
+    "geojson_ring_of_two": lambda d: _geojson_case(
+        d, {"type": "Polygon", "coordinates": [[[0, 0], [10, 0]]]}),
     "adjacency_unknown_area": lambda d: _frame_case(
         d, adjacency=[("A0", "A1"), ("A0", "A9")]),
     "frame_long_row": lambda d: _ragged_case(d, "data", 1),

@@ -440,6 +440,51 @@ def test_project_matches_brute_force_oracle(shape, scale, shift, seed):
     assert np.array_equal(pr.apply(x, slice(5, 40)), got[5:40] @ x)
 
 
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(shape=st.sampled_from(["square", "ell"]),
+       scale=st.floats(1e-3, 1e4), shift=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_submesh_projects_points_of_its_polygons_bit_for_bit(shape, scale,
+                                                             shift, seed):
+    # points of the boundary, or of an area reaching into the extension
+    # zone, at random, at mesh vertices and edge midpoints, and on the
+    # polygon's edges, take the full mesh's vertices (renumbered) and
+    # weights on the sub-mesh, bit for bit
+    base = _oracle_mesh(shape)
+    mesh = TriMesh(shift + scale * base.vertices, base.triangles,
+                   base.interior_flag)
+    ring = {"square": [(0, 0), (1, 0), (1, 1), (0, 1)],
+            "ell": [(0, 0), (1, 0), (1, 0.4), (0.4, 0.4), (0.4, 1),
+                    (0, 1)]}[shape]
+    boundary = Polygon([shift + scale * np.array(ring, dtype=float)])
+    area = Polygon([shift + scale * np.array(
+        [(0.5, 0.5), (1.2, 0.6), (0.6, 1.2)])], id="beyond")
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices
+    edges, _ = mesh.edges()
+    for polygons in ([boundary], [boundary, area], [area]):
+        sub, used = mesh.submesh(polygons)
+        assert 0 < len(used) < mesh.num_vertices
+        assert np.array_equal(sub.vertices, v[used])
+        assert np.array_equal(sub.interior_flag, mesh.interior_flag[used])
+        on_edges = []
+        for ring in (p.rings[0] for p in polygons):
+            k = rng.integers(0, len(ring), 50)
+            on_edges.append(ring[k] + rng.random((50, 1))
+                            * (np.roll(ring, -1, axis=0)[k] - ring[k]))
+        corners = np.vstack([p.rings[0] for p in polygons])
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        pts = np.vstack([rng.uniform(lo, hi, (400, 2)), v,
+                         0.5 * (v[edges[:, 0]] + v[edges[:, 1]]),
+                         *on_edges])
+        pts = pts[np.any([p.contains(pts) for p in polygons], axis=0)]
+        full, part = project(mesh, pts), project(sub, pts)
+        assert not full.out_of_mesh.any()
+        assert not part.out_of_mesh.any()
+        assert np.array_equal(used[part.vertices], full.vertices)
+        assert part.weights.tobytes() == full.weights.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ def test_hyper_grid_mixture_matches_tensor_grid_oracle():
                        - lp(mode - h * (ei - ej)) + lp(mode - h * (ei + ej)))
                       / (4 * h * h) for ej in eye] for ei in eye])
     fd = _neg_hessian(model, mode, fit.points[0].log_post,
-                      fit.points[0].approx.mean)
+                      fit.points[0].mean)
     assert np.abs(fd + hess).max() <= 0.01 * np.abs(hess).max()
 
     # the mixture marginals of u and beta0 against a 41 x 41 tensor grid
@@ -516,7 +516,8 @@ def test_gaussian_stage_full_machinery_dense_oracle():
     cov_y = bd @ np.linalg.inv(qp) @ bd.T + np.diag(v)
     ev = -0.5 * (n * np.log(2 * np.pi) + np.linalg.slogdet(cov_y)[1]
                  + y @ np.linalg.solve(cov_y, y))
-    assert fit.points[0].approx.log_evidence == pytest.approx(ev, abs=1e-6)
+    assert fit.points[0].log_post - model.log_theta_prior(np.empty(0)) \
+        == pytest.approx(ev, abs=1e-6)
 
 
 def test_fit_exports(tmp_path):
@@ -852,9 +853,9 @@ def _replayed_draws(fit, num_samples, seed):
     for j, point in enumerate(fit.points):
         sel = np.flatnonzero(idx == j)
         if len(sel):
-            factor = point.approx.factor
+            factor = gaussian_approx(fit.model, point.theta).factor
             z = rng.standard_normal((fit.model.latent_dim, len(sel)))
-            out[sel] = (point.approx.mean[:, None]
+            out[sel] = (point.mean[:, None]
                         + factor.krige(factor.sample(z))).T
     return out, idx
 
@@ -907,6 +908,97 @@ def test_sample_joint_fast_path_solves_no_eliminated_block(
     assert len(calls) == 2  # one per grid point on the full path
 
 
+def _factor_log(monkeypatch):
+    """Every posterior factor built from now on, as (its curvature array,
+    a weak reference to it, how many factors logged before it were alive
+    when it was built)."""
+    import weakref
+    log = []
+    init = inference._PosteriorFactor.__init__
+
+    def spy(self, pat, prior, h, constraint):
+        alive = sum(ref() is not None for _, ref, _ in log)
+        init(self, pat, prior, h, constraint)
+        log.append((h, weakref.ref(self), alive))
+
+    monkeypatch.setattr(inference._PosteriorFactor, "__init__", spy)
+    return log
+
+
+@pytest.mark.parametrize("name", ["spde_nugget", "bym"])
+def test_rebuilt_factor_is_gaussian_approx_factor_bit_for_bit(
+        name, monkeypatch, coarse_mesh10, coarse_fem10):
+    # a grid point keeps theta and the curvature h, not its factor; the
+    # factor rebuilt from them is the one gaussian_approx returned
+    from prevmap.inference import _factor
+    model = _models(coarse_mesh10, coarse_fem10)[name]
+    approxes = []
+    approx = inference.gaussian_approx
+
+    def spy(*args, **kwargs):
+        approxes.append(approx(*args, **kwargs))
+        return approxes[-1]
+
+    monkeypatch.setattr(inference, "gaussian_approx", spy)
+    fit = _two_point_fit(model)
+    assert len(approxes) == len(fit.points) == 2
+    rhs = np.random.default_rng(8).standard_normal((model.latent_dim, 3))
+    for point, ga in zip(fit.points, approxes):
+        old, new = ga.factor, _factor(model, point)
+        assert new is not old and point.h is old.h
+        assert np.array_equal(point.mean, ga.mean)
+        assert new.logdet == old.logdet
+        assert np.array_equal(new.solve(rhs), old.solve(rhs))
+        assert np.array_equal(new.draw(np.random.default_rng(3), 5),
+                              old.draw(np.random.default_rng(3), 5))
+        if model.constraint is not None:
+            assert np.array_equal(new.w, old.w)
+            assert np.array_equal(new.m, old.m)
+
+
+@pytest.mark.parametrize("name", ["spde_nugget", "bym"])
+def test_fit_holds_no_factor(name, monkeypatch, coarse_mesh10, coarse_fem10):
+    # once fit_latent_model returns, no factor of the mode search, the
+    # Hessian or the grid is alive: no grid point holds one
+    import gc
+    model = _models(coarse_mesh10, coarse_fem10)[name]
+    log = _factor_log(monkeypatch)
+    fit = fit_latent_model(model)
+    gc.collect()
+    assert len(fit.points) > 1 and len(log) > len(fit.points)
+    assert all(ref() is None for _, ref, _ in log)
+    for point in fit.points:
+        assert set(vars(point)) == {"theta", "log_post", "weight", "mean",
+                                    "h"}
+
+
+def test_each_grid_point_is_refactored_once_after_the_grid(
+        monkeypatch, coarse_mesh10, coarse_fem10):
+    # the draws and the marginals share one pass over the grid: each
+    # point's factor is rebuilt once, after the last one is freed, and the
+    # results are those of sample_joint and marginals
+    from prevmap.inference import sample_with_marginals
+    model = _models(coarse_mesh10, coarse_fem10)["spde_nugget"]
+    fit = fit_latent_model(model, thetas=[model.theta_init + d for d in
+                                          (0.0, 0.3, -0.3)])
+    field = _coords(model, ["field"])
+    fixed = np.arange(model.slices["fixed"].start, model.latent_dim)
+    coords = np.r_[field[::2], fixed]
+    log = _factor_log(monkeypatch)
+    samples, marg = sample_with_marginals(fit, 200, 6, coords, fixed)
+    assert [h for h, _, _ in log] == [p.h for p in fit.points]
+    assert all(h is p.h for (h, _, _), p in zip(log, fit.points))
+    assert [alive for _, _, alive in log] == [0, 0, 0]
+    assert len(set(samples.theta_index)) == 3
+    alone = sample_joint(fit, 200, 6, coords)
+    assert np.array_equal(samples.samples, alone.samples)
+    assert np.array_equal(samples.theta_index, alone.theta_index)
+    assert samples.samples.flags.f_contiguous
+    ref = marginals(fit, fixed)
+    for key in ("names", "mean", "sd", "q025", "q50", "q975"):
+        assert np.array_equal(getattr(marg, key), getattr(ref, key))
+
+
 def test_constrained_draws_and_variances_match_dense_oracle():
     # kriged draws are N(0, Sigma - Sigma A^T (A Sigma A^T)^{-1} A Sigma)
     # for the dense Sigma = Q_post^{-1}: the BYM model's ICAR block sums
@@ -925,7 +1017,7 @@ def test_constrained_draws_and_variances_match_dense_oracle():
     cov = sigma - sa @ np.linalg.solve(a @ sa, sa.T)
     scale = np.abs(cov).max()
     assert np.abs(draws @ draws.T - cov).max() <= 1e-10 * scale
-    var = _combination_variance(approx, sp.identity(d, format="csr"))
+    var = _combination_variance(factor, sp.identity(d, format="csr"))
     assert np.abs(var - np.diag(cov)).max() <= 1e-10 * scale
     x = np.random.default_rng(7).standard_normal((d, 3))
     once = factor.krige(x)
