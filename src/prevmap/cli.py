@@ -50,9 +50,32 @@ def _boundary(cfg):
 
 
 def _areas(cfg):
+    """The area polygons (None without ``paths.areas``): at least one, and
+    no id twice, since every output names an area by its id."""
     if not cfg.areas:
         return None
-    return _read_polygons(cfg.areas)
+    areas = _read_polygons(cfg.areas)
+    if not areas:
+        raise DataError(f"{cfg.areas}: the areas file holds no polygon")
+    seen = set()
+    for pid in (str(p.id) for p in areas):
+        if pid in seen:
+            raise DataError(f"{cfg.areas}: area id {pid} names two polygons")
+        seen.add(pid)
+    return areas
+
+
+def _grid(cfg, boundary):
+    """The evaluation grid over ``boundary`` at ``functionals.grid_spacing``,
+    refused when no cell centre falls inside the boundary."""
+    from .functionals import make_grid
+
+    grid = make_grid(boundary, cfg.grid_spacing)
+    if not len(grid.points):
+        raise ConfigError("functionals.grid_spacing",
+                          f"{cfg.grid_spacing} leaves no grid cell inside "
+                          f"the boundary")
+    return grid
 
 
 def cmd_simulate(cfg):
@@ -151,7 +174,7 @@ def _write_npz(path, **arrays):
                 fh.write(value.ravel(order="K"))
 
 
-def _fit_spde(cfg, boundary, areas, frame):
+def _fit_spde(cfg, boundary, areas, frame, grid):
     """SPDE fit: theta grid, fixed-effect summary, median field and the
     saved samples the post-fit commands read.  Returns the files written.
 
@@ -196,7 +219,6 @@ def _fit_spde(cfg, boundary, areas, frame):
     write_theta_grid_csv(cfg.out("theta_grid.csv"), fit)
     write_fit_summary_csv(cfg.out("fit_summary.csv"), marg)
 
-    grid = functionals.make_grid(boundary, cfg.grid_spacing)
     field = functionals.SurfaceSpec(mesh=saved,
                                     field_slice=slice(0, n_field))
     functionals.write_grid_csv(
@@ -258,11 +280,12 @@ def cmd_fit(cfg):
         raise ConfigError("paths.areas", f"file not found: {cfg.areas}")
     boundary = _boundary(cfg)
     areas = _areas(cfg)
+    grid = _grid(cfg, boundary) if cfg.fit_spde else None
     frame = _load_frame(cfg, boundary, areas if cfg.fit_bym else None)
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
     if cfg.fit_spde:
-        wrote += _fit_spde(cfg, boundary, areas, frame)
+        wrote += _fit_spde(cfg, boundary, areas, frame, grid)
     if cfg.fit_bym:
         wrote += _fit_bym(cfg, frame, areas)
     cfg.echo(cfg.out("config_resolved.ini"))
@@ -309,7 +332,7 @@ def cmd_excursions(cfg):
 
     boundary = _boundary(cfg)
     samples, spec = _load_state(cfg)
-    grid = functionals.make_grid(boundary, cfg.grid_spacing)
+    grid = _grid(cfg, boundary)
     exc = functionals.simultaneous_excursions(
         samples, spec, grid.points, u=cfg.u, alpha_level=cfg.alpha_level)
     functionals.write_grid_csv(
@@ -353,7 +376,6 @@ _CHOROPLETHS = (
 
 def cmd_report(cfg):
     from . import render
-    from .functionals import make_grid
 
     boundary = _boundary(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -366,7 +388,7 @@ def cmd_report(cfg):
         if os.path.exists(cfg.out(name)):
             grid_inputs[name] = _read_column(cfg.out(name), column)
     if grid_inputs:
-        grid = make_grid(boundary, cfg.grid_spacing)
+        grid = _grid(cfg, boundary)
     for name, values in grid_inputs.items():
         if grid.points.shape[0] != len(values):
             raise DataError(f"{name} does not match the configured grid "

@@ -351,10 +351,11 @@ def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05):
         prev = _expit_of_negated(neg)
         # mean and sd (ddof=1) with the arithmetic of np.mean and np.std:
         # the squared deviations from that same mean, summed, over width - 1
+        # (over 1 for a single sample, whose sd is 0)
         mean[rows] = np.add.reduce(prev, axis=1) / width
         np.subtract(prev, mean[rows, None], out=prev)
         np.multiply(prev, prev, out=prev)
-        sd[rows] = np.add.reduce(prev, axis=1) / (width - 1)
+        sd[rows] = np.add.reduce(prev, axis=1) / max(width - 1, 1)
     np.sqrt(sd, out=sd)
     for v in (probs, mean, sd):
         v[out] = np.nan

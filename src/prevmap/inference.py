@@ -317,7 +317,6 @@ class LatentModel:
 class GaussianApprox:
     """Gaussian matched to value and curvature of the conditional posterior."""
 
-    theta: np.ndarray
     mean: np.ndarray            # constraint-corrected mean
     factor: object              # _PosteriorFactor of Q_post and A
     log_evidence: float
@@ -590,18 +589,6 @@ def _prior_logdet(model, theta, blocks, pat):
     return logdet
 
 
-def _curvature(model, pat, prior, eta, last=None):
-    """The factor of the posterior precision at the linear predictor eta,
-    conditioned on the model's constraints.  ``last``, an earlier factor of
-    the same prior, is returned as it is when its curvature h equals the
-    one at eta, as it does at every eta for a Gaussian observation
-    stage."""
-    h = model.obs.neg_hess(eta)
-    if last is not None and np.array_equal(h, last.h):
-        return last
-    return _PosteriorFactor(pat, prior, h, model.constraint)
-
-
 def gaussian_approx(model, theta, u0=None):
     """Newton--Raphson Gaussian approximation of pi(u | y, theta).
 
@@ -609,13 +596,18 @@ def gaussian_approx(model, theta, u0=None):
     at the mode and the Laplace log-evidence log pi(y | theta).  With a
     Gaussian observation stage the first Newton step is exact.
 
-    Newton stops when every entry of the (projected) gradient of the log
-    conditional density is below ``_NEWTON_TOL`` in absolute value, or
-    when a step changes u by less than ``_NEWTON_TOL`` relative to its
-    size.  The gradient test does not scale with the density, so where
-    Newton started moves the log-evidence by about 0.1 ``_NEWTON_TOL`` at
-    most on the test models, far below what the finite differences in
-    theta of :func:`hyper_grid` resolve.
+    Each iteration evaluates eta, the curvature h, the factor of Q_post
+    and the gradient of the log conditional density at the current iterate
+    once, and stops there when every entry of the (projected) gradient is
+    below ``_NEWTON_TOL`` in absolute value, or when the last step changed
+    u by less than ``_NEWTON_TOL`` relative to its size; after
+    ``_MAX_ITER`` steps it raises :class:`ConvergenceError`.  The gradient
+    test does not scale with the density, so where Newton started moves
+    the log-evidence by about 0.1 ``_NEWTON_TOL`` at most on the test
+    models, far below what the finite differences in theta of
+    :func:`hyper_grid` resolve.  A factor is built only where h changed,
+    after the last one is freed, so one factor is alive at a time; the
+    returned factor is the last one built.
 
     Newton starts from ``u0`` (default zero).  ``u0`` must satisfy the
     model's constraints, A u0 = 0, as the ``mean`` of an earlier
@@ -623,7 +615,6 @@ def gaussian_approx(model, theta, u0=None):
     nearby theta saves iterations and changes the result only within the
     Newton tolerance.
     """
-    theta = np.asarray(theta, dtype=float)
     blocks = model.prior_blocks(theta)
     pat = _pattern(model, blocks)
     prior = pat.prior(blocks)
@@ -648,59 +639,47 @@ def gaussian_approx(model, theta, u0=None):
 
     f_u = objective(u)
     trace = [f_u]
-    n_iter = 0
-    converged = False
     factor = None
-    for it in range(_MAX_ITER):
+    rel_change = np.inf
+    for n_iter in range(_MAX_ITER + 1):
         eta = b @ u
-        g = model.obs.grad(eta)
-        factor = _curvature(model, pat, prior, eta, factor)
-        grad = np.asarray(b.T @ g).ravel() - prior_times(u)
+        h = model.obs.neg_hess(eta)
+        if factor is None or not np.array_equal(h, factor.h):
+            factor = None  # free the last factor before building the next
+            factor = _PosteriorFactor(pat, prior, h, a_con)
+        grad = np.asarray(b.T @ model.obs.grad(eta)).ravel() - prior_times(u)
         if a_con is not None:
             # projected gradient: remove the constrained directions
             grad_proj = grad - a_con.T @ np.linalg.solve(
                 a_con @ a_con.T, a_con @ grad)
         else:
             grad_proj = grad
-        if np.max(np.abs(grad_proj)) < _NEWTON_TOL:
-            converged = True
+        if np.max(np.abs(grad_proj)) < _NEWTON_TOL \
+                or rel_change < _NEWTON_TOL:
             break
+        if n_iter == _MAX_ITER:
+            raise ConvergenceError(
+                f"Gaussian approximation did not converge in {_MAX_ITER} "
+                f"iterations", trace=trace)
         delta = factor.solve(grad)
         step = 1.0
-        improved = False
         for _ in range(_MAX_HALVINGS):
             u_try = factor.krige(u + step * delta)
             f_try = objective(u_try)
             if f_try >= f_u - 1e-12 * (1 + abs(f_u)):
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:
             raise ConvergenceError(
-                f"Newton line search failed at iteration {it}", trace=trace)
+                f"Newton line search failed at iteration {n_iter}",
+                trace=trace)
         rel_change = np.max(np.abs(u_try - u)) / (1.0 + np.max(np.abs(u_try)))
-        u = u_try
-        f_u = f_try
+        u, f_u = u_try, f_try
         trace.append(f_u)
-        n_iter = it + 1
-        if rel_change < _NEWTON_TOL:
-            converged = True
-            # refresh curvature at the accepted mode
-            factor = _curvature(model, pat, prior, b @ u, factor)
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"Gaussian approximation did not converge in {_MAX_ITER} "
-            f"iterations", trace=trace)
 
-    # unconstrained mean of the final quadratic model
-    eta = b @ u
-    g = model.obs.grad(eta)
-    grad = np.asarray(b.T @ g).ravel() - prior_times(u)
+    # the mean of the last quadratic model, unconstrained, then kriged
     mu_hat = u + factor.solve(grad)
-
-    loglik_mode = model.obs.loglik(eta)
-    log_ev = (loglik_mode
+    log_ev = (model.obs.loglik(eta)
               + 0.5 * prior_logdet
               - 0.5 * float(u @ prior_times(u))
               - 0.5 * factor.logdet)
@@ -708,9 +687,8 @@ def gaussian_approx(model, theta, u0=None):
         # Laplace integral over {A u = 0}, normal to the gradient A^T lambda
         log_ev += 0.5 * (np.linalg.slogdet(a_con @ a_con.T)[1]
                          - np.linalg.slogdet(a_con @ factor.w)[1])
-
-    return GaussianApprox(theta=theta, mean=factor.krige(mu_hat),
-                          factor=factor, log_evidence=log_ev, n_iter=n_iter)
+    return GaussianApprox(mean=factor.krige(mu_hat), factor=factor,
+                          log_evidence=log_ev, n_iter=n_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -732,17 +710,12 @@ class HyperPoint:
 
 
 def _log_post(model, theta, u0=None):
-    """Laplace log pi~(theta | y) up to a constant, with its approximation
-    (Newton started from ``u0``)."""
+    """Laplace log pi~(theta | y) up to a constant, with the mean and the
+    curvature h of its approximation (Newton started from ``u0``), whose
+    factor is freed on return."""
     approx = gaussian_approx(model, theta, u0=u0)
-    return approx.log_evidence + model.log_theta_prior(theta), approx
-
-
-def _grid_evaluation(model, theta, u0):
-    """log pi~(theta | y) and the mean and curvature of its approximation,
-    whose factor is freed on return."""
-    lp, approx = _log_post(model, theta, u0)
-    return lp, approx.mean, approx.factor.h
+    return (approx.log_evidence + model.log_theta_prior(theta), approx.mean,
+            approx.factor.h)
 
 
 def _weighted_points(model, thetas, u0=None, log_scale=0.0):
@@ -751,7 +724,7 @@ def _weighted_points(model, thetas, u0=None, log_scale=0.0):
     exp(log_post + log_scale) over the given points.  One point's factor
     is held at a time."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
-    results = [_grid_evaluation(model, t, u0) for t in thetas]
+    results = [_log_post(model, t, u0) for t in thetas]
     lps = np.array([r[0] for r in results])
     w = np.exp(lps + log_scale - np.max(lps + log_scale))
     w /= w.sum()
@@ -829,8 +802,7 @@ def _mode_search(model):
 
     def evaluate(t):
         nonlocal start
-        lp, approx = _log_post(model, t, start)
-        start = approx.mean
+        lp, start, _ = _log_post(model, t, start)
         return lp
 
     def objective(t):

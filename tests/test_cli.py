@@ -487,12 +487,13 @@ def _two_polygon_boundary(directory):
     return {"paths": {"boundary": path}}, 3, f"data error: {path}: "
 
 
-def _geojson_case(directory, obj):
-    """A boundary GeoJSON file holding ``obj``."""
-    path = os.path.join(directory, "boundary_in.geojson")
+def _geojson_case(directory, obj, key="boundary", message=""):
+    """A GeoJSON file holding ``obj`` for the polygon file of config key
+    ``key``, refused with ``message``."""
+    path = os.path.join(directory, f"{key}_in.geojson")
     with open(path, "w") as fh:
         json.dump(obj, fh)
-    return {"paths": {"boundary": path}}, 3, f"data error: {path}: "
+    return {"paths": {key: path}}, 3, f"data error: {path}: {message}"
 
 
 def _ragged_row(path, extra):
@@ -528,6 +529,9 @@ BAD_INPUTS = {
         {"functionals": {"grid_spacing": "abc"}}, 2, "functionals.grid_spacing"),
     "grid_spacing_nan": lambda d: (
         {"functionals": {"grid_spacing": "nan"}}, 2, "functionals.grid_spacing"),
+    "grid_spacing_no_cell": lambda d: (
+        {"functionals": {"grid_spacing": "20"}}, 2,
+        "config error: [functionals.grid_spacing] 20.0 leaves no grid cell"),
     "threads_text": lambda d: ({"run": {"threads": "abc"}}, 2, "run.threads"),
     "threads_two": lambda d: ({"run": {"threads": "2"}}, 2, "run.threads"),
     "frame_y_above_n": lambda d: _frame_case(d, y_above_n=True),
@@ -554,6 +558,14 @@ BAD_INPUTS = {
         d, {"type": "Point", "coordinates": [1, 2]}),
     "geojson_ring_of_two": lambda d: _geojson_case(
         d, {"type": "Polygon", "coordinates": [[[0, 0], [10, 0]]]}),
+    "areas_no_polygon": lambda d: _geojson_case(
+        d, {"type": "FeatureCollection", "features": []}, "areas",
+        "the areas file holds no polygon"),
+    "areas_repeated_id": lambda d: _geojson_case(
+        d, {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": _SQUARE,
+             "properties": {"id": "A0"}}] * 2},
+        "areas", "area id A0 names two polygons"),
     "adjacency_unknown_area": lambda d: _frame_case(
         d, adjacency=[("A0", "A1"), ("A0", "A9")]),
     "frame_long_row": lambda d: _ragged_case(d, "data", 1),

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -551,6 +552,20 @@ def test_excursion_mean_and_sd_are_of_the_prevalence(surface):
     prev = expit(eta)
     assert np.allclose(res.mean, prev.mean(axis=1), rtol=1e-13)
     assert np.allclose(res.sd, prev.std(axis=1, ddof=1), rtol=1e-12)
+
+
+def test_excursions_of_one_sample_have_sd_zero(surface):
+    # one draw spreads nowhere: sd 0 as area_averages gives it, with no
+    # division by zero
+    mesh, spec = surface
+    samples = _gradient_samples(mesh, 1, 47)
+    pts = np.array([[1.0, 1.0], [5.0, 5.0], [9.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simultaneous_excursions(samples, spec, pts, 0.5)
+    assert np.array_equal(res.sd, np.zeros(3))
+    eta = project(mesh, pts).matrix @ samples.samples[0, spec.field_slice]
+    assert np.allclose(res.mean, expit(eta), rtol=1e-13)
 
 
 def test_out_of_mesh_points_get_nan_statistics(unit_square):

@@ -612,6 +612,54 @@ def test_warm_start_matches_cold(problem):
         assert np.abs(model.constraint @ warm.mean).max() < 1e-9 * scale
 
 
+@pytest.mark.parametrize("problem", [_binomial_problem, _binomial_bym_problem])
+@pytest.mark.parametrize("short", [1, 2])
+def test_newton_limit_raises_with_a_trace_of_each_step(problem, short,
+                                                       monkeypatch):
+    # k steps allowed, fewer than the model needs: the error carries the
+    # starting value and one value per step taken
+    model = problem()
+    k = gaussian_approx(model, model.theta_init).n_iter - short
+    monkeypatch.setattr(inference, "_MAX_ITER", k)
+    with pytest.raises(ConvergenceError,
+                       match=f"did not converge in {k} iterations") as err:
+        gaussian_approx(model, model.theta_init)
+    assert len(err.value.trace) == k + 1
+    assert np.all(np.diff(err.value.trace) >= 0)
+
+
+def test_newton_limit_of_exactly_its_steps_returns_them(monkeypatch):
+    # the BYM model's last step converges by its relative change, which is
+    # tested after the step the limit allows
+    model = _binomial_bym_problem()
+    free = gaussian_approx(model, model.theta_init)
+    monkeypatch.setattr(inference, "_MAX_ITER", free.n_iter)
+    capped = gaussian_approx(model, model.theta_init)
+    assert capped.n_iter == free.n_iter
+    assert np.array_equal(capped.mean, free.mean)
+    assert capped.log_evidence == free.log_evidence
+
+
+def test_newton_line_search_failure_names_its_iteration():
+    # the log-likelihood is -inf after its first three values (the start
+    # and two full steps): the third step's line search finds no
+    # improvement in _MAX_HALVINGS trials
+    model = _binomial_problem()
+    loglik = model.obs.loglik
+    calls = []
+
+    def failing(eta):
+        calls.append(1)
+        return loglik(eta) if len(calls) <= 3 else -np.inf
+
+    model.obs.loglik = failing
+    with pytest.raises(ConvergenceError,
+                       match="line search failed at iteration 2") as err:
+        gaussian_approx(model, model.theta_init)
+    assert len(err.value.trace) == 3
+    assert len(calls) == 3 + inference._MAX_HALVINGS
+
+
 def test_spde_fit_computes_each_ordering_once(monkeypatch, coarse_mesh10,
                                               coarse_fem10):
     # The patterns of Q_prior and Q_post do not change with theta or eta, so
@@ -721,7 +769,7 @@ def _coords(model, names):
 @pytest.mark.parametrize("name", sorted(_ELIMINATED))
 def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
                                                coarse_fem10):
-    from prevmap.inference import _curvature, _pattern
+    from prevmap.inference import _PosteriorFactor, _pattern
     model = _models(coarse_mesh10, coarse_fem10)[name]
     elim = _coords(model, _ELIMINATED[name])
     keep = np.setdiff1d(np.arange(model.latent_dim), elim)
@@ -751,7 +799,8 @@ def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
                               q_prior[np.ix_(pat.keep, pat.keep)])
         assert np.array_equal(prior[1], np.diag(q_prior)[elim])
         # the factor of the full Q_post
-        factor = _curvature(model, pat, prior, eta)
+        factor = _PosteriorFactor(pat, prior, model.obs.neg_hess(eta),
+                                  model.constraint)
         _assert_factor_of(factor, ref, rel=1e-10)
         draws = factor.sample(np.eye(model.latent_dim))
         cov = np.linalg.inv(ref)
@@ -958,12 +1007,15 @@ def test_rebuilt_factor_is_gaussian_approx_factor_bit_for_bit(
 
 @pytest.mark.parametrize("name", ["spde_nugget", "bym"])
 def test_fit_holds_no_factor(name, monkeypatch, coarse_mesh10, coarse_fem10):
-    # once fit_latent_model returns, no factor of the mode search, the
-    # Hessian or the grid is alive: no grid point holds one
+    # no factor is built while another is alive (Newton frees its last
+    # factor before it builds the next), and once fit_latent_model returns,
+    # no factor of the mode search, the Hessian or the grid is alive: no
+    # grid point holds one
     import gc
     model = _models(coarse_mesh10, coarse_fem10)[name]
     log = _factor_log(monkeypatch)
     fit = fit_latent_model(model)
+    assert [alive for _, _, alive in log] == [0] * len(log)
     gc.collect()
     assert len(fit.points) > 1 and len(log) > len(fit.points)
     assert all(ref() is None for _, ref, _ in log)
