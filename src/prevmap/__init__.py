@@ -23,7 +23,7 @@ _EXPORTS = {
     "meshing": ("build_mesh",),
     "matern": ("MaternParams", "matern_cov", "practical_range",
                "sigma_from_tau", "tau_from_sigma"),
-    "spde": ("SpdeTheta", "assemble_precision"),
+    "spde": ("assemble_precision",),
     "inference": ("BinomialObs", "FitResult", "GaussianObs",
                   "LatentComponent", "LatentModel", "fit_latent_model",
                   "gaussian_approx", "hyper_grid", "make_spde_model",

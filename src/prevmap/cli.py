@@ -1,8 +1,12 @@
 """Config-driven pipeline: simulate -> fit -> areas/excursions -> report.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.  All outputs are flat files under [paths] output_dir; identical
-config + seed give byte-identical CSV and pixel-identical PGM outputs.
+Exit codes: 0 success; 2 a ConfigError, naming its ``section.key``; 3 a
+DataError (a geometry or empty-data error too) or a missing file, naming
+the file; 4 any other package error or a LinAlgError, a numerical failure.
+Each command reads and checks all its inputs (``load_config`` checks that
+the files exist) before it computes or writes anything.  All outputs are
+flat files under [paths] output_dir; identical config + seed give
+byte-identical CSV and pixel-identical PGM outputs.
 
 Each command runs as its own process, so import time is part of its run
 time.  Module level therefore imports only the standard library, numpy,
@@ -19,10 +23,7 @@ import numpy as np
 
 from ._csv import _read_csv, _write_csv
 from .config import load_config
-from .errors import (ConfigError, ConvergenceError, DataError,
-                     InvalidGeometryError, NoDataError,
-                     NotPositiveDefiniteError, PrevmapError, RefinementError,
-                     reading)
+from .errors import ConfigError, DataError, PrevmapError, reading
 
 __all__ = ["main", "cmd_simulate", "cmd_fit", "cmd_areas", "cmd_excursions",
            "cmd_report"]
@@ -31,14 +32,9 @@ __all__ = ["main", "cmd_simulate", "cmd_fit", "cmd_areas", "cmd_excursions",
 def _read_polygons(path):
     from .geometry import read_polygons_csv, read_polygons_geojson
 
-    if not os.path.exists(path):
-        raise DataError(f"polygon file not found: {path}")
-    try:
-        if path.endswith(".csv"):
-            return read_polygons_csv(path)
-        return read_polygons_geojson(path)
-    except InvalidGeometryError as exc:  # a geometry error names no file
-        raise InvalidGeometryError(f"{path}: {exc}") from exc
+    if path.endswith(".csv"):
+        return read_polygons_csv(path)
+    return read_polygons_geojson(path)
 
 
 def _boundary(cfg):
@@ -93,6 +89,8 @@ def cmd_simulate(cfg):
         sim = simulate.simulate_survey(cfg, boundary, sizes, areas=areas,
                                        cluster_locations=locs)
     except DataError as exc:  # the areas do not cover the clusters
+        if type(exc) is not DataError:  # a sampling error names its polygon
+            raise
         raise DataError(f"{cfg.areas}: {exc}") from exc
     os.makedirs(cfg.output_dir, exist_ok=True)
     survey.write_frame_csv(cfg.out("frame.csv"), sim.frame)
@@ -239,28 +237,30 @@ def _fit_spde(cfg, boundary, areas, frame, grid):
             "fit_state.npz"]
 
 
-def _fit_bym(cfg, frame, areas):
+def _bym_inputs(cfg, frame, areas):
+    """The direct estimates, and the BYM model of their logits on the
+    adjacency graph of the areas."""
+    from . import areal, survey
+
+    with reading(_frame_path(cfg)):  # a survey with no positive, say
+        ests = survey.direct_estimates(frame)
+    order = {str(p.id): i for i, p in enumerate(areas)}
+    y, v = np.full((2, len(areas)), np.nan)
+    for e in ests:  # every area_id is one of the areas (_load_frame)
+        k = order[str(e.area_id)]
+        y[k], v[k] = e.y_logit, e.v_logit
+    graph = (areal.adjacency_from_csv(cfg.adjacency, [p.id for p in areas])
+             if cfg.adjacency else areal.adjacency_from_polygons(areas))
+    return ests, areal.BymModel(y=y, v_hat=v, graph=graph)
+
+
+def _fit_bym(cfg, areas, ests, model):
     """BYM smoothing of the direct estimates.  Returns the files written."""
     from . import areal, survey
     from .inference import write_theta_grid_csv
 
-    try:
-        ests = survey.direct_estimates(frame)
-    except NoDataError as exc:  # a survey with no positive or no negative
-        raise DataError(f"{_frame_path(cfg)}: {exc}") from exc
-    order = {str(p.id): i for i, p in enumerate(areas)}
-    y = np.full(len(areas), np.nan)
-    v = np.full(len(areas), np.nan)
-    for e in ests:  # every area_id is one of the areas (_load_frame)
-        y[order[str(e.area_id)]] = e.y_logit
-        v[order[str(e.area_id)]] = e.v_logit
     survey.write_direct_estimates_csv(cfg.out("direct_estimates.csv"), ests)
-    if cfg.adjacency:
-        graph = areal.adjacency_from_csv(cfg.adjacency,
-                                         [p.id for p in areas])
-    else:
-        graph = areal.adjacency_from_polygons(areas)
-    bym = areal.fit_bym(areal.BymModel(y=y, v_hat=v, graph=graph))
+    bym = areal.fit_bym(model)
     _write_csv(cfg.out("bym_summary.csv"),
                ["area_id", "eta_mean", "eta_sd", "eta_q025", "eta_q50",
                 "eta_q975", "p_mean", "p_q025", "p_q50", "p_q975",
@@ -276,18 +276,17 @@ def _fit_bym(cfg, frame, areas):
 def cmd_fit(cfg):
     if cfg.fit_bym and not cfg.areas:
         raise ConfigError("paths.areas", "required for the BYM path")
-    if cfg.areas and not os.path.exists(cfg.areas):
-        raise ConfigError("paths.areas", f"file not found: {cfg.areas}")
     boundary = _boundary(cfg)
     areas = _areas(cfg)
     grid = _grid(cfg, boundary) if cfg.fit_spde else None
     frame = _load_frame(cfg, boundary, areas if cfg.fit_bym else None)
+    bym = _bym_inputs(cfg, frame, areas) if cfg.fit_bym else None
     os.makedirs(cfg.output_dir, exist_ok=True)
     wrote = []
     if cfg.fit_spde:
         wrote += _fit_spde(cfg, boundary, areas, frame, grid)
     if cfg.fit_bym:
-        wrote += _fit_bym(cfg, frame, areas)
+        wrote += _fit_bym(cfg, areas, *bym)
     cfg.echo(cfg.out("config_resolved.ini"))
     print(f"fit: wrote {', '.join(wrote)} -> {cfg.output_dir}")
     return 0
@@ -378,9 +377,7 @@ def cmd_report(cfg):
     from . import render
 
     boundary = _boundary(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    wrote = []
-
+    areas = _areas(cfg)
     # grid maps: the posterior median field and the excursion labels
     grid_inputs = {}
     for name, column in (("field_median_lattice.csv", "mean"),
@@ -391,9 +388,15 @@ def cmd_report(cfg):
         grid = _grid(cfg, boundary)
     for name, values in grid_inputs.items():
         if grid.points.shape[0] != len(values):
-            raise DataError(f"{name} does not match the configured grid "
-                            f"spacing")
+            raise DataError(f"{cfg.out(name)}: does not match the "
+                            f"configured grid spacing")
+    choropleths = [
+        (svg, title, _read_column(cfg.out(name), column, key="area_id"))
+        for name, column, svg, title in _CHOROPLETHS
+        if areas and os.path.exists(cfg.out(name))]
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    wrote = []
     med = grid_inputs.get("field_median_lattice.csv")
     if med is not None:
         render.svg_heatmap(cfg.out("median_field.svg"), grid, med,
@@ -402,13 +405,10 @@ def cmd_report(cfg):
                          render.field_to_gray(grid.full(med)))
         wrote += ["median_field.svg", "median_field.pgm"]
 
-    areas = _areas(cfg)
-    for name, column, svg, title in _CHOROPLETHS:
-        if os.path.exists(cfg.out(name)) and areas:
-            vals = _read_column(cfg.out(name), column, key="area_id")
-            v = np.array([vals.get(str(p.id), np.nan) for p in areas])
-            render.svg_choropleth(cfg.out(svg), areas, v, title=title)
-            wrote.append(svg)
+    for svg, title, vals in choropleths:
+        v = np.array([vals.get(str(p.id), np.nan) for p in areas])
+        render.svg_choropleth(cfg.out(svg), areas, v, title=title)
+        wrote.append(svg)
 
     labels = grid_inputs.get("excursion_grid.csv")
     if labels is not None:
@@ -460,15 +460,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, NoDataError, InvalidGeometryError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, NotPositiveDefiniteError, RefinementError,
-            np.linalg.LinAlgError) as exc:
+    except (PrevmapError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except PrevmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 4
 
 

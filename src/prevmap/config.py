@@ -134,8 +134,9 @@ PipelineConfig = make_dataclass(
 def load_config(path, require_files=()):
     """Parse and validate a configuration file.
 
-    ``require_files`` lists path keys (e.g. "boundary") whose referenced
-    files must exist for the command being run.
+    ``require_files`` lists the path keys (e.g. "boundary") the command
+    being run needs set.  Every input file a ``[paths]`` key names must
+    exist, whichever command runs.
     """
     if not os.path.exists(path):
         raise ConfigError("config", f"file not found: {path}")
@@ -179,9 +180,11 @@ def load_config(path, require_files=()):
     cfg = PipelineConfig(**values,
                          raw={s: dict(parser[s]) for s in parser.sections()})
     for key in require_files:
-        p = getattr(cfg, key)
-        if not p:
+        if not getattr(cfg, key):
             raise ConfigError(f"paths.{key}", "required for this command")
-        if not os.path.exists(p):
-            raise ConfigError(f"paths.{key}", f"file not found: {p}")
+    for s in _SETTINGS:
+        path = getattr(cfg, s.attr)
+        if (s.section == "paths" and s.key != "output_dir" and path
+                and not os.path.exists(path)):
+            raise ConfigError(f"paths.{s.key}", f"file not found: {path}")
     return cfg

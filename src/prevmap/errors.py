@@ -8,8 +8,16 @@ class PrevmapError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidGeometryError(PrevmapError):
+class DataError(PrevmapError):
+    """Missing or malformed input data; :func:`reading` names its file."""
+
+
+class InvalidGeometryError(DataError):
     """Degenerate or malformed polygon / mesh input."""
+
+
+class NoDataError(DataError):
+    """An operation was asked for on an empty data subset."""
 
 
 class RefinementError(PrevmapError):
@@ -32,10 +40,6 @@ class ConvergenceError(PrevmapError):
         self.trace = trace or []
 
 
-class NoDataError(PrevmapError):
-    """An operation was asked for on an empty data subset."""
-
-
 class ConfigError(PrevmapError):
     """Invalid pipeline configuration; carries the offending key."""
 
@@ -44,18 +48,16 @@ class ConfigError(PrevmapError):
         self.key = key
 
 
-class DataError(PrevmapError):
-    """Missing or malformed input data file."""
-
-
 @contextmanager
 def reading(path):
-    """Turn a missing field (KeyError), a malformed value or a damaged
-    archive met while reading ``path`` into a DataError naming it."""
+    """Turn what goes wrong while reading ``path`` into a DataError whose
+    message is ``<path>: <what>``: a missing field (KeyError), a malformed
+    value, a damaged archive, or a geometry or empty-data error, which
+    names no file.  A plain DataError already names its file and passes."""
     try:
         yield
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError, EOFError,
-            zipfile.BadZipFile) as exc:
+            zipfile.BadZipFile, InvalidGeometryError, NoDataError) as exc:
         raise DataError(f"{path}: {exc}") from exc

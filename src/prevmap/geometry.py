@@ -552,14 +552,9 @@ def read_polygons_csv(path):
                 path, ["id", "ring_index", "vertex_index", "x", "y"])):
             data.setdefault(key, {}).setdefault(int(ring), []).append(
                 (int(vertex), float(x), float(y)))
-    out = []
-    for pid in data:
-        rings = []
-        for ring_ix in sorted(data[pid]):
-            verts = sorted(data[pid][ring_ix])
-            rings.append(np.array([(x, y) for _, x, y in verts]))
-        out.append(Polygon(rings, id=pid))
-    return out
+        return [Polygon([np.array([(x, y) for _, x, y in sorted(rings[r])])
+                         for r in sorted(rings)], id=pid)
+                for pid, rings in data.items()]
 
 
 def write_polygons_csv(path, polygons):

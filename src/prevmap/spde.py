@@ -17,39 +17,13 @@ The Matern covariance itself and the closed forms between tau, kappa and
 the marginal variance live in :mod:`prevmap.matern`, which needs no scipy.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NotPositiveDefiniteError
 from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
-__all__ = [
-    "SpdeTheta",
-    "SpdePrecision",
-    "assemble_precision",
-]
-
-
-@dataclass(frozen=True)
-class SpdeTheta:
-    """Log-scale SPDE parameters (theta1 = log tau, theta2 = log kappa)."""
-
-    log_tau: float
-    log_kappa: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.log_tau) and np.isfinite(self.log_kappa)):
-            raise ValueError("SpdeTheta must be finite")
-
-    @property
-    def tau(self):
-        return float(np.exp(self.log_tau))
-
-    @property
-    def kappa(self):
-        return float(np.exp(self.log_kappa))
+__all__ = ["SpdePrecision", "assemble_precision"]
 
 
 def _on_pattern(n, mats):
@@ -96,8 +70,7 @@ class SpdePrecision:
         self._log_c = float(np.log(cd).sum())
 
     def __call__(self, theta):
-        th = SpdeTheta(theta[0], theta[1])
-        tau, kappa = th.tau, th.kappa
+        tau, kappa = float(np.exp(theta[0])), float(np.exp(theta[1]))
         data = tau ** 2 * (kappa ** 4 * self._c + 2.0 * kappa ** 2 * self._g
                            + self._gcg)
         return sp.csc_matrix((data, self._q_indices, self._q_indptr),
@@ -105,22 +78,23 @@ class SpdePrecision:
 
     def logdet(self, theta):
         """log|Q| = 2 n log tau + 2 log|K| - sum_i log C_ii."""
-        th = SpdeTheta(theta[0], theta[1])
-        k = sp.csc_matrix((th.kappa ** 2 * self._kc + self._kg,
+        kappa = float(np.exp(theta[1]))
+        k = sp.csc_matrix((kappa ** 2 * self._kc + self._kg,
                            self._k_indices, self._k_indptr),
                           shape=(self.n, self.n))
         log_k = SparseCholesky(k, layout=self._k_layout).logdet
-        return 2.0 * self.n * th.log_tau + 2.0 * log_k - self._log_c
+        return 2.0 * self.n * theta[0] + 2.0 * log_k - self._log_c
 
 
 def assemble_precision(c, g, theta):
-    """Sparse GMRF precision of the basis weights for alpha = 2 (nu = 1).
+    """Sparse GMRF precision of the basis weights for alpha = 2 (nu = 1) at
+    ``theta`` = (log tau, log kappa).
 
     Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G) with C the lumped mass
     matrix and G the stiffness matrix of the same mesh, built by
     :class:`SpdePrecision`, and verified positive definite by factorization.
     """
-    q = SpdePrecision(c, g)((theta.log_tau, theta.log_kappa))
+    q = SpdePrecision(c, g)(theta)
     try:
         SparseCholesky(q)
     except NotPositiveDefiniteError as exc:

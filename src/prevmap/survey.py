@@ -236,7 +236,7 @@ def read_frame_csv(path):
     with reading(path):
         cid, aid, x, y, hid, n, pos, w = _read_csv(path, _FRAME_COLS)
         if not cid:
-            raise NoDataError(f"{path}: empty frame")
+            raise NoDataError("empty frame")
         x, y, n, pos, w = (list(map(float, c)) for c in (x, y, n, pos, w))
         return SurveyFrame(cluster_id=cid, area_id=aid, x=x, y=y,
                            household_id=hid, n_members=n, positives=pos,

@@ -306,11 +306,30 @@ def test_cli_cluster_locations_and_household_sizes(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["cluster_locations", "household_sizes"])
-def test_cli_missing_simulation_input_exits_3(tmp_path, capsys, key):
-    ini = _write_config(str(tmp_path), extra={"paths": {
-        key: str(tmp_path / "missing.csv")}})
+def test_cli_missing_simulation_input_exits_2(tmp_path, capsys, key):
+    # load_config checks every input file a [paths] key names
+    missing = str(tmp_path / "missing.csv")
+    ini = _write_config(str(tmp_path), extra={"paths": {key: missing}})
+    assert cli.main(["simulate", "-c", ini]) == 2
+    assert (f"config error: [paths.{key}] file not found: {missing}"
+            in capsys.readouterr().err)
+
+
+def test_cli_simulate_sampling_error_names_the_boundary(tmp_path, capsys):
+    # a boundary ring around a hole that leaves it almost no area: drawing
+    # the clusters fails, and the areas file, which simulate also reads, is
+    # not blamed
+    ini = _write_config(str(tmp_path))
+    lo, hi = 1e-7, 10 - 1e-7
+    write_polygons_csv(str(tmp_path / "boundary.csv"), [Polygon(
+        [[(0, 0), (10, 0), (10, 10), (0, 10)],
+         [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]], id="boundary")])
+    capsys.readouterr()
     assert cli.main(["simulate", "-c", ini]) == 3
-    assert "missing.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: polygon boundary: fills "), err
+    assert "areas.csv" not in err
+    assert not os.path.exists(_out(ini, "frame.csv"))
 
 
 def test_cli_simulate_clusters_in_no_area_exits_3(tmp_path, capsys):
@@ -435,14 +454,14 @@ _FRAME_COLS = ["cluster_id", "area_id", "x", "y", "household_id", "N", "Y",
 
 
 def _frame_case(directory, drop=None, y_above_n=False, adjacency=None,
-                bad=None, positives=None):
+                bad=None, positives=None, spde=False):
     """A hand-written frame (two clusters of two households in each of the
     2 x 2 areas) without column ``drop``, with one Y > N if asked, the
     first row's value of one column replaced if ``bad`` = (column, text),
-    every Y set to ``positives`` if given (a BYM fit alone then), and an
-    adjacency CSV of the given edges if any.  Returns the config
-    overrides, the exit code and the file (and the bad column) the error
-    message must name."""
+    every Y set to ``positives`` if given, and an adjacency CSV of the
+    given edges if any; with ``positives`` or ``adjacency``, a BYM fit
+    alone unless ``spde``.  Returns the config overrides, the exit code
+    and the file (and the bad column) the error message must name."""
     rows = [[2 * a + c, f"A{a}", x + c, y, h, 4, 1 + c, 10.0]
             for a, (x, y) in enumerate([(2, 2), (7, 2), (2, 7), (7, 7)])
             for c in range(2) for h in range(2)]
@@ -458,15 +477,15 @@ def _frame_case(directory, drop=None, y_above_n=False, adjacency=None,
                         [[row[i] for i in keep] for row in rows])
     if bad is not None:
         return {"paths": {"data": frame}}, 3, f"{frame}: column {bad[0]}"
+    models = {} if spde else {"model": {"fit_spde": "false"}}
     if positives is not None:
-        return ({"paths": {"data": frame}, "model": {"fit_spde": "false"}},
-                3, f"data error: {frame}: ")
+        return ({"paths": {"data": frame}, **models}, 3,
+                f"data error: {frame}: ")
     if adjacency is None:
         return {"paths": {"data": frame}}, 3, frame
     adj = _write_rows(os.path.join(directory, "adjacency.csv"),
                       ["area_i", "area_j"], adjacency)
-    return ({"paths": {"data": frame, "adjacency": adj},
-             "model": {"fit_spde": "false"}}, 3, adj)
+    return {"paths": {"data": frame, "adjacency": adj}, **models}, 3, adj
 
 
 def _polygons_without_ring_index(directory):
@@ -544,6 +563,8 @@ BAD_INPUTS = {
     "frame_x_outside_boundary": lambda d: _frame_case(d, bad=("x", "50")),
     "frame_unknown_area_id": lambda d: _frame_case(d, bad=("area_id", "zzz")),
     "frame_no_positive": lambda d: _frame_case(d, positives=0),
+    "frame_no_positive_spde": lambda d: _frame_case(d, positives=0,
+                                                    spde=True),
     "frame_all_positive": lambda d: _frame_case(d, positives=4),
     "polygons_without_ring_index": _polygons_without_ring_index,
     "boundary_two_polygons": _two_polygon_boundary,
@@ -568,6 +589,8 @@ BAD_INPUTS = {
         "areas", "area id A0 names two polygons"),
     "adjacency_unknown_area": lambda d: _frame_case(
         d, adjacency=[("A0", "A1"), ("A0", "A9")]),
+    "adjacency_unknown_area_spde": lambda d: _frame_case(
+        d, adjacency=[("A0", "A1"), ("A0", "A9")], spde=True),
     "frame_long_row": lambda d: _ragged_case(d, "data", 1),
     "frame_short_row": lambda d: _ragged_case(d, "data", -1),
     "polygons_long_row": lambda d: _ragged_case(d, "boundary", 1),
@@ -584,6 +607,30 @@ def test_cli_bad_input_exit_code_names_the_culprit(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli.main(["fit", "-c", ini]) == code
     assert culprit in capsys.readouterr().err
+    # fit reads and checks every input before it writes anything
+    out = tmp_path / "out"
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("case", ["areas_repeated_id", "grid_spacing"])
+def test_cli_refused_report_writes_no_map(first_run, tmp_path, capsys, case):
+    # the fitted tiny study's outputs without its maps, then a report on a
+    # bad areas file or at a grid spacing the fit did not use
+    directory, _ = first_run
+    shutil.copytree(os.path.join(directory, "out"), tmp_path / "out",
+                    ignore=shutil.ignore_patterns("*.svg", "*.pgm"))
+    if case == "grid_spacing":
+        extra = {"functionals": {"grid_spacing": "0.5"}}
+        culprit = (f"data error: {tmp_path / 'out'}/field_median_lattice.csv"
+                   f": does not match the configured grid spacing")
+    else:
+        extra, _, culprit = BAD_INPUTS[case](str(tmp_path))
+    ini = _write_config(str(tmp_path), extra=extra)
+    capsys.readouterr()
+    assert cli.main(["report", "-c", ini]) == 3
+    assert culprit in capsys.readouterr().err
+    assert not [name for name in os.listdir(tmp_path / "out")
+                if name.endswith((".svg", ".pgm"))]
 
 
 # simulation inputs: (config key, header, rows) of a bad file

@@ -534,7 +534,8 @@ def test_geojson_reader_on_any_json_returns_polygons_or_a_data_error(
     path.write_text(json.dumps(value))
     try:
         polys = read_polygons_geojson(path)
-    except (DataError, InvalidGeometryError):
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
         return
     assert all(isinstance(p, Polygon) for p in polys)
 

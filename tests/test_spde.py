@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from prevmap.errors import NotPositiveDefiniteError
 from prevmap.geometry import fem_matrices
 from prevmap.matern import (MaternParams, matern_cov, practical_range,
                             sigma_from_tau, tau_from_sigma)
 from prevmap.meshing import build_mesh
 from prevmap.sparsela import SparseCholesky
-from prevmap.spde import SpdePrecision, SpdeTheta, assemble_precision
+from prevmap.spde import SpdePrecision, assemble_precision
 
 from conftest import solve_columns
 
@@ -67,7 +68,7 @@ def test_practical_range_values():
 
 def test_assemble_precision_spd_and_pattern(coarse_fem10):
     c, g = coarse_fem10
-    theta = SpdeTheta(np.log(tau_from_sigma(0.5, 1.0)), 0.0)
+    theta = (np.log(tau_from_sigma(0.5, 1.0)), 0.0)
     q = assemble_precision(c, g, theta)
     SparseCholesky(q)  # SPD: factorization succeeds
     assert abs(q - q.T).max() < 1e-12
@@ -92,8 +93,8 @@ def test_spde_precision_matches_formula_and_k_logdet(coarse_fem10):
         assert prec.logdet((log_tau, log_kappa)) == pytest.approx(
             SparseCholesky(q).logdet, rel=1e-12)
     # assemble_precision is the same matrix
-    th = SpdeTheta(log_tau, log_kappa)
-    assert np.array_equal(assemble_precision(c, g, th).toarray(), dense)
+    q = assemble_precision(c, g, (log_tau, log_kappa))
+    assert np.array_equal(q.toarray(), dense)
 
 
 def test_spde_logdet_first_and_later_k_share_arithmetic(coarse_fem10):
@@ -127,7 +128,16 @@ def test_spde_k_laid_out_in_its_fill_reducing_order(coarse_fem10):
 def test_assemble_rejects_non_diagonal_mass(coarse_fem10):
     _, g = coarse_fem10
     with pytest.raises(ValueError):
-        assemble_precision(g, g, SpdeTheta(0.0, 0.0))
+        assemble_precision(g, g, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("theta", [(np.nan, 0.0), (0.0, np.inf),
+                                   (np.inf, 0.0), (0.0, np.nan)])
+def test_non_finite_theta_fails_in_the_factorization(coarse_fem10, theta):
+    c, g = coarse_fem10
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NotPositiveDefiniteError):
+        assemble_precision(c, g, theta)
 
 
 def test_large_kappa_kills_correlation(coarse_fem10):
@@ -137,7 +147,7 @@ def test_large_kappa_kills_correlation(coarse_fem10):
     cors = []
     for kappa in (1.0, 8.0):
         tau = tau_from_sigma(sigma2, kappa)
-        q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(kappa)))
+        q = assemble_precision(c, g, (np.log(tau), np.log(kappa)))
         f = SparseCholesky(q)
         i, j = 200, 260  # two interior vertices at a fixed distance
         cols = solve_columns(f, [i, j])
@@ -154,7 +164,7 @@ def spde_oracle_mesh(square10):
 
 def _fem_correlations(mesh, c, g, params, max_dist=5.0, min_dist=0.0):
     tau = tau_from_sigma(params.sigma2, params.kappa, params.nu)
-    q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(params.kappa)))
+    q = assemble_precision(c, g, (np.log(tau), np.log(params.kappa)))
     f = SparseCholesky(q)
     center = np.array([5.0, 5.0])
     dc = np.linalg.norm(mesh.vertices - center, axis=1)
@@ -193,7 +203,7 @@ def test_spde_interior_variance_stationarity(spde_oracle_mesh):
     mesh, (c, g) = spde_oracle_mesh
     params = MaternParams(sigma2=1.0, kappa=np.exp(0.5), nu=1.0)
     tau = tau_from_sigma(params.sigma2, params.kappa)
-    q = assemble_precision(c, g, SpdeTheta(np.log(tau), np.log(params.kappa)))
+    q = assemble_precision(c, g, (np.log(tau), np.log(params.kappa)))
     f = SparseCholesky(q)
     rng = np.random.default_rng(0)
     interior = np.where(
