@@ -85,13 +85,8 @@ def cmd_simulate(cfg):
     if cfg.cluster_locations:
         locs = simulate.read_locations_csv(cfg.cluster_locations)
         _check_inside(cfg.cluster_locations, boundary, locs)
-    try:
-        sim = simulate.simulate_survey(cfg, boundary, sizes, areas=areas,
-                                       cluster_locations=locs)
-    except DataError as exc:  # the areas do not cover the clusters
-        if type(exc) is not DataError:  # a sampling error names its polygon
-            raise
-        raise DataError(f"{cfg.areas}: {exc}") from exc
+    sim = simulate.simulate_survey(cfg, boundary, sizes, areas=areas,
+                                   cluster_locations=locs)
     os.makedirs(cfg.output_dir, exist_ok=True)
     survey.write_frame_csv(cfg.out("frame.csv"), sim.frame)
     simulate.write_truth_lattice_csv(cfg.out("truth_lattice.csv"), sim.truth)

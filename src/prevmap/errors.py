@@ -27,10 +27,6 @@ class RefinementError(PrevmapError):
 class NotPositiveDefiniteError(PrevmapError):
     """A matrix required to be SPD failed factorization."""
 
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
 
 class ConvergenceError(PrevmapError):
     """Iterative optimisation failed to converge."""

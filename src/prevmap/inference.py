@@ -741,7 +741,7 @@ def _factor(model, point):
     return _PosteriorFactor(pat, pat.prior(blocks), point.h, model.constraint)
 
 
-def minimize(fun, grad, x0, gtol=_MODE_GTOL):
+def minimize(fun, grad, x0):
     """Minimize ``fun`` by BFGS from ``x0`` (Nocedal & Wright 2006,
     algorithm 6.1), for a handful of coordinates.  Returns the last
     accepted point and None, or that point and why the search stopped
@@ -757,13 +757,13 @@ def minimize(fun, grad, x0, gtol=_MODE_GTOL):
     first step fits the stiffest direction; on the theta posteriors here,
     whose curvatures differ a hundredfold, it shrank every later step along
     the flat ones and took more evaluations than the identity.)  Stops once
-    the largest gradient entry is at most ``gtol``."""
+    the largest gradient entry is at most ``_MODE_GTOL``."""
     x = np.array(x0, dtype=float)
     f = fun(x)
     g = grad(x, f)
     h_inv = np.eye(len(x))
     for it in range(200 * len(x)):
-        if np.max(np.abs(g)) <= gtol:
+        if np.max(np.abs(g)) <= _MODE_GTOL:
             return x, None
         p = -h_inv @ g
         slope = g @ p

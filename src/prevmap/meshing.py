@@ -29,6 +29,15 @@ _SEED_SPACING = 0.85    # lattice spacing as a fraction of local h
 _MIN_ANGLE_DEG = 20.0   # quality criterion, Ruppert-safe up to ~20.7
 _GRADE = 0.9            # size-field growth per unit distance from the polygon
 _MAX_PASSES = 200       # refinement passes before RefinementError
+_CHUNK = 512            # candidates accepted together: part of the acceptance
+                        # rule, so every mesh depends on it; bounds a chunk's
+                        # pairwise distance matrix to 2 MB
+
+# One row per wall of the extension box (x0, x1, y0, y1), in the order
+# y = y0, y = y1, x = x0, x = x1: the axis the wall runs along (0: x, 1: y),
+# the index in the box of the coordinate it lies on, and the side of it the
+# box lies on (+1: towards larger coordinates).
+_WALLS = np.array([(0, 2, 1), (0, 3, -1), (1, 0, 1), (1, 1, -1)])
 
 
 def _hex_lattice(x0, x1, y0, y1, s):
@@ -36,17 +45,13 @@ def _hex_lattice(x0, x1, y0, y1, s):
     if x1 <= x0 or y1 <= y0:
         return np.empty((0, 2))
     dy = s * np.sqrt(3) / 2
+    # rows at y0 + j dy up to y1; the arange reaches one row past it
+    ys = y0 + np.arange(int((y1 - y0) / dy) + 2) * dy
     rows = []
-    j = 0
-    y = y0
-    while y <= y1 + 1e-12:
-        off = (s / 2) if (j % 2) else 0.0
-        xs = np.arange(x0 + off, x1 + 1e-12, s)
-        if xs.size:
-            rows.append(np.column_stack([xs, np.full(xs.size, y)]))
-        j += 1
-        y = y0 + j * dy
-    return np.vstack(rows) if rows else np.empty((0, 2))
+    for j, y in enumerate(ys[ys <= y1 + 1e-12]):
+        xs = np.arange(x0 + (s / 2 if j % 2 else 0.0), x1 + 1e-12, s)
+        rows.append(np.column_stack([xs, np.full(xs.size, y)]))
+    return np.vstack(rows)
 
 
 def _triangle_metrics(pts, tris):
@@ -66,14 +71,16 @@ def _triangle_metrics(pts, tris):
 
 
 class _RectBoundary:
-    """The four walls of the extension rectangle as splittable segments."""
+    """The four walls of the extension box as splittable segments: wall k
+    (a row of ``_WALLS``) holds its segment ends ``pos[k]``, ascending
+    coordinates along the wall."""
 
     def __init__(self, box, hfun):
-        self.box = box
-        x0, x1, y0, y1 = box
+        self.axis, at, self.side = _WALLS.T
+        self.at = np.asarray(box, dtype=float)[at]
         self.pos = []
-        for k in range(4):
-            lo, hi = (x0, x1) if k < 2 else (y0, y1)
+        for k, axis in enumerate(self.axis):
+            lo, hi = box[2 * axis], box[2 * axis + 1]
             ts = [lo]
             t = lo
             while True:
@@ -86,71 +93,52 @@ class _RectBoundary:
             self.pos.append(np.array(ts))
 
     def _xy(self, k, t):
-        x0, x1, y0, y1 = self.box
-        t = np.asarray(t, dtype=float)
-        const = {0: y0, 1: y1, 2: x0, 3: x1}[k]
-        if k < 2:
-            return np.column_stack([t, np.full(t.shape, const)])
-        return np.column_stack([np.full(t.shape, const), t])
+        """The points at coordinates t along wall k."""
+        xy = np.full((len(t), 2), self.at[k])
+        xy[:, self.axis[k]] = t
+        return xy
 
     def points(self):
-        # walls 2 and 3 skip their endpoints so corners appear exactly once
-        return np.vstack([
-            self._xy(0, self.pos[0]),
-            self._xy(1, self.pos[1]),
-            self._xy(2, self.pos[2][1:-1]),
-            self._xy(3, self.pos[3][1:-1]),
-        ])
+        # the walls along y skip their ends so each corner appears once
+        return np.vstack([self._xy(k, pos if self.axis[k] == 0 else pos[1:-1])
+                          for k, pos in enumerate(self.pos)])
 
-    def _uv(self, k, pts):
-        x0, x1, y0, y1 = self.box
-        if k == 0:
-            return pts[:, 0], pts[:, 1] - y0
-        if k == 1:
-            return pts[:, 0], y1 - pts[:, 1]
-        if k == 2:
-            return pts[:, 1], pts[:, 0] - x0
-        return pts[:, 1], x1 - pts[:, 0]
+    def _uv(self, pts):
+        """Each point's coordinate along each wall and its distance from it
+        into the box, as two (4, n) arrays."""
+        u = pts[:, self.axis].T
+        dist = self.side[:, None] * (pts[:, 1 - self.axis].T
+                                     - self.at[:, None])
+        return u, dist
 
     def _segment(self, k, u):
         """Index of the segment of wall k under wall coordinate(s) u."""
         return np.clip(np.searchsorted(self.pos[k], u) - 1,
                        0, len(self.pos[k]) - 2)
 
-    def _diametral(self, k, u, dist):
-        """Segment of wall k under each point at wall coordinate u and
-        distance dist from the wall, and whether the point lies inside that
-        segment's diametral circle."""
-        pos = self.pos[k]
-        j = self._segment(k, u)
-        return j, (u - pos[j]) * (u - pos[j + 1]) + dist * dist < -1e-14
+    def _encroach(self, pts):
+        """Per wall k: the segment j under each point, and whether the point
+        lies inside that segment's diametral circle."""
+        u, dist = self._uv(pts)
+        for k, pos in enumerate(self.pos):
+            j = self._segment(k, u[k])
+            yield k, j, ((u[k] - pos[j]) * (u[k] - pos[j + 1])
+                         + dist[k] * dist[k] < -1e-14)
 
     def encroached_by(self, pts):
         """Segments whose diametral circle contains one of ``pts``."""
-        out = set()
-        for k in range(4):
-            u, dist = self._uv(k, pts)
-            pos = self.pos[k]
-            half = 0.5 * np.max(pos[1:] - pos[:-1])
-            near = (dist > 1e-14) & (dist < half)
-            if not near.any():
-                continue
-            j, enc = self._diametral(k, u[near], dist[near])
-            for jj in np.unique(j[enc]):
-                out.add((k, int(jj)))
-        return out
+        return {(k, int(jj)) for k, j, enc in self._encroach(pts)
+                for jj in j[enc]}
 
     def encroaches_any(self, pts):
-        res = np.zeros(len(pts), dtype=bool)
-        for k in range(4):
-            res |= self._diametral(k, *self._uv(k, pts))[1]
-        return res
+        """Whether each of ``pts`` lies in some segment's diametral circle."""
+        return np.any([enc for _, _, enc in self._encroach(pts)], axis=0)
 
     def segment_under(self, p):
-        x0, x1, y0, y1 = self.box
-        dists = [p[1] - y0, y1 - p[1], p[0] - x0, x1 - p[0]]
-        k = int(np.argmin(dists))
-        return k, int(self._segment(k, p[0] if k < 2 else p[1]))
+        """The wall nearest to point p and its segment under p."""
+        u, dist = self._uv(np.atleast_2d(p))
+        k = int(np.argmin(dist[:, 0]))
+        return k, int(self._segment(k, u[k, 0]))
 
     def split(self, keys):
         for k, jj in sorted(keys, key=lambda s: (s[0], -s[1])):
@@ -173,6 +161,14 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
         polygon's bounding box on every side.
     exterior_max_edge : float, optional
         Size cap in the extension zone; defaults to 5x the interior edge.
+
+    Each pass ranks the circumcenters of the bad triangles (worst angle
+    first, then largest circumradius) and accepts them in chunks of
+    ``_CHUNK``.  A candidate keeps a separation of 0.4 times the smaller of
+    its local size and its triangle's circumradius.  Within a chunk, an
+    earlier kept candidate removes the later ones within its own
+    separation; against the candidates kept from earlier chunks, a
+    candidate is tested with its own separation.
 
     Raises :class:`RefinementError` with diagnostics if the quality targets
     (``_MIN_ANGLE_DEG``, the size field) are not met within ``_MAX_PASSES``
@@ -207,31 +203,23 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
                         min(bx1 + h_int, x1 - 0.4 * s_f),
                         max(by0 - h_int, y0 + 0.4 * s_f),
                         min(by1 + h_int, y1 - 0.4 * s_f), s_f)
-    if len(fine):
-        fine = fine[hfun(fine) <= h_int * 1.001]
+    fine = fine[hfun(fine) <= h_int * 1.001]
     s_c = _SEED_SPACING * h_ext
     coarse = _hex_lattice(x0 + 0.5 * s_c, x1 - 0.5 * s_c,
                           y0 + 0.5 * s_c, y1 - 0.5 * s_c, s_c)
-    if len(coarse):
-        coarse = coarse[hfun(coarse) >= h_ext * 0.999]
-        if len(fine):
-            tree = cKDTree(fine)
-            d, _ = tree.query(coarse)
-            coarse = coarse[d > 0.5 * s_c]
-    free = np.vstack([a for a in (fine, coarse) if len(a)]) \
-        if (len(fine) or len(coarse)) else np.empty((0, 2))
+    coarse = coarse[hfun(coarse) >= h_ext * 0.999]
+    coarse = coarse[cKDTree(fine).query(coarse)[0] > 0.5 * s_c]
+    free = np.vstack([fine, coarse])
 
     minrad = np.deg2rad(_MIN_ANGLE_DEG)
     last_stats = None
     for _ in range(_MAX_PASSES):
-        if len(free):
-            enc = walls.encroached_by(free)
-            if enc:
-                walls.split(enc)
-                continue
-        pts = np.vstack([walls.points(), free]) if len(free) else walls.points()
-        tri = Delaunay(pts)
-        simplices = tri.simplices
+        enc = walls.encroached_by(free)
+        if enc:
+            walls.split(enc)
+            continue
+        pts = np.vstack([walls.points(), free])
+        simplices = Delaunay(pts).simplices
         cc, r, minang = _triangle_metrics(pts, simplices)
         cent = pts[simplices].mean(axis=1)
         h_t = np.minimum(hfun(cent), hfun(pts)[simplices].min(axis=1))
@@ -240,9 +228,7 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
         bad = bad_size | bad_q
         last_stats = (len(pts), int(bad.sum()), float(np.degrees(minang.min())))
         if not bad.any():
-            flags = boundary.contains(pts)
-            mesh = TriMesh(pts, simplices, flags)
-            return mesh
+            return TriMesh(pts, simplices, boundary.contains(pts))
 
         key = np.where(bad_q, minang, minrad + 1.0 / np.maximum(r, 1e-12))
         order = np.argsort(key, kind="stable")
@@ -250,37 +236,28 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
         cand = cc[order]
         inside = ((cand[:, 0] > x0) & (cand[:, 0] < x1)
                   & (cand[:, 1] > y0) & (cand[:, 1] < y1))
-        encro = np.zeros(len(cand), dtype=bool)
-        encro[inside] = walls.encroaches_any(cand[inside])
-        to_wall = ~inside | encro
-        splits = set()
-        for p in np.clip(cand[to_wall], [x0, y0], [x1, y1]):
-            splits.add(walls.segment_under(p))
+        to_wall = ~inside
+        to_wall[inside] = walls.encroaches_any(cand[inside])
+        splits = {walls.segment_under(p)
+                  for p in np.clip(cand[to_wall], [x0, y0], [x1, y1])}
         ci = cand[~to_wall]
-        hc = hfun(ci) if len(ci) else np.empty(0)
-        sep = 0.4 * np.minimum(hc, np.maximum(r[order][~to_wall], 1e-12))
+        sep = 0.4 * np.minimum(hfun(ci), np.maximum(r[order][~to_wall], 1e-12))
         accepted = np.empty((0, 2))
-        for s in range(0, len(ci), 512):
-            chunk, csep = ci[s:s + 512], sep[s:s + 512]
-            keep = np.ones(len(chunk), dtype=bool)
-            if len(accepted):
-                d, _ = cKDTree(accepted).query(chunk)
-                keep &= d >= csep
-            if len(chunk) > 1:
-                dm = np.hypot(chunk[:, 0, None] - chunk[None, :, 0],
-                              chunk[:, 1, None] - chunk[None, :, 1])
-                for i in range(len(chunk)):
-                    if keep[i]:
-                        close = (dm[i] < csep[i]) & keep
-                        close[:i + 1] = False
-                        keep[close] = False
+        for s in range(0, len(ci), _CHUNK):
+            chunk, csep = ci[s:s + _CHUNK], sep[s:s + _CHUNK]
+            keep = cKDTree(accepted).query(chunk)[0] >= csep
+            dm = np.hypot(chunk[:, 0, None] - chunk[None, :, 0],
+                          chunk[:, 1, None] - chunk[None, :, 1])
+            for i in range(len(chunk)):
+                if keep[i]:
+                    close = (dm[i] < csep[i]) & keep
+                    close[:i + 1] = False
+                    keep[close] = False
             accepted = np.vstack([accepted, chunk[keep]])
-        if splits:
-            walls.split(splits)
+        walls.split(splits)
         if len(accepted) == 0 and not splits:
             break
-        if len(accepted):
-            free = np.vstack([free, accepted]) if len(free) else accepted
+        free = np.vstack([free, accepted])
 
     n, nbad, worst = last_stats if last_stats else (0, -1, float("nan"))
     raise RefinementError(

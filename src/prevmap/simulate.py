@@ -134,7 +134,8 @@ def simulate_survey(cfg, boundary, household_sizes=None, areas=None,
     (truth_resolution points a side over the boundary bbox) carries the
     same field realization used for clusters.  With ``areas``, each
     cluster takes the id of the first area that contains it, and a cluster
-    in no area raises :class:`DataError`.
+    in no area raises :class:`DataError` naming ``cfg.areas``; a boundary
+    too thin to sample raises one naming ``cfg.boundary``.
     """
     rng = np.random.default_rng(cfg.seed)
     params = MaternParams(sigma_from_tau(cfg.sim_tau, cfg.sim_kappa, 1.0),
@@ -147,7 +148,8 @@ def simulate_survey(cfg, boundary, household_sizes=None, areas=None,
     field = lattice_field(xs, ys, params, rng)
 
     if cluster_locations is None:
-        locs = sample_points_in_polygon(boundary, cfg.sim_n_clusters, rng)
+        with reading(cfg.boundary):
+            locs = sample_points_in_polygon(boundary, cfg.sim_n_clusters, rng)
     else:
         locs = np.atleast_2d(np.asarray(cluster_locations, dtype=float))
     n_cl = len(locs)
@@ -175,8 +177,9 @@ def simulate_survey(cfg, boundary, household_sizes=None, areas=None,
             found |= hit
         if not found.all():
             x, y = locs[np.argmin(found)]
-            raise DataError(f"{int(np.sum(~found))} of {n_cl} clusters lie in "
-                            f"no area, the first at ({x:.6g}, {y:.6g})")
+            raise DataError(f"{cfg.areas}: {int(np.sum(~found))} of {n_cl} "
+                            f"clusters lie in no area, the first at "
+                            f"({x:.6g}, {y:.6g})")
         area_ids = area_of_cluster[hh_cluster]
     else:
         area_ids = np.zeros(n_households, dtype=int)

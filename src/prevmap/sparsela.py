@@ -42,26 +42,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpotrf, dtbtrs, dtrtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import NotPositiveDefiniteError
 
 _DENSE_FACTOR = 4.0  # a column is dense above this many sqrt(n) neighbours
-
-
-def _smallest_eig_estimate(q):
-    if not np.all(np.isfinite(q.data)):
-        return float("nan")
-    try:
-        if q.shape[0] <= 400:
-            return float(np.linalg.eigvalsh(q.toarray()).min())
-        vals = spla.eigsh(q, k=1, which="SA", maxiter=500,
-                          return_eigenvectors=False)
-        return float(vals[0])
-    except Exception:
-        return None
 
 
 def union_pattern(n, parts):
@@ -184,9 +170,8 @@ class SparseCholesky:
     that factors one pattern many times keeps its layout.  Solves and
     samples take and return vectors in the order of q.
 
-    Raises :class:`NotPositiveDefiniteError` (with a smallest-eigenvalue
-    estimate when obtainable) if the input is not positive definite or not
-    finite.
+    Raises :class:`NotPositiveDefiniteError`, naming the row of q whose
+    pivot fails, if the input is not positive definite or not finite.
     """
 
     def __init__(self, q, layout=None):
@@ -199,20 +184,25 @@ class SparseCholesky:
         self.layout = layout
         band, b_blk, c_blk = layout.blocks(q.data)
         self._band, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        ok = info == 0
-        if ok:
+        diag = self._band[0]
+        if info == 0:
             self._w = _triangular(dtbtrs, self._band, b_blk, uplo="L",
                                   overwrite_b=1)
             self._lc, info = dpotrf(c_blk - self._w.T @ self._w, lower=1,
                                     overwrite_a=1)
-            diag = np.concatenate([self._band[0], np.diag(self._lc)])
-            # LAPACK's pivot test lets a NaN through
-            ok = info == 0 and np.all(np.isfinite(diag))
-        if not ok:
+            diag = np.concatenate([diag, np.diag(self._lc)])
+            if info:
+                info += layout.m
+        # LAPACK's info is the order of the first failing leading minor, in
+        # the factored order; its pivot test lets a NaN through
+        stop = info - 1 if info else len(diag)
+        bad = np.flatnonzero(~np.isfinite(diag[:stop]))
+        if info or bad.size:
+            k = bad[0] if bad.size else stop
             raise NotPositiveDefiniteError(
-                "non-positive or non-finite pivot encountered; matrix is "
-                "not SPD",
-                min_eigenvalue=_smallest_eig_estimate(q))
+                f"matrix is not SPD: the pivot of row {layout.perm[k]} "
+                f"(pivot {k + 1} of {self.n} in the band order) is "
+                f"non-positive or non-finite")
         self.logdet = 2.0 * float(np.log(diag).sum())
 
     @property

@@ -20,7 +20,6 @@ the marginal variance live in :mod:`prevmap.matern`, which needs no scipy.
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NotPositiveDefiniteError
 from .sparsela import BandLayout, SparseCholesky, coo_indices, union_pattern
 
 __all__ = ["SpdePrecision", "assemble_precision"]
@@ -95,11 +94,5 @@ def assemble_precision(c, g, theta):
     :class:`SpdePrecision`, and verified positive definite by factorization.
     """
     q = SpdePrecision(c, g)(theta)
-    try:
-        SparseCholesky(q)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(
-            f"assembled precision is not positive definite "
-            f"(smallest eigenvalue estimate: {exc.min_eigenvalue})",
-            min_eigenvalue=exc.min_eigenvalue) from exc
+    SparseCholesky(q)
     return q

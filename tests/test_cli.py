@@ -321,13 +321,15 @@ def test_cli_simulate_sampling_error_names_the_boundary(tmp_path, capsys):
     # not blamed
     ini = _write_config(str(tmp_path))
     lo, hi = 1e-7, 10 - 1e-7
-    write_polygons_csv(str(tmp_path / "boundary.csv"), [Polygon(
+    boundary = str(tmp_path / "boundary.csv")
+    write_polygons_csv(boundary, [Polygon(
         [[(0, 0), (10, 0), (10, 10), (0, 10)],
          [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]], id="boundary")])
     capsys.readouterr()
     assert cli.main(["simulate", "-c", ini]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: polygon boundary: fills "), err
+    assert err.startswith(
+        f"data error: {boundary}: polygon boundary: fills "), err
     assert "areas.csv" not in err
     assert not os.path.exists(_out(ini, "frame.csv"))
 

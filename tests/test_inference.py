@@ -354,7 +354,7 @@ def _counted(fun):
     return wrapped, calls
 
 
-def test_minimize_reaches_the_minimum_of_a_quadratic():
+def test_minimize_reaches_the_minimum_of_a_quadratic(monkeypatch):
     # curvatures 0.5 to 50 along rotated axes; the oracle is a dense solve
     rng = np.random.default_rng(4)
     rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -362,7 +362,8 @@ def test_minimize_reaches_the_minimum_of_a_quadratic():
     b = rng.normal(size=3)
     fun, f_calls = _counted(lambda x: 0.5 * x @ a @ x - b @ x)
     grad, g_calls = _counted(lambda x, f: a @ x - b)
-    x, failure = inference.minimize(fun, grad, np.zeros(3), gtol=1e-9)
+    monkeypatch.setattr(inference, "_MODE_GTOL", 1e-9)
+    x, failure = inference.minimize(fun, grad, np.zeros(3))
     assert failure is None
     np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-9)
     assert len(f_calls) <= 15 and len(g_calls) <= 12
@@ -375,15 +376,16 @@ def _skewed(x, y):
     return np.exp(x) - 3.0 * x + np.exp(y - x) - y + 0.125 * (x + y) ** 2
 
 
-def test_minimize_reaches_a_dense_grid_minimum_of_a_skewed_function():
+def test_minimize_reaches_a_dense_grid_minimum_of_a_skewed_function(
+        monkeypatch):
     def grad(p, f):
         x, y = p
         return np.array([np.exp(x) - 3.0 - np.exp(y - x) + 0.25 * (x + y),
                          np.exp(y - x) - 1.0 + 0.25 * (x + y)])
 
     fun, f_calls = _counted(lambda p: _skewed(*p))
-    x, failure = inference.minimize(fun, grad, np.array([-2.0, 3.0]),
-                                    gtol=1e-8)
+    monkeypatch.setattr(inference, "_MODE_GTOL", 1e-8)
+    x, failure = inference.minimize(fun, grad, np.array([-2.0, 3.0]))
     assert failure is None
     assert len(f_calls) <= 25
     # oracle: the least value over a dense grid, refined once around it
