@@ -28,7 +28,7 @@ import numpy as np
 from ._csv import _write_csv
 from .errors import InvalidGeometryError
 from .geometry import (_ring_signed_area, _row_blocks, _row_medians,
-                       _signed_areas, _tiles, project)
+                       _row_quantiles, _signed_areas, _tiles, project)
 
 __all__ = [
     "JointSamples",
@@ -231,7 +231,7 @@ def area_averages(samples, spec, areas, points_per_area=100, seed=0):
     if ok.any():
         mean[ok] = t[ok].mean(axis=1)
         sd[ok] = t[ok].std(axis=1, ddof=1) if samples.num_samples > 1 else 0.0
-        q[:, ok] = np.quantile(t[ok], (0.025, 0.5, 0.975), axis=1)
+        q[:, ok] = _row_quantiles(t[ok], (0.025, 0.5, 0.975))
     return AreaAverageResult(
         area_ids=ids, mean=mean, sd=sd,
         q025=q[0], q50=q[1], q975=q[2],

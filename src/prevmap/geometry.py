@@ -63,6 +63,31 @@ def _row_medians(eta):
     return med
 
 
+def _row_quantiles(x, probs):
+    """``np.quantile(x, probs, axis=1)`` (its default, linear method), bit
+    for bit, by one partition of the rows of ``x`` in place, on the order
+    statistics numpy partitions on: shape (len(probs), rows).  NaN in a row
+    holding a NaN.  (np.quantile and np.unique import numpy.ma, which
+    takes 17-19 ms.)"""
+    n = x.shape[1]
+    v = (n - 1) * np.asarray(probs, dtype=float)
+    lo = np.floor(v)
+    hi = lo + 1
+    top = v >= n - 1
+    lo[top] = hi[top] = -1  # the largest
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    x.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}), axis=1)
+    gamma = (v - lo)[:, None]
+    a, b = x[:, lo].T, x[:, hi].T
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    # a NaN sorts last
+    nan = np.isnan(x[:, -1])
+    out[:, nan] = x[nan, -1]
+    return out
+
+
 def _tiles(n, width, unit):
     """``(rows, cols)`` slices over ``n`` rows of ``width`` columns: one
     group of ``unit`` rows at a time, walked over column chunks of at most
@@ -190,7 +215,14 @@ class Polygon:
     def _edge_pass(self, points):
         """Per point of the (n, 2) array ``points``: whether a ray from it
         towards +x crosses the edges of all rings an odd number of times,
-        and its squared distance to the nearest edge."""
+        and its squared distance to the nearest edge.
+
+        For the point (px, py) and the edge from (xa, ya) to (xb, yb),
+        d = (dx, dy): the ray crosses the edge where (ya > py) != (yb > py)
+        and px < xa + (py - ya) dx / dy, and the edge's point nearest to it
+        is at t = clip(((px - xa) dx + (py - ya) dy) / |d|^2, 0, 1).  Each
+        block of points evaluates those formulas, in that order, into three
+        float and two bool (rows x edges) buffers allocated once."""
         xa, ya = self._starts[:, 0], self._starts[:, 1]
         xb, yb = self._ends[:, 0], self._ends[:, 1]
         dx, dy = xb - xa, yb - ya
@@ -198,15 +230,41 @@ class Polygon:
         L2 = np.where(L2 > 0, L2, 1.0)
         odd = np.empty(len(points), dtype=bool)
         dist2 = np.empty(len(points))
-        for rows in _row_blocks(len(points), len(xa)):
+        blocks = list(_row_blocks(len(points), len(xa)))
+        shape = (blocks[0].stop if blocks else 0, len(xa))
+        f1, f2, f3 = (np.empty(shape) for _ in range(3))
+        b1, b2 = (np.empty(shape, dtype=bool) for _ in range(2))
+        for rows in blocks:
             px, py = points[rows, :1], points[rows, 1:]
+            n = len(px)
+            dpy, v, w, cross, left = f1[:n], f2[:n], f3[:n], b1[:n], b2[:n]
+            np.subtract(py, ya, out=dpy)
             with np.errstate(divide="ignore", invalid="ignore"):
-                xint = xa + (py - ya) * dx / dy
-            crossing = ((ya > py) != (yb > py)) & (px < xint)
-            odd[rows] = np.count_nonzero(crossing, axis=1) % 2 == 1
-            t = np.clip(((px - xa) * dx + (py - ya) * dy) / L2, 0.0, 1.0)
-            dist2[rows] = ((px - (xa + t * dx)) ** 2
-                           + (py - (ya + t * dy)) ** 2).min(axis=1)
+                np.multiply(dpy, dx, out=v)
+                np.divide(v, dy, out=v)
+            np.add(xa, v, out=v)  # the crossing's x
+            np.greater(ya, py, out=cross)
+            np.greater(yb, py, out=left)
+            np.not_equal(cross, left, out=cross)
+            np.less(px, v, out=left)
+            cross &= left
+            odd[rows] = np.count_nonzero(cross, axis=1) % 2 == 1
+            np.subtract(px, xa, out=v)
+            v *= dx
+            dpy *= dy
+            v += dpy
+            v /= L2
+            np.clip(v, 0.0, 1.0, out=v)  # t
+            np.multiply(v, dx, out=dpy)
+            np.add(xa, dpy, out=dpy)
+            np.subtract(px, dpy, out=dpy)
+            np.square(dpy, out=dpy)
+            np.multiply(v, dy, out=w)
+            np.add(ya, w, out=w)
+            np.subtract(py, w, out=w)
+            np.square(w, out=w)
+            dpy += w
+            dist2[rows] = dpy.min(axis=1)
         return odd, dist2
 
     def contains(self, points):

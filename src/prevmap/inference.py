@@ -5,7 +5,7 @@ Fits models of the form
     y_i ~ Binomial(N_i, expit(eta_i))   or   y_i ~ N(eta_i, V_i)
     eta = B u,   u ~ N(0, Q_prior(theta)^{-1})
 
-by a Gaussian approximation at the conditional mode (Newton with
+by a Gaussian approximation at the conditional mode (chord Newton with
 step-halving), a small grid over the hyperparameters theta weighted by the
 Laplace evidence, and joint sampling from the resulting mixture of sparse
 Gaussians.  The grid is INLA's (Rue, Martino & Chopin 2009): a BFGS search
@@ -38,12 +38,24 @@ it (a ``_Pattern``): which blocks are integrated out, and one symbolic
 pattern of S in ascending latent order, with its band layout, which holds
 its bandwidth-reducing order, and the maps that fill it (the positions of
 each kept prior block, and a sparse map from h~ to the data of
-B^T diag(h~) B).  A Newton step then assembles S as one data vector and
-refactors it numerically on that layout, and reuses the factor where h
-has not changed.  log|Q_prior| is a sum over the prior's diagonal blocks:
-the block's own ``logdet`` where its precision has one (the SPDE field's,
-the ICAR block's generalized one), the closed form for other diagonal
-blocks, and a factorization otherwise.
+B^T diag(h~) B).  A refactorization then assembles S as one data vector
+and factors it numerically on that layout.
+
+Newton does not refactor at every step.  It keeps the factor it holds
+while that factor still contracts the gradient, the chord (Shamanskii)
+variant of Newton's method (Kelley 2003, *Solving Nonlinear Equations
+with Newton's Method*, ch. 5): it refactors where a step leaves the
+gradient's max-norm above ``_CHORD_RATE`` times the one before it, and
+once at the exit, so the mode, the factor and the log-evidence it
+returns are taken at the last iterate with that iterate's own factor.
+Within one :func:`hyper_grid`, each Laplace evaluation hands its final
+factor to the next as the factor Newton starts on; the theta points
+of one search lie close together (1e-3 apart for the forward-difference
+gradient, 0.05 for the Hessian), so that factor is a near-exact
+preconditioner there.  log|Q_prior| is a sum over the prior's diagonal
+blocks: the block's own ``logdet`` where its precision has one (the SPDE
+field's, the ICAR block's generalized one), the closed form for other
+diagonal blocks, and a factorization otherwise.
 """
 
 import warnings
@@ -83,6 +95,7 @@ __all__ = [
 _DENSE_CUTOFF = 2500  # rows per chunk of dense variance solves
 _MAX_ITER = 100       # Newton iterations before ConvergenceError
 _NEWTON_TOL = 1e-9    # Newton's gradient and relative step tolerance
+_CHORD_RATE = 0.1     # gradient contraction below which a factor is kept
 _QUANTILE_TOL = 1e-8  # bracket width at which quantile bisection stops
 _MAX_HALVINGS = 30    # step cuts of one line search (Newton, BFGS)
 _FIXED_PREC = 1e-3    # prior precision of each fixed effect
@@ -391,6 +404,7 @@ class _Pattern:
         self.keep = np.setdiff1d(np.arange(model.latent_dim), self.elim)
         self.design = b = b[:, self.keep]
         self.design_e = b[self.e_rows]  # B_R's rows that E observes
+        self.design_e_t = self.design_e.T
         kept = [blocks[i] for i in self.kept_blocks]
         # pairs (e, f) of stored entries of B in the same row k
         per_row = np.diff(b.indptr)
@@ -508,7 +522,7 @@ class _PosteriorFactor:
 
     def _q_re(self, x_e):
         """Q_RE x_E for x_E of shape (|E|,) or (|E|, k)."""
-        return self._pat.design_e.T @ (_rows(self._c, x_e)
+        return self._pat.design_e_t @ (_rows(self._c, x_e)
                                        * x_e[self._pat.e_cols])
 
     def solve(self, rhs):
@@ -589,43 +603,67 @@ def _prior_logdet(model, theta, blocks, pat):
     return logdet
 
 
-def gaussian_approx(model, theta, u0=None):
-    """Newton--Raphson Gaussian approximation of pi(u | y, theta).
+def gaussian_approx(model, theta, u0=None, hint=None):
+    """Chord Newton Gaussian approximation of pi(u | y, theta).
 
     Returns the (constrained) mode, the factor of the posterior precision
     at the mode and the Laplace log-evidence log pi(y | theta).  With a
     Gaussian observation stage the first Newton step is exact.
 
-    Each iteration evaluates eta, the curvature h, the factor of Q_post
-    and the gradient of the log conditional density at the current iterate
-    once, and stops there when every entry of the (projected) gradient is
-    below ``_NEWTON_TOL`` in absolute value, or when the last step changed
-    u by less than ``_NEWTON_TOL`` relative to its size; after
-    ``_MAX_ITER`` steps it raises :class:`ConvergenceError`.  The gradient
-    test does not scale with the density, so where Newton started moves
-    the log-evidence by about 0.1 ``_NEWTON_TOL`` at most on the test
-    models, far below what the finite differences in theta of
-    :func:`hyper_grid` resolve.  A factor is built only where h changed,
-    after the last one is freed, so one factor is alive at a time; the
-    returned factor is the last one built.
+    Each iteration evaluates eta, the curvature h and the gradient of the
+    log conditional density at the current iterate once, and stops there
+    when every entry of the (projected) gradient is below ``_NEWTON_TOL``
+    in absolute value, or when the last step changed u by less than
+    ``_NEWTON_TOL`` relative to its size; after ``_MAX_ITER`` steps it
+    raises :class:`ConvergenceError`.  The gradient test does not scale
+    with the density, so where Newton started moves the log-evidence by
+    about 0.1 ``_NEWTON_TOL`` at most on the test models, far below what
+    the finite differences in theta of :func:`hyper_grid` resolve.
 
-    Newton starts from ``u0`` (default zero).  ``u0`` must satisfy the
-    model's constraints, A u0 = 0, as the ``mean`` of an earlier
-    approximation of the same model does; starting from the mean at a
-    nearby theta saves iterations and changes the result only within the
-    Newton tolerance.
+    A step solves with the factor it holds, which need not be Q_post at
+    the current iterate: the chord (Shamanskii) variant of Newton's method
+    (Kelley 2003, ch. 5).  Q_post is refactored at the current iterate
+    only where there is no factor yet, where the last step left the
+    gradient's max-norm above ``_CHORD_RATE`` times the one before it, and
+    once at the exit, so the returned factor, the mean (one Newton step
+    from the last iterate) and the log-evidence are all taken with Q_post
+    at the last iterate, as a Newton step at every iterate would take
+    them.  ``n_iter`` counts the steps, chord steps among them.  A factor
+    built here at the current curvature is never rebuilt, so a Gaussian
+    stage, whose h does not depend on u, builds one.  A factor is built
+    only after the last one is freed, so one factor is alive at a time,
+    and log|Q_prior| is computed just before the first one is built, when
+    none is.
+
+    Newton starts from ``u0`` (default zero) and, with ``hint``, on the
+    factor of another approximation of the same model: the caller hands
+    it over and keeps no reference, and it is freed before the first
+    factor is built.  A hint built on another pattern of the prior's
+    sparsity is dropped, and so is any hint for a Gaussian stage, whose
+    one exact step needs the one factor it builds anyway.  ``u0`` must
+    satisfy the model's constraints, A u0 = 0, as the ``mean`` of an
+    earlier approximation of the same model does.  Starting from the mean
+    at a nearby theta saves iterations, and starting on its factor saves
+    factorizations; neither changes the result beyond the Newton
+    tolerance.
     """
     blocks = model.prior_blocks(theta)
     pat = _pattern(model, blocks)
     prior = pat.prior(blocks)
     q_prior_r = pat.matrix(prior[0])
-    prior_logdet = _prior_logdet(model, theta, blocks, pat)
     b = model.design
+    b_t = b.T
     a_con = model.constraint
     d = model.latent_dim
     u = np.zeros(d) if u0 is None else np.array(u0, dtype=float)
     if u.shape != (d,):
         raise ValueError(f"u0 must have shape ({d},), got {u.shape}")
+    if hint is not None and (hint._pat is not pat
+                             or isinstance(model.obs, GaussianObs)):
+        hint = None
+    factor, hint = hint, None
+    own = False  # whether factor was built here, at this theta
+    prior_logdet = None
 
     def prior_times(u_):
         out = np.empty(d)
@@ -639,28 +677,34 @@ def gaussian_approx(model, theta, u0=None):
 
     f_u = objective(u)
     trace = [f_u]
-    factor = None
     rel_change = np.inf
+    last = np.inf  # the gradient's max-norm before the last step
     for n_iter in range(_MAX_ITER + 1):
         eta = b @ u
         h = model.obs.neg_hess(eta)
-        if factor is None or not np.array_equal(h, factor.h):
-            factor = None  # free the last factor before building the next
-            factor = _PosteriorFactor(pat, prior, h, a_con)
-        grad = np.asarray(b.T @ model.obs.grad(eta)).ravel() - prior_times(u)
+        grad = np.asarray(b_t @ model.obs.grad(eta)).ravel() - prior_times(u)
         if a_con is not None:
             # projected gradient: remove the constrained directions
             grad_proj = grad - a_con.T @ np.linalg.solve(
                 a_con @ a_con.T, a_con @ grad)
         else:
             grad_proj = grad
-        if np.max(np.abs(grad_proj)) < _NEWTON_TOL \
-                or rel_change < _NEWTON_TOL:
+        norm = np.max(np.abs(grad_proj))
+        done = norm < _NEWTON_TOL or rel_change < _NEWTON_TOL
+        if factor is None or ((done or norm > _CHORD_RATE * last)
+                              and not (own and np.array_equal(h, factor.h))):
+            factor = None  # free the last factor before building the next
+            if prior_logdet is None:
+                prior_logdet = _prior_logdet(model, theta, blocks, pat)
+            factor = _PosteriorFactor(pat, prior, h, a_con)
+            own = True
+        if done:
             break
         if n_iter == _MAX_ITER:
             raise ConvergenceError(
                 f"Gaussian approximation did not converge in {_MAX_ITER} "
                 f"iterations", trace=trace)
+        last = norm
         delta = factor.solve(grad)
         step = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -709,22 +753,30 @@ class HyperPoint:
     h: np.ndarray
 
 
-def _log_post(model, theta, u0=None):
+def _log_post(model, theta, u0=None, carry=None):
     """Laplace log pi~(theta | y) up to a constant, with the mean and the
-    curvature h of its approximation (Newton started from ``u0``), whose
-    factor is freed on return."""
-    approx = gaussian_approx(model, theta, u0=u0)
+    curvature h of its approximation (Newton started from ``u0``).
+
+    Without ``carry`` the approximation starts cold and its factor is
+    freed on return.  ``carry`` is a list that holds the factor of the
+    evaluation before, or nothing: that factor is taken out of it and
+    handed to :func:`gaussian_approx` as its hint, and this evaluation's
+    factor is left in it on return."""
+    approx = gaussian_approx(model, theta, u0, carry.pop() if carry else None)
+    if carry is not None:
+        carry.append(approx.factor)
     return (approx.log_evidence + model.log_theta_prior(theta), approx.mean,
             approx.factor.h)
 
 
-def _weighted_points(model, thetas, u0=None, log_scale=0.0):
-    """Evaluate the Laplace log-posterior at each theta, every Newton solve
-    started from the same ``u0``, and normalize the weights
+def _weighted_points(model, thetas, u0=None, log_scale=0.0, carry=None):
+    """Evaluate the Laplace log-posterior at each theta in order, every
+    Newton solve started from the same ``u0`` (and on the factor in
+    ``carry``, as :func:`_log_post` hands it on), and normalize the weights
     exp(log_post + log_scale) over the given points.  One point's factor
     is held at a time."""
     thetas = [np.asarray(t, dtype=float) for t in thetas]
-    results = [_log_post(model, t, u0) for t in thetas]
+    results = [_log_post(model, t, u0, carry) for t in thetas]
     lps = np.array([r[0] for r in results])
     w = np.exp(lps + log_scale - np.max(lps + log_scale))
     w /= w.sum()
@@ -791,18 +843,19 @@ def minimize(fun, grad, x0):
     return x, "the iteration limit was reached"
 
 
-def _mode_search(model):
+def _mode_search(model, carry=None):
     """The theta mode: BFGS (:func:`minimize`) on -log pi~(theta | y) from
     ``theta_init``, with a forward-difference gradient of step _FD_STEP.
-    Every Newton solve starts from the mode of the evaluation before it.
-    Returns the best theta evaluated outside the gradients, its log
-    posterior and its latent mean."""
+    Every Newton solve starts from the mode, and on the factor in
+    ``carry``, of the evaluation before it.  Returns the best theta
+    evaluated outside the gradients, its log posterior and its latent
+    mean."""
     start = None  # mean of the previous evaluation
     best = (None, -np.inf, None)  # theta, log posterior and mean
 
     def evaluate(t):
         nonlocal start
-        lp, start, _ = _log_post(model, t, start)
+        lp, start, _ = _log_post(model, t, start, carry)
         return lp
 
     def objective(t):
@@ -828,16 +881,16 @@ def _mode_search(model):
     return best
 
 
-def _neg_hessian(model, mode, lp_mode, u0):
+def _neg_hessian(model, mode, lp_mode, u0, carry=None):
     """-d^2 log pi~ / d theta^2 at the mode by finite differences of step
     _HESS_STEP: 2 dim axial points and the dim (dim - 1) / 2 one-sided
-    cross points mode + h (e_i + e_j)."""
+    cross points mode + h (e_i + e_j), evaluated in that order."""
     dim, h = len(mode), _HESS_STEP
     eye = np.eye(dim)
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     thetas = [mode + h * e for e in eye] + [mode - h * e for e in eye] \
         + [mode + h * (eye[i] + eye[j]) for i, j in pairs]
-    lps = [_log_post(model, t, u0)[0] for t in thetas]
+    lps = [_log_post(model, t, u0, carry)[0] for t in thetas]
     up, down = np.array(lps[:dim]), np.array(lps[dim:2 * dim])
     hess = np.diag(up - 2.0 * lp_mode + down)
     for (i, j), lp in zip(pairs, lps[2 * dim:]):
@@ -898,27 +951,33 @@ def hyper_grid(model):
        the weights are normalized.
 
     Each Newton solve of the mode search starts from the mode of the
-    evaluation before it.  Every point of steps 2-4 starts from the latent
-    mean at theta*, so no point depends on the points evaluated before it.
-    With no hyperparameters the grid is ``theta_init`` alone.
+    evaluation before it, and every point of steps 2-4 from the latent
+    mean at theta*.  Each evaluation after the first starts on the
+    factor of Q_post the evaluation before it ended on (the hint of
+    :func:`gaussian_approx`), which is handed on, never shared.  A point
+    therefore depends on the points evaluated before it, but only within
+    the Newton tolerance.  With no hyperparameters the grid is
+    ``theta_init`` alone, evaluated cold.
     """
     dim = model.n_theta
     if dim == 0:
         return _weighted_points(model, [model.theta_init])
-    mode, lp_mode, u_mode = _mode_search(model)
-    lam, vecs = np.linalg.eigh(_neg_hessian(model, mode, lp_mode, u_mode))
+    carry = []  # the factor of the last evaluation, handed to the next
+    mode, lp_mode, u_mode = _mode_search(model, carry)
+    lam, vecs = np.linalg.eigh(_neg_hessian(model, mode, lp_mode, u_mode,
+                                            carry))
     scale = vecs / np.sqrt(np.maximum(lam, _THETA_PRIOR_SD ** -2))
     # skewness: the drop at z = +sqrt(2) e_i (row i) and -sqrt(2) e_i
     # (row dim + i)
     z_skew = np.sqrt(2.0) * np.vstack([np.eye(dim), -np.eye(dim)])
-    drop = lp_mode - np.array([_log_post(model, t, u_mode)[0]
+    drop = lp_mode - np.array([_log_post(model, t, u_mode, carry)[0]
                                for t in mode + z_skew @ scale.T])
     sigma = np.ones(2 * dim)
     sigma[drop > 0] = drop[drop > 0] ** -0.5
     z, log_delta = _ccd_design(dim)
     z = np.where(z > 0, z * sigma[:dim], z * sigma[dim:])
     return _weighted_points(model, mode + z @ scale.T, u_mode,
-                            log_scale=log_delta)
+                            log_scale=log_delta, carry=carry)
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +1009,9 @@ def fit_latent_model(model, thetas=None):
     curvature of its Gaussian approximation (:class:`HyperPoint`).
 
     ``thetas`` may give explicit grid points (list of vectors) to skip the
-    mode search, e.g. a single point for a fixed-theta fit.
+    mode search, e.g. a single point for a fixed-theta fit.  Each of them
+    is evaluated cold, from u = 0 and with no factor handed on, so that
+    each point's result is :func:`gaussian_approx` at its theta alone.
     """
     if thetas is not None:
         points = _weighted_points(model, thetas)

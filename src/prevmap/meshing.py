@@ -211,13 +211,18 @@ def build_mesh(boundary, interior_max_edge, extension_factor=1.5,
     coarse = coarse[cKDTree(fine).query(coarse)[0] > 0.5 * s_c]
     free = np.vstack([fine, coarse])
 
+    # Split the wall segments the seeds encroach until none is; every seed
+    # lies at least 0.4 s_f inside the box, so this ends.  No later point
+    # encroaches: a candidate that would is sent to the wall instead, and
+    # the diametral circle of half a segment lies in the segment's own.
+    enc = walls.encroached_by(free)
+    while enc:
+        walls.split(enc)
+        enc = walls.encroached_by(free)
+
     minrad = np.deg2rad(_MIN_ANGLE_DEG)
     last_stats = None
     for _ in range(_MAX_PASSES):
-        enc = walls.encroached_by(free)
-        if enc:
-            walls.split(enc)
-            continue
         pts = np.vstack([walls.points(), free])
         simplices = Delaunay(pts).simplices
         cc, r, minang = _triangle_metrics(pts, simplices)

@@ -11,7 +11,9 @@ Only tau and kappa change between evaluations, so :class:`SpdePrecision`
 lays C, G and G C^{-1} G out once on one fixed pattern and computes a new Q
 as a data vector.  With lumped C, Q = tau^2 K C^{-1} K for K = kappa^2 C + G,
 so log|Q| comes from a factorization of K, a matrix with the sparsity of G,
-on the one band layout of that pattern.
+on the one band layout of that pattern.  K does not depend on tau, and a
+finite-difference gradient in (log tau, log kappa) returns to the same
+kappa, so log|K| is kept for the last two kappa values seen.
 
 The Matern covariance itself and the closed forms between tau, kappa and
 the marginal variance live in :mod:`prevmap.matern`, which needs no scipy.
@@ -42,8 +44,9 @@ class SpdePrecision:
     same sum of three vectors on one pattern.  G and G C^{-1} G are
     symmetrized once, so every Q is exactly symmetric.  :meth:`logdet`
     gives log|Q| from K = kappa^2 C + G, factored on the kept band layout
-    of the pattern of C + G.  C must be the lumped (diagonal) mass matrix
-    and G the stiffness matrix of the same mesh.
+    of the pattern of C + G, and keeps log|K| for the last two exact
+    values of log kappa it saw.  C must be the lumped (diagonal) mass
+    matrix and G the stiffness matrix of the same mesh.
     """
 
     def __init__(self, c, g):
@@ -67,6 +70,7 @@ class SpdePrecision:
             _on_pattern(n, (c, g))
         self._k_layout = BandLayout(self._k_indptr, self._k_indices)
         self._log_c = float(np.log(cd).sum())
+        self._log_k = {}  # log kappa -> log|K|, the last two seen
 
     def __call__(self, theta):
         tau, kappa = float(np.exp(theta[0])), float(np.exp(theta[1]))
@@ -76,12 +80,19 @@ class SpdePrecision:
                              shape=(self.n, self.n))
 
     def logdet(self, theta):
-        """log|Q| = 2 n log tau + 2 log|K| - sum_i log C_ii."""
-        kappa = float(np.exp(theta[1]))
-        k = sp.csc_matrix((kappa ** 2 * self._kc + self._kg,
-                           self._k_indices, self._k_indptr),
-                          shape=(self.n, self.n))
-        log_k = SparseCholesky(k, layout=self._k_layout).logdet
+        """log|Q| = 2 n log tau + 2 log|K| - sum_i log C_ii, with K
+        factored only at a log kappa other than the last two seen."""
+        key = float(theta[1])
+        log_k = self._log_k.pop(key, None)
+        if log_k is None:
+            kappa = float(np.exp(theta[1]))
+            k = sp.csc_matrix((kappa ** 2 * self._kc + self._kg,
+                               self._k_indices, self._k_indptr),
+                              shape=(self.n, self.n))
+            log_k = SparseCholesky(k, layout=self._k_layout).logdet
+        self._log_k[key] = log_k  # now the last one seen
+        if len(self._log_k) > 2:
+            del self._log_k[next(iter(self._log_k))]
         return 2.0 * self.n * theta[0] + 2.0 * log_k - self._log_c
 
 

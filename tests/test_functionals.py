@@ -620,6 +620,18 @@ def test_row_medians_of_signed_zeros_and_nans():
         assert geometry._row_medians(block).tobytes() == want.tobytes()
 
 
+def test_row_quantiles_are_np_quantile_bit_for_bit():
+    # odd and even widths, one column, ties (rounded draws), a NaN row
+    rng = np.random.default_rng(12)
+    probs = (0.025, 0.5, 0.975)
+    for width in (1, 2, 3, 40, 41, 1000, 1001):
+        for x in (rng.random((6, width)), np.round(rng.random((6, width)), 1)):
+            x[5, rng.integers(width)] = np.nan
+            want = np.quantile(x, probs, axis=1)
+            got = geometry._row_quantiles(x.copy(), probs)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_excursion_pass_holds_no_dense_surface(coarse_mesh10):
     # one float64 surface of 20,000 points x 500 samples is 80 MB; the
     # excursion pass keeps one int8 sign matrix (10 MB) and row blocks,

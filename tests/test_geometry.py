@@ -202,6 +202,48 @@ def test_polygon_point_tests_do_not_depend_on_block_size(monkeypatch):
     assert inside[300:].all() and not inside[:300].all()
 
 
+def _edge_pass_expressions(poly, points):
+    """The crossing parity and squared edge distance of each point, written
+    as one expression per quantity, 256 points at a time: the reference
+    for the buffered pass."""
+    xa, ya = poly._starts[:, 0], poly._starts[:, 1]
+    xb, yb = poly._ends[:, 0], poly._ends[:, 1]
+    dx, dy = xb - xa, yb - ya
+    L2 = dx * dx + dy * dy
+    L2 = np.where(L2 > 0, L2, 1.0)
+    odd, dist2 = [], []
+    for start in range(0, len(points), 256):
+        px = points[start:start + 256, :1]
+        py = points[start:start + 256, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = xa + (py - ya) * dx / dy
+        crossing = ((ya > py) != (yb > py)) & (px < xint)
+        odd.append(np.count_nonzero(crossing, axis=1) % 2 == 1)
+        t = np.clip(((px - xa) * dx + (py - ya) * dy) / L2, 0.0, 1.0)
+        dist2.append(((px - (xa + t * dx)) ** 2
+                      + (py - (ya + t * dy)) ** 2).min(axis=1))
+    return np.concatenate(odd), np.concatenate(dist2)
+
+
+def test_contains_and_distance_are_the_expressions_bit_for_bit(monkeypatch):
+    # a 2,000-vertex ring and a square hole (horizontal edges, dy = 0),
+    # against random points, the vertices and the edge midpoints
+    u = np.linspace(0, 2 * np.pi, 2000, endpoint=False)
+    r = 5 + 0.4 * np.sin(7 * u)
+    outer = np.column_stack([r * np.cos(u), r * np.sin(u)])
+    hole = [(-1, -1), (-1, 1), (1, 1), (1, -1)]
+    poly = Polygon([outer, hole])
+    rng = np.random.default_rng(21)
+    pts = np.vstack([rng.uniform(-6, 6, (1000, 2)), outer,
+                     0.5 * (outer + np.roll(outer, -1, axis=0)), hole])
+    got = poly.contains(pts), poly.distance(pts)
+    monkeypatch.setattr(Polygon, "_edge_pass", _edge_pass_expressions)
+    want = poly.contains(pts), poly.distance(pts)
+    assert got[0].any() and not got[0].all()
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 def test_contains_memory_does_not_grow_with_points():
     # (points x edges) arrays would take 0.8 GB each
     poly = Polygon([_circle(2500)])

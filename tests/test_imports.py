@@ -17,11 +17,12 @@ from test_cli import _write_config
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
-# modules the cheap post-fit commands must not load: the fit layers, and
-# scipy at all, as the projector weighs field samples with numpy gathers
+# modules the cheap post-fit commands must not load: the fit layers, scipy
+# at all, as the projector weighs field samples with numpy gathers, and
+# numpy.ma, which np.median and np.quantile load
 POST_FIT_DENIED = ("scipy", "prevmap.inference", "prevmap.sparsela",
                    "prevmap.spde", "prevmap.meshing", "prevmap.areal",
-                   "prevmap.simulate", "prevmap.survey")
+                   "prevmap.simulate", "prevmap.survey", "numpy.ma")
 # the survey simulator runs on numpy alone: the circulant embedding finds
 # its FFT lengths itself and prevmap.matern evaluates the Bessel function;
 # its report line counts clusters without np.unique, which loads numpy.ma

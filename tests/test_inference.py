@@ -1026,6 +1026,91 @@ def test_fit_holds_no_factor(name, monkeypatch, coarse_mesh10, coarse_fem10):
                                     "h"}
 
 
+def _hint_models(mesh, fem):
+    return {"spde_nugget": _spde_problem(mesh, fem, nugget=True),
+            "rw1_iid": _binomial_problem(),
+            "binomial_bym": _binomial_bym_problem()}
+
+
+@pytest.mark.parametrize("name", ["spde_nugget", "rw1_iid", "binomial_bym"])
+@pytest.mark.parametrize("offset", [1e-3, 0.05, 2.0])
+def test_hinted_approx_matches_cold(name, offset, monkeypatch, coarse_mesh10,
+                                    coarse_fem10):
+    # Newton started on the factor of a theta `offset` away in every
+    # coordinate takes chord steps on it and ends within the Newton
+    # tolerance of a cold start, on the factor that a grid point at its
+    # theta and curvature rebuilds
+    from prevmap.inference import HyperPoint, _factor
+    model = _hint_models(coarse_mesh10, coarse_fem10)[name]
+    theta = model.theta_init
+    other = gaussian_approx(model, theta + offset)
+    log = _factor_log(monkeypatch)
+    cold = gaussian_approx(model, theta, other.mean)
+    n_cold = len(log)
+    hinted = gaussian_approx(model, theta, other.mean, other.factor)
+    n_hinted = len(log) - n_cold
+    scale = np.abs(cold.mean).max()
+    assert np.abs(hinted.mean - cold.mean).max() <= 1e-9 * scale
+    assert hinted.log_evidence == pytest.approx(cold.log_evidence, rel=1e-9)
+    point = HyperPoint(theta, 0.0, 1.0, hinted.mean, hinted.factor.h)
+    rebuilt = _factor(model, point)
+    rhs = np.random.default_rng(2).standard_normal((model.latent_dim, 2))
+    assert rebuilt.logdet == hinted.factor.logdet
+    assert np.array_equal(rebuilt.solve(rhs), hinted.factor.solve(rhs))
+    if offset == 1e-3:
+        assert n_hinted < n_cold
+    if model.constraint is not None:
+        assert np.abs(model.constraint @ hinted.mean).max() <= 1e-10
+
+
+def test_hint_of_another_pattern_or_for_a_gaussian_stage_is_dropped(
+        monkeypatch):
+    # a hint serves only the model and pattern it was built on, and a
+    # Gaussian stage, whose one exact step builds its one factor anyway,
+    # takes none: each result is the cold one bit for bit
+    gaussian = _bym_problem()
+    binomial, twin = _binomial_problem(), _binomial_problem()
+    for model, hint_of in ((gaussian, gaussian), (binomial, twin)):
+        theta = model.theta_init
+        hint = gaussian_approx(hint_of, theta + 0.05).factor
+        log = _factor_log(monkeypatch)
+        cold = gaussian_approx(model, theta)
+        n_cold = len(log)
+        hinted = gaussian_approx(model, theta, hint=hint)
+        assert len(log) - n_cold == n_cold
+        assert np.array_equal(hinted.mean, cold.mean)
+        assert hinted.log_evidence == cold.log_evidence
+        assert hinted.n_iter == cold.n_iter
+        monkeypatch.undo()
+
+
+def _fit_factor_count(monkeypatch, model):
+    """How many SparseCholesky factorizations fit_latent_model builds."""
+    from prevmap import sparsela
+    count = []
+    init = sparsela.SparseCholesky.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparsela.SparseCholesky, "__init__", counting_init)
+    fit_latent_model(model)
+    return len(count)
+
+
+def test_fit_factor_budget(monkeypatch, coarse_mesh10, coarse_fem10):
+    # a Newton refactorization per step, and one K per evaluation for
+    # log|Q_prior|, built 244 factors on spde_nugget; the chord steps
+    # across the theta search and the kept log|K| build at most 0.7 times
+    # that.  BYM's Gaussian stage builds one factor per evaluation, as
+    # before: 33.
+    models = _models(coarse_mesh10, coarse_fem10)
+    assert _fit_factor_count(monkeypatch, models["spde_nugget"]) \
+        <= 0.7 * 244
+    assert _fit_factor_count(monkeypatch, models["bym"]) == 33
+
+
 def test_each_grid_point_is_refactored_once_after_the_grid(
         monkeypatch, coarse_mesh10, coarse_fem10):
     # the draws and the marginals share one pass over the grid: each

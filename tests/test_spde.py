@@ -104,7 +104,37 @@ def test_spde_logdet_first_and_later_k_share_arithmetic(coarse_fem10):
     theta = (0.3, -0.4)
     first = prec.logdet(theta)
     assert prec.logdet((1.0, 0.5)) != first
+    prec.logdet((1.0, 0.6))  # log|K| at theta's kappa is no longer kept
     assert prec.logdet(theta) == first
+
+
+def test_spde_logdet_keeps_log_k_of_the_last_two_kappas(coarse_fem10,
+                                                        monkeypatch):
+    # a new tau at one of the last two log kappa values seen factors no K
+    # and gives a fresh instance's value bit for bit; a third kappa drops
+    # the one seen least recently
+    from prevmap import spde
+    prec = SpdePrecision(*coarse_fem10)
+    prec.logdet((0.3, -0.4))
+    prec.logdet((0.3, 0.2))
+    built = []
+    init = SparseCholesky.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spde.SparseCholesky, "__init__", spy)
+    thetas = [(1.1, -0.4), (-0.7, 0.2), (0.3, -0.4)]
+    kept = [prec.logdet(t) for t in thetas]
+    assert built == []
+    prec.logdet((0.0, 0.9))
+    prec.logdet((0.0, -0.4))
+    assert len(built) == 1
+    prec.logdet((0.0, 0.2))
+    assert len(built) == 2
+    monkeypatch.undo()
+    assert kept == [SpdePrecision(*coarse_fem10).logdet(t) for t in thetas]
 
 
 def test_spde_k_laid_out_in_its_fill_reducing_order(coarse_fem10):
