@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import _cells, _read_csv, _write_csv
+from ._csv import _read_csv, _write_csv
 from .errors import DataError, reading
 from .functionals import _expit_of_negated, sample_points_in_polygon
 from .matern import MaternParams, matern_cov, practical_range, sigma_from_tau
@@ -118,6 +118,12 @@ def _bilinear(xs, ys, grid, pts):
             + tx * ty * grid[iy + 1, ix + 1])
 
 
+def _span(values, lo, hi):
+    """The slice of the sorted array ``values`` that lies in [lo, hi]."""
+    return slice(int(np.searchsorted(values, lo, side="left")),
+                 int(np.searchsorted(values, hi, side="right")))
+
+
 def simulate_survey(cfg, boundary, household_sizes=None, areas=None,
                     cluster_locations=None):
     """Generate a full synthetic survey plus its truth surfaces.
@@ -205,10 +211,17 @@ def simulate_survey(cfg, boundary, household_sizes=None, areas=None,
 
     area_truth = {}
     if areas:
+        # contains() tests only points in a polygon's bounding box grown by
+        # its tolerance: hand it just that block of the lattice, row-major
+        lattice = grid_pts.reshape(res, res, 2)
         for poly in areas:
-            in_area = poly.contains(grid_pts).reshape(res, res)
+            bx0, by0, bx1, by1 = poly.bbox()
+            block = (_span(ys, by0 - poly._tol, by1 + poly._tol),
+                     _span(xs, bx0 - poly._tol, bx1 + poly._tol))
+            in_area = poly.contains(lattice[block].reshape(-1, 2))
             if in_area.any():
-                area_truth[poly.id] = float(prevalence[in_area].mean())
+                area_truth[poly.id] = float(
+                    prevalence[block].ravel()[in_area].mean())
     return SimOutput(frame=frame, truth=truth, area_truth=area_truth)
 
 
@@ -240,9 +253,9 @@ def read_household_size_csv(path):
 def write_truth_lattice_csv(path, truth):
     ny, nx = len(truth.y), len(truth.x)
     # each coordinate is formatted once, not once per lattice row or column
-    x, y = (np.array(_cells(v), dtype=object) for v in (truth.x, truth.y))
+    x, y = (list(map(repr, v.tolist())) for v in (truth.x, truth.y))
     _write_csv(path, ["x", "y", "field", "prevalence", "inside"],
-               [np.tile(x, ny), np.repeat(y, nx),
+               [x * ny, [c for c in y for _ in range(nx)],
                 truth.field.ravel(), truth.prevalence.ravel(),
                 truth.inside.ravel()])
 

@@ -1,6 +1,7 @@
 """End-to-end smoke test of the five CLI commands on a tiny configuration."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -104,6 +105,23 @@ def test_cli_rerun_is_byte_identical(first_run, tmp_path):
         "median_field.pgm", "excursions.pgm"}
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
+
+
+def test_cli_csv_outputs_are_what_csv_writer_writes(first_run):
+    # every table the pipeline writes, parsed by csv.reader and written
+    # again by csv.writer, comes back byte for byte
+    directory, _ = first_run
+    out = os.path.join(directory, "out")
+    names = sorted(n for n in os.listdir(out) if n.endswith(".csv"))
+    assert {n for cmd in COMMANDS for n in EXPECTED[cmd]
+            if n.endswith(".csv")} <= set(names)
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            written = fh.read()
+        again = io.StringIO()
+        csv.writer(again).writerows(
+            csv.reader(io.StringIO(written.decode(), newline="")))
+        assert again.getvalue().encode() == written, name
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path):

@@ -1,6 +1,7 @@
-"""The shared CSV writer against the row-by-row ``repr(float(...))`` writer
-it replaced, and read back through ``csv.reader``; the shared reader's
-contract; and the rule that no other module parses CSV."""
+"""The shared CSV writer against ``csv.writer`` and the row-by-row
+``repr(float(...))`` writer it replaced, and read back through
+``csv.reader``; the shared reader's contract; and the rule that no other
+module parses CSV."""
 
 import ast
 import csv
@@ -11,9 +12,9 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from prevmap._csv import _read_csv, _write_csv
+from prevmap._csv import _BLOCK_ROWS, _read_csv, _write_csv
 from prevmap.errors import DataError
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(
@@ -43,6 +44,17 @@ def test_write_csv_matches_row_writer(tmp_path):
                [[ids[k], repr(float(floats[k])), int(ints[k]), labels[k],
                  int(flags[k]), repr(float(py_floats[k]))]
                 for k in range(n)])
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
+
+
+def test_write_csv_across_write_blocks_matches_row_writer(tmp_path):
+    # rows go out in blocks: a table one row past two of them
+    n = 2 * _BLOCK_ROWS + 1
+    values = np.random.default_rng(0).standard_normal(n)
+    _write_csv(tmp_path / "new.csv", ["k", "v"], [np.arange(n), values])
+    _reference(tmp_path / "old.csv", ["k", "v"],
+               zip(range(n), values.tolist()))
     assert ((tmp_path / "new.csv").read_bytes()
             == (tmp_path / "old.csv").read_bytes())
 
@@ -82,6 +94,45 @@ def test_write_csv_round_trips_through_csv_reader(rows):
         assert int(ci) == i
         assert cb == str(int(b))
         assert cs == s
+
+
+_CELL_TEXT = st.text(alphabet=st.sampled_from(list(',"\r\n; aZ')),
+                    max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
+    st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(), _CELL_TEXT,
+    st.none() | _CELL_TEXT, st.sampled_from(["above", "below", "", "a,b"])),
+    max_size=8),
+    order=st.permutations(range(6)), width=st.integers(1, 6))
+@example(rows=[], order=list(range(6)), width=6)
+@example(rows=[(0.5, 1, True, "", None, "")], order=list(range(6)), width=6)
+@example(rows=[(0.5, 1, True, "", None, "")], order=[4, 0, 1, 2, 3, 5],
+         width=1)
+def test_write_csv_bytes_are_csv_writers(rows, order, width):
+    # float, int64 and bool arrays, text with every character that is
+    # quoted, a list with None and a list of numpy str_ labels; any first
+    # ``width`` of them in any order, so one-column tables are written too
+    header = ["f", "i", "b", 's,"t"', "none", "label"]
+    columns = [np.array([r[0] for r in rows], dtype=float),
+               np.array([r[1] for r in rows], dtype=np.int64),
+               np.array([r[2] for r in rows], dtype=bool),
+               [r[3] for r in rows], [r[4] for r in rows],
+               [np.str_(r[5]) for r in rows]]
+    cells = [[float(r[0]) for r in rows], [r[1] for r in rows],
+             [int(r[2]) for r in rows], [r[3] for r in rows],
+             [r[4] for r in rows], [r[5] for r in rows]]
+    keep = order[:width]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        _write_csv(new, [header[k] for k in keep], [columns[k] for k in keep])
+        _reference(old, [header[k] for k in keep],
+                   zip(*[cells[k] for k in keep]))
+        with open(new, "rb") as fh_new, open(old, "rb") as fh_old:
+            assert fh_new.read() == fh_old.read()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prevmap.errors import NoDataError
+from prevmap.errors import DataError, NoDataError
 from prevmap.survey import (DirectEstimate, SurveyFrame, design_variance,
                             design_weights, direct_estimates,
                             empirical_logit, hajek, read_frame_csv,
@@ -89,6 +90,40 @@ def test_hajek_weight_scale_invariance():
     v1 = design_variance(fr1, p1)
     v2 = design_variance(fr2, p2)
     assert v1 == pytest.approx(v2, rel=1e-12)
+
+
+def _estimates_or_error(frame):
+    try:
+        return hajek(frame), direct_estimates(frame)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(households=st.lists(st.tuples(
+    st.integers(0, 4), st.sampled_from(["a", "b", "c"]), st.integers(0, 6),
+    st.floats(0, 1), st.sampled_from([0.5, 1.0, 3.0, 100.0])),
+    min_size=1, max_size=12),
+    scale=st.sampled_from([1.0, 17.3, 1e-3]), data=st.data())
+def test_hajek_and_direct_estimates_ignore_row_order_and_weight_scale(
+        households, scale, data):
+    cluster, area, n, share, w = (np.array(c) for c in zip(*households))
+    frame = _frame(cluster, area, n, np.floor(share * n), w)
+    perm = np.array(data.draw(st.permutations(range(len(cluster)))))
+    moved = _frame(cluster[perm], area[perm], n[perm],
+                   np.floor(share * n)[perm], w[perm] * scale)
+    got, want = _estimates_or_error(moved), _estimates_or_error(frame)
+    if isinstance(want[0], type):  # a DataError, the same either way
+        assert got == want
+        return
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+    assert len(got[1]) == len(want[1])
+    for g, e in zip(got[1], want[1]):
+        assert (g.area_id, g.n_clusters, g.flags) == (e.area_id,
+                                                      e.n_clusters, e.flags)
+        np.testing.assert_allclose(
+            [g.p_hat, g.v_star, g.y_logit, g.v_logit],
+            [e.p_hat, e.v_star, e.y_logit, e.v_logit], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
