@@ -112,10 +112,10 @@ def _parse(setting, raw):
 
 def _echo(self, path):
     """Write the resolved configuration; re-parses to the same values."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in self.raw.items():
         parser[section] = dict(keys)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
@@ -138,12 +138,13 @@ def load_config(path, require_files=()):
     being run needs set.  Every input file a ``[paths]`` key names must
     exist, whichever command runs.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError("config", f"file not found: {path}")
-    parser = configparser.ConfigParser()
+    # a value is its text as written: no ``%`` interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"parse error: {exc}")
     known = {(s.section, s.key) for s in _SETTINGS}
     for section in parser.sections():
@@ -173,10 +174,12 @@ def load_config(path, require_files=()):
         raise ConfigError("model.exterior_max_edge", f"must be >= {interior}")
     if not (values["sim_m_min"] <= values["sim_m_max"]
             <= values["households_per_ea"]):
-        raise ConfigError("sim.m_max",
-                          "need m_min <= m_max <= survey.households_per_ea")
+        raise ConfigError("sim.m_max", "need sim.m_min <= sim.m_max <= "
+                          "survey.households_per_ea")
     if values["u"] >= 1.0:
         raise ConfigError("functionals.u", "must lie in (0, 1)")
+    if not values["output_dir"].strip():
+        raise ConfigError("paths.output_dir", "must name a directory")
     cfg = PipelineConfig(**values,
                          raw={s: dict(parser[s]) for s in parser.sections()})
     for key in require_files:
@@ -185,6 +188,6 @@ def load_config(path, require_files=()):
     for s in _SETTINGS:
         path = getattr(cfg, s.attr)
         if (s.section == "paths" and s.key != "output_dir" and path
-                and not os.path.exists(path)):
+                and not os.path.isfile(path)):
             raise ConfigError(f"paths.{s.key}", f"file not found: {path}")
     return cfg

@@ -428,9 +428,16 @@ def write_area_csv(path, result):
                 [int(aid in result.flagged) for aid in result.area_ids]])
 
 
-def write_grid_csv(path, points, mean=None, sd=None, exceed_prob=None,
+def write_grid_csv(path, grid, mean=None, sd=None, exceed_prob=None,
                    labels=None):
-    cols = {"x": points[:, 0], "y": points[:, 1], "mean": mean, "sd": sd,
-            "exceed_prob": exceed_prob, "label": labels}
+    """One row per point of the :class:`EvalGrid` ``grid``, its x and y
+    first, then each of the given per-point columns."""
+    # each axis value is formatted once, not once per point: a point's
+    # coordinates are its lattice axes' values, bit for bit (make_grid)
+    iy, ix = (k.tolist() for k in np.nonzero(grid.mask))
+    x, y = (list(map(repr, v.tolist())) for v in (grid.x, grid.y))
+    cols = {"x": [x[j] for j in ix], "y": [y[i] for i in iy],
+            "mean": mean, "sd": sd, "exceed_prob": exceed_prob,
+            "label": labels}
     cols = {k: v for k, v in cols.items() if v is not None}
     _write_csv(path, list(cols), list(cols.values()))

@@ -1,5 +1,7 @@
 """Area averages, exceedance probabilities, excursion regions."""
 
+import csv
+import io
 import time
 import tracemalloc
 import warnings
@@ -677,8 +679,30 @@ def test_csv_outputs(tmp_path, surface, unit_square):
                         seed=0)
     write_area_csv(tmp_path / "areas.csv", res)
     assert (tmp_path / "areas.csv").read_text().startswith("area_id,")
-    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    write_grid_csv(tmp_path / "grid.csv", pts, mean=np.array([0.1, 0.2]),
-                   labels=np.array(["above", "below"]))
+    grid = make_grid(Polygon([[(0, 0), (2, 0), (0, 2)]]), 1.0)
+    write_grid_csv(tmp_path / "grid.csv", grid, mean=np.array([0.1]),
+                   labels=np.array(["above"]))
     text = (tmp_path / "grid.csv").read_text()
-    assert "label" in text.splitlines()[0]
+    assert text.splitlines() == ["x,y,mean,label", "0.5,0.5,0.1,above"]
+
+
+def test_grid_csv_rows_are_the_points_of_a_masked_lattice(tmp_path):
+    # a square with a square hole, at a spacing no axis value of which is
+    # a short decimal: each row's x and y are the repr of its point's, as
+    # when every point was formatted on its own
+    holed = Polygon([[(0.1, 0.2), (9.7, 0.2), (9.7, 8.9), (0.1, 8.9)],
+                     [(3.0, 3.0), (6.0, 3.0), (6.0, 6.0), (3.0, 6.0)]])
+    grid = make_grid(holed, 0.7)
+    assert not grid.mask.all() and grid.mask[0].all()
+    assert not grid.mask[len(grid.y) // 2].all()
+    n = len(grid.points)
+    mean, sd = np.random.default_rng(5).normal(size=(2, n))
+    labels = np.array(["above", "below", "indeterminate"])[np.arange(n) % 3]
+    write_grid_csv(tmp_path / "grid.csv", grid, mean=mean, sd=sd,
+                   labels=labels)
+    want = io.StringIO()
+    csv.writer(want).writerows(
+        [["x", "y", "mean", "sd", "label"]]
+        + [[repr(float(v)) for v in (px, py, m, s)] + [str(label)]
+           for (px, py), m, s, label in zip(grid.points, mean, sd, labels)])
+    assert (tmp_path / "grid.csv").read_bytes() == want.getvalue().encode()
