@@ -6,6 +6,11 @@ term, fitted with the latent Gaussian engine's Gaussian observation stage
 since the logit-scale direct estimates arrive with fixed, known variances.
 The CAR term is an exact intrinsic GMRF (:class:`IcarPrecision`, no ridge)
 that sums to zero over each connected component.
+
+One sparse area map, built by :func:`_build_latent_model`, lays the model
+out: it takes the latent vector [S (ICAR), eps (iid), beta0*] to the K
+area values eta_k = S_k + eps_k + beta0*.  Its observed rows are the
+observation design, and :func:`fit_bym` summarizes eta_k with all of them.
 """
 
 from collections import Counter
@@ -17,8 +22,8 @@ from scipy.special import expit
 
 from ._csv import _read_csv
 from .errors import DataError, reading
-from .inference import (GaussianObs, LatentComponent, LatentModel,
-                        _linear_mixture, fit_latent_model)
+from .inference import (GaussianObs, LatentComponent, LatentModel, _grid_pass,
+                        _mixture, fit_latent_model)
 from .sparsela import SparseCholesky
 
 __all__ = [
@@ -34,7 +39,8 @@ __all__ = [
 
 # adjacency_from_polygons matches boundary vertices on this lattice
 _VERTEX_TOL = 1e-9
-# where the search for the (ICAR, iid) log precisions starts
+# where the search for the (ICAR, iid) log precisions starts; a graph
+# without an ICAR term starts from the iid one alone
 _THETA_INIT = (np.log(10.0), np.log(10.0))
 
 
@@ -56,11 +62,8 @@ class AdjacencyGraph:
         self.edges = sorted(seen)
 
     def adjacency(self):
-        if not self.edges:
-            return sp.csr_matrix((self.n_areas, self.n_areas))
-        e = np.asarray(self.edges)
-        data = np.ones(len(e))
-        w = sp.coo_matrix((data, (e[:, 0], e[:, 1])),
+        e = np.asarray(self.edges, dtype=int).reshape(-1, 2)
+        w = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
                           shape=(self.n_areas, self.n_areas))
         return (w + w.T).tocsr()
 
@@ -84,6 +87,7 @@ class IcarPrecision:
     with one row and column removed.  A component with no ``observed``
     area gets 1 1^T / n_c added to its block, since no data reach its
     constant; the term is zero on its sum-to-zero constraint.
+    ``constraint`` holds those constraints, one row per component.
     """
 
     def __init__(self, r, labels, observed):
@@ -98,6 +102,7 @@ class IcarPrecision:
         e = sp.csr_matrix((np.ones(len(blind)), (blind, comp[blind])),
                           shape=(len(comp), len(sizes)))
         self._r = (r + e @ sp.diags(1.0 / sizes) @ e.T).tocsc()
+        self.constraint = (comp == np.arange(len(sizes))[:, None]) * 1.0
 
     def __call__(self, theta):
         return np.exp(theta[0]) * self._r
@@ -143,62 +148,46 @@ class BymFit:
 
 
 def _build_latent_model(model):
-    """The latent model, the areas in its ICAR block (in block order) and
-    the singleton areas, which have no ICAR term."""
+    """The latent model, its area map and the singleton areas, which have
+    no ICAR term.  The area map's row k holds eta_k's entries in the order
+    S_k, eps_k, beta0*, the order in which ``area_map @ mean`` sums them."""
     k = model.graph.n_areas
-    obs_ix = np.where(model.observed)[0]
-    n = len(obs_ix)
     labels = model.graph.component_labels()
     singleton = np.bincount(labels)[labels] == 1
     icar_cols = np.flatnonzero(~singleton)
+    n_icar = len(icar_cols)
+    eye = sp.identity(k, format="csr")
+    area_map = sp.hstack([eye[:, icar_cols], eye, np.ones((k, 1))],
+                         format="csr")
+    design = area_map[model.observed]
 
     comps = []
-    if len(icar_cols):
+    if n_icar:
         r = icar_precision(model.graph)[np.ix_(icar_cols, icar_cols)]
-        comp = np.unique(labels[icar_cols], return_inverse=True)[1]
-        in_icar = np.isin(obs_ix, icar_cols)
-        rows = np.where(in_icar)[0]
-        cols = np.searchsorted(icar_cols, obs_ix[in_icar])
-        design_s = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                                 shape=(n, len(icar_cols)))
+        prec = IcarPrecision(r, labels[icar_cols], model.observed[icar_cols])
         comps.append(LatentComponent(
             name="icar",
-            design=design_s,
-            precision=IcarPrecision(r, comp, model.observed[icar_cols]),
+            design=design[:, :n_icar],
+            precision=prec,
             n_theta=1,
             theta_names=("log_icar_prec",),
-            # one sum-to-zero row per connected component of size >= 2
-            constraint=(comp == np.arange(comp.max() + 1)[:, None]) * 1.0,
+            constraint=prec.constraint,
         ))
     comps.append(LatentComponent(
         name="iid",
-        design=sp.csr_matrix((np.ones(n), (np.arange(n), obs_ix)), shape=(n, k)),
+        design=design[:, n_icar:-1],
         precision=lambda th: sp.identity(k, format="csc") * np.exp(th[0]),
         n_theta=1,
         theta_names=("log_iid_prec",),
     ))
     lm = LatentModel(
-        GaussianObs(model.y[obs_ix], model.v_hat[obs_ix]),
+        GaussianObs(model.y[model.observed], model.v_hat[model.observed]),
         comps,
-        fixed_design=np.ones((n, 1)),
+        fixed_design=design[:, -1:].toarray(),
         fixed_names=["beta0_star"],
-        theta_init=np.asarray(_THETA_INIT, dtype=float)[
-            (0 if len(icar_cols) else 1):],
+        theta_init=_THETA_INIT[-len(comps):],
     )
-    return lm, icar_cols, np.flatnonzero(singleton).tolist()
-
-
-def _eta_operator(lm, icar_cols, k):
-    """Sparse map from the latent vector to the K area-level eta values:
-    eta_k = S_k + eps_k + beta0*, entries in that order within each row."""
-    areas = np.arange(k)
-    icar = lm.slices["icar"].start if len(icar_cols) else 0
-    rows = np.concatenate([icar_cols, areas, areas])
-    cols = np.concatenate([icar + np.arange(len(icar_cols)),
-                           lm.slices["iid"].start + areas,
-                           np.full(k, lm.slices["fixed"].start)])
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                         shape=(k, lm.latent_dim))
+    return lm, area_map, np.flatnonzero(singleton).tolist()
 
 
 def fit_bym(model, thetas=None):
@@ -209,20 +198,18 @@ def fit_bym(model, thetas=None):
     Gaussian approximations directly; p_k quantiles follow by the monotone
     expit transform and the p_k mean by Gauss--Hermite integration.
     """
-    lm, icar_cols, singletons = _build_latent_model(model)
-    k = model.graph.n_areas
+    lm, area_map, singletons = _build_latent_model(model)
     fit = fit_latent_model(lm, thetas=thetas)
-    mus, sds, mean, sd, q = _linear_mixture(
-        fit, _eta_operator(lm, icar_cols, k))
-    weights = fit.weights
+    _, mus, sds = _grid_pass(fit, op=area_map)
+    mean, sd, q = _mixture(fit.weights, mus, sds)
 
     # E[expit(eta)] per area by Gauss-Hermite over each mixture component
     nodes, gh_w = np.polynomial.hermite_e.hermegauss(40)
     gh_w = gh_w / gh_w.sum()
-    p_mean = np.zeros(k)
+    p_mean = np.zeros(model.graph.n_areas)
     for i in range(len(fit.points)):
         vals = expit(mus[i][:, None] + sds[i][:, None] * nodes)
-        p_mean += weights[i] * (vals @ gh_w)
+        p_mean += fit.weights[i] * (vals @ gh_w)
 
     return BymFit(
         fit=fit,

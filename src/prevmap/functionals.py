@@ -276,11 +276,8 @@ def pointwise_median(samples, spec, points):
 
 @dataclass
 class ExcursionResult:
-    grid_points: np.ndarray
     exceed_prob: np.ndarray
     labels: np.ndarray          # strings: above / below / indeterminate
-    u: float
-    alpha_level: float
     joint_above_prob: float
     joint_below_prob: float
     mean: np.ndarray            # pointwise posterior mean of the prevalence
@@ -371,9 +368,8 @@ def simultaneous_excursions(samples, spec, grid_points, u, alpha_level=0.05):
     labels[above_set] = "above"
     labels[below_set] = "below"
     return ExcursionResult(
-        grid_points=np.asarray(grid_points), exceed_prob=probs,
-        labels=labels.astype(str), u=u, alpha_level=alpha_level,
-        joint_above_prob=p_above, joint_below_prob=p_below, mean=mean, sd=sd)
+        exceed_prob=probs, labels=labels.astype(str), joint_above_prob=p_above,
+        joint_below_prob=p_below, mean=mean, sd=sd)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,8 @@ class LatentComponent:
     a ``logdet(theta_block)`` method gives its log-determinant without a
     factorization.  ``constraint`` rows, if given, are enforced as exact
     zero sums; they need a precision whose ``logdet`` is the generalized
-    one on their complement, as for :class:`prevmap.areal.IcarPrecision`.
+    one on their complement, as :class:`prevmap.areal.IcarPrecision` has
+    for the rows of its ``constraint``.
     """
 
     name: str
@@ -1111,17 +1112,6 @@ def _mixture(weights, mus, sds):
     sd = np.sqrt(np.maximum(second - mean ** 2, 0.0))
     q = _mixture_quantiles(mus, sds, weights, (0.025, 0.5, 0.975))
     return mean, sd, q
-
-
-def _linear_mixture(fit, op):
-    """Mixture marginals of the linear combinations ``op @ u`` (op sparse
-    CSR, one row per combination), in one :func:`_grid_pass`.
-
-    Returns the per-theta means and sds, shape (points, rows), and the
-    mixture mean, sd and (0.025, 0.5, 0.975) quantiles per row.
-    """
-    _, mus, sds = _grid_pass(fit, op=op)
-    return (mus, sds) + _mixture(fit.weights, mus, sds)
 
 
 def _coordinate_op(model, coords):

@@ -164,6 +164,54 @@ def test_bym_unobserved_island_matches_dense_pinv_oracle():
     assert np.abs(res.eta_sd - np.sqrt(eta_var)).max() < 1e-8
 
 
+def test_bym_layout_over_singleton_unobserved_and_blind_areas():
+    # component {0, 2, 5, 6} with area 5 unobserved, the blind component
+    # {1, 4} and the singleton area 3, their areas interleaved
+    rng = np.random.default_rng(11)
+    k = 7
+    graph = AdjacencyGraph(k, [(0, 2), (2, 5), (5, 6), (1, 4)])
+    y = rng.standard_normal(k)
+    y[[1, 4, 5]] = np.nan
+    v = 0.2 + rng.random(k)
+    lm = _build_latent_model(BymModel(y=y, v_hat=v, graph=graph))[0]
+    icar_cols = np.array([0, 1, 2, 4, 5, 6])
+    obs = np.isfinite(y)
+    eye = np.eye(k)[obs]
+    assert np.array_equal(lm.design.toarray(), np.hstack(
+        [eye[:, icar_cols], eye, np.ones((obs.sum(), 1))]))
+    # one sum-to-zero row per component of two or more areas
+    block = np.zeros((2, lm.latent_dim))
+    block[0, lm.slices["icar"]] = np.isin(icar_cols, [0, 2, 5, 6])
+    block[1, lm.slices["icar"]] = np.isin(icar_cols, [1, 4])
+    assert np.array_equal(lm.constraint, block)
+
+    res = fit_bym(BymModel(y=y, v_hat=v, graph=graph), thetas=_theta_fixed())
+    assert res.singleton_areas == [3]
+    eta_mean, eta_var, _ = _dense_pinv_oracle(y, v, graph, 4.0, 6.0)
+    assert np.abs(res.eta_mean - eta_mean).max() < 1e-8
+    assert np.abs(res.eta_sd - np.sqrt(eta_var)).max() < 1e-8
+
+
+def test_bym_without_edges_fits_iid_and_intercept():
+    rng = np.random.default_rng(12)
+    k, tau_e, fixed_prec = 6, 6.0, 1e-3
+    y = rng.standard_normal(k)
+    y[2] = np.nan
+    v = 0.2 + rng.random(k)
+    res = fit_bym(BymModel(y=y, v_hat=v, graph=AdjacencyGraph(k, [])),
+                  thetas=[np.array([np.log(tau_e)])])
+    assert res.fit.model.theta_names == ["log_iid_prec"]
+    assert res.singleton_areas == list(range(k))
+    # eta = eps + beta0*: iid plus one shared intercept, dense
+    obs = np.isfinite(y)
+    cov = np.eye(k) / tau_e + 1 / fixed_prec
+    gain = np.linalg.solve(cov[np.ix_(obs, obs)] + np.diag(v[obs]),
+                           cov[obs]).T
+    eta_var = np.diag(cov - gain @ cov[obs])
+    assert np.abs(res.eta_mean - gain @ y[obs]).max() < 1e-8
+    assert np.abs(res.eta_sd - np.sqrt(eta_var)).max() < 1e-8
+
+
 def test_bym_dense_oracle_path_graph():
     rng = np.random.default_rng(2)
     k = 3
