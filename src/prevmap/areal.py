@@ -22,8 +22,9 @@ from scipy.special import expit
 
 from ._csv import _read_csv
 from .errors import DataError, reading
-from .inference import (GaussianObs, LatentComponent, LatentModel, _grid_pass,
-                        _mixture, fit_latent_model)
+from .inference import (GaussianObs, LatentComponent, LatentModel,
+                        ScaledPrecision, _grid_pass, _mixture,
+                        fit_latent_model)
 from .sparsela import SparseCholesky
 
 __all__ = [
@@ -81,14 +82,17 @@ def icar_precision(graph):
 
 class IcarPrecision:
     """Intrinsic CAR precision exp(theta) R, R = D - W, over areas in
-    components of two or more (``labels``).  :meth:`logdet` is the
-    generalized log-determinant rank * theta + log|R|*, where by the
-    matrix-tree theorem log|R|* sums, per component, log n_c and log|R_c|
-    with one row and column removed.  A component with no ``observed``
-    area gets 1 1^T / n_c added to its block, since no data reach its
-    constant; the term is zero on its sum-to-zero constraint.
-    ``constraint`` holds those constraints, one row per component.
+    components of two or more (``labels``), as data on R's pattern.
+    :meth:`logdet` is the generalized log-determinant rank * theta +
+    log|R|*, where by the matrix-tree theorem log|R|* sums, per component,
+    log n_c and log|R_c| with one row and column removed.  A component
+    with no ``observed`` area gets 1 1^T / n_c added to its block, since no
+    data reach its constant; the term is zero on its sum-to-zero
+    constraint.  ``constraint`` holds those constraints, one row per
+    component.
     """
+
+    n_theta = 1
 
     def __init__(self, r, labels, observed):
         _, first, comp, sizes = np.unique(labels, return_index=True,
@@ -101,10 +105,11 @@ class IcarPrecision:
         blind = np.flatnonzero(np.bincount(comp, weights=observed)[comp] == 0)
         e = sp.csr_matrix((np.ones(len(blind)), (blind, comp[blind])),
                           shape=(len(comp), len(sizes)))
-        self._r = (r + e @ sp.diags(1.0 / sizes) @ e.T).tocsc()
+        r = (r + e @ sp.diags(1.0 / sizes) @ e.T).tocsc()
+        self.indptr, self.indices, self._r = r.indptr, r.indices, r.data
         self.constraint = (comp == np.arange(len(sizes))[:, None]) * 1.0
 
-    def __call__(self, theta):
+    def data(self, theta):
         return np.exp(theta[0]) * self._r
 
     def logdet(self, theta):
@@ -164,20 +169,17 @@ def _build_latent_model(model):
     comps = []
     if n_icar:
         r = icar_precision(model.graph)[np.ix_(icar_cols, icar_cols)]
-        prec = IcarPrecision(r, labels[icar_cols], model.observed[icar_cols])
         comps.append(LatentComponent(
             name="icar",
             design=design[:, :n_icar],
-            precision=prec,
-            n_theta=1,
+            precision=IcarPrecision(r, labels[icar_cols],
+                                    model.observed[icar_cols]),
             theta_names=("log_icar_prec",),
-            constraint=prec.constraint,
         ))
     comps.append(LatentComponent(
         name="iid",
         design=design[:, n_icar:-1],
-        precision=lambda th: sp.identity(k, format="csc") * np.exp(th[0]),
-        n_theta=1,
+        precision=ScaledPrecision(eye, 1),
         theta_names=("log_iid_prec",),
     ))
     lm = LatentModel(

@@ -14,9 +14,9 @@ Hessian there, a skewness correction per axis of the coordinates it
 standardizes, and a central composite design in those coordinates whose
 integration weights keep a Gaussian posterior's covariance
 (:func:`hyper_grid`).  Linear equality constraints (sum-to-zero terms) are
-enforced by conditioning by kriging; they must remove the null space of an
-intrinsic prior block, whose precision then gives its generalized
-log-determinant.
+enforced by conditioning by kriging: they are the ``constraint`` rows of an
+intrinsic prior block, which remove its null space, and that block's
+``logdet`` is its generalized log-determinant.
 
 Q_post = Q_prior + B^T diag(h) B is never assembled whole.  A latent block
 whose prior block is a full diagonal and whose design has at most one
@@ -32,14 +32,14 @@ nugget and the BYM model's iid area effects are such blocks; the field,
 the ICAR block and the fixed effects are not.  With no such block S is
 Q_post itself.
 
-The sparsity of Q_prior and of S does not change with theta or with the
-Newton iterate, so each :class:`LatentModel` caches what depends only on
-it (a ``_Pattern``): which blocks are integrated out, and one symbolic
-pattern of S in ascending latent order, with its band layout, which holds
-its bandwidth-reducing order, and the maps that fill it (the positions of
-each kept prior block, and a sparse map from h~ to the data of
-B^T diag(h~) B).  A refactorization then assembles S as one data vector
-and factors it numerically on that layout.
+Each prior block fixes its pattern when it is built and gives a data
+vector on it per theta, so each :class:`LatentModel` builds once what
+depends only on the patterns (a ``_Pattern``): which blocks are integrated
+out, and one symbolic pattern of S in ascending latent order, with its band
+layout, which holds its bandwidth-reducing order, and the maps that fill it
+(the positions of each kept prior block, and a sparse map from h~ to the
+data of B^T diag(h~) B).  A refactorization then assembles S as one data
+vector and factors it numerically on that layout.
 
 Newton does not refactor at every step.  It keeps the factor it holds
 while that factor still contracts the gradient, the chord (Shamanskii)
@@ -52,10 +52,8 @@ Within one :func:`hyper_grid`, each Laplace evaluation hands its final
 factor to the next as the factor Newton starts on; the theta points
 of one search lie close together (1e-3 apart for the forward-difference
 gradient, 0.05 for the Hessian), so that factor is a near-exact
-preconditioner there.  log|Q_prior| is a sum over the prior's diagonal
-blocks: the block's own ``logdet`` where its precision has one (the SPDE
-field's, the ICAR block's generalized one), the closed form for other
-diagonal blocks, and a factorization otherwise.
+preconditioner there.  log|Q_prior| is the sum of the prior blocks' own
+``logdet`` (the ICAR block's the generalized one).
 """
 
 import warnings
@@ -77,6 +75,7 @@ __all__ = [
     "BinomialObs",
     "LatentComponent",
     "LatentModel",
+    "ScaledPrecision",
     "GaussianApprox",
     "HyperPoint",
     "FitResult",
@@ -186,36 +185,72 @@ class LatentComponent:
     """One additive term of the linear predictor.
 
     ``design`` maps the component's coefficients to observations and
-    ``precision`` builds the prior precision from the component's block of
-    theta (a plain sparse matrix is accepted for theta-free components).
-    The precision must be symmetric; a callable ``precision`` that also has
-    a ``logdet(theta_block)`` method gives its log-determinant without a
-    factorization.  ``constraint`` rows, if given, are enforced as exact
-    zero sums; they need a precision whose ``logdet`` is the generalized
-    one on their complement, as :class:`prevmap.areal.IcarPrecision` has
-    for the rows of its ``constraint``.
+    ``precision`` is its prior block: an object with a symmetric canonical
+    CSC pattern (``indptr``, ``indices``) fixed when it is built,
+    ``n_theta``, ``data(theta_block)`` (its data on that pattern),
+    ``logdet(theta_block)`` and ``constraint``: None, or the rows, enforced
+    as exact zero sums, that remove an intrinsic block's null space, its
+    ``logdet`` being the generalized one.  :class:`ScaledPrecision`,
+    :class:`prevmap.spde.SpdePrecision` and
+    :class:`prevmap.areal.IcarPrecision` are prior blocks.
     """
 
     name: str
     design: sp.spmatrix
     precision: object
-    n_theta: int = 0
     theta_names: tuple = ()
-    constraint: np.ndarray = None
 
     @property
     def size(self):
         return self.design.shape[1]
 
-    def prior_precision(self, theta_block):
-        if callable(self.precision):
-            q = sp.csc_matrix(self.precision(theta_block))
-        else:
-            q = sp.csc_matrix(self.precision)
-        if not q.has_canonical_format:
-            q = q.copy()
-            q.sum_duplicates()
-        return q
+
+def _is_diagonal(indptr, indices):
+    """Whether a CSC pattern is the full diagonal."""
+    return (np.array_equal(indptr, np.arange(len(indptr)))
+            and np.array_equal(indices, np.arange(len(indices))))
+
+
+class ScaledPrecision:
+    """The prior block exp(theta) R of a fixed symmetric R, on R's pattern,
+    or R itself when ``n_theta`` is 0 (it is 0 or 1).  log|Q| is the sum
+    of the logs of the data when R is diagonal, and n theta + log|R|
+    otherwise, R being factored once, here."""
+
+    constraint = None
+
+    def __init__(self, r, n_theta):
+        r = sp.csc_matrix(r, copy=True)
+        self.indptr, self.indices, self._r = r.indptr, r.indices, r.data
+        self.n_theta = n_theta
+        self._log_r = None if _is_diagonal(r.indptr, r.indices) \
+            else SparseCholesky(r).logdet
+
+    def data(self, theta):
+        return np.exp(theta[0]) * self._r if self.n_theta else self._r
+
+    def logdet(self, theta):
+        if self._log_r is not None:
+            return (len(self.indptr) - 1) * float(np.sum(theta)) + self._log_r
+        data = self.data(theta)
+        if not np.all(data > 0) or not np.all(np.isfinite(data)):
+            raise NotPositiveDefiniteError(
+                "a diagonal prior block has a non-positive diagonal")
+        return float(np.log(data).sum())
+
+
+def _check_block(name, block, theta, size):
+    """Refuse a prior block of another order than its design's width, whose
+    data does not fill its pattern, or that is not symmetric at ``theta``."""
+    n, data = len(block.indptr) - 1, block.data(theta)
+    if n != size or len(data) != len(block.indices):
+        raise ValueError(f"component {name}: {len(data)} data for "
+                         f"{len(block.indices)} pattern entries of order {n}")
+    q = sp.csc_matrix((data, block.indices, block.indptr), shape=(n, n))
+    ones = q.copy()
+    ones.data[:] = 1.0
+    if not q.has_canonical_format or (ones != ones.T).nnz or (q != q.T).nnz:
+        raise ValueError(f"component {name}: precision is not symmetric")
 
 
 class LatentModel:
@@ -224,7 +259,8 @@ class LatentModel:
     The latent vector is the concatenation of the component coefficient
     blocks followed by the fixed effects (intercept and covariates), which
     carry an exchangeable Gaussian prior with precision ``_FIXED_PREC``.
-    Hyperparameters get independent Gaussian priors centered at
+    ``blocks`` holds the prior blocks in that order (0 x 0 for no fixed
+    effects).  Hyperparameters get independent Gaussian priors centered at
     ``theta_init`` with standard deviation ``_THETA_PRIOR_SD``.
     """
 
@@ -254,12 +290,18 @@ class LatentModel:
         self.slices["fixed"] = slice(offsets[-2], offsets[-1])
         self.latent_dim = int(offsets[-1])
 
-        self.n_theta = sum(c.n_theta for c in self.components)
+        self.blocks = [c.precision for c in self.components] + [
+            ScaledPrecision(sp.identity(p, format="csc") * _FIXED_PREC, 0)]
+        self.n_theta = sum(b.n_theta for b in self.blocks)
         if theta_init is None:
             theta_init = np.zeros(self.n_theta)
         self.theta_init = np.asarray(theta_init, dtype=float)
         if len(self.theta_init) != self.n_theta:
             raise ValueError("theta_init length mismatch")
+        for name, block, theta, size in zip(
+                [c.name for c in self.components] + ["fixed"], self.blocks,
+                self.theta_blocks(self.theta_init), sizes):
+            _check_block(name, block, theta, size)
 
         blocks = [sp.csr_matrix(c.design) for c in self.components]
         if p:
@@ -267,26 +309,20 @@ class LatentModel:
         self.design = sp.hstack(blocks).tocsr() if blocks else None
 
         rows = []
-        for i, comp in enumerate(self.components):
-            if comp.constraint is None:
-                continue
-            if not hasattr(comp.precision, "logdet"):
-                raise ValueError(f"{comp.name}: constraints need a logdet")
-            a = np.atleast_2d(np.asarray(comp.constraint, dtype=float))
-            full = np.zeros((a.shape[0], self.latent_dim))
-            full[:, self.slices[comp.name]] = a
-            rows.append(full)
+        for comp in self.components:
+            a = comp.precision.constraint
+            if a is not None:
+                rows.append(np.zeros((len(a), self.latent_dim)))
+                rows[-1][:, self.slices[comp.name]] = a
         self.constraint = np.vstack(rows) if rows else None
 
         self.theta_names = []
         for comp in self.components:
             names = comp.theta_names or tuple(
-                f"{comp.name}.theta{j}" for j in range(comp.n_theta))
+                f"{comp.name}.theta{j}" for j in range(comp.precision.n_theta))
             self.theta_names.extend(names)
-        # how Q_post is factored (a _Pattern, with its band layout): it
-        # depends only on the sparsity of the prior blocks, which does not
-        # change with eta and rarely with theta
-        self._pattern = None
+        # how Q_post is factored: fixed by the design and the blocks' patterns
+        self._pattern = _Pattern(self)
 
     def coord_names(self):
         names = []
@@ -296,26 +332,21 @@ class LatentModel:
         return names
 
     def theta_blocks(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = {}
-        k = 0
-        for comp in self.components:
-            out[comp.name] = theta[k:k + comp.n_theta]
-            k += comp.n_theta
-        return out
+        """theta's block of each prior block, in the order of ``blocks``."""
+        return np.split(np.asarray(theta, dtype=float),
+                        np.cumsum([b.n_theta for b in self.blocks])[:-1])
 
-    def prior_blocks(self, theta):
-        """The diagonal blocks of Q_prior: one per component, then the
-        fixed effects' (if any), each a CSC matrix in canonical format."""
-        blocks = self.theta_blocks(theta)
-        mats = [c.prior_precision(blocks[c.name]) for c in self.components]
-        p = 0 if self.fixed_design is None else self.fixed_design.shape[1]
-        if p:
-            mats.append(sp.identity(p, format="csc") * _FIXED_PREC)
-        return mats
+    def prior_data(self, theta):
+        """Each prior block's data vector on its pattern."""
+        return [b.data(t) for b, t in zip(self.blocks,
+                                          self.theta_blocks(theta))]
 
     def prior_precision(self, theta):
-        return sp.block_diag(self.prior_blocks(theta), format="csc")
+        return sp.block_diag(
+            [sp.csc_matrix((d, b.indices, b.indptr),
+                           shape=(len(b.indptr) - 1,) * 2)
+             for b, d in zip(self.blocks, self.prior_data(theta))],
+            format="csc")
 
     def log_theta_prior(self, theta):
         z = (np.asarray(theta) - self.theta_init) / _THETA_PRIOR_SD
@@ -338,8 +369,8 @@ class GaussianApprox:
 
 
 class _Pattern:
-    """How Q_post = Q_prior + B^T diag(h) B is factored, for one sparsity of
-    the prior blocks: which latent coordinates are integrated out, and the
+    """How Q_post = Q_prior + B^T diag(h) B is factored, for the prior
+    blocks' patterns: which latent coordinates are integrated out, and the
     sparsity pattern of the Schur complement S over the rest with the maps
     that lay data on it.
 
@@ -352,14 +383,13 @@ class _Pattern:
     the remaining coordinates R, with h~ = h p / q on the rows of
     eliminated coordinates and h elsewhere.  R may be empty.
 
-    The pattern of S holds every entry of each kept prior block and of its
-    transpose, and every (a, b) with B_ka B_kb != 0 in B_R.  ``curvature``
-    is the sparse map C with data(B_R^T diag(h~) B_R) = C @ h~: its row for
-    entry (a, b) holds B_ka B_kb in column k.  The rows of (a, b) and
-    (b, a) are equal, so C @ h~ is exactly symmetric.  Kept block i sits at
-    ``pos[i]`` in the data and its transpose at ``pos_t[i]``;
-    ``diagonal[i]`` says whether prior block i is a full diagonal.  With E
-    empty, S is Q_post.
+    The pattern of S holds every entry of each kept prior block, whose
+    pattern is symmetric, and every (a, b) with B_ka B_kb != 0 in B_R.
+    ``curvature`` is the sparse map C with data(B_R^T diag(h~) B_R) =
+    C @ h~: its row for entry (a, b) holds B_ka B_kb in column k.  The
+    rows of (a, b) and (b, a) are equal, so C @ h~ is exactly symmetric.
+    Kept block i's data sits at ``pos[i]`` in the data.  With E empty, S
+    is Q_post.
 
     ``keep`` lists R in ascending latent order, the order of S, ``design``
     and ``design_e``.  ``layout``, the band layout of S's pattern, holds
@@ -367,24 +397,22 @@ class _Pattern:
     fixed effects last), and every S of the pattern factors on it.
     """
 
-    def __init__(self, model, blocks):
+    def __init__(self, model):
         b = sp.csr_matrix(model.design)
         if not b.has_canonical_format:
             b = b.copy()
             b.sum_duplicates()
-        self.diagonal = [q.nnz == q.shape[0]
-                         and np.array_equal(q.indices, np.arange(q.nnz))
-                         and np.array_equal(q.indptr, np.arange(q.nnz + 1))
-                         for q in blocks]
-        starts = np.cumsum([0] + [q.shape[0] for q in blocks])
+        blocks = model.blocks
+        starts = np.cumsum([0] + [len(q.indptr) - 1 for q in blocks])
         columns = b.tocsc()
         used = np.zeros(b.shape[0], dtype=bool)
         elim = []
-        for i, diagonal in enumerate(self.diagonal):
+        for i, q in enumerate(blocks):
             part = columns[:, starts[i]:starts[i + 1]]
             part.eliminate_zeros()
             rows = part.indices
-            if (diagonal and np.all(np.diff(part.indptr) <= 1)
+            if (_is_diagonal(q.indptr, q.indices)
+                    and np.all(np.diff(part.indptr) <= 1)
                     and len(np.unique(rows)) == len(rows)
                     and not used[rows].any()):
                 used[rows] = True
@@ -418,36 +446,26 @@ class _Pattern:
         first, second, vals = first[nonzero], second[nonzero], vals[nonzero]
 
         d = b.shape[1]
-        starts = np.cumsum([0] + [q.shape[0] for q in kept])
-        entries = [(r + s0, c + s0) for (r, c), s0
-                   in zip(map(coo_indices, kept), starts)]
+        starts = np.cumsum([0] + [len(q.indptr) - 1 for q in kept])
         self.indptr, self.indices, pos = union_pattern(
-            d, entries + [(c, r) for r, c in entries]
+            d, [(r + s0, c + s0) for (r, c), s0
+                in zip(map(coo_indices, kept), starts)]
             + [(b.indices[first], b.indices[second])])
-        self.pos, self.pos_t = pos[:len(kept)], pos[len(kept):-1]
+        self.pos = pos[:-1]
         self.curvature = sp.csr_matrix((vals, (pos[-1], obs[first])),
                                        shape=(len(self.indices), b.shape[0]))
         self.shape = (d, d)
         self.layout = BandLayout(self.indptr, self.indices)
-        self.blocks = [(q.indptr.copy(), q.indices.copy()) for q in blocks]
 
-    def fits(self, blocks):
-        return len(blocks) == len(self.blocks) and all(
-            np.array_equal(ptr, q.indptr) and np.array_equal(ind, q.indices)
-            for (ptr, ind), q in zip(self.blocks, blocks))
-
-    def prior(self, blocks):
-        """Q_prior as the data of its kept blocks on the pattern, each the
-        mean of the block and its transpose (equal to the block when the
-        block is symmetric), and the diagonal p of its eliminated blocks."""
-        data = np.zeros(len(self.indices))
-        for i, pos, pos_t in zip(self.kept_blocks, self.pos, self.pos_t):
-            half = 0.5 * blocks[i].data
-            data[pos] += half
-            data[pos_t] += half
-        p = np.concatenate([blocks[i].data for i in self.elim_blocks]
+    def prior(self, data):
+        """Q_prior, from its blocks' data vectors: its kept blocks' data on
+        the pattern and the diagonal p of its eliminated blocks."""
+        out = np.zeros(len(self.indices))
+        for i, pos in zip(self.kept_blocks, self.pos):
+            out[pos] = data[i]
+        p = np.concatenate([data[i] for i in self.elim_blocks]
                            + [np.zeros(0)])
-        return data, p
+        return out, p
 
     def matrix(self, data):
         return sp.csc_matrix((data, self.indices, self.indptr),
@@ -463,16 +481,6 @@ class _Pattern:
         h_schur = h.copy()
         h_schur[rows] *= p[cols] / q[cols]
         return self.matrix(data + self.curvature @ h_schur), q
-
-
-def _pattern(model, blocks):
-    """The model's pattern, rebuilt when the prior blocks' sparsity differs
-    from the one it was built for."""
-    pat = model._pattern
-    if pat is None or not pat.fits(blocks):
-        pat = _Pattern(model, blocks)
-        model._pattern = pat
-    return pat
 
 
 class _PosteriorFactor:
@@ -583,25 +591,10 @@ def _rows(v, x):
     return v.reshape(-1, *([1] * (np.ndim(x) - 1)))
 
 
-def _prior_logdet(model, theta, blocks, pat):
-    """log|Q_prior| as a sum over its diagonal blocks: a block whose
-    precision has a ``logdet`` method contributes that, any other diagonal
-    block the sum of its log entries, and any other block is factored."""
-    theta_blocks = model.theta_blocks(theta)
-    names = [c.name for c in model.components] + ["fixed"]
-    logdet = 0.0
-    for i, q in enumerate(blocks):
-        comp = model.components[i] if i < len(model.components) else None
-        if hasattr(getattr(comp, "precision", None), "logdet"):
-            logdet += float(comp.precision.logdet(theta_blocks[comp.name]))
-        elif pat.diagonal[i]:
-            if not np.all(q.data > 0) or not np.all(np.isfinite(q.data)):
-                raise NotPositiveDefiniteError(
-                    f"prior block {names[i]} has a non-positive diagonal")
-            logdet += float(np.log(q.data).sum())
-        else:
-            logdet += SparseCholesky(q).logdet
-    return logdet
+def _prior_logdet(model, theta):
+    """log|Q_prior|, the sum of its blocks' log-determinants."""
+    return sum(float(block.logdet(t))
+               for block, t in zip(model.blocks, model.theta_blocks(theta)))
 
 
 def gaussian_approx(model, theta, u0=None, hint=None):
@@ -639,18 +632,16 @@ def gaussian_approx(model, theta, u0=None, hint=None):
     Newton starts from ``u0`` (default zero) and, with ``hint``, on the
     factor of another approximation of the same model: the caller hands
     it over and keeps no reference, and it is freed before the first
-    factor is built.  A hint built on another pattern of the prior's
-    sparsity is dropped, and so is any hint for a Gaussian stage, whose
-    one exact step needs the one factor it builds anyway.  ``u0`` must
-    satisfy the model's constraints, A u0 = 0, as the ``mean`` of an
-    earlier approximation of the same model does.  Starting from the mean
-    at a nearby theta saves iterations, and starting on its factor saves
-    factorizations; neither changes the result beyond the Newton
-    tolerance.
+    factor is built.  A hint built for another model is dropped, and so
+    is any hint for a Gaussian stage, whose one exact step needs the one
+    factor it builds anyway.  ``u0`` must satisfy the model's
+    constraints, A u0 = 0, as the ``mean`` of an earlier approximation of
+    the same model does.  Starting from the mean at a nearby theta saves
+    iterations, and starting on its factor saves factorizations; neither
+    changes the result beyond the Newton tolerance.
     """
-    blocks = model.prior_blocks(theta)
-    pat = _pattern(model, blocks)
-    prior = pat.prior(blocks)
+    pat = model._pattern
+    prior = pat.prior(model.prior_data(theta))
     q_prior_r = pat.matrix(prior[0])
     b = model.design
     b_t = b.T
@@ -696,7 +687,7 @@ def gaussian_approx(model, theta, u0=None, hint=None):
                               and not (own and np.array_equal(h, factor.h))):
             factor = None  # free the last factor before building the next
             if prior_logdet is None:
-                prior_logdet = _prior_logdet(model, theta, blocks, pat)
+                prior_logdet = _prior_logdet(model, theta)
             factor = _PosteriorFactor(pat, prior, h, a_con)
             own = True
         if done:
@@ -789,9 +780,9 @@ def _factor(model, point):
     """The factor of ``point``'s Q_post, rebuilt from its theta and
     curvature: the assembly and factorization :func:`gaussian_approx` ended
     on, so equal to its factor bit for bit."""
-    blocks = model.prior_blocks(point.theta)
-    pat = _pattern(model, blocks)
-    return _PosteriorFactor(pat, pat.prior(blocks), point.h, model.constraint)
+    pat = model._pattern
+    return _PosteriorFactor(pat, pat.prior(model.prior_data(point.theta)),
+                            point.h, model.constraint)
 
 
 def minimize(fun, grad, x0):
@@ -1191,15 +1182,13 @@ def make_spde_model(obs, projector, c_mat, g_mat, nugget=True,
         name="field",
         design=a,
         precision=SpdePrecision(c_mat, g_mat),
-        n_theta=2,
         theta_names=("log_tau", "log_kappa"),
     )]
     if nugget:
         comps.append(LatentComponent(
             name="eps",
             design=sp.identity(n, format="csr"),
-            precision=lambda th: sp.identity(n, format="csc") * np.exp(th[0]),
-            n_theta=1,
+            precision=ScaledPrecision(sp.identity(n, format="csc"), 1),
             theta_names=("log_nugget_prec",),
         ))
     if theta_init is None:

@@ -31,9 +31,9 @@ keeps its layout, and a factorization is then a scatter and the LAPACK
 calls.  Two owners do so: the latent model engine for the Schur
 complement of Q_post over the coordinates that are not integrated out in
 closed form (Q_post itself when none is), and the SPDE precision for its
-K = kappa^2 C + G.  One-off factorizations (the ICAR block's minor, a
-prior block with no ``logdet`` and no closed form) lay out their own
-pattern.  Together with :func:`union_pattern`, which lays out a sum of
+K = kappa^2 C + G.  One-off factorizations (the ICAR block's minor, the
+fixed matrix of a scaled prior block that is not diagonal) lay out their
+own pattern.  Together with :func:`union_pattern`, which lays out a sum of
 sparse matrices as data on one fixed pattern, a new theta or Newton step
 costs only a numerical refactorization.
 """
@@ -70,8 +70,9 @@ def union_pattern(n, parts):
 
 
 def coo_indices(q):
-    """Row and column indices of the stored entries of a CSC matrix."""
-    return q.indices, np.repeat(np.arange(q.shape[1]), np.diff(q.indptr))
+    """Row and column indices of the stored entries of a CSC pattern."""
+    return q.indices, np.repeat(np.arange(len(q.indptr) - 1),
+                                np.diff(q.indptr))
 
 
 def _lower(indptr, indices):

@@ -7,13 +7,14 @@ precision Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G).  With the
 lumped (diagonal) mass matrix C this stays sparse and the implied field
 approximates the Matern covariance away from the mesh boundary.
 
-Only tau and kappa change between evaluations, so :class:`SpdePrecision`
-lays C, G and G C^{-1} G out once on one fixed pattern and computes a new Q
-as a data vector.  With lumped C, Q = tau^2 K C^{-1} K for K = kappa^2 C + G,
-so log|Q| comes from a factorization of K, a matrix with the sparsity of G,
-on the one band layout of that pattern.  K does not depend on tau, and a
-finite-difference gradient in (log tau, log kappa) returns to the same
-kappa, so log|K| is kept for the last two kappa values seen.
+Only tau and kappa change between evaluations, so :class:`SpdePrecision`,
+the field's prior block, lays C, G and G C^{-1} G out once on one fixed
+pattern and gives each Q as a data vector on it.  With lumped C,
+Q = tau^2 K C^{-1} K for K = kappa^2 C + G, so log|Q| comes from a
+factorization of K, a matrix with the sparsity of G, on the one band
+layout of that pattern.  K does not depend on tau, and a finite-difference
+gradient in (log tau, log kappa) returns to the same kappa, so log|K| is
+kept for the last two kappa values seen.
 
 The Matern covariance itself and the closed forms between tau, kappa and
 the marginal variance live in :mod:`prevmap.matern`, which needs no scipy.
@@ -37,17 +38,21 @@ def _on_pattern(n, mats):
 
 
 class SpdePrecision:
-    """Q(log tau, log kappa) for alpha = 2 (nu = 1) on fixed C and G.
+    """Q(log tau, log kappa) for alpha = 2 (nu = 1) on fixed C and G: a
+    prior block with no null space.
 
-    Calling it with ``(log tau, log kappa)`` returns the CSC matrix
-    Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^{-1} G), whose data is that
-    same sum of three vectors on one pattern.  G and G C^{-1} G are
+    :meth:`data` at ``(log tau, log kappa)`` is the data of Q = tau^2
+    (kappa^4 C + 2 kappa^2 G + G C^{-1} G) on the pattern ``indptr``,
+    ``indices``, that same sum of three vectors.  G and G C^{-1} G are
     symmetrized once, so every Q is exactly symmetric.  :meth:`logdet`
     gives log|Q| from K = kappa^2 C + G, factored on the kept band layout
     of the pattern of C + G, and keeps log|K| for the last two exact
     values of log kappa it saw.  C must be the lumped (diagonal) mass
     matrix and G the stiffness matrix of the same mesh.
     """
+
+    n_theta = 2
+    constraint = None
 
     def __init__(self, c, g):
         c = sp.csc_matrix(c)
@@ -63,7 +68,7 @@ class SpdePrecision:
         gcg = ((gcg + gcg.T) * 0.5).tocsc()
         c = sp.diags(cd, format="csc")
         self.n = n
-        self._q_indptr, self._q_indices, (self._c, self._g, self._gcg) = \
+        self.indptr, self.indices, (self._c, self._g, self._gcg) = \
             _on_pattern(n, (c, g, gcg))
         # K on the pattern of C + G, with the band layout every K factors on
         self._k_indptr, self._k_indices, (self._kc, self._kg) = \
@@ -72,12 +77,10 @@ class SpdePrecision:
         self._log_c = float(np.log(cd).sum())
         self._log_k = {}  # log kappa -> log|K|, the last two seen
 
-    def __call__(self, theta):
+    def data(self, theta):
         tau, kappa = float(np.exp(theta[0])), float(np.exp(theta[1]))
-        data = tau ** 2 * (kappa ** 4 * self._c + 2.0 * kappa ** 2 * self._g
+        return tau ** 2 * (kappa ** 4 * self._c + 2.0 * kappa ** 2 * self._g
                            + self._gcg)
-        return sp.csc_matrix((data, self._q_indices, self._q_indptr),
-                             shape=(self.n, self.n))
 
     def logdet(self, theta):
         """log|Q| = 2 n log tau + 2 log|K| - sum_i log C_ii, with K
@@ -104,6 +107,8 @@ def assemble_precision(c, g, theta):
     matrix and G the stiffness matrix of the same mesh, built by
     :class:`SpdePrecision`, and verified positive definite by factorization.
     """
-    q = SpdePrecision(c, g)(theta)
+    prec = SpdePrecision(c, g)
+    q = sp.csc_matrix((prec.data(theta), prec.indices, prec.indptr),
+                      shape=(prec.n, prec.n))
     SparseCholesky(q)
     return q

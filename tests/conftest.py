@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from prevmap.geometry import Polygon, fem_matrices
 from prevmap.meshing import build_mesh
@@ -33,6 +34,14 @@ def solve_columns(factor, indices):
     e = np.zeros((factor.n, len(indices)))
     e[np.asarray(indices, dtype=int), np.arange(len(indices))] = 1.0
     return factor.solve(e)
+
+
+def block_matrix(block, theta):
+    """A prior block's precision at ``theta``: its data on its pattern, as
+    a CSC matrix."""
+    n = len(block.indptr) - 1
+    return sp.csc_matrix((block.data(theta), block.indices, block.indptr),
+                         shape=(n, n))
 
 
 def dense_factor(factor):

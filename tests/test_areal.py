@@ -9,6 +9,8 @@ from prevmap.areal import (AdjacencyGraph, BymModel, IcarPrecision,
                            _build_latent_model, adjacency_from_csv,
                            adjacency_from_polygons, fit_bym, icar_precision)
 
+from conftest import block_matrix
+
 
 def path_graph(k):
     return AdjacencyGraph(k, [(i, i + 1) for i in range(k - 1)])
@@ -44,7 +46,7 @@ def test_icar_logdet_is_the_generalized_determinant():
         assert prec.logdet([theta]) == pytest.approx(
             5 * theta + np.log(eig[2:]).sum(), rel=1e-12)
     # only the blind component's block gains 1 1^T / n_c
-    extra = prec([0.0]).toarray() - r.toarray()
+    extra = block_matrix(prec, [0.0]).toarray() - r.toarray()
     assert np.abs(extra[:4]).max() == 0 and np.abs(extra[:, :4]).max() == 0
     assert np.allclose(extra[4:, 4:], 1 / 3, rtol=0, atol=1e-15)
 

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from prevmap import inference
 from prevmap.errors import ConvergenceError
 from prevmap.inference import (BinomialObs, FitResult, GaussianObs,
-                               LatentComponent, LatentModel,
+                               LatentComponent, LatentModel, ScaledPrecision,
                                fit_latent_model, gaussian_approx, hyper_grid,
                                marginals, sample_joint,
                                write_fit_summary_csv, write_theta_grid_csv)
 
-from conftest import dense_factor
+from conftest import block_matrix, dense_factor
 
 
 def _assert_factor_of(factor, q_post, rel=1e-12):
@@ -33,7 +34,8 @@ def _gaussian_problem(n=40, m=25, seed=1, q_scale=2.0):
     b = sp.csr_matrix(rng.standard_normal((n, m)) * 0.5)
     v = 0.5 + rng.random(n)
     y = b @ rng.standard_normal(m) + rng.standard_normal(n) * np.sqrt(v)
-    comp = LatentComponent("u", b, sp.identity(m, format="csc") * q_scale)
+    comp = LatentComponent("u", b, ScaledPrecision(sp.identity(m) * q_scale,
+                                                   0))
     model = LatentModel(GaussianObs(y, v), [comp])
     q_post = q_scale * np.eye(m) + (b.T.toarray() * (1 / v)) @ b.toarray()
     mu = np.linalg.solve(q_post, b.T.toarray() @ (y / v))
@@ -81,7 +83,7 @@ def test_binomial_scalar_mode():
     # y=3, N=10 with a flat-ish prior: mode -> logit(0.3)
     obs = BinomialObs(np.array([3.0]), np.array([10.0]))
     comp = LatentComponent("eta", sp.identity(1, format="csr"),
-                           sp.identity(1, format="csc") * 1e-6)
+                           ScaledPrecision(sp.identity(1) * 1e-6, 0))
     ga = gaussian_approx(LatentModel(obs, [comp]), np.empty(0))
     assert ga.mean[0] == pytest.approx(np.log(0.3 / 0.7), abs=1e-6)
 
@@ -89,7 +91,7 @@ def test_binomial_scalar_mode():
 def test_binomial_all_zeros_prior_regularizes():
     obs = BinomialObs(np.zeros(5), np.full(5, 8.0))
     comp = LatentComponent("eta", sp.identity(5, format="csr"),
-                           sp.identity(5, format="csc") * 1.0)
+                           ScaledPrecision(sp.identity(5), 0))
     ga = gaussian_approx(LatentModel(obs, [comp]), np.empty(0))
     assert np.all(np.isfinite(ga.mean))
     assert np.abs(ga.mean).max() < 10
@@ -100,7 +102,7 @@ def test_newton_monotone_trace():
     n = 60
     b = sp.identity(n, format="csr")
     obs = BinomialObs(rng.integers(0, 9, n).astype(float), np.full(n, 10.0))
-    comp = LatentComponent("eta", b, sp.identity(n, format="csc") * 0.5)
+    comp = LatentComponent("eta", b, ScaledPrecision(sp.identity(n) * 0.5, 0))
     model = LatentModel(obs, [comp])
     try:
         gaussian_approx(model, np.empty(0))
@@ -147,9 +149,8 @@ def _theta_problem(seed=0, n=50):
     b = sp.identity(n, format="csr")
     v = np.full(n, 0.5)
     y = rng.standard_normal(n) * 1.2
-    comp = LatentComponent(
-        "u", b, lambda th: sp.identity(n, format="csc") * np.exp(th[0]),
-        n_theta=1, theta_names=("log_prec",))
+    comp = LatentComponent("u", b, ScaledPrecision(sp.identity(n), 1),
+                           theta_names=("log_prec",))
     return LatentModel(GaussianObs(y, v), [comp], theta_init=[0.0]), y, v, n
 
 
@@ -171,6 +172,24 @@ def test_hyper_grid_log_posterior_matches_dense_oracle():
     assert sum(p.weight for p in pts) == pytest.approx(1.0, abs=1e-12)
 
 
+class _MirroredPrecision:
+    """A prior block defined outside the package: the diagonal precision
+    exp(theta) over n coordinates and exp(-theta) over n more."""
+
+    n_theta = 1
+    constraint = None
+
+    def __init__(self, n):
+        self.indptr, self.indices = np.arange(2 * n + 1), np.arange(2 * n)
+        self._sign = np.r_[np.ones(n), -np.ones(n)]
+
+    def data(self, theta):
+        return np.exp(self._sign * theta[0])
+
+    def logdet(self, theta):
+        return float(np.log(self.data(theta)).sum())
+
+
 def test_hyper_grid_symmetric_weights():
     # A posterior exactly symmetric in theta: two mirrored iid blocks with
     # precisions exp(theta) and exp(-theta) observing identical data, so
@@ -182,13 +201,7 @@ def test_hyper_grid_symmetric_weights():
     v = np.full(2 * n, 0.5)
     eye_obs = sp.identity(2 * n, format="csr")
 
-    def precision(th):
-        return sp.block_diag([
-            sp.identity(n, format="csc") * np.exp(th[0]),
-            sp.identity(n, format="csc") * np.exp(-th[0]),
-        ], format="csc")
-
-    comp = LatentComponent("u", eye_obs, precision, n_theta=1,
+    comp = LatentComponent("u", eye_obs, _MirroredPrecision(n),
                            theta_names=("log_ratio",))
     model = LatentModel(GaussianObs(y, v), [comp], theta_init=[0.0])
     pts = fit_latent_model(
@@ -217,8 +230,7 @@ def _two_theta_problem(seed=1, n=120, m=20):
     y = 0.5 + rng.normal(0, 0.8, m)[group] + rng.normal(0, 0.5, n) \
         + rng.normal(0, np.sqrt(v))
     comps = [LatentComponent(
-        name, design, lambda th, k=design.shape[1]:
-        np.exp(th[0]) * sp.identity(k, format="csc"), n_theta=1)
+        name, design, ScaledPrecision(sp.identity(design.shape[1]), 1))
         for name, design in (("u", b), ("eps", sp.identity(n, format="csr")))]
     return LatentModel(GaussianObs(y, v), comps, fixed_design=np.ones((n, 1)),
                        theta_init=[0.0, 1.0])
@@ -503,7 +515,7 @@ def test_gaussian_stage_full_machinery_dense_oracle():
     b = sp.csr_matrix(rng.standard_normal((n, m)) * 0.3)
     v = 0.4 + rng.random(n)
     y = rng.standard_normal(n)
-    comp = LatentComponent("u", b, sp.identity(m, format="csc") * 1.5)
+    comp = LatentComponent("u", b, ScaledPrecision(sp.identity(m) * 1.5, 0))
     model = LatentModel(GaussianObs(y, v), [comp],
                         fixed_design=np.ones((n, 1)))
     fit = fit_latent_model(model, thetas=[np.empty(0)])
@@ -563,12 +575,10 @@ def _binomial_problem(seed=2, n=80, m=30):
     truth = np.sin(np.linspace(0, 3, m))[site] - 1.0
     trials = rng.integers(5, 15, n).astype(float)
     y = rng.binomial(trials.astype(int), expit(truth)).astype(float)
-    q_rw = _rw1_precision(m)
     comps = [
-        LatentComponent("rw", b, lambda th: np.exp(th[0]) * q_rw, n_theta=1),
+        LatentComponent("rw", b, ScaledPrecision(_rw1_precision(m), 1)),
         LatentComponent("iid", sp.identity(n, format="csr"),
-                        lambda th: np.exp(th[0]) * sp.identity(n, format="csc"),
-                        n_theta=1),
+                        ScaledPrecision(sp.identity(n), 1)),
     ]
     return LatentModel(BinomialObs(y, trials), comps,
                        fixed_design=np.ones((n, 1)), theta_init=[1.0, 3.0])
@@ -588,13 +598,8 @@ def _binomial_bym_problem(seed=4, k_side=5):
     y = rng.binomial(trials.astype(int),
                      expit(rng.normal(-1.0, 0.5, k))).astype(float)
     eye = sp.identity(k, format="csr")
-    comps = [
-        LatentComponent("icar", eye, q_icar, n_theta=1,
-                        constraint=np.ones((1, k))),
-        LatentComponent("iid", eye,
-                        lambda th: np.exp(th[0]) * sp.identity(k, format="csc"),
-                        n_theta=1),
-    ]
+    comps = [LatentComponent("icar", eye, q_icar),
+             LatentComponent("iid", eye, ScaledPrecision(eye, 1))]
     return LatentModel(BinomialObs(y, trials), comps,
                        fixed_design=np.ones((k, 1)), theta_init=[1.0, 2.0])
 
@@ -734,10 +739,9 @@ def _iid_iid_problem(seed=5, n=40):
     rng = np.random.default_rng(seed)
     trials = rng.integers(5, 15, n).astype(float)
     y = rng.binomial(trials.astype(int), 0.3).astype(float)
-    comps = [LatentComponent(
-        name, sp.identity(n, format="csr"),
-        lambda th: np.exp(th[0]) * sp.identity(n, format="csc"), n_theta=1)
-        for name in ("iid", "iid2")]
+    comps = [LatentComponent(name, sp.identity(n, format="csr"),
+                             ScaledPrecision(sp.identity(n), 1))
+             for name in ("iid", "iid2")]
     return LatentModel(BinomialObs(y, trials), comps,
                        fixed_design=np.ones((n, 1)), theta_init=[1.0, 2.0])
 
@@ -771,20 +775,19 @@ def _coords(model, names):
 @pytest.mark.parametrize("name", sorted(_ELIMINATED))
 def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
                                                coarse_fem10):
-    from prevmap.inference import _PosteriorFactor, _pattern
+    from prevmap.inference import _PosteriorFactor
     model = _models(coarse_mesh10, coarse_fem10)[name]
+    pat = model._pattern
     elim = _coords(model, _ELIMINATED[name])
     keep = np.setdiff1d(np.arange(model.latent_dim), elim)
     rng = np.random.default_rng(21)
     for _ in range(3):
         theta = model.theta_init + rng.normal(0.0, 0.5, model.n_theta)
         eta = rng.normal(-1.0, 1.0, model.obs.n)
-        blocks = model.prior_blocks(theta)
-        pat = _pattern(model, blocks)
         assert np.array_equal(pat.elim, elim)
         # R, in ascending latent order
         assert np.array_equal(pat.keep, keep)
-        prior = pat.prior(blocks)
+        prior = pat.prior(model.prior_data(theta))
         s_mat = pat.schur(prior, model.obs.neg_hess(eta))[0].toarray()
         ref = _reference_q_post(model, theta, eta)
         q_re = ref[np.ix_(pat.keep, elim)]
@@ -808,21 +811,18 @@ def test_schur_complement_matches_dense_oracle(name, coarse_mesh10,
         cov = np.linalg.inv(ref)
         assert np.abs(draws @ draws.T - cov).max() \
             <= 1e-10 * np.abs(cov).max()
-    # one pattern for every theta and eta
-    assert model._pattern is pat
 
 
 @pytest.mark.parametrize("name", sorted(_ELIMINATED))
 def test_blockwise_prior_logdet_matches_full_factor(name, coarse_mesh10,
                                                     coarse_fem10):
-    from prevmap.inference import _pattern, _prior_logdet
+    from prevmap.inference import _prior_logdet
     from prevmap.sparsela import SparseCholesky
     model = _models(coarse_mesh10, coarse_fem10)[name]
     rng = np.random.default_rng(33)
     for _ in range(5):
         theta = model.theta_init + rng.normal(0.0, 0.7, model.n_theta)
-        blocks = model.prior_blocks(theta)
-        logdet = _prior_logdet(model, theta, blocks, _pattern(model, blocks))
+        logdet = _prior_logdet(model, theta)
         q_prior = model.prior_precision(theta)
         if model.constraint is None:
             ref = SparseCholesky(q_prior).logdet
@@ -834,10 +834,110 @@ def test_blockwise_prior_logdet_matches_full_factor(name, coarse_mesh10,
         assert logdet == pytest.approx(ref, rel=1e-12)
 
 
+def _prior_block_cases(fem):
+    """Each kind of prior block with a theta, its dense precision there and
+    the log of the product of the precision's nonzero eigenvalues."""
+    from prevmap.areal import AdjacencyGraph, IcarPrecision, icar_precision
+    from prevmap.spde import SpdePrecision
+    diag = sp.diags(np.random.default_rng(12).uniform(0.5, 2.0, 7))
+    tri = _rw1_precision(9)
+    # a 4-area component with a chord, a blind 3-area path and an observed
+    # singleton area
+    graph = AdjacencyGraph(8, [(0, 1), (1, 2), (2, 3), (0, 2), (4, 5),
+                               (5, 6)])
+    r = icar_precision(graph).toarray()
+    blind = np.zeros((8, 8))
+    blind[4:7, 4:7] = 1.0 / 3.0
+    icar = IcarPrecision(sp.csc_matrix(r), graph.component_labels(),
+                         ~np.isin(np.arange(8), [4, 5, 6]))
+    c, g = fem
+    cd, g = c.diagonal(), g.toarray()
+    log_tau, log_kappa = 0.3, -0.2
+    spde = np.exp(2 * log_tau) * (
+        np.exp(4 * log_kappa) * np.diag(cd) + 2 * np.exp(2 * log_kappa) * g
+        + g @ np.diag(1.0 / cd) @ g)
+
+    def logdet(q):
+        return np.linalg.slogdet(q)[1]
+
+    return {
+        "diagonal": (ScaledPrecision(diag, 1), [0.4],
+                     np.exp(0.4) * diag.toarray(),
+                     logdet(np.exp(0.4) * diag.toarray())),
+        "tridiagonal": (ScaledPrecision(tri, 1), [-0.7],
+                        np.exp(-0.7) * tri.toarray(),
+                        logdet(np.exp(-0.7) * tri.toarray())),
+        "theta_free_diagonal": (ScaledPrecision(diag, 0), [],
+                                diag.toarray(), logdet(diag.toarray())),
+        "theta_free_tridiagonal": (ScaledPrecision(tri * 2.0, 0), [],
+                                   2.0 * tri.toarray(),
+                                   logdet(2.0 * tri.toarray())),
+        # three components, so three zero eigenvalues of R
+        "icar": (icar, [0.8], np.exp(0.8) * (r + blind),
+                 5 * 0.8 + np.log(np.linalg.eigvalsh(r)[3:]).sum()),
+        "spde": (SpdePrecision(*fem), [log_tau, log_kappa], spde,
+                 logdet(spde)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal",
+                                  "theta_free_diagonal",
+                                  "theta_free_tridiagonal", "icar", "spde"])
+def test_prior_block_matches_dense_oracle(kind, coarse_fem10):
+    # the data on the block's own pattern is the dense precision, and its
+    # logdet the (generalized) log-determinant
+    block, theta, dense, logdet = _prior_block_cases(coarse_fem10)[kind]
+    q = block_matrix(block, theta)
+    assert q.has_canonical_format and block.n_theta == len(theta)
+    assert np.abs(q.toarray() - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert block.logdet(theta) == pytest.approx(logdet, rel=1e-12)
+    assert (block.constraint is None) == (kind != "icar")
+
+
+def _broken_blocks():
+    upper = sp.csc_matrix(np.triu(np.ones((3, 3))) + 2.0 * np.eye(3))
+    values = sp.csc_matrix([[2.0, 1.0, 0.0], [0.5, 2.0, 0.0],
+                            [0.0, 0.0, 2.0]])
+    short = ScaledPrecision(sp.identity(3), 1)
+    short.data = lambda theta: np.ones(2)
+    return {"pattern": (ScaledPrecision(upper, 1), "not symmetric"),
+            "values": (ScaledPrecision(values, 0), "not symmetric"),
+            "data": (short, "2 data for 3 pattern entries")}
+
+
+@pytest.mark.parametrize("fault", ["pattern", "values", "data"])
+def test_model_refuses_an_asymmetric_or_short_block(fault):
+    block, message = _broken_blocks()[fault]
+    comp = LatentComponent("u", sp.identity(3, format="csr"), block)
+    with pytest.raises(ValueError, match=f"component u: .*{message}"):
+        LatentModel(GaussianObs(np.zeros(3), np.ones(3)), [comp])
+
+
+@pytest.mark.parametrize("name", ["spde_nugget", "bym"])
+def test_fit_builds_one_pattern_per_model(name, monkeypatch, coarse_mesh10,
+                                          coarse_fem10):
+    built = []
+    init = inference._Pattern.__init__
+
+    def spy(self, model):
+        built.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(inference._Pattern, "__init__", spy)
+    if name == "bym":
+        model = _bym_problem()
+    else:
+        model = _spde_problem(coarse_mesh10, coarse_fem10, nugget=True)
+    fit = fit_latent_model(model)
+    marginals(fit, [0])
+    assert len(fit.points) > 1
+    assert built == [model]
+
+
 def test_factor_first_and_later_matrices_share_arithmetic():
-    # the first evaluation of a fresh model builds the pattern and its
-    # ordering, then factors like every later one: the same theta gives
-    # the same bits (_binomial_problem also factors its RW1 prior block)
+    # the first evaluation of a fresh model factors on the pattern and
+    # ordering the model built, like every later one: the same theta gives
+    # the same bits (_binomial_problem's RW1 block factored its R once)
     for problem in (_bym_problem, _binomial_problem):
         model = problem()
         first = gaussian_approx(model, model.theta_init)
@@ -852,17 +952,16 @@ def test_pattern_lays_s_out_in_its_fill_reducing_order(name, coarse_mesh10,
     # S is laid out once, R in ascending latent order, and its layout holds
     # the band order of its pattern: every S factors on the pattern's
     # layout with the order, band, border and logdet of its own factor
-    from prevmap.inference import _PosteriorFactor, _pattern
+    from prevmap.inference import _PosteriorFactor
     from prevmap.sparsela import SparseCholesky
     model = _models(coarse_mesh10, coarse_fem10)[name]
-    blocks = model.prior_blocks(model.theta_init)
-    pat = _pattern(model, blocks)
+    pat = model._pattern
+    prior = pat.prior(model.prior_data(model.theta_init))
     assert np.all(np.diff(pat.keep) > 0)
     h = model.obs.neg_hess(np.full(model.obs.n, -1.0))
-    schur = _PosteriorFactor(pat, pat.prior(blocks), h,
-                             model.constraint).schur
+    schur = _PosteriorFactor(pat, prior, h, model.constraint).schur
     assert schur.layout is pat.layout
-    own = SparseCholesky(pat.schur(pat.prior(blocks), h)[0])
+    own = SparseCholesky(pat.schur(prior, h)[0])
     assert np.array_equal(schur.layout.perm, own.layout.perm)
     assert (schur.layout.bandwidth, schur.layout.border, schur.nnz) \
         == (own.layout.bandwidth, own.layout.border, own.nnz)
@@ -876,12 +975,12 @@ def test_draws_feed_kept_normals_to_factor_rows_in_latent_order(
     # in which S is factored: z's kept entries, in ascending latent index,
     # feed the rows of S's factor L L^T in order, x_R = P^T L^{-T} z_R
     import scipy.linalg as sla
-    from prevmap.inference import _PosteriorFactor, _pattern
+    from prevmap.inference import _PosteriorFactor
     model = _models(coarse_mesh10, coarse_fem10)[name]
-    blocks = model.prior_blocks(model.theta_init)
-    pat = _pattern(model, blocks)
-    factor = _PosteriorFactor(pat, pat.prior(blocks), model.obs.neg_hess(
-        np.full(model.obs.n, -1.0)), model.constraint)
+    pat = model._pattern
+    factor = _PosteriorFactor(
+        pat, pat.prior(model.prior_data(model.theta_init)),
+        model.obs.neg_hess(np.full(model.obs.n, -1.0)), model.constraint)
     z = np.random.default_rng(5).standard_normal(model.latent_dim)
     x_r = sla.solve_triangular(dense_factor(factor.schur).T, z[pat.keep],
                                lower=False)
@@ -1164,66 +1263,58 @@ def test_constrained_draws_and_variances_match_dense_oracle():
         <= 1e-12 * np.abs(once).max()
 
 
-def test_constraint_needs_a_precision_with_logdet():
-    n = 5
-    comp = LatentComponent("u", sp.identity(n, format="csr"),
-                           sp.identity(n, format="csc"),
-                           constraint=np.ones((1, n)))
-    with pytest.raises(ValueError, match="logdet"):
-        LatentModel(GaussianObs(np.zeros(n), np.ones(n)), [comp])
-
-
-def _switching_problem(seed=3, n=30, m=12, one_per_row=False):
-    """Gaussian observations of u, whose prior is diagonal for theta < 0 and
-    a random-walk (tridiagonal) precision otherwise.  The design is random
-    with 30% nonzeros, or with ``one_per_row`` a nonzero in m random rows,
-    one per column, so that u is integrated out while its prior is
-    diagonal."""
+def _random_model(kinds, fixed, n, seed):
+    """A model with one prior block per entry of ``kinds``: "elim", a
+    diagonal whose design has at most one nonzero per row and per column,
+    on rows no earlier "elim" block observes; "diag", a diagonal whose
+    design's first column observes every row; "tri", a random-walk
+    precision.  Returns the model and its eliminated coordinates."""
     rng = np.random.default_rng(seed)
-    if one_per_row:
-        b = sp.csr_matrix((rng.standard_normal(m),
-                           (rng.permutation(n)[:m], np.arange(m))),
-                          shape=(n, m))
-    else:
-        b = sp.csr_matrix(rng.standard_normal((n, m))
-                          * (rng.random((n, m)) < 0.3))
-    v = 0.5 + rng.random(n)
-    y = rng.standard_normal(n)
-    q_rw = _rw1_precision(m)
+    comps, elim, start, free = [], [], 0, rng.permutation(n)
+    for i, kind in enumerate(kinds):
+        m = int(rng.integers(2 if kind == "tri" else 1, 7))
+        if kind == "elim":
+            rows, free = free[:m], free[m:]
+            design = sp.csr_matrix(
+                (rng.uniform(0.5, 2.0, len(rows)),
+                 (rows, rng.permutation(m)[:len(rows)])), shape=(n, m))
+            elim.extend(range(start, start + m))
+        else:
+            design = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.5)
+            design[:, 0] = rng.uniform(0.5, 2.0, n)
+            design = sp.csr_matrix(design)
+        r = _rw1_precision(m) if kind == "tri" \
+            else sp.diags(rng.uniform(0.5, 2.0, m))
+        comps.append(LatentComponent(f"c{i}", design, ScaledPrecision(r, 1)))
+        start += m
+    model = LatentModel(GaussianObs(np.zeros(n), np.ones(n)), comps,
+                        fixed_design=rng.normal(size=(n, 1)) if fixed
+                        else None)
+    return model, np.array(elim, dtype=int)
 
-    def precision(th):
-        if th[0] < 0:
-            return np.exp(th[0]) * sp.identity(m, format="csc")
-        return np.exp(th[0]) * q_rw
 
-    comp = LatentComponent("u", b, precision, n_theta=1)
-    return LatentModel(GaussianObs(y, v), [comp], fixed_design=np.ones((n, 1)))
-
-
-def test_pattern_rebuilt_when_prior_sparsity_changes():
-    for one_per_row in (False, True):
-        model = _switching_problem(one_per_row=one_per_row)
-        b = model.design.toarray()
-        v = model.obs.variance
-        n = len(v)
-        patterns = []
-        for th in (-0.5, 0.7, -1.2, 0.2):
-            theta = np.array([th])
-            ga = gaussian_approx(model, theta)
-            patterns.append(model._pattern)
-            # u is integrated out while its prior is diagonal, if its
-            # design allows it
-            elim = np.arange(12) if one_per_row and th < 0 else []
-            assert np.array_equal(model._pattern.elim, elim)
-            q_prior = model.prior_precision(theta).toarray()
-            _assert_factor_of(ga.factor, q_prior + (b.T / v) @ b)
-            # Gaussian stage: the Laplace evidence is the exact marginal
-            # likelihood of y ~ N(0, B Q_prior^{-1} B^T + V)
-            cov_y = b @ np.linalg.solve(q_prior, b.T) + np.diag(v)
-            ev = -0.5 * (n * np.log(2 * np.pi) + np.linalg.slogdet(cov_y)[1]
-                         + model.obs.y @ np.linalg.solve(cov_y, model.obs.y))
-            assert ga.log_evidence == pytest.approx(ev, rel=1e-10)
-        # the diagonal and the tridiagonal prior each got their own pattern
-        assert patterns[0] is not patterns[1]
-        assert patterns[1] is not patterns[2]
-        assert patterns[2] is not patterns[3]
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["elim", "diag", "tri"]), min_size=1,
+                      max_size=3),
+       fixed=st.booleans(), n=st.integers(2, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_posterior_factor_matches_dense_oracle_on_random_models(kinds, fixed,
+                                                                n, seed):
+    # Q_post = Q_prior + B^T diag(h) B from the blocks' data, with the
+    # eliminable diagonals integrated out, against dense algebra
+    from prevmap.inference import _PosteriorFactor
+    model, elim = _random_model(kinds, fixed, n, seed)
+    pat = model._pattern
+    assert np.array_equal(pat.elim, elim)
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(0.0, 1.0, model.n_theta)
+    h = rng.uniform(0.1, 3.0, n)
+    factor = _PosteriorFactor(pat, pat.prior(model.prior_data(theta)), h,
+                              None)
+    b = model.design.toarray()
+    q_post = model.prior_precision(theta).toarray() + (b.T * h) @ b
+    assert factor.logdet == pytest.approx(np.linalg.slogdet(q_post)[1],
+                                          rel=1e-10)
+    rhs = rng.standard_normal((model.latent_dim, 2))
+    ref = np.linalg.solve(q_post, rhs)
+    assert np.abs(factor.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()

@@ -12,7 +12,7 @@ from prevmap.meshing import build_mesh
 from prevmap.sparsela import SparseCholesky
 from prevmap.spde import SpdePrecision, assemble_precision
 
-from conftest import solve_columns
+from conftest import block_matrix, solve_columns
 
 
 def test_matern_at_zero_is_variance():
@@ -83,7 +83,7 @@ def test_spde_precision_matches_formula_and_k_logdet(coarse_fem10):
     for _ in range(5):
         log_tau, log_kappa = rng.normal(0.0, 1.0, 2)
         tau, kappa = np.exp(log_tau), np.exp(log_kappa)
-        q = prec((log_tau, log_kappa))
+        q = block_matrix(prec, (log_tau, log_kappa))
         ref = tau ** 2 * (kappa ** 4 * c_d + 2 * kappa ** 2 * g_d
                           + g_d @ np.diag(1 / cd) @ g_d)
         dense = q.toarray()
